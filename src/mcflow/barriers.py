@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import (DomainError, RadialMetric, euclidean_metric,
                        radial_factors, radial_flow_rhs)
@@ -116,6 +115,8 @@ def supersolution_height(n: int, r0: float, r: float) -> float:
         raise DomainError(f"static profile needs n >= 3, got n = {n}")
     if r < r0:
         raise DomainError("height requested inside the inner radius")
+    # imported here, not at module level, so `import mcflow` leaves scipy out
+    from scipy.integrate import quad
 
     def integrand(x):
         s = r / x
@@ -215,6 +216,7 @@ def build_outer_barrier(n: int, r1_min: float, h: float, eps: float,
 
 
 def _tabulate_profile(n, r0, cap, eps) -> BarrierProfile:
+    from scipy.integrate import quad
     r_grid = np.geomspace(r0, PROFILE_GRID_SPAN * r0, PROFILE_GRID_POINTS)
     tail_coeff = supersolution_tail_coefficient(n, r0)
     # integrate inward: exact tail height at the outer edge, then panelwise

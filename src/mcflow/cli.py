@@ -2,7 +2,8 @@
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 configuration
 error (the message names the offending field), 3 numeric failure (a run
-halted on a spacelikeness violation).
+halted on a spacelikeness violation or a non-finite value; the message
+names the termination and says where).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def cmd_simulate(args) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}")
     if result.numeric_failure:
-        print("numeric failure: run halted on a spacelikeness violation",
-              file=sys.stderr)
+        print(f"numeric failure ({result.summary['termination']}): "
+              f"{result.summary.get('halt_message', '')}", file=sys.stderr)
         return EXIT_NUMERIC
     if not result.all_passed:
         return EXIT_CHECK_FAILED

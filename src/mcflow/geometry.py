@@ -35,6 +35,10 @@ class SpacelikeViolationError(ValueError):
     """A gradient failed the strict spacelikeness requirement |grad u|_sigma < 1."""
 
 
+class NonFiniteError(ValueError):
+    """A state to be evolved holds a NaN or an infinity."""
+
+
 @dataclass(frozen=True)
 class RadialMetric:
     """Rotationally symmetric conformally flat metric w(r)^2 * delta.
@@ -221,25 +225,78 @@ def radial_factors(metric, r):
     return w, fprime
 
 
+class RadialOperator:
+    """The rotationally reduced flow speed on one grid of radii.
+
+    For u = U(r) on the conformal background, with p = (U'/w)^2, the
+    operator contracts to
+
+        w^{-2} [U'' + (n-1) U'/r + (n-2) f' U'] + w^{-4} U'^2 (U'' - f' U') / (1 - p)
+      = w^{-2} [(U'' - f' U') / (1 - p) + (n-1) (1/r + f') U'],
+
+    and the second form is the one evaluated.  The per-grid factors w^2,
+    w^{-2}, f' and (n-1)(1/r + f') are formed once.  On a flat background
+    (w = 1 and f' = 0 at every radius) the factors that are exact identities
+    are skipped, and for n = 1 the drift term vanishes: what is left is the
+    line operator U'' / (1 - U'^2), for which `r` is not used.
+    """
+
+    def __init__(self, n, r, w, fprime):
+        w = np.asarray(w, dtype=float)
+        fprime = np.asarray(fprime, dtype=float)
+        flat = bool(np.all(w == 1.0) and np.all(fprime == 0.0))
+        self.w2 = None if flat else w * w
+        self.inv_w2 = None if flat else 1.0 / self.w2
+        self.fprime = None if flat else fprime
+        self.drift = (None if n == 1
+                      else (n - 1) * (1.0 / np.asarray(r, dtype=float) + fprime))
+
+    def slope_complement(self, du, out):
+        """Write 1 - (U'/w)^2 into `out` and return it."""
+        np.multiply(du, du, out=out)
+        if self.inv_w2 is not None:
+            np.multiply(out, self.inv_w2, out=out)
+        return np.subtract(1.0, out, out=out)
+
+    def rhs(self, du, d2u, comp, out, work):
+        """Write the flow speed into `out` and return it.
+
+        `comp` holds 1 - (U'/w)^2 > 0; `work` is scratch of `out`'s shape.
+        The inputs are not written.
+        """
+        if self.fprime is None:
+            np.divide(d2u, comp, out=out)
+        else:
+            np.multiply(self.fprime, du, out=out)
+            np.subtract(d2u, out, out=out)
+            np.divide(out, comp, out=out)
+        if self.drift is not None:
+            np.multiply(self.drift, du, out=work)
+            np.add(out, work, out=out)
+        if self.inv_w2 is not None:
+            np.multiply(out, self.inv_w2, out=out)
+        return out
+
+
 def radial_flow_rhs(n, r, du, d2u, w, fprime, one_minus_slope_sq=None):
     """Rotationally reduced flow speed, vectorised over radius arrays.
 
-    For u = U(r) on the conformal background the operator contracts to
-
-        w^{-2} [U'' + (n-1) U'/r + (n-2) f' U']
-        + w^{-4} U'^2 (U'' - f' U') / (1 - (U'/w)^2).
-
-    `one_minus_slope_sq` may supply 1 - U'^2 in a cancellation-free closed
-    form (profiles with |U'| near 1); otherwise it is formed from du.
+    Evaluates `RadialOperator` (see there for the formula) on freshly formed
+    factors.  `one_minus_slope_sq` may supply 1 - U'^2 in a
+    cancellation-free closed form (profiles with |U'| near 1); otherwise
+    1 - (U'/w)^2 is formed from du.
     """
+    op = RadialOperator(n, r, w, fprime)
+    shape = np.broadcast_shapes(np.shape(r), np.shape(du), np.shape(d2u),
+                                np.shape(w))
+    comp = np.empty(shape)
     if one_minus_slope_sq is None:
-        p2c = 1.0 - (du / w) ** 2
+        op.slope_complement(du, comp)
     else:
         # 1 - (U'/w)^2 = (1 - U'^2 + (w^2 - 1)) / w^2, stable when 1 - U'^2 is
-        w2m1 = w * w - 1.0
-        p2c = (one_minus_slope_sq + w2m1) / (w * w)
-    return (w ** -2 * (d2u + (n - 1) * du / r + (n - 2) * fprime * du)
-            + w ** -4 * du * du * (d2u - fprime * du) / p2c)
+        w2 = w * w
+        np.divide(one_minus_slope_sq + (w2 - 1.0), w2, out=comp)
+    return op.rhs(du, d2u, comp, np.empty(shape), np.empty(shape))
 
 
 def mcf_operator_radial(metric, r, du, d2u, one_minus_slope_sq=None):

@@ -25,8 +25,8 @@ from .fields import Field, line_field, radial_field
 from .geometry import (RadialMetric, conformal_metric, euclidean_metric,
                        graph_quantities, ricci_form_bound)
 from .initial_data import decay_radius, smooth_cutoff
-from .solver import (FlowTrajectory, SolverConfig, nested_ball_study,
-                     run_flow, solve_dirichlet)
+from .solver import (NUMERIC_FAILURES, FlowTrajectory, SolverConfig,
+                     nested_ball_study, run_flow, solve_dirichlet)
 
 SCENARIO_TAGS = ("flow_1d", "flow_radial", "dirichlet", "nested_balls",
                  "no_lift_off", "barrier_verify", "translating_verify",
@@ -208,7 +208,7 @@ class ScenarioResult:
 
     @property
     def numeric_failure(self) -> bool:
-        return self.summary.get("termination") == "spacelike_violation"
+        return self.summary.get("termination") in NUMERIC_FAILURES
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +327,15 @@ def _phi_monotone_check(traj: FlowTrajectory):
 
 def _summarize(traj: FlowTrajectory) -> dict:
     last = traj.records[-1]
-    return {"termination": traj.termination, "steps": traj.steps,
-            "final_time": traj.final_time,
-            "final_sup_u": last.sup_u, "final_l2": last.l2,
-            "initial_grad_max": traj.records[0].grad_max,
-            "max_grad_max": max(rec.grad_max for rec in traj.records),
-            "records": len(traj.records)}
+    summary = {"termination": traj.termination, "steps": traj.steps,
+               "final_time": traj.final_time,
+               "final_sup_u": last.sup_u, "final_l2": last.l2,
+               "initial_grad_max": traj.records[0].grad_max,
+               "max_grad_max": max(rec.grad_max for rec in traj.records),
+               "records": len(traj.records)}
+    if traj.message:  # a halted run says why; other summaries keep their keys
+        summary["halt_message"] = traj.message
+    return summary
 
 
 def build_field_from_config(cfg: ScenarioConfig, kind: str,

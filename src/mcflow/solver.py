@@ -8,24 +8,30 @@ step size adapted to the quasilinear principal coefficient
 Covers the flat line problem u_t = u'' / (1 - u'^2), the rotationally
 symmetric radial problem on conformal backgrounds, the zero-boundary
 problem on balls with blended initial data, and nested-domain comparison
-studies.  Slopes are never clamped: an update that breaks strict
-spacelikeness is retried on a halved step or halts, by policy.
+studies, all through `geometry.RadialOperator` (the line is its flat n = 1
+case).  A step works in place and forms the forward differences once; u'
+and u'' come from them, and an accepted candidate's serve the next step.
+Slopes are never clamped: an update that breaks strict spacelikeness is
+retried on a halved step or halts, by policy; a NaN or infinity halts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import diagnostics
 from .fields import Field
-from .geometry import (TOL_SPACELIKE, DomainError, SpacelikeViolationError,
+from .geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
+                       RadialOperator, SpacelikeViolationError,
                        euclidean_metric, radial_factors)
 from .initial_data import interpolate_initial_data, lipschitz_constant
 
 CLAMP_POLICIES = ("reject", "halt_and_report")
-TERMINATIONS = ("reached_t_end", "spacelike_violation", "step_cap")
+#: Terminations that halt a run on a numeric failure.
+NUMERIC_FAILURES = ("spacelike_violation", "non_finite")
+TERMINATIONS = ("reached_t_end", *NUMERIC_FAILURES, "step_cap")
 #: Retries (each halving dt) under the 'reject' policy.
 MAX_DT_HALVINGS = 10
 
@@ -69,6 +75,7 @@ class FlowTrajectory:
     records: list = dc_field(default_factory=list)
     termination: str = "reached_t_end"
     steps: int = 0
+    message: str = ""  # why a numeric failure halted the run
 
     @property
     def final_field(self) -> Field:
@@ -80,104 +87,102 @@ class FlowTrajectory:
 
 
 class _Engine:
-    """Shared stepping kernel over a raw value array."""
+    """Explicit stepping in place on one grid, from a copy of a field's values.
 
-    def __init__(self, kind, nodes, h, bc, metric, n):
-        self.kind = kind
-        self.nodes = nodes
-        self.h = h
-        self.bc = bc
-        self.metric = metric
-        self.n = n
-        self.axis = bc[0] == "axis_symmetry"
-        r_min = getattr(metric, "r_min", 0.0)
-        if kind == "line":
+    The values `u` and their forward differences `d` have a second buffer
+    pair for the candidate, swapped in only once accepted, so a halved
+    retry starts from the untouched state.
+    """
+
+    def __init__(self, field: Field, metric, n=None):
+        nodes = self.nodes = field.nodes
+        self.h, self.axis = field.h, field.axis
+        self.pin_left, self.pin_right = (t == "dirichlet_zero" for t in field.bc)
+        if field.kind == "line":
             if getattr(metric, "a", 0.0) != 0.0:
                 raise DomainError("line problems run on the flat metric")
-            self.w_int = np.ones(nodes.size - 2)
-            self.fp_int = np.zeros(nodes.size - 2)
-            self.w_mid = np.ones(nodes.size - 1)
-            self.r_int = None
+            self.n, w_mid = 1, 1.0
+            self.op = RadialOperator(1, None, 1.0, 0.0)
         else:
+            r_min = getattr(metric, "r_min", 0.0)
             inner = nodes[1] if self.axis else nodes[0]
             if r_min > 0.0 and inner < r_min:
                 raise DomainError("radial grid reaches below the metric's r_min")
             if not self.axis and nodes[0] <= 0.0:
                 raise DomainError("radial grid starting at r = 0 needs the "
                                   "axis_symmetry tag")
-            self.r_int = nodes[1:-1]
-            self.w_int, self.fp_int = radial_factors(metric, self.r_int)
+            self.n = metric.n if n is None else n
+            r_int = nodes[1:-1]
+            self.op = RadialOperator(self.n, r_int,
+                                     *radial_factors(metric, r_int))
             mid = 0.5 * (nodes[:-1] + nodes[1:])
-            self.w_mid = metric.w(np.maximum(mid, max(r_min, 1e-300)))
-        self.w_all = None  # lazy, only needed by stable_dt-style callers
+            w_mid = metric.w(np.maximum(mid, max(r_min, 1e-300)))
+        self.hw_mid = None if np.all(w_mid == 1.0) else field.h * w_mid
+        size = nodes.size
+        self.u, self.cand = np.array(field.values, dtype=float), np.empty(size)
+        # scratch rows share one allocation (cheaper for per-call engines);
+        # an even row length keeps each row 16-byte aligned, like np.empty's
+        rows = np.empty((8, size + size % 2))
+        self.d, self.d_cand, self.slope = (r[:size - 1] for r in rows[:3])
+        self.du, self.d2u, self.comp, self.rhs, self.work = (
+            r[:size - 2] for r in rows[3:])
+        np.subtract(self.u[1:], self.u[:-1], out=self.d)
 
-    def rhs_and_coeff(self, u):
-        """(interior rhs, axis rhs or None, max principal coefficient)."""
-        h = self.h
-        du = (u[2:] - u[:-2]) * (0.5 / h)
-        d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-        w = self.w_int
-        p2 = (du / w) ** 2
-        comp = 1.0 - p2
-        if np.any(comp <= TOL_SPACELIKE):
+    def coefficient(self):
+        """Max principal coefficient; forms du and 1 - (u'/w)^2 on the way.
+        Raises on a NaN or infinity and on a slope at the null cone."""
+        np.add(self.d[1:], self.d[:-1], out=self.du)
+        self.du *= 0.5 / self.h
+        comp = self.op.slope_complement(self.du, self.comp)
+        low = float(comp.min())
+        if not low > TOL_SPACELIKE:
+            x = self.nodes[1 + comp.argmin()]  # the first NaN, if any
+            if not np.isfinite(low):
+                raise NonFiniteError(f"non-finite slope at x = {x:.6g}")
             raise SpacelikeViolationError(
-                "interior gradient reached the null slope")
-        coeff = float(np.max(1.0 / (w * w * comp)))
-        if self.kind == "line":
-            rhs = d2u / comp
-        else:
-            n = self.n
-            rhs = (w ** -2 * (d2u + (n - 1) * du / self.r_int
-                              + (n - 2) * self.fp_int * du)
-                   + w ** -4 * du * du * (d2u - self.fp_int * du) / comp)
-        axis_rhs = None
-        if self.axis:
-            axis_rhs = self.n * 2.0 * (u[1] - u[0]) / (h * h)
-            coeff = max(coeff, float(self.n))
-        return rhs, axis_rhs, coeff
+                f"spacelikeness lost: 1 - (u'/w)^2 = {low:.6g} <= "
+                f"{TOL_SPACELIKE:g} at x = {x:.6g}")
+        # max 1/(w^2 comp) is 1/min(w^2 comp): rounded division is monotone
+        if self.op.w2 is not None:
+            low = float(np.multiply(self.op.w2, comp, out=self.work).min())
+        return max(1.0 / low, float(self.n) if self.axis else 0.0)
 
-    def apply(self, u, dt, rhs, axis_rhs):
-        """Candidate update with boundary treatment; returns a new array."""
-        out = u.copy()
-        out[1:-1] += dt * rhs
-        if self.axis:
-            out[0] = u[0] + dt * axis_rhs
-        elif self.bc[0] == "dirichlet_zero":
-            out[0] = 0.0
-        # 'asymptotic_decay' freezes the end: out[0] already equals u[0]
-        if self.bc[1] == "dirichlet_zero":
-            out[-1] = 0.0
-        return out
+    def max_metric_slope(self, d):
+        """max |d| / (h w) over the midpoints (w = 1 when hw_mid is None)."""
+        if self.hw_mid is None:
+            return float(max(d.max(), -d.min())) / self.h
+        np.abs(d, out=self.slope)
+        return float(np.divide(self.slope, self.hw_mid, out=self.slope).max())
 
-    def max_metric_slope(self, u):
-        return float(np.max(np.abs(np.diff(u)) / (self.h * self.w_mid)))
-
-    def advance(self, u, dt_cap, cfl, policy):
-        """One accepted step; returns (u_new, dt).  Raises on violation."""
-        rhs, axis_rhs, coeff = self.rhs_and_coeff(u)
-        dt = cfl * self.h * self.h / (2.0 * coeff)
+    def advance(self, dt_cap, cfl, policy):
+        """One accepted step of at most `dt_cap`; returns dt.  Raises on
+        violation, leaving the state as it was."""
+        h = self.h
+        dt = cfl * h * h / (2.0 * self.coefficient())
         if dt_cap is not None:
             dt = min(dt, dt_cap)
+        u, d, cand = self.u, self.d, self.cand
+        np.subtract(d[1:], d[:-1], out=self.d2u)
+        self.d2u *= 1.0 / (h * h)
+        rhs = self.op.rhs(self.du, self.d2u, self.comp, self.rhs, self.work)
+        # the axis node's speed; zero freezes an 'asymptotic_decay' end
+        axis_rhs = self.n * 2.0 * d[0] / (h * h) if self.axis else 0.0
         attempts = 1 + (MAX_DT_HALVINGS if policy == "reject" else 0)
-        worst = np.nan
         for _ in range(attempts):
-            candidate = self.apply(u, dt, rhs, axis_rhs)
-            worst = self.max_metric_slope(candidate)
+            np.add(u[1:-1], np.multiply(rhs, dt, out=self.work),
+                   out=cand[1:-1])
+            cand[0] = 0.0 if self.pin_left else u[0] + dt * axis_rhs
+            cand[-1] = 0.0 if self.pin_right else u[-1]
+            np.subtract(cand[1:], cand[:-1], out=self.d_cand)
+            worst = self.max_metric_slope(self.d_cand)
             if worst < 1.0 - TOL_SPACELIKE:
-                return candidate, dt
+                self.u, self.cand = cand, u
+                self.d, self.d_cand = self.d_cand, d
+                return dt
             dt *= 0.5
         raise SpacelikeViolationError(
-            f"updated slope {worst:.12g} reached 1 - {TOL_SPACELIKE:g} "
-            f"(policy {policy}, last dt {dt * 2:g})")
-
-
-def _engine_for(field: Field, metric, n=None) -> _Engine:
-    if field.kind == "line":
-        metric = metric if metric is not None else euclidean_metric(1)
-        return _Engine("line", field.nodes, field.h, field.bc, metric, 1)
-    if n is None:
-        n = metric.n
-    return _Engine("radial", field.nodes, field.h, field.bc, metric, n)
+            f"spacelikeness lost: updated slope {worst:.12g} reached "
+            f"1 - {TOL_SPACELIKE:g} (policy {policy}, last dt {dt * 2:g})")
 
 
 def stable_dt(field: Field, metric, config: SolverConfig) -> float:
@@ -186,8 +191,7 @@ def stable_dt(field: Field, metric, config: SolverConfig) -> float:
     On a flat line this is cfl * h^2 / (2 max 1/(1 - u'^2)); the axis node of
     a radial grid contributes its limit coefficient n.
     """
-    engine = _engine_for(field, metric)
-    _, _, coeff = engine.rhs_and_coeff(field.values)
+    coeff = _Engine(field, metric).coefficient()
     return config.cfl_safety * field.h * field.h / (2.0 * coeff)
 
 
@@ -195,11 +199,9 @@ def step_1d(field: Field, config: SolverConfig, dt_cap: float | None = None):
     """One explicit step of the flat line flow.  Returns (new field, dt)."""
     if field.kind != "line":
         raise ValueError("step_1d expects a line field")
-    engine = _engine_for(field, euclidean_metric(1))
-    u_new, dt = engine.advance(field.values, dt_cap, config.cfl_safety,
-                               config.clamp_policy)
-    return Field(kind="line", nodes=field.nodes, values=u_new, h=field.h,
-                 bc=field.bc), dt
+    engine = _Engine(field, euclidean_metric(1))
+    dt = engine.advance(dt_cap, config.cfl_safety, config.clamp_policy)
+    return replace(field, values=engine.u), dt
 
 
 def step_radial(field: Field, metric, n: int, config: SolverConfig,
@@ -207,25 +209,23 @@ def step_radial(field: Field, metric, n: int, config: SolverConfig,
     """One explicit step of the rotationally reduced flow in dimension n."""
     if field.kind != "radial":
         raise ValueError("step_radial expects a radial field")
-    engine = _engine_for(field, metric, n)
-    u_new, dt = engine.advance(field.values, dt_cap, config.cfl_safety,
-                               config.clamp_policy)
-    return Field(kind="radial", nodes=field.nodes, values=u_new, h=field.h,
-                 bc=field.bc), dt
+    engine = _Engine(field, metric, n)
+    dt = engine.advance(dt_cap, config.cfl_safety, config.clamp_policy)
+    return replace(field, values=engine.u), dt
 
 
-def _evolve(engine: _Engine, u0_values: np.ndarray, metric, config: SolverConfig,
-            phi_params=None, barrier=None) -> FlowTrajectory:
-    """Drive the engine to t_end, recording at cadence; shared by all runs."""
-    u = u0_values.copy()
-    if engine.bc[0] == "dirichlet_zero":
+def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
+            barrier=None) -> FlowTrajectory:
+    """Drive an engine from `field` to t_end, recording at cadence."""
+    u = field.values.copy()
+    if field.bc[0] == "dirichlet_zero":
         u[0] = 0.0
-    if engine.bc[1] == "dirichlet_zero":
+    if field.bc[1] == "dirichlet_zero":
         u[-1] = 0.0
+    engine = _Engine(replace(field, values=u), metric)
 
     def as_field(vals):
-        return Field(kind=engine.kind, nodes=engine.nodes, values=vals.copy(),
-                     h=engine.h, bc=engine.bc)
+        return replace(field, values=vals.copy())
 
     def record(t, vals):
         traj.records.append(diagnostics.make_record(
@@ -235,8 +235,8 @@ def _evolve(engine: _Engine, u0_values: np.ndarray, metric, config: SolverConfig
     rec_cad = config.record_cadence
     snap_cad = config.snapshot_cadence
     t = 0.0
-    record(t, u)
-    traj.snapshots.append((t, as_field(u)))
+    record(t, engine.u)
+    traj.snapshots.append((t, as_field(engine.u)))
     next_rec = rec_cad
     next_snap = snap_cad
     steps = 0
@@ -246,26 +246,28 @@ def _evolve(engine: _Engine, u0_values: np.ndarray, metric, config: SolverConfig
                 traj.termination = "step_cap"
                 break
             mark = min(next_rec, next_snap, config.t_end)
-            u, dt = engine.advance(u, mark - t, config.cfl_safety,
-                                   config.clamp_policy)
+            dt = engine.advance(mark - t, config.cfl_safety,
+                                config.clamp_policy)
             steps += 1
             t = mark if dt >= mark - t - 1e-15 else t + dt
             hit_rec = t >= next_rec - 1e-12
             hit_snap = t >= next_snap - 1e-12
             if hit_rec or t >= config.t_end - 1e-12:
-                record(t, u)
+                record(t, engine.u)
             if hit_snap or t >= config.t_end - 1e-12:
-                traj.snapshots.append((t, as_field(u)))
+                traj.snapshots.append((t, as_field(engine.u)))
             if hit_rec:
                 next_rec = (np.floor(t / rec_cad + 0.5) + 1.0) * rec_cad
             if hit_snap:
                 next_snap = (np.floor(t / snap_cad + 0.5) + 1.0) * snap_cad
         else:
             traj.termination = "reached_t_end"
-    except SpacelikeViolationError:
-        traj.termination = "spacelike_violation"
-        record(t, u)
-        traj.snapshots.append((t, as_field(u)))
+    except (NonFiniteError, SpacelikeViolationError) as exc:
+        traj.termination = ("non_finite" if isinstance(exc, NonFiniteError)
+                            else "spacelike_violation")
+        traj.message = str(exc)
+        record(t, engine.u)
+        traj.snapshots.append((t, as_field(engine.u)))
     traj.steps = steps
     return traj
 
@@ -287,9 +289,7 @@ def run_flow(metric, u0: Field, config: SolverConfig, phi_params=None,
         if max(edges) > 1e-3 * sup:
             raise ValueError("initial data must decay below 1e-3 * sup|u0| "
                              "at the grid edge")
-    engine = _engine_for(u0, metric)
-    return _evolve(engine, u0.values, metric, config,
-                   phi_params=phi_params, barrier=barrier)
+    return _evolve(u0, metric, config, phi_params=phi_params, barrier=barrier)
 
 
 def solve_dirichlet(R: float, metric, u0: Field, config: SolverConfig,
@@ -313,10 +313,9 @@ def solve_dirichlet(R: float, metric, u0: Field, config: SolverConfig,
     eps = min(0.999, margin)
     interp = interpolate_initial_data(metric, u0, R - 1.0, R, eps)
     blended = interp.sigma_tilde
-    bc = (u0.bc[0], "dirichlet_zero")
-    engine = _Engine("radial", u0.nodes, u0.h, bc, blended, metric.n)
-    return _evolve(engine, interp.u_tilde.values, blended, config,
-                   phi_params=phi_params, barrier=barrier)
+    ball = replace(interp.u_tilde, bc=(u0.bc[0], "dirichlet_zero"))
+    return _evolve(ball, blended, config, phi_params=phi_params,
+                   barrier=barrier)
 
 
 def nested_ball_study(R_list, metric, u0: Field, config: SolverConfig) -> list:

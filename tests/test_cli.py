@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mcflow
 from mcflow.cli import main
 from mcflow.scenarios import (ConfigError, ScenarioConfig,
                               read_diagnostics_csv, read_snapshot_csv,
@@ -65,7 +68,8 @@ def test_simulate_zero_run_exit_zero(tmp_path, capsys):
     path = write_config(tmp_path, "zero.json", cfg)
     assert main(["simulate", path]) == 0
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
-    assert os.path.exists(os.path.join(out, "summary.json"))
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert "halt_message" not in summary  # only halted runs carry one
     recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
     assert all(r.sup_u == 0.0 for r in recs)
     snaps = sorted(os.listdir(os.path.join(out, "snapshots")))
@@ -209,10 +213,34 @@ def test_simulate_numeric_failure_exit_three(tmp_path, capsys):
     cfg["initial_data"] = {"family": "tabulated", "path": str(table)}
     path = write_config(tmp_path, "steep.json", cfg)
     assert main(["simulate", path]) == 3
-    assert "spacelikeness" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "spacelikeness" in err
+    # the violation text, not a fixed string, with where it happened
+    assert "(spacelike_violation)" in err and "1 - (u'/w)^2" in err
     summary = json.load(open(os.path.join(str(tmp_path / "out"),
                                           "summary.json")))
     assert summary["termination"] == "spacelike_violation"
+    assert summary["halt_message"] in err
+
+
+def test_simulate_non_finite_exit_three(tmp_path, capsys):
+    # a NaN in the data halts at once as a non-finite value, not as a
+    # spacelikeness violation after every dt halving
+    xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
+    vals = 0.4 * np.exp(-xs * xs)
+    vals[len(xs) // 2] = np.nan
+    table = tmp_path / "nan.csv"
+    table.write_text("x,u\n" + "\n".join(f"{x},{u}" for x, u in zip(xs, vals)))
+    cfg = smoke_flow_config(str(tmp_path / "out"))
+    cfg["initial_data"] = {"family": "tabulated", "path": str(table)}
+    path = write_config(tmp_path, "nan.json", cfg)
+    assert main(["simulate", path]) == 3
+    err = capsys.readouterr().err
+    assert "(non_finite)" in err and "non-finite slope at x = " in err
+    summary = json.load(open(os.path.join(str(tmp_path / "out"),
+                                          "summary.json")))
+    assert summary["termination"] == "non_finite"
+    assert summary["steps"] == 0
 
 
 def test_no_lift_off_artifacts_with_monitor_columns(tmp_path):
@@ -297,3 +325,26 @@ def test_translating_verify_scenario_runs():
     assert result.all_passed
     cert = result.summary["certificate"]
     assert cert["rho"] == pytest.approx(12.0)
+
+
+def test_flat_decay_run_does_not_import_scipy():
+    # scipy serves barrier construction only; importing mcflow and running
+    # the flat line study in a fresh interpreter must not load it
+    config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "decay_study.json")
+    code = "\n".join([
+        "import json, sys",
+        "import mcflow",
+        "from mcflow.scenarios import ScenarioConfig, build_field_from_config",
+        "from mcflow.solver import SolverConfig, run_flow",
+        f"cfg = ScenarioConfig.from_dict(json.load(open({config!r})))",
+        "u0 = build_field_from_config(cfg, 'line')",
+        "traj = run_flow(cfg.metric, u0, SolverConfig(h=cfg.solver.h, t_end=0.01))",
+        "assert traj.termination == 'reached_t_end' and traj.steps > 0",
+        "assert 'scipy' not in sys.modules, 'scipy was imported'",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mcflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
