@@ -174,7 +174,6 @@ def main(argv=None) -> int:
     p_sim.add_argument("--output-dir", default=None)
     p_sim.add_argument("--strict", action="store_true",
                        help="promote warnings to failures")
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the closed-form identity suite")
@@ -184,15 +183,14 @@ def main(argv=None) -> int:
                        help="profile dimensions to sweep (comma list)")
     p_ver.add_argument("--inject-fault", default=None,
                        help="perturb the named identity (test mode)")
-    p_ver.add_argument("--strict", action="store_true")
     p_ver.set_defaults(func=cmd_verify)
 
     p_swp = sub.add_parser("sweep", help="run a parameter sweep from a config")
     p_swp.add_argument("config")
     p_swp.add_argument("--output-dir", default=None)
     p_swp.add_argument("--workers", type=int, default=1)
-    p_swp.add_argument("--strict", action="store_true")
-    p_swp.add_argument("--seed", type=int, default=0)
+    p_swp.add_argument("--strict", action="store_true",
+                       help="promote warnings to failures")
     p_swp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

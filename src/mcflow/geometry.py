@@ -16,6 +16,8 @@ Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +119,27 @@ def _check_point(metric, x) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (metric.n,):
         raise DomainError(f"point has shape {x.shape}, expected ({metric.n},)")
-    if not np.all(np.isfinite(x)):
+    r = math.sqrt(x.dot(x))  # np.linalg.norm's own arithmetic, less overhead
+    # a NaN or infinity in x makes r non-finite; a finite r rules both out
+    if not math.isfinite(r) and not np.isfinite(x).all():
         raise DomainError("non-finite point coordinates")
-    r = float(np.linalg.norm(x))
     if metric.a != 0.0 and r < R_MIN:
         raise DomainError(f"|x| = {r:g} below r_min = {R_MIN:g} for a non-Euclidean metric")
     return x, r
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, shared and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _sigma_at(metric, r: float, n: int):
     w2 = float(metric.w(r)) ** 2
-    return w2 * np.eye(n), np.eye(n) / w2
+    eye = _identity(n)
+    return w2 * eye, eye / w2
 
 
 def metric_eval(metric: RadialMetric, x):
@@ -147,7 +159,7 @@ def metric_eval(metric: RadialMetric, x):
     if metric.a != 0.0:
         fp = float(metric.dw(r)) / float(metric.w(r))
         fvec = fp * x / r
-        eye = np.eye(n)
+        eye = _identity(n)
         gamma = (eye[:, :, None] * fvec[None, None, :]
                  + eye[:, None, :] * fvec[None, :, None]
                  - eye[None, :, :] * fvec[:, None, None])
@@ -190,14 +202,15 @@ def graph_quantities(metric: RadialMetric, x, grad_u) -> GraphQuantities:
     x, r = _check_point(metric, x)
     grad_u = np.asarray(grad_u, dtype=float)
     sigma, sigma_inv = _sigma_at(metric, r, metric.n)
-    du2 = float(grad_u @ sigma_inv @ grad_u)
+    raised = grad_u @ sigma_inv  # sigma_inv is symmetric
+    du2 = float(raised @ grad_u)
     if du2 >= 1.0 - TOL_SPACELIKE:
         raise SpacelikeViolationError(
             f"|grad u|^2_sigma = {du2:.17g} >= 1 - {TOL_SPACELIKE:g}")
-    v = 1.0 / np.sqrt(1.0 - du2)
-    g = sigma - np.outer(grad_u, grad_u)
-    raised = sigma_inv @ grad_u
-    g_inv = sigma_inv + np.outer(raised, raised) / (1.0 - du2)
+    v = 1.0 / math.sqrt(1.0 - du2)
+    # a[:, None] * b is np.outer(a, b) without its call overhead
+    g = sigma - grad_u[:, None] * grad_u
+    g_inv = sigma_inv + raised[:, None] * raised / (1.0 - du2)
     return GraphQuantities(v=v, g=g, g_inv=g_inv,
                            nu_spatial=v * raised, nu_time=v)
 

@@ -169,9 +169,17 @@ def initial_profile(sec: dict, path: str = "initial_data"):
     # tabulated
     file_path = _string(sec, "path", path)
     try:
-        data = np.loadtxt(file_path, delimiter=",", skiprows=1)
+        data = np.loadtxt(file_path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"{path}.path", f"cannot read {file_path}: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}.path", f"cannot parse {file_path}: {exc}")
+    if data.shape[0] < 1 or data.shape[1] < 2:
+        raise ConfigError(f"{path}.path", f"{file_path} needs rows of x, u "
+                          f"columns, got an array of shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{path}.path",
+                          f"{file_path} holds a non-finite entry")
     order = np.argsort(data[:, 0])
     xs, us = data[order, 0], data[order, 1]
     return lambda c: np.interp(c, xs, us, left=0.0, right=0.0)
@@ -248,15 +256,21 @@ def read_diagnostics_csv(path: str):
 
 
 def write_snapshot_csvs(trajectory: FlowTrajectory, directory: str):
+    """One `x,u` or `r,u` CSV per snapshot, named by its time.
+
+    Cells are written as `fmt` writes them; the node column, shared by the
+    snapshots of a trajectory, is formatted once.
+    """
     os.makedirs(directory, exist_ok=True)
-    coord = None
+    nodes = cells = None
     for t, fld in trajectory.snapshots:
-        coord = "x" if fld.kind == "line" else "r"
-        lines = [f"{coord},u"]
-        for c, u in zip(fld.nodes, fld.values):
-            lines.append(f"{fmt(c)},{fmt(u)}")
+        if fld.nodes is not nodes:
+            nodes = fld.nodes
+            cells = [f"{c:.17g}," for c in nodes.tolist()]
         with open(os.path.join(directory, f"t{t:.6f}.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("x,u\n" if fld.kind == "line" else "r,u\n")
+            fh.writelines(f"{c}{u:.17g}\n"
+                          for c, u in zip(cells, fld.values.tolist()))
 
 
 def read_snapshot_csv(path: str):

@@ -1,22 +1,40 @@
-"""Explicit time stepping for the graphical flow.
+"""Time stepping for the graphical flow.
 
-Forward Euler in time, second-order central differences in space, with the
-step size adapted to the quasilinear principal coefficient
+Space: second-order central differences, with the flow speed F from
+`geometry.RadialOperator` inside the grid (the line is its flat n = 1
+case), the axis rule n * 2 (u_1 - u_0) / h^2 at r = 0, and zero speed at
+pinned or frozen ends.  This covers the flat line problem
+u_t = u'' / (1 - u'^2), the rotationally symmetric radial problem on
+conformal backgrounds, the zero-boundary problem on balls with blended
+initial data, and nested-domain comparison studies.
 
-    a(u') = w^{-2} / (1 - (u'/w)^2),       dt = cfl * h^2 / (2 max a).
+Time: runs take second-order Runge-Kutta-Legendre (RKL2) super-steps with
+local error control (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014).
+A super-step of size tau uses the fewest s >= 2 stages that are stable,
 
-Covers the flat line problem u_t = u'' / (1 - u'^2), the rotationally
-symmetric radial problem on conformal backgrounds, the zero-boundary
-problem on balls with blended initial data, and nested-domain comparison
-studies, all through `geometry.RadialOperator` (the line is its flat n = 1
-case).  A step works in place and forms the forward differences once; u'
-and u'' come from them, and an accepted candidate's serve the next step.
-Slopes are never clamped: an update that breaks strict spacelikeness is
-retried on a halved step or halts, by policy; a NaN or infinity halts.
+    tau <= dt_FE (s^2 + s - 2) / 4,       dt_FE = cfl * h^2 / (2 max a),
+    a(u') = w^{-2} / (1 - (u'/w)^2),
+
+where dt_FE is the forward-Euler bound at the step's start.  The local
+error is estimated as in RKC (Sommeijer, Shampine & Verwer, 1998),
+
+    est = 0.8 (u_n - u_{n+1}) + 0.4 tau (F(u_n) + F(u_{n+1})),
+
+and a step is accepted when max|est| <= TIME_ERROR_KAPPA h^2 sup|u_0|, so
+the time error stays below the O(h^2) space error.  F(u_{n+1}) is the next
+step's F(u_n): an accepted step costs s evaluations.  Error rejections stop
+at dt_FE, where a step is accepted whatever its estimate.  `step_1d` and
+`step_radial` take one forward-Euler step of size dt_FE.
+
+Every evaluation works in place and forms u' and u'' from the forward
+differences.  Slopes are never clamped: a stage or candidate that breaks
+strict spacelikeness is retried on a halved step or halts, by policy; a NaN
+or infinity halts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -34,6 +52,8 @@ NUMERIC_FAILURES = ("spacelike_violation", "non_finite")
 TERMINATIONS = ("reached_t_end", *NUMERIC_FAILURES, "step_cap")
 #: Retries (each halving dt) under the 'reject' policy.
 MAX_DT_HALVINGS = 10
+#: Local time-error tolerance per step, in units of h^2 sup|u_0|.
+TIME_ERROR_KAPPA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -87,11 +107,13 @@ class FlowTrajectory:
 
 
 class _Engine:
-    """Explicit stepping in place on one grid, from a copy of a field's values.
+    """Stepping in place on one grid, from a copy of a field's values.
 
-    The values `u` and their forward differences `d` have a second buffer
-    pair for the candidate, swapped in only once accepted, so a halved
-    retry starts from the untouched state.
+    The state is `u` with its forward differences `d`; once a super-step
+    has run, also its speed `f` and principal coefficient `coeff` (None
+    until formed).  Each step builds its candidate in a second set of
+    buffers, swapped in only once accepted, so a halved retry starts from
+    the untouched state.
     """
 
     def __init__(self, field: Field, metric, n=None):
@@ -119,19 +141,24 @@ class _Engine:
             w_mid = metric.w(np.maximum(mid, max(r_min, 1e-300)))
         self.hw_mid = None if np.all(w_mid == 1.0) else field.h * w_mid
         size = nodes.size
-        self.u, self.cand = np.array(field.values, dtype=float), np.empty(size)
-        # scratch rows share one allocation (cheaper for per-call engines);
-        # an even row length keeps each row 16-byte aligned, like np.empty's
-        rows = np.empty((8, size + size % 2))
-        self.d, self.d_cand, self.slope = (r[:size - 1] for r in rows[:3])
-        self.du, self.d2u, self.comp, self.rhs, self.work = (
-            r[:size - 2] for r in rows[3:])
+        self.u = np.array(field.values, dtype=float)
+        self.coeff = self.cand_coeff = None
+        # scratch rows share one allocation (cheaper for per-call engines;
+        # rows a forward-Euler step never touches cost it nothing); an even
+        # row length keeps each row 16-byte aligned, like np.empty's
+        rows = np.empty((12, size + size % 2))
+        self.cand, self.f, self.f_cand, self.stage, self.stage_prev = (
+            r[:size] for r in rows[:5])
+        self.d, self.d_cand, self.slope = (r[:size - 1] for r in rows[5:8])
+        self.du, self.d2u, self.comp, self.work = (
+            r[:size - 2] for r in rows[8:])
         np.subtract(self.u[1:], self.u[:-1], out=self.d)
 
-    def coefficient(self):
-        """Max principal coefficient; forms du and 1 - (u'/w)^2 on the way.
-        Raises on a NaN or infinity and on a slope at the null cone."""
-        np.add(self.d[1:], self.d[:-1], out=self.du)
+    def _complement(self, d):
+        """Form u' and 1 - (u'/w)^2 from the forward differences `d` and
+        return the latter's min.  Raises on a NaN or infinity and on a
+        slope at the null cone."""
+        np.add(d[1:], d[:-1], out=self.du)
         self.du *= 0.5 / self.h
         comp = self.op.slope_complement(self.du, self.comp)
         low = float(comp.min())
@@ -142,10 +169,48 @@ class _Engine:
             raise SpacelikeViolationError(
                 f"spacelikeness lost: 1 - (u'/w)^2 = {low:.6g} <= "
                 f"{TOL_SPACELIKE:g} at x = {x:.6g}")
+        return low
+
+    def _coefficient(self, low):
+        """Max principal coefficient from the complement `_complement` left
+        and its min `low`."""
         # max 1/(w^2 comp) is 1/min(w^2 comp): rounded division is monotone
         if self.op.w2 is not None:
-            low = float(np.multiply(self.op.w2, comp, out=self.work).min())
+            low = float(np.multiply(self.op.w2, self.comp, out=self.work).min())
         return max(1.0 / low, float(self.n) if self.axis else 0.0)
+
+    def coefficient(self):
+        """Max principal coefficient of the state; forms du and
+        1 - (u'/w)^2 on the way.  Raises as `_complement`."""
+        return self._coefficient(self._complement(self.d))
+
+    def _speed(self, d, out):
+        """Write the flow speed F of the values with forward differences
+        `d` into `out` and return it: the operator inside, the axis rule at
+        r = 0, zero at pinned or frozen ends.  Needs `_complement(d)`."""
+        h2 = self.h * self.h
+        np.subtract(d[1:], d[:-1], out=self.d2u)
+        self.d2u *= 1.0 / h2
+        self.op.rhs(self.du, self.d2u, self.comp, out[1:-1], self.work)
+        out[0] = self.n * 2.0 * d[0] / h2 if self.axis else 0.0
+        out[-1] = 0.0
+        return out
+
+    def _hold_ends(self, y):
+        """Pinned ends to 0 and frozen ends to the state's values."""
+        if self.pin_left:
+            y[0] = 0.0
+        elif not self.axis:
+            y[0] = self.u[0]
+        y[-1] = 0.0 if self.pin_right else self.u[-1]
+
+    def _accept(self):
+        """Swap the candidate, its differences, speed and coefficient in as
+        the state's."""
+        self.u, self.cand = self.cand, self.u
+        self.d, self.d_cand = self.d_cand, self.d
+        self.f, self.f_cand = self.f_cand, self.f
+        self.coeff = self.cand_coeff
 
     def max_metric_slope(self, d):
         """max |d| / (h w) over the midpoints (w = 1 when hw_mid is None)."""
@@ -155,34 +220,136 @@ class _Engine:
         return float(np.divide(self.slope, self.hw_mid, out=self.slope).max())
 
     def advance(self, dt_cap, cfl, policy):
-        """One accepted step of at most `dt_cap`; returns dt.  Raises on
-        violation, leaving the state as it was."""
+        """One accepted forward-Euler step of at most `dt_cap`; returns dt.
+        Raises on violation, leaving the state as it was."""
         h = self.h
         dt = cfl * h * h / (2.0 * self.coefficient())
         if dt_cap is not None:
             dt = min(dt, dt_cap)
-        u, d, cand = self.u, self.d, self.cand
-        np.subtract(d[1:], d[:-1], out=self.d2u)
-        self.d2u *= 1.0 / (h * h)
-        rhs = self.op.rhs(self.du, self.d2u, self.comp, self.rhs, self.work)
-        # the axis node's speed; zero freezes an 'asymptotic_decay' end
-        axis_rhs = self.n * 2.0 * d[0] / (h * h) if self.axis else 0.0
+        f, cand = self._speed(self.d, self.f_cand), self.cand
         attempts = 1 + (MAX_DT_HALVINGS if policy == "reject" else 0)
         for _ in range(attempts):
-            np.add(u[1:-1], np.multiply(rhs, dt, out=self.work),
-                   out=cand[1:-1])
-            cand[0] = 0.0 if self.pin_left else u[0] + dt * axis_rhs
-            cand[-1] = 0.0 if self.pin_right else u[-1]
+            np.add(self.u, np.multiply(f, dt, out=cand), out=cand)
+            self._hold_ends(cand)
             np.subtract(cand[1:], cand[:-1], out=self.d_cand)
             worst = self.max_metric_slope(self.d_cand)
             if worst < 1.0 - TOL_SPACELIKE:
-                self.u, self.cand = cand, u
-                self.d, self.d_cand = self.d_cand, d
+                self._accept()
+                self.coeff = None  # its speed is not formed
                 return dt
             dt *= 0.5
         raise SpacelikeViolationError(
             f"spacelikeness lost: updated slope {worst:.12g} reached "
             f"1 - {TOL_SPACELIKE:g} (policy {policy}, last dt {dt * 2:g})")
+
+    def rkl2(self, tau, dt_fe):
+        """Form the RKL2 super-step of size `tau` from the state.
+
+        The candidate goes to `cand` with its differences, speed and
+        principal coefficient in `d_cand`, `f_cand` and `cand_coeff`; the
+        state and its `f` are not written.  Returns the sup of the local
+        error estimate.  Raises SpacelikeViolationError on a stage or
+        candidate that breaks strict spacelikeness, NonFiniteError on a
+        NaN or infinity.
+
+        The stages are kept as increments D_j = Y_j - u, which are small
+        next to u:  D_1 = mu~_1 tau F(u) and, for j = 2..s,
+        D_j = mu_j D_{j-1} + nu_j D_{j-2} + mu~_j tau F(Y_{j-1})
+              + gamma~_j tau F(u)   (D_0 = 0).
+        """
+        s = rkl2_stages(tau, dt_fe)
+        w1 = 4.0 / (s * s + s - 2)
+        f0, f, d = self.f, self.f_cand, self.d_cand
+        acc = self.cand  # scratch until the candidate is formed
+        prev, older = self.stage, self.stage_prev  # D_{j-1}, D_{j-2}
+        np.multiply(f0, w1 * tau / 3.0, out=prev)
+        b_older = b_prev = 1.0 / 3.0
+        for j in range(2, s + 1):
+            np.subtract(prev[1:], prev[:-1], out=d)
+            d += self.d
+            self._complement(d)
+            self._speed(d, f)
+            b = (j * j + j - 2) / (2.0 * j * (j + 1))
+            mu = (2 * j - 1) / j * b / b_prev
+            nu = -(j - 1) / j * b / b_older
+            mu_tau = mu * w1 * tau
+            if j == 2:
+                np.multiply(prev, mu, out=older)
+            else:
+                older *= nu
+                older += np.multiply(prev, mu, out=acc)
+            older += np.multiply(f, mu_tau, out=acc)
+            older += np.multiply(f0, -(1.0 - b_prev) * mu_tau, out=acc)
+            prev, older = older, prev
+            b_older, b_prev = b_prev, b
+        cand = np.add(self.u, prev, out=self.cand)
+        self._hold_ends(cand)
+        np.subtract(cand[1:], cand[:-1], out=d)
+        self.cand_coeff = self._coefficient(self._complement(d))
+        self._speed(d, f)
+        worst = self.max_metric_slope(d)
+        if not worst < 1.0 - TOL_SPACELIKE:
+            raise SpacelikeViolationError(
+                f"spacelikeness lost: updated slope {worst:.12g} reached "
+                f"1 - {TOL_SPACELIKE:g}")
+        # est / 0.8 = 0.5 tau (F(u) + F(cand)) - D_s, over D_{s-1}
+        est = np.add(f0, f, out=older)
+        est *= 0.5 * tau
+        est -= prev
+        return 0.8 * float(max(est.max(), -est.min()))
+
+    def super_step(self, tau, dt_cap, cfl, policy, tol):
+        """One accepted RKL2 super-step of the proposed size `tau` (None:
+        dt_FE), at most `dt_cap`, under local error tolerance `tol`.
+
+        Returns (dt, next proposed size).  A stage or candidate that breaks
+        spacelikeness halves dt from the untouched state ('reject', at most
+        MAX_DT_HALVINGS times) or halts ('halt_and_report'); a failed error
+        estimate shrinks dt, but not below dt_FE, where the step is
+        accepted.  A step cut short by `dt_cap` does not shrink the next
+        proposal.  Raises on violation, leaving the state as it was.
+        """
+        if self.coeff is None:  # then kept from the last accepted step
+            self.coeff = self.coefficient()
+            self._speed(self.d, self.f)
+        h = self.h
+        dt_fe = cfl * h * h / (2.0 * self.coeff)
+        tau = dt_fe if tau is None else max(tau, dt_fe)
+        dt = min(tau, dt_cap)
+        capped = dt < tau
+        halvings = 0
+        while True:
+            try:
+                err = self.rkl2(dt, dt_fe)
+            except SpacelikeViolationError as exc:
+                if policy != "reject" or halvings == MAX_DT_HALVINGS:
+                    raise SpacelikeViolationError(
+                        f"{exc} (policy {policy}, last dt {dt:g})") from exc
+                halvings += 1
+                dt *= 0.5
+                capped = False
+                continue
+            ratio = err / tol if tol > 0.0 else (math.inf if err else 0.0)
+            if ratio <= 1.0 or dt <= dt_fe:
+                break
+            dt = max(dt_fe, dt * _step_factor(ratio))
+            capped = False
+        self._accept()
+        grown = dt * _step_factor(ratio)
+        return dt, max(grown, tau) if capped else grown
+
+
+def rkl2_stages(tau, dt_fe):
+    """Fewest RKL2 stages s >= 2 stable at `tau`: tau <= dt_fe (s^2+s-2)/4."""
+    s = max(2, int(0.5 * (math.sqrt(9.0 + 16.0 * tau / dt_fe) - 1.0)))
+    while dt_fe * (s * s + s - 2) < 4.0 * tau:
+        s += 1
+    return s
+
+
+def _step_factor(ratio):
+    """Next step size over this one, from max|est| / tol: in [0.1, 10]."""
+    return min(10.0, max(0.1, 0.8 / math.cbrt(ratio))) if ratio else 10.0
 
 
 def stable_dt(field: Field, metric, config: SolverConfig) -> float:
@@ -216,13 +383,16 @@ def step_radial(field: Field, metric, n: int, config: SolverConfig,
 
 def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             barrier=None) -> FlowTrajectory:
-    """Drive an engine from `field` to t_end, recording at cadence."""
+    """Drive an engine from `field` to t_end by RKL2 super-steps, recording
+    at cadence; `steps` counts accepted super-steps."""
     u = field.values.copy()
     if field.bc[0] == "dirichlet_zero":
         u[0] = 0.0
     if field.bc[1] == "dirichlet_zero":
         u[-1] = 0.0
     engine = _Engine(replace(field, values=u), metric)
+    tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
+    tau = None
 
     def as_field(vals):
         return replace(field, values=vals.copy())
@@ -246,8 +416,8 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
                 traj.termination = "step_cap"
                 break
             mark = min(next_rec, next_snap, config.t_end)
-            dt = engine.advance(mark - t, config.cfl_safety,
-                                config.clamp_policy)
+            dt, tau = engine.super_step(tau, mark - t, config.cfl_safety,
+                                        config.clamp_policy, tol)
             steps += 1
             t = mark if dt >= mark - t - 1e-15 else t + dt
             hit_rec = t >= next_rec - 1e-12

@@ -2,15 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mcflow
 from mcflow.cli import main
-from mcflow.scenarios import (ConfigError, ScenarioConfig,
+from mcflow.geometry import RadialOperator
+from mcflow.scenarios import (ConfigError, ScenarioConfig, fmt,
                               read_diagnostics_csv, read_snapshot_csv,
-                              run_scenario_config)
+                              run_scenario_config, write_snapshot_csvs)
+from mcflow.solver import FlowTrajectory
 
 
 def write_config(tmp_path, name, cfg):
@@ -223,16 +226,19 @@ def test_simulate_numeric_failure_exit_three(tmp_path, capsys):
     assert summary["halt_message"] in err
 
 
-def test_simulate_non_finite_exit_three(tmp_path, capsys):
-    # a NaN in the data halts at once as a non-finite value, not as a
+def test_simulate_non_finite_exit_three(tmp_path, capsys, monkeypatch):
+    # a NaN the flow produces (here a stubbed operator writing one into
+    # every speed) halts at once as a non-finite value, not as a
     # spacelikeness violation after every dt halving
-    xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
-    vals = 0.4 * np.exp(-xs * xs)
-    vals[len(xs) // 2] = np.nan
-    table = tmp_path / "nan.csv"
-    table.write_text("x,u\n" + "\n".join(f"{x},{u}" for x, u in zip(xs, vals)))
+    rhs = RadialOperator.rhs
+
+    def poisoned(self, du, d2u, comp, out, work):
+        rhs(self, du, d2u, comp, out, work)
+        out[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(RadialOperator, "rhs", poisoned)
     cfg = smoke_flow_config(str(tmp_path / "out"))
-    cfg["initial_data"] = {"family": "tabulated", "path": str(table)}
     path = write_config(tmp_path, "nan.json", cfg)
     assert main(["simulate", path]) == 3
     err = capsys.readouterr().err
@@ -241,6 +247,54 @@ def test_simulate_non_finite_exit_three(tmp_path, capsys):
                                           "summary.json")))
     assert summary["termination"] == "non_finite"
     assert summary["steps"] == 0
+
+
+@pytest.mark.parametrize("table", [
+    "x,u\n-10,0\n0,nan\n10,0\n",     # a non-finite entry
+    "x\n-10\n0\n10\n",               # a single column
+    "x,u\n-10,0\n0,zero\n10,0\n",    # a non-numeric cell
+])
+def test_malformed_tabulated_data_is_config_error(tmp_path, capsys, table):
+    csv = tmp_path / "table.csv"
+    csv.write_text(table)
+    cfg = smoke_flow_config(str(tmp_path / "out"))
+    cfg["initial_data"] = {"family": "tabulated", "path": str(csv)}
+    path = write_config(tmp_path, "tab.json", cfg)
+    assert main(["simulate", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: initial_data.path" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("argv", [["simulate", "c.json", "--seed", "1"],
+                                  ["sweep", "c.json", "--seed", "1"],
+                                  ["verify", "--strict"]])
+def test_removed_ignored_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_snapshot_writer_bytes_match_per_cell_formatting(tmp_path):
+    # the writer formats each cell as `fmt` does, so files keep their bytes;
+    # values a Field would reject still exercise the formatting
+    nodes = np.linspace(0.0, 2.0, 9)
+    values = np.array([-0.0, 1e-300, 1e300, -1e-300, 0.1, 1.0 / 3.0,
+                       -2.5e-17, 5e-324, 0.0])
+    snaps = [(0.0, SimpleNamespace(kind="radial", nodes=nodes, values=values)),
+             (0.5, SimpleNamespace(kind="radial", nodes=nodes,
+                                   values=values[::-1])),
+             (1.0, SimpleNamespace(kind="line", nodes=nodes - 1.0,
+                                   values=values))]
+    write_snapshot_csvs(FlowTrajectory(snapshots=snaps), str(tmp_path))
+    for t, fld in snaps:
+        coord = "x" if fld.kind == "line" else "r"
+        lines = [f"{coord},u"] + [f"{fmt(c)},{fmt(u)}"
+                                  for c, u in zip(fld.nodes, fld.values)]
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / f"t{t:.6f}.csv").read_bytes() == expected
 
 
 def test_no_lift_off_artifacts_with_monitor_columns(tmp_path):

@@ -1,5 +1,6 @@
-"""The in-place stepping kernel against a reference copy of the array-per-
-operation engine it replaced.
+"""The in-place stepping kernel: the forward-Euler step against a reference
+copy of the array-per-operation engine it replaced, and the RKL2 super-steps
+that runs take.
 
 The reference below keeps that engine's arithmetic verbatim: central
 differences formed from the values, the operator written out inline, a
@@ -9,6 +10,7 @@ the forward differences instead and evaluates the operator through
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -21,8 +23,11 @@ from mcflow.geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                              radial_factors)
 from mcflow.initial_data import interpolate_initial_data, lipschitz_constant
 from mcflow.scenarios import ScenarioConfig, build_field_from_config
-from mcflow.solver import (MAX_DT_HALVINGS, SolverConfig, run_flow,
-                           step_1d, step_radial)
+from mcflow.fields import radial_field
+from mcflow.geometry import conformal_metric
+from mcflow.solver import (MAX_DT_HALVINGS, TIME_ERROR_KAPPA, SolverConfig,
+                           rkl2_stages, run_flow, stable_dt, step_1d,
+                           step_radial)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 STEPS = 100
@@ -287,3 +292,187 @@ def test_run_flow_keeps_violation_message():
                  h=0.05, bc=("dirichlet_zero", "dirichlet_zero"))
     ok = run_flow(euclidean_metric(1), zero, SolverConfig(h=0.05, t_end=0.01))
     assert ok.termination == "reached_t_end" and ok.message == ""
+
+
+# ---------------------------------------------------------------------------
+# RKL2 super-steps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ratio", [0.25, 1.0, 1.0 + 1e-12, 2.5, 7.0, 100.0,
+                                   1234.5])
+def test_rkl2_stage_count_is_the_fewest_stable(ratio):
+    dt_fe = 1.1e-3
+    tau = ratio * dt_fe
+    s = rkl2_stages(tau, dt_fe)
+    assert s >= 2 and 4.0 * tau <= dt_fe * (s * s + s - 2)
+    assert s == 2 or 4.0 * tau > dt_fe * ((s - 1) ** 2 + (s - 1) - 2)
+
+
+def fixed_steps(field, metric, tau, count):
+    """`count` RKL2 super-steps of size tau with no error control."""
+    engine = solver._Engine(field, metric)
+    for _ in range(count):
+        dt, _ = engine.super_step(tau, tau, 0.9, "reject", math.inf)
+        assert dt == tau
+    return engine
+
+
+def test_fixed_tau_super_steps_are_second_order():
+    # against forward Euler at dt_FE/8 and dt_FE/16, extrapolated to second
+    # order (its own error is ~1e-9 here, against ~1e-5 for RKL2)
+    field, metric, config = decay_line_case()
+    dt_fe = stable_dt(field, metric, config)
+    t_end = 0.25
+    fine = []
+    for dt in (dt_fe / 8.0, dt_fe / 16.0):
+        engine, t = solver._Engine(field, metric), 0.0
+        while t < t_end - 1e-15:
+            t += engine.advance(min(dt, t_end - t), config.cfl_safety,
+                                config.clamp_policy)
+        fine.append(engine.u)
+    reference = 2.0 * fine[1] - fine[0]
+    errors = [float(np.max(np.abs(
+        fixed_steps(field, metric, t_end / k, k).u - reference)))
+        for k in (16, 32)]  # tau = 17 and 8.5 dt_FE
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+def reject_first(monkeypatch, name, rejection):
+    """Make the first call of `_Engine.<name>` return `rejection`."""
+    original = getattr(solver._Engine, name)
+    calls = []
+
+    def patched(self, *args):
+        calls.append(1)
+        return rejection if len(calls) == 1 else original(self, *args)
+
+    monkeypatch.setattr(solver._Engine, name, patched)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["estimate", "slope"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rejected_super_step_retries_from_the_untouched_state(
+        case, kind, monkeypatch):
+    # a failed estimate shrinks dt (by 0.1 here), a failed slope check
+    # halves it; either way the retry equals a one-shot step of that size
+    field, metric, config = CASES[case]()
+    tau = 40.0 * stable_dt(field, metric, config)
+    tol = 1.0  # far above any real estimate here
+    if kind == "estimate":
+        calls = reject_first(monkeypatch, "rkl2", 1000.0 * tol)
+    else:
+        calls = reject_first(monkeypatch, "max_metric_slope", 1.0)
+    engine = solver._Engine(field, metric)
+    dt, _ = engine.super_step(tau, tau, config.cfl_safety, "reject", tol)
+    assert len(calls) == 2
+    assert dt == (0.1 * tau if kind == "estimate" else 0.5 * tau)
+    monkeypatch.undo()
+    one_shot = solver._Engine(field, metric)
+    assert one_shot.super_step(dt, dt, config.cfl_safety, "reject",
+                               tol)[0] == dt
+    for name in ("u", "d", "f"):
+        assert np.array_equal(getattr(engine, name), getattr(one_shot, name))
+    assert engine.coeff == one_shot.coeff
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_halt_and_report_halts_on_the_first_stage_violation(case,
+                                                            monkeypatch):
+    field, metric, config = CASES[case]()
+    tau = 40.0 * stable_dt(field, metric, config)
+    engine = solver._Engine(field, metric)
+    engine.super_step(tau, tau, config.cfl_safety, "halt_and_report",
+                      math.inf)  # forms the state's speed
+    state = {name: getattr(engine, name).copy() for name in ("u", "d", "f")}
+    complement = solver._Engine._complement
+    stages = []
+
+    def violate_first_stage(self, d):
+        stages.append(1)
+        if len(stages) == 1:
+            raise SpacelikeViolationError("spacelikeness lost: stub")
+        return complement(self, d)
+
+    monkeypatch.setattr(solver._Engine, "_complement", violate_first_stage)
+    with pytest.raises(SpacelikeViolationError,
+                       match="stub .policy halt_and_report"):
+        engine.super_step(tau, tau, config.cfl_safety, "halt_and_report",
+                          math.inf)
+    assert len(stages) == 1
+    for name, before in state.items():
+        assert np.array_equal(getattr(engine, name), before)
+    # under 'reject' the same violation costs one halving
+    stages.clear()
+    dt, _ = engine.super_step(tau, tau, config.cfl_safety, "reject",
+                              math.inf)
+    assert dt == 0.5 * tau
+
+
+def test_super_steps_hold_pinned_and_frozen_ends():
+    # pinned ends stay exactly +0.0 ...
+    field, metric, config = flat_axis_case()
+    engine = fixed_steps(field, metric,
+                         20.0 * stable_dt(field, metric, config), 5)
+    assert engine.u[-1] == 0.0 and not np.signbit(engine.u[-1])
+    assert engine.u[0] != field.values[0]  # the axis node moves
+    # ... and 'asymptotic_decay' ends keep their values bit for bit, the
+    # outer one -0.0, which an update u + 0 would turn into +0.0
+    curved = conformal_metric(3, a=0.5, tau=1.0)
+    fld = radial_field(1.0, 8.0, 0.05,
+                       lambda r: -0.3 * np.exp(-r) * (8.0 - r) / 7.0,
+                       bc=("asymptotic_decay", "asymptotic_decay"))
+    assert np.signbit(fld.values[-1]) and fld.values[0] != 0.0
+    config = SolverConfig(h=0.05, t_end=1.0)
+    engine = fixed_steps(fld, curved, 20.0 * stable_dt(fld, curved, config),
+                         5)
+    assert engine.u[[0, -1]].tobytes() == fld.values[[0, -1]].tobytes()
+    assert np.any(engine.u != fld.values)
+
+
+def test_speed_at_the_axis_node_is_the_even_reflection_rule():
+    field, metric, _ = flat_axis_case()
+    engine = solver._Engine(field, metric)
+    engine.coefficient()
+    f = engine._speed(engine.d, np.empty(field.nodes.size))
+    u, h = field.values, field.h
+    assert f[0] == metric.n * 2.0 * (u[1] - u[0]) / (h * h)
+    assert f[-1] == 0.0
+
+
+def test_accepted_super_steps_meet_the_error_tolerance(monkeypatch):
+    field, metric, config = decay_line_case()
+    tol = TIME_ERROR_KAPPA * field.h ** 2 * float(np.max(np.abs(field.values)))
+    rkl2 = solver._Engine.rkl2
+    attempts = []
+    monkeypatch.setattr(solver._Engine, "rkl2", lambda self, tau, dt_fe:
+                        attempts.append((tau, dt_fe, rkl2(self, tau, dt_fe)))
+                        or attempts[-1][2])
+    engine = solver._Engine(field, metric)
+    tau, t, above = None, 0.0, 0
+    while t < 2.0:  # past the initial layer, where steps stay near dt_FE
+        dt, tau = engine.super_step(tau, math.inf, config.cfl_safety,
+                                    config.clamp_policy, tol)
+        t += dt
+        accepted_tau, dt_fe, err = attempts[-1]
+        assert accepted_tau == dt
+        assert err <= tol or dt <= dt_fe
+        above += dt > dt_fe
+    assert above >= 5  # the check bites on genuine super-steps
+
+
+def test_max_steps_counts_accepted_super_steps(monkeypatch):
+    # every step's first candidate is rejected and retried on half of it
+    check = solver._Engine.max_metric_slope
+    calls = []
+
+    def reject_odd(self, d):
+        calls.append(1)
+        return 1.0 if len(calls) % 2 else check(self, d)
+
+    monkeypatch.setattr(solver._Engine, "max_metric_slope", reject_odd)
+    field, metric, _ = decay_line_case()
+    config = SolverConfig(h=field.h, t_end=100.0, max_steps=5)
+    traj = run_flow(metric, field, config)
+    assert traj.termination == "step_cap"
+    assert traj.steps == 5 and len(calls) == 10
