@@ -8,6 +8,7 @@ Library layout:
 * `solver` - explicit stepping: line, radial, ball problems, nested studies
 * `diagnostics` - norms, monitors, margins, rate fits
 * `verification` - the closed-form identity suite
+* `config` - reading and validating scenario configs, the initial field
 * `scenarios` / `cli` - config-driven runs and file artifacts
 """
 

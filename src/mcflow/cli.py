@@ -2,8 +2,8 @@
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 configuration
 error (the message names the offending field), 3 numeric failure (a run
-halted on a spacelikeness violation or a non-finite value; the message
-names the termination and says where).
+halted on a spacelikeness violation or a non-finite value, or a recorded
+state failed its record's checks; the message says which and where).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .scenarios import (ConfigError, ScenarioConfig, run_dirichlet_sweep,
                         run_nested_scenario, run_scenario_config,
                         write_run_artifacts, write_summary_json,
                         write_sweep_csv)
+from .solver import RecordError
 from .verification import run_identity_suite
 
 EXIT_OK = 0
@@ -53,6 +54,9 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RecordError as exc:
+        print(f"numeric failure (record): {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     write_run_artifacts(result, out)
     for check in result.checks:
         status = "PASS" if check["pass"] else "FAIL"
@@ -105,36 +109,21 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         raw = _load_config(args.config)
-        sweep = raw.get("sweep")
-        if not isinstance(sweep, dict):
+        cfg = ScenarioConfig.from_dict(raw)
+        if cfg.sweep_values is None:
             raise ConfigError("sweep", "missing sweep section")
-        parameter = sweep.get("parameter")
-        if parameter != "R":
-            raise ConfigError("sweep.parameter",
-                              f"only 'R' sweeps are supported, got {parameter!r}")
-        values = sweep.get("values")
-        if (not isinstance(values, list)
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in values)):
-            raise ConfigError("sweep.values", "expected a list of numbers")
-        if len(values) < 2:
-            print("config error: sweep.values: need a grid of >= 2 points",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        scenario = raw.get("scenario")
         out = _out_dir(raw, args.output_dir)
         os.makedirs(out, exist_ok=True)
-        if scenario == "dirichlet":
+        if cfg.scenario == "dirichlet":
             rows, fits, results = run_dirichlet_sweep(
-                raw, values, out_dir=out, workers=args.workers)
+                raw, cfg.sweep_values, out_dir=out, workers=args.workers)
             write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
             summary = {"rows": rows, "fits": fits}
-            rng = raw.get("expected_bound_exponent_range")
+            rng = cfg.bound_exponent_range
             checks_ok = all(r["pass"] for r in rows)
             if rng is not None:
-                lo, hi = float(rng[0]), float(rng[1])
                 in_range = (fits["bound_exponent"] is not None
-                            and lo <= fits["bound_exponent"] <= hi)
+                            and rng[0] <= fits["bound_exponent"] <= rng[1])
                 summary["bound_exponent_in_range"] = bool(in_range)
                 checks_ok = checks_ok and in_range
             summary["pass"] = checks_ok
@@ -142,25 +131,23 @@ def cmd_sweep(args) -> int:
             print(f"bound exponent: {fits['bound_exponent']}")
             print(f"measured exponent: {fits['measured_exponent']}")
             return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
-        if scenario == "nested_balls":
-            cfg = ScenarioConfig.from_dict(raw)
-            result = run_nested_scenario(cfg, R_values=values)
-            payload = dict(result.summary)
-            payload["warnings"] = sorted(result.warnings)
-            payload["pass"] = result.all_passed
-            write_summary_json(payload, os.path.join(out, "sweep_summary.json"))
-            for row in result.summary["rows"]:
-                print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
-                      f"max difference {row['max_difference']:.6e}")
-            if args.strict and result.warnings:
-                return EXIT_CHECK_FAILED
-            return EXIT_OK
-        raise ConfigError("scenario",
-                          f"sweep supports dirichlet and nested_balls, "
-                          f"got {scenario!r}")
+        result = run_nested_scenario(cfg, R_values=cfg.sweep_values)
+        payload = dict(result.summary)
+        payload["warnings"] = sorted(result.warnings)
+        payload["pass"] = result.all_passed
+        write_summary_json(payload, os.path.join(out, "sweep_summary.json"))
+        for row in result.summary["rows"]:
+            print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
+                  f"max difference {row['max_difference']:.6e}")
+        if args.strict and result.warnings:
+            return EXIT_CHECK_FAILED
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RecordError as exc:
+        print(f"numeric failure (record): {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def main(argv=None) -> int:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, gradient
+from .fields import Field, gradient, gradient_into
 from .geometry import TOL_SPACELIKE, SpacelikeViolationError
 
 
@@ -50,6 +51,103 @@ class CheckReport:
         return {"pass": self.passed, "worst": self.worst, "detail": self.detail}
 
 
+class RecordPlan:
+    """The per-grid part of the diagnostics records, formed once per run.
+
+    Holds w(r) at the nodes, the volume weight r^{n-1} w^n, the tilt
+    monitor's validated (lambda, mu) and the barrier's b_eps on the nodes
+    with r >= r0, with their mask.  A record forms u' once, into a buffer,
+    and p = |u'|/w once: p gives max |u'|/w, and its square the
+    gradient-norm integrand and the tilt factor.  A w that is 1 at every
+    node and the line's unit weight are dropped: division and
+    multiplication by 1 are exact.  Without a metric (None) the plan serves
+    only the barrier margin.
+    """
+
+    def __init__(self, field: Field, metric, phi_params=None, profile=None):
+        r = field.radii()
+        self.h, self.axis = field.h, field.axis
+        if metric is not None:
+            w = metric.w(r)
+            self.weight = (r ** (metric.n - 1) * w ** metric.n
+                           if field.kind == "radial" else None)
+            self.w = None if np.all(w == 1.0) else w
+        self.phi = None
+        if phi_params is not None:
+            lambda_phi, mu_phi = phi_params
+            if mu_phi <= 0:
+                raise ValueError(f"mu must be > 0, got {mu_phi}")
+            if lambda_phi < 0:
+                raise ValueError(f"lambda must be >= 0, got {lambda_phi}")
+            self.phi = (lambda_phi, mu_phi)
+        self.outside = self.b_eps = None
+        if profile is not None:
+            outside = r >= profile.r0
+            if not np.any(outside):
+                raise ValueError("field grid does not reach the profile's "
+                                 "inner radius")
+            self.b_eps = profile.value(r[outside])
+            first = int(outside.argmax())
+            # on a radial grid the nodes outside are a suffix: slice them
+            self.outside = (slice(first, None) if outside[first:].all()
+                            else outside)
+        self.du, self.p2, self.work = (np.empty_like(r) for _ in range(3))
+
+    def slopes(self, u) -> float:
+        """Form u' and p^2 = (|u'|/w)^2 of the values `u`; return max
+        |u'|/w.  (u'/w)^2 is p^2: the quotient's sign does not touch its
+        bits."""
+        gradient_into(u, self.h, self.axis, self.du)
+        p = np.abs(self.du, out=self.p2)
+        if self.w is not None:
+            p /= self.w
+        grad_max = float(p.max())
+        p *= p
+        return grad_max
+
+    def _trapezoid(self, y) -> float:
+        """np.trapezoid(y, dx=h): its arithmetic, (h (y[1:] + y[:-1]) /
+        2).sum(), without its per-call set-up."""
+        pairs = np.add(y[1:], y[:-1], out=self.du[1:])
+        pairs *= self.h
+        pairs /= 2.0
+        return pairs.sum()
+
+    def _weighted(self, y):
+        """y times the volume weight, in the work buffer (y itself on a
+        line)."""
+        if self.weight is None:
+            return y
+        return np.multiply(y, self.weight, out=self.work)
+
+    def norms(self, u) -> tuple:
+        """(sup|u|, L2 norm, L2 norm of the gradient) of the values `u`;
+        needs `slopes(u)`."""
+        sup_u = float(np.abs(u, out=self.work).max())
+        l2 = math.sqrt(self._trapezoid(
+            self._weighted(np.multiply(u, u, out=self.work))))
+        h1 = math.sqrt(self._trapezoid(self._weighted(self.p2)))
+        return sup_u, l2, h1
+
+    def tilt(self, u) -> float:
+        """`phi_supremum` of the values `u`; needs `slopes(u)`."""
+        lambda_phi, mu_phi = self.phi
+        if lambda_phi > 0 and float(u.min()) < -1e-9:
+            raise ValueError("monitor needs min u >= 0; shift the data first")
+        if (self.p2 >= 1.0 - TOL_SPACELIKE).any():
+            raise SpacelikeViolationError("field is not strictly spacelike")
+        v = np.sqrt(np.subtract(1.0, self.p2, out=self.du), out=self.du)
+        v = np.divide(1.0, v, out=v)
+        e = np.exp(np.multiply(u, lambda_phi, out=self.work), out=self.work)
+        e = np.exp(np.multiply(e, mu_phi, out=e), out=e)
+        return float(np.multiply(v, e, out=e).max())
+
+    def margin(self, u) -> float:
+        """`barrier_margin` of the values `u`."""
+        gap = np.abs(u[self.outside], out=self.work[:self.b_eps.size])
+        return float(np.subtract(self.b_eps, gap, out=gap).min())
+
+
 def field_norms(field: Field, metric) -> tuple:
     """(sup|u|, max |u'|/w, L2 norm, L2 norm of the gradient).
 
@@ -57,17 +155,9 @@ def field_norms(field: Field, metric) -> tuple:
     use plain dx.  The gradient norm integrand is |u'/w|^2 with the same
     weight, which reduces to the plain integral of u'^2 on a flat line.
     """
-    r = field.radii()
-    w = metric.w(r)
-    du = gradient(field)
-    sup_u = float(np.max(np.abs(field.values)))
-    grad_max = float(np.max(np.abs(du) / w))
-    if field.kind == "radial":
-        weight = r ** (metric.n - 1) * w ** metric.n
-    else:
-        weight = np.ones_like(r)
-    l2 = float(np.sqrt(np.trapezoid(field.values ** 2 * weight, dx=field.h)))
-    h1 = float(np.sqrt(np.trapezoid((du / w) ** 2 * weight, dx=field.h)))
+    plan = RecordPlan(field, metric)
+    grad_max = plan.slopes(field.values)
+    sup_u, l2, h1 = plan.norms(field.values)
     return sup_u, grad_max, l2, h1
 
 
@@ -78,27 +168,14 @@ def phi_supremum(field: Field, metric, lambda_phi: float, mu_phi: float) -> floa
     constant and mu its reciprocal; requires min u >= 0 (up to rounding) for
     monotonicity, which is validated here whenever lambda > 0.
     """
-    if mu_phi <= 0:
-        raise ValueError(f"mu must be > 0, got {mu_phi}")
-    if lambda_phi < 0:
-        raise ValueError(f"lambda must be >= 0, got {lambda_phi}")
-    if lambda_phi > 0 and float(field.values.min()) < -1e-9:
-        raise ValueError("monitor needs min u >= 0; shift the data first")
-    p = np.abs(gradient(field)) / metric.w(field.radii())
-    if np.any(p * p >= 1.0 - TOL_SPACELIKE):
-        raise SpacelikeViolationError("field is not strictly spacelike")
-    v = 1.0 / np.sqrt(1.0 - p * p)
-    return float(np.max(v * np.exp(mu_phi * np.exp(lambda_phi * field.values))))
+    plan = RecordPlan(field, metric, phi_params=(lambda_phi, mu_phi))
+    plan.slopes(field.values)
+    return plan.tilt(field.values)
 
 
 def barrier_margin(field: Field, profile) -> float:
     """min over nodes with r >= r0 of (b_eps(r) - |u|); positive = dominated."""
-    r = field.radii()
-    outside = r >= profile.r0
-    if not np.any(outside):
-        raise ValueError("field grid does not reach the profile's inner radius")
-    return float(np.min(profile.value(r[outside])
-                        - np.abs(field.values[outside])))
+    return RecordPlan(field, None, profile=profile).margin(field.values)
 
 
 @dataclass(frozen=True)
@@ -205,15 +282,12 @@ def h1_decay_check(records, rel_slack: float = 1e-3) -> CheckReport:
                        detail="max of (l2^2 + t h1^2) / bound")
 
 
-def make_record(field: Field, metric, t: float, phi_params=None,
-                profile=None) -> DiagnosticsRecord:
-    """Assemble a DiagnosticsRecord; optional monitors when configured."""
-    sup_u, grad_max, l2, h1 = field_norms(field, metric)
-    sup_phi = None
-    if phi_params is not None:
-        sup_phi = phi_supremum(field, metric, *phi_params)
-    margin = None
-    if profile is not None:
-        margin = barrier_margin(field, profile)
+def make_record(plan: RecordPlan, u: np.ndarray, t: float) -> DiagnosticsRecord:
+    """The record of the values `u` at time t on the plan's grid; the tilt
+    monitor and barrier margin when the plan has them."""
+    grad_max = plan.slopes(u)
+    sup_u, l2, h1 = plan.norms(u)
+    sup_phi = None if plan.phi is None else plan.tilt(u)
+    margin = None if plan.b_eps is None else plan.margin(u)
     return DiagnosticsRecord(t=t, sup_u=sup_u, grad_max=grad_max, l2=l2,
                              h1_grad=h1, sup_phi=sup_phi, barrier_margin=margin)

@@ -52,10 +52,7 @@ class Field:
                         and abs(self.nodes[0]) < 1e-14):
                     raise ValueError("axis_symmetry is only valid at r = 0 of a "
                                      "radial grid")
-        slopes = np.abs(np.diff(self.values)) / self.h
-        if slopes.size and slopes.max() >= 1.0:
-            raise ValueError(
-                f"node-to-node slope {slopes.max():.6g} >= 1 breaks spacelikeness")
+        check_node_slopes(np.diff(self.values), self.h)
 
     @property
     def axis(self) -> bool:
@@ -91,17 +88,30 @@ def radial_field(r_lo: float, r_hi: float, h: float, profile,
                  h=h, bc=tuple(bc))
 
 
-def gradient(field: Field) -> np.ndarray:
-    """Discrete u': second-order central inside, one-sided at the ends.
+def check_node_slopes(d: np.ndarray, h: float):
+    """Raise ValueError when a node-to-node slope |d|/h of the forward
+    differences `d` reaches 1: such values are not spacelike."""
+    # max |d|/h is max|d| / h: rounded division by h > 0 is monotone
+    slope = np.abs(d).max() / h
+    if slope >= 1.0:
+        raise ValueError(
+            f"node-to-node slope {slope:.6g} >= 1 breaks spacelikeness")
 
-    An axis end returns exactly zero there (even reflection).
-    """
-    u = field.values
-    h = field.h
-    du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    if field.axis:
-        du[0] = 0.0
-    return du
+
+def gradient(field: Field) -> np.ndarray:
+    """Discrete u' of a field; see `gradient_into`."""
+    return gradient_into(field.values, field.h, field.axis,
+                         np.empty_like(field.values))
+
+
+def gradient_into(u: np.ndarray, h: float, axis: bool,
+                  out: np.ndarray) -> np.ndarray:
+    """Discrete u' into `out`: second-order central inside, one-sided at
+    the ends.  An axis end gets exactly zero (even reflection)."""
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
+    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    if axis:
+        out[0] = 0.0
+    return out

@@ -1,15 +1,16 @@
 """Configuration-driven scenario runners and their file artifacts.
 
 A scenario config is a JSON object with nested sections (see
-docs/config_schema.md).  Every runner returns a ScenarioResult carrying a
-summary dict, a list of named pass/fail checks, and warnings; the CLI turns
-those into exit codes.  All data files are written with 17 significant
-digits and fixed column order, so identical configs produce byte-identical
-output.
+docs/config_schema.md), validated by `config.ScenarioConfig`.  Every runner
+returns a ScenarioResult carrying a summary dict, a list of named pass/fail
+checks, and warnings; the CLI turns those into exit codes.  All data files
+are written with 17 significant digits and fixed column order, so identical
+configs produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field as dc_field
@@ -20,187 +21,21 @@ from . import diagnostics
 from .barriers import (TranslatingBarrier,
                        build_outer_barrier, supersolution_profile_derivs,
                        translating_barrier_certificate,
-                       translating_barrier_eval, verify_static_supersolution)
-from .fields import Field, line_field, radial_field
-from .geometry import (RadialMetric, conformal_metric, euclidean_metric,
-                       graph_quantities, ricci_form_bound)
-from .initial_data import decay_radius, smooth_cutoff
-from .solver import (NUMERIC_FAILURES, FlowTrajectory, SolverConfig,
+                       verify_static_supersolution)
+from .config import (MIN_BALL_RADIUS, ConfigError, ScenarioConfig,
+                     _integer, _interval, _number, _pair, _positive,
+                     _radius_list, _section, build_field_from_config)
+from .geometry import DomainError, RadialMetric, ricci_form_bound
+from .initial_data import decay_radius
+from .solver import (NUMERIC_FAILURES, FlowTrajectory, RecordError,
                      nested_ball_study, run_flow, solve_dirichlet)
-
-SCENARIO_TAGS = ("flow_1d", "flow_radial", "dirichlet", "nested_balls",
-                 "no_lift_off", "barrier_verify", "translating_verify",
-                 "decay_study")
+from .verification import translating_identity_deviation
 
 #: Allowed rise of the discrete metric slope over a run (empirical surrogate
 #: for gradient preservation).
 SPACELIKE_PRESERVATION_SLACK = 0.02
 #: Per-record slack for the monotone tilt monitor.
 PHI_MONOTONE_SLACK = 1e-6
-
-
-class ConfigError(ValueError):
-    """Invalid or missing configuration entry; carries the field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-def _section(cfg: dict, key: str, path: str = "") -> dict:
-    full = f"{path}.{key}" if path else key
-    value = cfg.get(key)
-    if value is None:
-        raise ConfigError(full, "missing section")
-    if not isinstance(value, dict):
-        raise ConfigError(full, "expected an object")
-    return value
-
-
-def _number(sec: dict, key: str, path: str, default=None, minimum=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required number")
-        return default
-    value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    return float(value)
-
-
-def _string(sec: dict, key: str, path: str, choices=None, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required string")
-        return default
-    value = sec[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}", f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}.{key}", f"must be one of {choices}")
-    return value
-
-
-def _pair(sec: dict, key: str, path: str, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required pair")
-        return default
-    value = sec[key]
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)):
-        raise ConfigError(f"{path}.{key}", "expected a pair of numbers")
-    return (float(value[0]), float(value[1]))
-
-
-def build_metric(cfg: dict) -> RadialMetric:
-    sec = _section(cfg, "metric")
-    family = _string(sec, "family", "metric",
-                     choices=("euclidean", "conformal_power"))
-    n = int(_number(sec, "n", "metric", minimum=1))
-    if family == "euclidean":
-        return euclidean_metric(n)
-    a = _number(sec, "a", "metric", minimum=0.0)
-    tau = _number(sec, "tau", "metric")
-    power = _number(sec, "power", "metric", default=1.0)
-    if tau <= 0:
-        raise ConfigError("metric.tau", f"must be > 0, got {tau}")
-    if a == 0:
-        raise ConfigError("metric.a", "conformal_power needs a > 0")
-    return conformal_metric(n, a=a, tau=tau, power=power)
-
-
-def build_solver_config(cfg: dict) -> SolverConfig:
-    sec = _section(cfg, "solver")
-    kwargs = dict(
-        h=_number(sec, "h", "solver"),
-        t_end=_number(sec, "t_end", "solver"),
-        cfl_safety=_number(sec, "cfl_safety", "solver", default=0.9),
-        snapshot_every=_number(sec, "snapshot_every", "solver", default=0.0) or None,
-        record_every=_number(sec, "record_every", "solver", default=0.0) or None,
-        clamp_policy=_string(sec, "clamp_policy", "solver",
-                             choices=("reject", "halt_and_report"),
-                             default="reject"),
-        max_steps=int(_number(sec, "max_steps", "solver", default=20_000_000)),
-    )
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc)) from exc
-
-
-def initial_profile(sec: dict, path: str = "initial_data"):
-    """Profile callable from an initial-data section."""
-    family = _string(sec, "family", path,
-                     choices=("zero", "gaussian", "bump", "radial_bump",
-                              "slow_tail", "tabulated"))
-    if family == "zero":
-        return lambda c: np.zeros_like(np.asarray(c, dtype=float))
-    if family == "gaussian":
-        height = _number(sec, "height", path)
-        sigma = _number(sec, "sigma", path, minimum=1e-12)
-        center = _number(sec, "center", path, default=0.0)
-        return lambda c: height * np.exp(-((c - center) ** 2) / (2 * sigma ** 2))
-    if family == "bump":
-        height = _number(sec, "height", path)
-        plateau = _number(sec, "plateau", path, minimum=0.0)
-        support = _number(sec, "support", path)
-        center = _number(sec, "center", path, default=0.0)
-        if support <= plateau:
-            raise ConfigError(f"{path}.support", "must exceed plateau")
-        return lambda c: height * smooth_cutoff(plateau, support,
-                                                np.abs(c - center))
-    if family == "radial_bump":
-        height = _number(sec, "height", path)
-        rise = _pair(sec, "rise", path)
-        fall = _pair(sec, "fall", path)
-        return lambda c: height * (1.0 - smooth_cutoff(rise[0], rise[1], c)) \
-            * smooth_cutoff(fall[0], fall[1], c)
-    if family == "slow_tail":
-        height = _number(sec, "height", path)
-        core = _number(sec, "core", path, minimum=1e-12)
-        taper = _pair(sec, "taper", path)
-        center = _number(sec, "center", path, default=0.0)
-        return lambda c: (height * (1.0 + ((c - center) / core) ** 2) ** -0.25
-                          * smooth_cutoff(taper[0], taper[1], np.abs(c - center)))
-    # tabulated
-    file_path = _string(sec, "path", path)
-    try:
-        data = np.loadtxt(file_path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"{path}.path", f"cannot read {file_path}: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"{path}.path", f"cannot parse {file_path}: {exc}")
-    if data.shape[0] < 1 or data.shape[1] < 2:
-        raise ConfigError(f"{path}.path", f"{file_path} needs rows of x, u "
-                          f"columns, got an array of shape {data.shape}")
-    if not np.isfinite(data).all():
-        raise ConfigError(f"{path}.path",
-                          f"{file_path} holds a non-finite entry")
-    order = np.argsort(data[:, 0])
-    xs, us = data[order, 0], data[order, 1]
-    return lambda c: np.interp(c, xs, us, left=0.0, right=0.0)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str
-    metric: RadialMetric
-    solver: SolverConfig | None
-    raw: dict
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "ScenarioConfig":
-        if not isinstance(cfg, dict):
-            raise ConfigError("config", "top level must be an object")
-        scenario = _string(cfg, "scenario", "", choices=SCENARIO_TAGS)
-        metric = build_metric(cfg)
-        needs_solver = scenario not in ("barrier_verify", "translating_verify")
-        solver = build_solver_config(cfg) if needs_solver else None
-        return cls(scenario=scenario, metric=metric, solver=solver, raw=cfg)
 
 
 @dataclass
@@ -230,14 +65,25 @@ def fmt(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
+def _row_template(cells) -> str:
+    """A `%` template writing the cells that are not None as `fmt` does
+    ('%.17g' % x == format(x, '.17g') for every float) and None as ''."""
+    return ",".join("" if c is None else "%.17g" for c in cells) + "\n"
+
+
 def write_diagnostics_csv(records, path: str):
-    lines = [DIAG_HEADER]
+    templates = {}  # one per pattern of None columns
+    rows = [DIAG_HEADER + "\n"]
     for rec in records:
-        lines.append(",".join([fmt(rec.t), fmt(rec.sup_u), fmt(rec.grad_max),
-                               fmt(rec.l2), fmt(rec.h1_grad), fmt(rec.sup_phi),
-                               fmt(rec.barrier_margin)]))
+        cells = (rec.t, rec.sup_u, rec.grad_max, rec.l2, rec.h1_grad,
+                 rec.sup_phi, rec.barrier_margin)
+        pattern = tuple(c is None for c in cells)
+        template = templates.get(pattern)
+        if template is None:
+            template = templates[pattern] = _row_template(cells)
+        rows.append(template % tuple(c for c in cells if c is not None))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(rows)
 
 
 def read_diagnostics_csv(path: str):
@@ -258,19 +104,19 @@ def read_diagnostics_csv(path: str):
 def write_snapshot_csvs(trajectory: FlowTrajectory, directory: str):
     """One `x,u` or `r,u` CSV per snapshot, named by its time.
 
-    Cells are written as `fmt` writes them; the node column, shared by the
-    snapshots of a trajectory, is formatted once.
+    Cells are written as `fmt` writes them.  The header and node column,
+    shared by the snapshots of a trajectory, go into a file template once;
+    each snapshot is one `%` of it over its values.
     """
     os.makedirs(directory, exist_ok=True)
-    nodes = cells = None
+    nodes = template = None
     for t, fld in trajectory.snapshots:
         if fld.nodes is not nodes:
             nodes = fld.nodes
-            cells = [f"{c:.17g}," for c in nodes.tolist()]
+            template = ("x,u\n" if fld.kind == "line" else "r,u\n") + "".join(
+                f"{c:.17g},%.17g\n" for c in nodes.tolist())
         with open(os.path.join(directory, f"t{t:.6f}.csv"), "w") as fh:
-            fh.write("x,u\n" if fld.kind == "line" else "r,u\n")
-            fh.writelines(f"{c}{u:.17g}\n"
-                          for c, u in zip(cells, fld.values.tolist()))
+            fh.write(template % tuple(fld.values.tolist()))
 
 
 def read_snapshot_csv(path: str):
@@ -352,20 +198,17 @@ def _summarize(traj: FlowTrajectory) -> dict:
     return summary
 
 
-def build_field_from_config(cfg: ScenarioConfig, kind: str,
-                            outer: float | None = None) -> Field:
-    raw = cfg.raw
-    sec = _section(raw, "domain")
-    lo = _number(sec, "lo", "domain")
-    hi = outer if outer is not None else _number(sec, "hi", "domain")
-    profile = initial_profile(_section(raw, "initial_data"))
-    h = cfg.solver.h
-    if kind == "line":
-        return line_field(lo, hi, h, profile)
-    if lo < cfg.metric.r_min:
-        raise ConfigError("domain.lo",
-                          f"below the metric's r_min = {cfg.metric.r_min:g}")
-    return radial_field(lo, hi, h, profile)
+@contextlib.contextmanager
+def _solver_input():
+    """Report the solver's checks on its input (data that does not decay at
+    the grid edge, or breaks spacelikeness once its pinned ends are zero)
+    as config errors; a failed record is a numeric failure."""
+    try:
+        yield
+    except RecordError:
+        raise
+    except ValueError as exc:
+        raise ConfigError("initial_data", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +218,37 @@ def build_field_from_config(cfg: ScenarioConfig, kind: str,
 def run_flow_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     kind = "line" if cfg.scenario in ("flow_1d", "decay_study") else "radial"
     u0 = build_field_from_config(cfg, kind)
-    traj = run_flow(cfg.metric, u0, cfg.solver)
+    if cfg.scenario == "decay_study":
+        window = _interval(cfg.raw, "fit_window", "",
+                           default=(10.0, cfg.solver.t_end))
+        if not window[0] > 0.0:
+            raise ConfigError("fit_window", f"must start after t = 0, got "
+                              f"{window[0]}")
+        rng = _pair(cfg.raw, "expected_exponent_range", "",
+                    default=(-0.30, -0.20))
+    with _solver_input():
+        traj = run_flow(cfg.metric, u0, cfg.solver)
     checks = _base_flow_checks(traj)
     if kind == "line":
         checks.extend(_line_integral_checks(traj))
     summary = _summarize(traj)
     result = ScenarioResult(summary=summary, checks=checks, trajectory=traj)
     if cfg.scenario == "decay_study":
-        window = _pair(cfg.raw, "fit_window", "", default=(10.0, cfg.solver.t_end))
-        rng = _pair(cfg.raw, "expected_exponent_range", "",
-                    default=(-0.30, -0.20))
-        fit = diagnostics.decay_exponent_fit(traj.records, window)
+        try:
+            fit = diagnostics.decay_exponent_fit(traj.records, window)
+        except diagnostics.InsufficientDataError as exc:
+            raise ConfigError("fit_window", str(exc)) from exc
         summary["decay_fit"] = fit.to_dict()
         checks.append({"name": "decay_exponent_in_range",
                        "pass": bool(rng[0] <= fit.exponent <= rng[1]),
                        "exponent": fit.exponent, "range": list(rng)})
     return result
+
+
+def _barrier_dimension(cfg: ScenarioConfig):
+    if cfg.metric.n < 3:
+        raise ConfigError("metric.n", f"the static barrier needs n >= 3, "
+                          f"got {cfg.metric.n}")
 
 
 def dirichlet_gradient_bound(metric: RadialMetric, R: float,
@@ -410,10 +268,16 @@ def dirichlet_gradient_bound(metric: RadialMetric, R: float,
 
 def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
     u0 = build_field_from_config(cfg, "radial", outer=R * R)
-    traj = solve_dirichlet(R, cfg.metric, u0, cfg.solver)
+    _barrier_dimension(cfg)
+    try:
+        bound = dirichlet_gradient_bound(cfg.metric, R,
+                                         float(np.max(np.abs(u0.values))))
+    except DomainError as exc:  # the profile starts outside the ball
+        raise ConfigError("R", f"no a priori slope bound at R = {R:g}: "
+                          f"{exc}") from exc
+    with _solver_input():
+        traj = solve_dirichlet(R, cfg.metric, u0, cfg.solver)
     series = diagnostics.boundary_slope_series(traj)
-    bound = dirichlet_gradient_bound(cfg.metric, R,
-                                     float(np.max(np.abs(u0.values))))
     profile = bound.pop("profile")
     checks = _base_flow_checks(traj)
     checks.append({"name": "boundary_slope_dominated",
@@ -440,21 +304,23 @@ def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
 
 
 def run_dirichlet_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    R = _number(cfg.raw, "R", "", minimum=2.0)
+    R = _number(cfg.raw, "R", "", minimum=MIN_BALL_RADIUS)
     return run_dirichlet_case(cfg, R)
 
 
 def run_nested_scenario(cfg: ScenarioConfig, R_values=None) -> ScenarioResult:
     if R_values is None:
-        raw_list = cfg.raw.get("R_list")
-        if (not isinstance(raw_list, list) or len(raw_list) < 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in raw_list)):
-            raise ConfigError("R_list", "expected a list of >= 2 numbers")
-        R_values = [float(v) for v in raw_list]
+        R_values = [float(v) for v in _radius_list(cfg.raw, "R_list", "")]
     R_values = sorted(R_values)
     u0 = build_field_from_config(cfg, "radial", outer=max(R_values) ** 2)
-    rows = nested_ball_study(R_values, cfg.metric, u0, cfg.solver)
+    if u0.nodes[0] > R_values[0] / 2.0:
+        raise ConfigError("domain.lo", f"the compared window r <= min(R)/2 "
+                          f"= {R_values[0] / 2.0:g} holds no node")
+    if not round((R_values[0] ** 2 - u0.nodes[0]) / u0.h) >= 2:
+        raise ConfigError("domain", f"the ball of R = {R_values[0]:g} holds "
+                          f"fewer than 3 nodes at h = {u0.h:g}")
+    with _solver_input():
+        rows = nested_ball_study(R_values, cfg.metric, u0, cfg.solver)
     diffs = [row["max_difference"] for row in rows]
     warnings = []
     if any(b > a for a, b in zip(diffs[:-1], diffs[1:])):
@@ -466,9 +332,14 @@ def run_nested_scenario(cfg: ScenarioConfig, R_values=None) -> ScenarioResult:
 def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     u0 = build_field_from_config(cfg, "radial")
     sec = _section(cfg.raw, "barrier")
+    _barrier_dimension(cfg)
     eps = _number(sec, "eps", "barrier", minimum=0.0)
     sup0 = float(np.max(np.abs(u0.values)))
-    r1 = decay_radius(u0, eps) if eps > 0 and sup0 > 0 else float(u0.nodes[0])
+    try:
+        r1 = (decay_radius(u0, eps) if eps > 0 and sup0 > 0
+              else float(u0.nodes[0]))
+    except ValueError as exc:
+        raise ConfigError("barrier.eps", str(exc)) from exc
     r1 = max(r1, cfg.metric.r_min * 10, _number(sec, "r1_min", "barrier",
                                                 default=1.0))
     profile = build_outer_barrier(cfg.metric.n, r1_min=r1,
@@ -480,8 +351,11 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                                  float(u0.nodes[-1]))
         if c_ric > 0:
             phi_params = (c_ric, 1.0 / c_ric)
-    traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi_params,
-                    barrier=profile)
+    with _solver_input():
+        if phi_params is not None:  # the tilt monitor's hypotheses
+            diagnostics.phi_supremum(u0, cfg.metric, *phi_params)
+        traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi_params,
+                        barrier=profile)
     checks = _base_flow_checks(traj)
     margins = [rec.barrier_margin for rec in traj.records]
     checks.append({"name": "barrier_margin_positive",
@@ -498,13 +372,14 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sec = _section(cfg.raw, "barrier")
+    _barrier_dimension(cfg)
     profile = build_outer_barrier(
         cfg.metric.n,
-        r1_min=_number(sec, "r1_min", "barrier"),
-        h=_number(sec, "h", "barrier"),
+        r1_min=_positive(sec, "r1_min", "barrier"),
+        h=_positive(sec, "h", "barrier"),
         eps=_number(sec, "eps", "barrier", default=0.0, minimum=0.0),
         metric=cfg.metric)
-    count = int(_number(cfg.raw, "sample_radii", "", default=256.0))
+    count = _integer(cfg.raw, "sample_radii", "", default=256, minimum=1)
     radii = np.geomspace(profile.r0, profile.r_grid[-1], count)
     report = verify_static_supersolution(cfg.metric, profile, radii)
     checks = [
@@ -522,24 +397,19 @@ def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 def run_translating_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sec = _section(cfg.raw, "translating")
     n = cfg.metric.n
-    x0 = sec.get("x0", [0.0] * n)
-    tb = TranslatingBarrier(
-        n=n, x0=np.asarray(x0, dtype=float),
-        t0=_number(sec, "t0", "translating"),
-        alpha=_number(sec, "alpha", "translating", default=0.0, minimum=0.0),
-        mu=_number(sec, "mu", "translating"))
+    t0 = _number(sec, "t0", "translating")
+    alpha = _number(sec, "alpha", "translating", default=0.0, minimum=0.0)
+    mu = _number(sec, "mu", "translating")
+    seed = _integer(cfg.raw, "seed", "", default=0, minimum=0)
+    try:
+        tb = TranslatingBarrier(n=n, x0=np.asarray(sec.get("x0", [0.0] * n),
+                                                   dtype=float),
+                                t0=t0, alpha=alpha, mu=mu)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("translating", str(exc)) from exc
     cert = translating_barrier_certificate(tb)
-    rng = np.random.default_rng(int(_number(cfg.raw, "seed", "", default=0.0)))
-    worst = 0.0
-    flat = euclidean_metric(n)
-    for _ in range(200):
-        d = rng.normal(size=n)
-        d /= np.linalg.norm(d)
-        x = tb.x0 + d * tb.rho * rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, -tb.t0)
-        _, dtv, grad, hess = translating_barrier_eval(tb, x, t)
-        q = graph_quantities(flat, x, grad)
-        worst = max(worst, abs(dtv - float(np.sum(q.g_inv * hess)) - tb.alpha))
+    worst = translating_identity_deviation(tb, np.random.default_rng(seed),
+                                           200)
     checks = [
         {"name": "translating_identity", "pass": bool(worst <= 1e-12),
          "worst": worst},

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import diagnostics
-from .fields import Field
+from .fields import Field, check_node_slopes
 from .geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                        RadialOperator, SpacelikeViolationError,
                        euclidean_metric, radial_factors)
@@ -54,6 +54,11 @@ TERMINATIONS = ("reached_t_end", *NUMERIC_FAILURES, "step_cap")
 MAX_DT_HALVINGS = 10
 #: Local time-error tolerance per step, in units of h^2 sup|u_0|.
 TIME_ERROR_KAPPA = 1e-4
+
+
+class RecordError(ValueError):
+    """A recorded state failed a check of its record: a node-to-node slope
+    |u_{i+1} - u_i|/h >= 1, or a hypothesis of the tilt monitor."""
 
 
 @dataclass(frozen=True)
@@ -391,21 +396,25 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     if field.bc[1] == "dirichlet_zero":
         u[-1] = 0.0
     engine = _Engine(replace(field, values=u), metric)
+    plan = diagnostics.RecordPlan(field, metric, phi_params, barrier)
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
     tau = None
 
     def as_field(vals):
         return replace(field, values=vals.copy())
 
-    def record(t, vals):
-        traj.records.append(diagnostics.make_record(
-            as_field(vals), metric, t, phi_params=phi_params, profile=barrier))
+    def record(t):
+        try:
+            check_node_slopes(engine.d, field.h)  # a Field's invariant
+            traj.records.append(diagnostics.make_record(plan, engine.u, t))
+        except ValueError as exc:
+            raise RecordError(f"state at t = {t:.6g}: {exc}") from exc
 
     traj = FlowTrajectory()
     rec_cad = config.record_cadence
     snap_cad = config.snapshot_cadence
     t = 0.0
-    record(t, engine.u)
+    record(t)
     traj.snapshots.append((t, as_field(engine.u)))
     next_rec = rec_cad
     next_snap = snap_cad
@@ -423,7 +432,7 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             hit_rec = t >= next_rec - 1e-12
             hit_snap = t >= next_snap - 1e-12
             if hit_rec or t >= config.t_end - 1e-12:
-                record(t, engine.u)
+                record(t)
             if hit_snap or t >= config.t_end - 1e-12:
                 traj.snapshots.append((t, as_field(engine.u)))
             if hit_rec:
@@ -436,7 +445,7 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
         traj.termination = ("non_finite" if isinstance(exc, NonFiniteError)
                             else "spacelike_violation")
         traj.message = str(exc)
-        record(t, engine.u)
+        record(t)
         traj.snapshots.append((t, as_field(engine.u)))
     traj.steps = steps
     return traj

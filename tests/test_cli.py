@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mcflow
 from mcflow.cli import main
 from mcflow.geometry import RadialOperator
-from mcflow.scenarios import (ConfigError, ScenarioConfig, fmt,
+from mcflow.diagnostics import DiagnosticsRecord
+from mcflow.scenarios import (DIAG_HEADER, ConfigError, ScenarioConfig, fmt,
                               read_diagnostics_csv, read_snapshot_csv,
-                              run_scenario_config, write_snapshot_csvs)
+                              run_scenario_config, write_diagnostics_csv,
+                              write_snapshot_csvs)
 from mcflow.solver import FlowTrajectory
 
 
@@ -51,6 +58,18 @@ def test_bad_json_is_config_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["simulate", str(path)]) == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, code", [(3, 0), (3.0, 0), (3.7, 2), (2.5, 2)])
+def test_metric_dimension_must_be_whole(tmp_path, capsys, n, code):
+    cfg = smoke_flow_config(str(tmp_path / "out"), t_end=0.1)
+    cfg.update(scenario="flow_radial", domain={"lo": 0.0, "hi": 10.0})
+    cfg["metric"]["n"] = n
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path]) == code
+    if code == 2:
+        assert "config error: metric.n: expected an integer" in \
+            capsys.readouterr().err
 
 
 def test_unknown_scenario_rejected(tmp_path):
@@ -280,9 +299,9 @@ def test_removed_ignored_flags_are_rejected(argv, capsys):
 def test_snapshot_writer_bytes_match_per_cell_formatting(tmp_path):
     # the writer formats each cell as `fmt` does, so files keep their bytes;
     # values a Field would reject still exercise the formatting
-    nodes = np.linspace(0.0, 2.0, 9)
     values = np.array([-0.0, 1e-300, 1e300, -1e-300, 0.1, 1.0 / 3.0,
-                       -2.5e-17, 5e-324, 0.0])
+                       -2.5e-17, 5e-324, np.nan, np.inf, -np.inf, 0.0])
+    nodes = np.linspace(0.0, 2.0, values.size)
     snaps = [(0.0, SimpleNamespace(kind="radial", nodes=nodes, values=values)),
              (0.5, SimpleNamespace(kind="radial", nodes=nodes,
                                    values=values[::-1])),
@@ -295,6 +314,29 @@ def test_snapshot_writer_bytes_match_per_cell_formatting(tmp_path):
                                   for c, u in zip(fld.nodes, fld.values)]
         expected = ("\n".join(lines) + "\n").encode()
         assert (tmp_path / f"t{t:.6f}.csv").read_bytes() == expected
+
+
+def test_diagnostics_writer_bytes_match_per_cell_formatting(tmp_path):
+    # one row template per pattern of None columns; rows of each pattern
+    # interleave
+    cells = [-0.0, 5e-324, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e300,
+             np.float64(0.1), 2]
+    records = []
+    for k in range(12):
+        vals = [cells[(k + j) % len(cells)] for j in range(7)]
+        if k % 3 == 1:
+            vals[5] = None
+        if k % 2 == 1:
+            vals[6] = None
+        if k == 7:
+            vals[1] = None
+        records.append(DiagnosticsRecord(*vals))
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(records, str(path))
+    lines = [DIAG_HEADER] + [
+        ",".join(fmt(getattr(rec, f)) for f in DIAG_HEADER.split(","))
+        for rec in records]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_no_lift_off_artifacts_with_monitor_columns(tmp_path):
@@ -337,6 +379,28 @@ def test_sweep_nested_balls(tmp_path, capsys):
     assert "max difference" in capsys.readouterr().out
     summary = json.load(open(os.path.join(out, "sweep_summary.json")))
     assert len(summary["rows"]) == 1
+
+
+@pytest.mark.parametrize("values", [[1, 4], [4, 0.5]])
+def test_sweep_radius_below_two_is_config_error(tmp_path, capsys, values):
+    cfg = dirichlet_sweep_config(str(tmp_path / "out"), values)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path]) == 2
+    assert "config error: sweep.values: radii must be >= 2.0" in \
+        capsys.readouterr().err
+    nested = dict(cfg, scenario="nested_balls")
+    assert main(["sweep", write_config(tmp_path, "n.json", nested)]) == 2
+
+
+@pytest.mark.parametrize("bad", ["ab", [1.0], [-1.7, "x"], 3])
+def test_sweep_bound_exponent_range_is_validated(tmp_path, capsys, bad):
+    cfg = dirichlet_sweep_config(str(tmp_path / "out"), [2, 3])
+    cfg["expected_bound_exponent_range"] = bad
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path]) == 2
+    assert ("config error: expected_bound_exponent_range: expected a pair"
+            in capsys.readouterr().err)
+    assert not os.path.exists(str(tmp_path / "out"))
 
 
 def test_sweep_unknown_parameter(tmp_path, capsys):
@@ -402,3 +466,72 @@ def test_flat_decay_run_does_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under malformed configs
+# ---------------------------------------------------------------------------
+
+#: Replacement values: wrong types, out-of-range and non-integral numbers,
+#: malformed pairs and lists.  Magnitudes stay small: a large dimension or
+#: domain is valid input that costs memory in proportion, not malformed.
+MUTANT_VALUES = [0, -1, 1, 2.5, 3.7, -0.5, 40, "ab", None, True, [], {},
+                 [1, 4], [2.0, 1.0], [0.5, 0.5, 0.5]]
+
+
+def shipped_config_short(name):
+    """A shipped config with t_end at most 1 and cadences at most 0.5."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           name)) as fh:
+        raw = json.load(fh)
+    raw.pop("output_dir", None)
+    solver = raw.get("solver")
+    if solver is not None:
+        solver["t_end"] = min(solver["t_end"], 1.0)
+        for key in ("snapshot_every", "record_every"):
+            if key in solver:
+                solver[key] = min(solver[key], 0.5)
+        if raw["scenario"] == "decay_study":
+            solver["record_every"] = 0.05
+            raw["fit_window"] = [0.1, 1.0]
+    return raw
+
+
+def entry_paths(obj, path=()):
+    """Paths of every entry below `obj`: dict keys and list indices."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from entry_paths(value, path + (key,))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_shipped_configs_keep_the_exit_code_contract(data):
+    name = data.draw(st.sampled_from(sorted(os.listdir(os.path.join(
+        os.path.dirname(__file__), "..", "configs")))))
+    raw = shipped_config_short(name)
+    path = data.draw(st.sampled_from(list(entry_paths(raw))))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(MUTANT_VALUES))
+    commands = ["simulate"]
+    if "sweep" in raw:
+        commands = (["sweep"] if raw.get("scenario") == "dirichlet"
+                    else ["simulate", "sweep"])
+    command = data.draw(st.sampled_from(commands))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "c.json")
+        with open(config, "w") as fh:
+            json.dump(raw, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            # an exception escaping main is a traceback at the shell
+            code = main([command, config, "--output-dir",
+                         os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)

@@ -1,0 +1,205 @@
+"""Diagnostics records from one per-grid plan against the formulas they
+replaced.
+
+`reference_record` keeps the per-record arithmetic the plan took over
+verbatim: the gradient, w(r) and the volume weight formed afresh from a
+Field, the tilt factor and the barrier's b_eps re-evaluated per record.
+The plan performs the same operations in the same order, so the two must
+agree bit for bit on every recorded state of a run.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from mcflow import diagnostics, solver
+from mcflow.barriers import build_outer_barrier
+from mcflow.fields import Field, line_field, radial_field
+from mcflow.geometry import (TOL_SPACELIKE, SpacelikeViolationError,
+                             euclidean_metric, ricci_form_bound)
+from mcflow.initial_data import (decay_radius, interpolate_initial_data,
+                                 lipschitz_constant)
+from mcflow.scenarios import ScenarioConfig, build_field_from_config
+from mcflow.solver import SolverConfig, run_flow, solve_dirichlet
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def reference_gradient(field):
+    u, h = field.values, field.h
+    du = np.empty_like(u)
+    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    if field.axis:
+        du[0] = 0.0
+    return du
+
+
+def reference_record(field, metric, t, phi_params=None, profile=None):
+    r = field.radii()
+    w = metric.w(r)
+    du = reference_gradient(field)
+    sup_u = float(np.max(np.abs(field.values)))
+    grad_max = float(np.max(np.abs(du) / w))
+    if field.kind == "radial":
+        weight = r ** (metric.n - 1) * w ** metric.n
+    else:
+        weight = np.ones_like(r)
+    l2 = float(np.sqrt(np.trapezoid(field.values ** 2 * weight, dx=field.h)))
+    h1 = float(np.sqrt(np.trapezoid((du / w) ** 2 * weight, dx=field.h)))
+    sup_phi = margin = None
+    if phi_params is not None:
+        lam, mu = phi_params
+        p = np.abs(reference_gradient(field)) / metric.w(field.radii())
+        assert not np.any(p * p >= 1.0 - TOL_SPACELIKE)
+        v = 1.0 / np.sqrt(1.0 - p * p)
+        sup_phi = float(np.max(v * np.exp(mu * np.exp(lam * field.values))))
+    if profile is not None:
+        outside = r >= profile.r0
+        margin = float(np.min(profile.value(r[outside])
+                              - np.abs(field.values[outside])))
+    return diagnostics.DiagnosticsRecord(t=t, sup_u=sup_u, grad_max=grad_max,
+                                         l2=l2, h1_grad=h1, sup_phi=sup_phi,
+                                         barrier_margin=margin)
+
+
+def bits(record):
+    return [None if x is None else float(x).hex()
+            for x in (record.t, record.sup_u, record.grad_max, record.l2,
+                      record.h1_grad, record.sup_phi, record.barrier_margin)]
+
+
+def load(name, **solver):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        raw = json.load(fh)
+    raw["solver"].update(solver)
+    return ScenarioConfig.from_dict(raw)
+
+
+def decay_line_run():
+    cfg = load("decay_study.json", t_end=2.0, record_every=0.25,
+               snapshot_every=0.25)
+    u0 = build_field_from_config(cfg, "line")
+    return run_flow(cfg.metric, u0, cfg.solver), cfg.metric, None, None
+
+
+def axis_ball_run():
+    # the ball of radius 4 with its axis node, under the blend's metric
+    cfg = load("dirichlet_sweep.json", t_end=2.0, record_every=0.25,
+               snapshot_every=0.25)
+    u0 = build_field_from_config(cfg, "radial", outer=16.0)
+    traj = solve_dirichlet(4.0, cfg.metric, u0, cfg.solver)
+    eps = min(0.999, 1.0 - lipschitz_constant(cfg.metric, u0))
+    blend = interpolate_initial_data(cfg.metric, u0, 3.0, 4.0, eps)
+    return traj, blend.sigma_tilde, None, None
+
+
+def curved_run():
+    cfg = load("no_lift_off.json", t_end=1.0, record_every=0.1,
+               snapshot_every=0.1)
+    u0 = build_field_from_config(cfg, "radial")
+    eps = cfg.raw["barrier"]["eps"]
+    r1 = max(decay_radius(u0, eps), cfg.metric.r_min * 10,
+             cfg.raw["barrier"]["r1_min"])
+    profile = build_outer_barrier(cfg.metric.n, r1_min=r1,
+                                  h=float(np.max(np.abs(u0.values))), eps=eps,
+                                  metric=cfg.metric)
+    c = ricci_form_bound(cfg.metric, float(u0.nodes[0]), float(u0.nodes[-1]))
+    phi = (c, 1.0 / c)
+    traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi,
+                    barrier=profile)
+    return traj, cfg.metric, phi, profile
+
+
+@pytest.mark.parametrize("run", [decay_line_run, axis_ball_run, curved_run])
+def test_plan_records_match_the_formulas_bit_for_bit(run):
+    traj, metric, phi, profile = run()
+    # snapshots share the record cadence: one state per record
+    assert [t for t, _ in traj.snapshots] == [rec.t for rec in traj.records]
+    assert len(traj.records) >= 9
+    for rec, (t, fld) in zip(traj.records, traj.snapshots):
+        assert bits(rec) == bits(reference_record(fld, metric, t, phi, profile))
+        # the public functions are calls into a plan: the same bits
+        assert [float(x).hex() for x in diagnostics.field_norms(fld, metric)] \
+            == bits(rec)[1:5]
+        if phi is not None:
+            assert diagnostics.phi_supremum(fld, metric, *phi).hex() \
+                == bits(rec)[5]
+        if profile is not None:
+            assert diagnostics.barrier_margin(fld, profile).hex() \
+                == bits(rec)[6]
+
+
+@pytest.mark.parametrize("kind", ["line", "radial"])
+def test_plan_matches_the_formulas_on_signed_data(kind):
+    # values of both signs beyond r0; on a line the nodes with |x| >= r0
+    # are two tails, not a suffix
+    metric = (load("no_lift_off.json").metric if kind == "radial"
+              else euclidean_metric(1))
+    profile = build_outer_barrier(3, r1_min=5.0, h=0.3, eps=0.05)
+    grid = radial_field(0.5, 50.0, 0.05, lambda r: np.zeros_like(r)) \
+        if kind == "radial" else line_field(-30.0, 30.0, 0.05,
+                                            lambda x: np.zeros_like(x))
+    values = 0.04 * np.cos(grid.nodes)
+    fld = Field(kind=kind, nodes=grid.nodes, values=values, h=grid.h,
+                bc=grid.bc)
+    phi = (0.0, 0.5)  # lambda = 0 admits data of both signs
+    plan = diagnostics.RecordPlan(fld, metric, phi, profile)
+    assert bits(diagnostics.make_record(plan, fld.values, 0.25)) == bits(
+        reference_record(fld, metric, 0.25, phi, profile))
+
+
+def test_plan_validates_the_monitor_once_and_the_data_per_record():
+    cfg = load("no_lift_off.json")
+    u0 = build_field_from_config(cfg, "radial")
+    with pytest.raises(ValueError, match="mu must be > 0"):
+        diagnostics.RecordPlan(u0, cfg.metric, phi_params=(1.0, 0.0))
+    with pytest.raises(ValueError, match="lambda must be >= 0"):
+        diagnostics.RecordPlan(u0, cfg.metric, phi_params=(-1.0, 1.0))
+    plan = diagnostics.RecordPlan(u0, cfg.metric, phi_params=(1.0, 1.0))
+    with pytest.raises(ValueError, match="min u >= 0"):
+        diagnostics.make_record(plan, -u0.values, 0.0)
+    steep = u0.values * 0.0
+    steep[100] = 0.2  # |u'| = 2 = 0.2 / (2 h) at its neighbours
+    with pytest.raises(SpacelikeViolationError):
+        diagnostics.make_record(plan, steep, 0.0)
+
+
+def test_recorded_state_with_unit_node_slope_raises(monkeypatch):
+    # a state whose node-to-node slope |u_{i+1} - u_i|/h reaches 1 breaks
+    # a Field's invariant, so its record raises; the state is steepened
+    # after each accepted step
+    original = solver._Engine.super_step
+
+    def steepen(engine, *args, **kwargs):
+        out = original(engine, *args, **kwargs)
+        engine.u *= 50.0
+        np.subtract(engine.u[1:], engine.u[:-1], out=engine.d)
+        return out
+    monkeypatch.setattr(solver._Engine, "super_step", steepen)
+    cfg = load("no_lift_off.json", t_end=1.0, record_every=0.5)
+    u0 = build_field_from_config(cfg, "radial")
+    with pytest.raises(ValueError, match="node-to-node slope .* >= 1") as exc:
+        run_flow(cfg.metric, u0, cfg.solver)
+    assert isinstance(exc.value, solver.RecordError)
+
+
+def test_record_check_reads_the_engine_differences(monkeypatch):
+    # the check takes the forward differences the engine keeps: with those
+    # steepened alone, the record raises although the values are smooth
+    original = solver._Engine.super_step
+
+    def steepen_differences(engine, *args, **kwargs):
+        out = original(engine, *args, **kwargs)
+        engine.d[len(engine.d) // 2] = 2.0 * engine.h
+        return out
+    monkeypatch.setattr(solver._Engine, "super_step", steepen_differences)
+    cfg = SolverConfig(h=0.1, t_end=0.5, record_every=0.25)
+    u0 = build_field_from_config(load("decay_study.json"), "line")
+    u0 = type(u0)(kind="line", nodes=u0.nodes[::2], values=u0.values[::2],
+                  h=0.1, bc=u0.bc)
+    with pytest.raises(ValueError, match="node-to-node slope 2 >= 1"):
+        run_flow(load("decay_study.json").metric, u0, cfg)
