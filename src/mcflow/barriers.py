@@ -118,14 +118,24 @@ def supersolution_height(n: int, r0: float, r: float) -> float:
     # imported here, not at module level, so `import mcflow` leaves scipy out
     from scipy.integrate import quad
 
+    r, r0 = float(r), float(r0)  # see _slope_magnitude
+
     def integrand(x):
-        s = r / x
-        return (1.0 + (s / r0) ** (2 * n - 3)) ** -0.5 * r / (x * x)
+        return _slope_magnitude(r / x, n, r0) * r / (x * x)
 
     val, err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
     if err > 1e-10:
         raise QuadratureError(f"height quadrature error estimate {err:g} > 1e-10")
     return val
+
+
+def _slope_magnitude(s, n, r0):
+    """|b'(s)| = (1 + (s/r0)^{2n-3})^{-1/2} of Python floats s and r0; 0,
+    its limit, where the power overflows (large n, s >> r0)."""
+    try:
+        return (1.0 + (s / r0) ** (2 * n - 3)) ** -0.5
+    except OverflowError:
+        return 0.0
 
 
 def supersolution_tail_coefficient(n: int, r0: float) -> float:
@@ -162,8 +172,11 @@ class BarrierProfile:
         out[beyond] = self.eps + self.tail_coeff * r[beyond] ** -(self.n - 2.5)
         mid = ~inside & ~beyond
         if np.any(mid):
-            logb = np.interp(np.log(r[mid]), np.log(self.r_grid),
-                             np.log(self.b_values - self.eps))
+            # heights below the rounding unit of eps are 0 in b_values - eps:
+            # log gives -inf there and exp 0, so b_eps = eps, their limit
+            with np.errstate(divide="ignore"):
+                logb = np.interp(np.log(r[mid]), np.log(self.r_grid),
+                                 np.log(self.b_values - self.eps))
             out[mid] = self.eps + np.exp(logb)
         return float(out[0]) if scalar else out
 
@@ -224,8 +237,8 @@ def _tabulate_profile(n, r0, cap, eps) -> BarrierProfile:
     heights = np.empty(PROFILE_GRID_POINTS)
     heights[-1] = supersolution_height(n, r0, r_grid[-1])
     for i in range(PROFILE_GRID_POINTS - 2, -1, -1):
-        seg, _ = quad(lambda s: (1.0 + (s / r0) ** (2 * n - 3)) ** -0.5,
-                      r_grid[i], r_grid[i + 1], epsabs=1e-13, epsrel=1e-13)
+        seg, _ = quad(_slope_magnitude, r_grid[i], r_grid[i + 1],
+                      args=(n, float(r0)), epsabs=1e-13, epsrel=1e-13)
         heights[i] = heights[i + 1] + seg
     return BarrierProfile(n=n, r0=r0, eps=eps, cap=cap, r_grid=r_grid,
                           b_values=heights + eps, tail_coeff=tail_coeff)

@@ -23,6 +23,16 @@ SCENARIO_TAGS = ("flow_1d", "flow_radial", "dirichlet", "nested_balls",
                  "decay_study")
 
 
+#: Largest dimension n.  The static barrier tabulates (r/r0)^(2n-3) over
+#: [r0, 1e4 r0], which float64 holds for 2n - 3 <= 77; the identity checks
+#: build n x n x n arrays.
+MAX_DIMENSION = 40
+#: Most nodes of a grid, and most barrier sample radii.
+MAX_NODES = 1_000_000
+#: Most diagnostics records of a run, t_end over the record cadence.
+MAX_RECORDS = 1_000_000
+
+
 class ConfigError(ValueError):
     """Invalid or missing configuration entry; carries the field path."""
 
@@ -45,7 +55,8 @@ def _section(cfg: dict, key: str, path: str = "") -> dict:
     return value
 
 
-def _number(sec: dict, key: str, path: str, default=None, minimum=None):
+def _number(sec: dict, key: str, path: str, default=None, minimum=None,
+            maximum=None):
     if key not in sec:
         if default is None:
             raise ConfigError(_join(path, key), "missing required number")
@@ -57,6 +68,8 @@ def _number(sec: dict, key: str, path: str, default=None, minimum=None):
                           f"expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(_join(path, key), f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(_join(path, key), f"must be <= {maximum}, got {value}")
     return float(value)
 
 
@@ -67,9 +80,11 @@ def _positive(sec: dict, key: str, path: str, default=None) -> float:
     return value
 
 
-def _integer(sec: dict, key: str, path: str, default=None, minimum=None) -> int:
+def _integer(sec: dict, key: str, path: str, default=None, minimum=None,
+             maximum=None) -> int:
     """A whole number; 3 and 3.0 are accepted, 3.7 is not."""
-    value = _number(sec, key, path, default=default, minimum=minimum)
+    value = _number(sec, key, path, default=default, minimum=minimum,
+                    maximum=maximum)
     if value != int(value):
         raise ConfigError(_join(path, key),
                           f"expected an integer, got {sec[key]!r}")
@@ -114,7 +129,7 @@ def build_metric(cfg: dict) -> RadialMetric:
     sec = _section(cfg, "metric")
     family = _string(sec, "family", "metric",
                      choices=("euclidean", "conformal_power"))
-    n = _integer(sec, "n", "metric", minimum=1)
+    n = _integer(sec, "n", "metric", minimum=1, maximum=MAX_DIMENSION)
     if family == "euclidean":
         return euclidean_metric(n)
     a = _number(sec, "a", "metric", minimum=0.0)
@@ -144,9 +159,16 @@ def build_solver_config(cfg: dict) -> SolverConfig:
                            minimum=1),
     )
     try:
-        return SolverConfig(**kwargs)
+        config = SolverConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError("solver", str(exc)) from exc
+    # records do not end steps, so max_steps does not bound their count
+    records = config.t_end / config.record_cadence
+    if records > MAX_RECORDS:
+        key = "record_every" if config.record_every else "snapshot_every"
+        raise ConfigError(f"solver.{key}", f"t_end / {key} = {records:.4g} "
+                          f"records, at most {MAX_RECORDS}")
+    return config
 
 
 def initial_profile(sec: dict, path: str = "initial_data"):
@@ -239,6 +261,26 @@ def _sweep_values(cfg: dict, scenario: str) -> list:
     return values
 
 
+def _check_grid_size(cfg: dict, scenario: str, h: float, sweep):
+    """Raise ConfigError, naming the field that sets the far end, unless
+    every grid the scenario builds holds at most MAX_NODES nodes."""
+    ends = {}  # field: far end of its grid; balls of radius R end at R^2
+    if sweep is not None:
+        ends["sweep.values"] = max(sweep) ** 2
+    if scenario == "dirichlet" and "R" in cfg:
+        ends["R"] = _number(cfg, "R", "", minimum=MIN_BALL_RADIUS) ** 2
+    elif scenario == "nested_balls" and "R_list" in cfg:
+        ends["R_list"] = max(_radius_list(cfg, "R_list", "")) ** 2
+    elif scenario not in SWEEP_SCENARIOS:
+        ends["domain.hi"] = _number(_section(cfg, "domain"), "hi", "domain")
+    lo = _number(_section(cfg, "domain"), "lo", "domain")
+    for path, hi in ends.items():
+        nodes = (hi - lo) / h + 1.0
+        if nodes > MAX_NODES:
+            raise ConfigError(path, f"the grid [{lo:g}, {hi:g}] at h = {h:g} "
+                              f"has {nodes:.4g} nodes, at most {MAX_NODES}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A validated scenario config.  `sweep_values` are the R values of
@@ -261,6 +303,8 @@ class ScenarioConfig:
         metric = build_metric(cfg)
         needs_solver = scenario not in ("barrier_verify", "translating_verify")
         solver = build_solver_config(cfg) if needs_solver else None
+        if solver is not None:
+            _check_grid_size(cfg, scenario, solver.h, sweep)
         rng = None
         if "expected_bound_exponent_range" in cfg:
             rng = _pair(cfg, "expected_bound_exponent_range", "")

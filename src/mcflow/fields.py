@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,16 @@ class Field:
                                      "radial grid")
         check_node_slopes(np.diff(self.values), self.h)
 
+    def with_values(self, values) -> "Field":
+        """This grid holding a copy of `values`, which the caller has
+        checked: a solver state keeps the metric's slope |u'|/w below 1,
+        which may exceed the flat bound checked at construction."""
+        if np.shape(values) != self.nodes.shape:
+            raise ValueError("values and nodes must have matching shapes")
+        out = copy.copy(self)  # no __init__: the checks are not repeated
+        object.__setattr__(out, "values", np.array(values, dtype=float))
+        return out
+
     @property
     def axis(self) -> bool:
         return self.bc[0] == "axis_symmetry"
@@ -88,11 +99,22 @@ def radial_field(r_lo: float, r_hi: float, h: float, profile,
                  h=h, bc=tuple(bc))
 
 
-def check_node_slopes(d: np.ndarray, h: float):
-    """Raise ValueError when a node-to-node slope |d|/h of the forward
-    differences `d` reaches 1: such values are not spacelike."""
-    # max |d|/h is max|d| / h: rounded division by h > 0 is monotone
-    slope = np.abs(d).max() / h
+def max_node_slope(d: np.ndarray, h: float, hw=None, out=None) -> float:
+    """max |d|/h over the forward differences `d`, or, given `hw` (h w at
+    each gap's midpoint), the metric's slope max |d|/(h w), formed in the
+    scratch row `out`."""
+    if hw is None:
+        # max |d|/h is max|d| / h: rounded division by h > 0 is monotone
+        return float(max(d.max(), -d.min())) / h
+    np.abs(d, out=out)
+    return float(np.divide(out, hw, out=out).max())
+
+
+def check_node_slopes(d: np.ndarray, h: float, hw=None, out=None):
+    """Raise ValueError when a node-to-node slope (`max_node_slope`)
+    reaches 1: such values are not spacelike.  A NaN passes; the solver
+    reports it."""
+    slope = max_node_slope(d, h, hw, out)
     if slope >= 1.0:
         raise ValueError(
             f"node-to-node slope {slope:.6g} >= 1 breaks spacelikeness")

@@ -22,9 +22,10 @@ from .barriers import (TranslatingBarrier,
                        build_outer_barrier, supersolution_profile_derivs,
                        translating_barrier_certificate,
                        verify_static_supersolution)
-from .config import (MIN_BALL_RADIUS, ConfigError, ScenarioConfig,
-                     _integer, _interval, _number, _pair, _positive,
-                     _radius_list, _section, build_field_from_config)
+from .config import (MAX_NODES, MIN_BALL_RADIUS, ConfigError,
+                     ScenarioConfig, _integer, _interval, _number, _pair,
+                     _positive, _radius_list, _section,
+                     build_field_from_config)
 from .geometry import DomainError, RadialMetric, ricci_form_bound
 from .initial_data import decay_radius
 from .solver import (NUMERIC_FAILURES, FlowTrajectory, RecordError,
@@ -379,7 +380,8 @@ def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         h=_positive(sec, "h", "barrier"),
         eps=_number(sec, "eps", "barrier", default=0.0, minimum=0.0),
         metric=cfg.metric)
-    count = _integer(cfg.raw, "sample_radii", "", default=256, minimum=1)
+    count = _integer(cfg.raw, "sample_radii", "", default=256, minimum=1,
+                     maximum=MAX_NODES)
     radii = np.geomspace(profile.r0, profile.r_grid[-1], count)
     report = verify_static_supersolution(cfg.metric, profile, radii)
     checks = [
@@ -442,10 +444,17 @@ def run_scenario_config(cfg: ScenarioConfig) -> ScenarioResult:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _fit_loglog(xs, ys):
+#: A measured boundary slope at or below this fraction of its bound (the
+#: bound's rounding unit) is the scheme's discrete tail, not the flow's.
+MEASURED_SLOPE_FLOOR = float(np.finfo(float).eps)
+
+
+def _fit_loglog(xs, ys, floor=0.0):
+    """Slope of log y against log x over the points with y > floor; None
+    with fewer than two."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    good = ys > 0
+    good = ys > floor
     if good.sum() < 2:
         return None
     return float(np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0])
@@ -469,7 +478,8 @@ def run_dirichlet_sweep(raw_config: dict, R_values, out_dir=None,
     The per-R a priori bound |b'(R^2)| gives the scaling that is fitted
     (`bound_exponent`); the measured outer slopes are checked against their
     bounds and their own fit is reported as `measured_exponent` for
-    information (it decays far faster than the bound; see the README).
+    information (it decays far faster than the bound; see the README),
+    over the slopes above MEASURED_SLOPE_FLOOR times their bound.
     """
     jobs = [(raw_config, R,
              None if out_dir is None else os.path.join(out_dir, f"run_R{R:g}"))
@@ -491,11 +501,13 @@ def run_dirichlet_sweep(raw_config: dict, R_values, out_dir=None,
                      "max_grad_max": s["max_grad_max"],
                      "termination": s["termination"],
                      "pass": result.all_passed})
+    radii = [r["R"] for r in rows]
+    bounds = np.array([r["bound_slope"] for r in rows])
     fits = {
-        "bound_exponent": _fit_loglog([r["R"] for r in rows],
-                                      [r["bound_slope"] for r in rows]),
-        "measured_exponent": _fit_loglog([r["R"] for r in rows],
-                                         [r["max_boundary_slope"] for r in rows]),
+        "bound_exponent": _fit_loglog(radii, bounds),
+        "measured_exponent": _fit_loglog(
+            radii, [r["max_boundary_slope"] for r in rows],
+            floor=MEASURED_SLOPE_FLOOR * bounds),
     }
     return rows, fits, [result for _, result in outcomes]
 

@@ -26,6 +26,21 @@ step's F(u_n): an accepted step costs s evaluations.  Error rejections stop
 at dt_FE, where a step is accepted whatever its estimate.  `step_1d` and
 `step_radial` take one forward-Euler step of size dt_FE.
 
+Dense output: only snapshot marks and t_end end a step.  A record at a
+time strictly inside an accepted step (t_n, t_n + tau) is the cubic
+Hermite interpolant through u_n, F(u_n), u_{n+1}, F(u_{n+1}) (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6), which the step already holds: at
+theta = (t - t_n) / tau, with D = u_{n+1} - u_n,
+
+    H = u_n + theta D + theta (1 - theta) [(1 - theta) (tau F(u_n) - D)
+                                           - theta (tau F(u_{n+1}) - D)].
+
+Its error is O(tau^4) against the step's O(tau^3); measured from a fine
+reference, 0.04-0.28 of the step tolerance at theta = 1/4, 1/2, 3/4, where
+straight-line interpolation is 5-16 times the tolerance.  Records at a
+step's end come from the state itself.  Every recorded state is checked
+against the solver's slope bound |u_{i+1} - u_i| / (h w) < 1.
+
 Every evaluation works in place and forms u' and u'' from the forward
 differences.  Slopes are never clamped: a stage or candidate that breaks
 strict spacelikeness is retried on a halved step or halts, by policy; a NaN
@@ -40,7 +55,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import diagnostics
-from .fields import Field, check_node_slopes
+from .fields import Field, check_node_slopes, max_node_slope
 from .geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                        RadialOperator, SpacelikeViolationError,
                        euclidean_metric, radial_factors)
@@ -58,7 +73,7 @@ TIME_ERROR_KAPPA = 1e-4
 
 class RecordError(ValueError):
     """A recorded state failed a check of its record: a node-to-node slope
-    |u_{i+1} - u_i|/h >= 1, or a hypothesis of the tilt monitor."""
+    |u_{i+1} - u_i|/(h w) >= 1, or a hypothesis of the tilt monitor."""
 
 
 @dataclass(frozen=True)
@@ -217,12 +232,40 @@ class _Engine:
         self.f, self.f_cand = self.f_cand, self.f
         self.coeff = self.cand_coeff
 
+    def interpolate(self, theta, tau):
+        """The cubic Hermite interpolant of the last accepted step, of size
+        `tau`, at the fraction `theta` of it, and its forward differences;
+        both are written into the stage rows, which are free between steps.
+
+        It takes u_n and F(u_n) from `cand` and `f_cand`, u_{n+1} and
+        F(u_{n+1}) from `u` and `f`, as `_accept` leaves them, so it costs
+        no evaluation.  With D = u_{n+1} - u_n,
+
+            H = u_n + theta^2 (3 - 2 theta) D
+                + tau theta (1 - theta) [(1 - theta) F(u_n) - theta F(u_{n+1})]
+
+        formed from the nearer end (u_{n+1} - (1 - theta)^2 (1 + 2 theta) D
+        + ... past the midpoint), so theta = 0 and 1 give u_n and u_{n+1}
+        exactly.  Pinned and frozen ends are held as in a step.
+        """
+        out, tmp = self.stage, self.stage_prev
+        np.subtract(self.u, self.cand, out=out)
+        if theta <= 0.5:
+            base, weight = self.cand, theta * theta * (3.0 - 2.0 * theta)
+        else:
+            base, weight = self.u, -(1.0 - theta) ** 2 * (1.0 + 2.0 * theta)
+        out *= weight
+        out += np.multiply(self.f_cand, tau * theta * (1.0 - theta) ** 2,
+                           out=tmp)
+        out += np.multiply(self.f, -tau * theta * theta * (1.0 - theta),
+                           out=tmp)
+        out += base
+        self._hold_ends(out)
+        return out, np.subtract(out[1:], out[:-1], out=tmp[:-1])
+
     def max_metric_slope(self, d):
         """max |d| / (h w) over the midpoints (w = 1 when hw_mid is None)."""
-        if self.hw_mid is None:
-            return float(max(d.max(), -d.min())) / self.h
-        np.abs(d, out=self.slope)
-        return float(np.divide(self.slope, self.hw_mid, out=self.slope).max())
+        return max_node_slope(d, self.h, self.hw_mid, self.slope)
 
     def advance(self, dt_cap, cfl, policy):
         """One accepted forward-Euler step of at most `dt_cap`; returns dt.
@@ -389,7 +432,11 @@ def step_radial(field: Field, metric, n: int, config: SolverConfig,
 def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             barrier=None) -> FlowTrajectory:
     """Drive an engine from `field` to t_end by RKL2 super-steps, recording
-    at cadence; `steps` counts accepted super-steps."""
+    at cadence; `steps` counts accepted super-steps.
+
+    Only snapshot marks and t_end end a step.  A record strictly inside a
+    step comes from the step's interpolant, one at its end from the state.
+    """
     u = field.values.copy()
     if field.bc[0] == "dirichlet_zero":
         u[0] = 0.0
@@ -400,13 +447,11 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
     tau = None
 
-    def as_field(vals):
-        return replace(field, values=vals.copy())
-
-    def record(t):
+    def record(t, values, d):
         try:
-            check_node_slopes(engine.d, field.h)  # a Field's invariant
-            traj.records.append(diagnostics.make_record(plan, engine.u, t))
+            # the solver's bound |u'|/w < 1, on the state's own differences
+            check_node_slopes(d, engine.h, engine.hw_mid, engine.slope)
+            traj.records.append(diagnostics.make_record(plan, values, t))
         except ValueError as exc:
             raise RecordError(f"state at t = {t:.6g}: {exc}") from exc
 
@@ -414,8 +459,8 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     rec_cad = config.record_cadence
     snap_cad = config.snapshot_cadence
     t = 0.0
-    record(t)
-    traj.snapshots.append((t, as_field(engine.u)))
+    record(t, engine.u, engine.d)
+    traj.snapshots.append((t, field.with_values(engine.u)))
     next_rec = rec_cad
     next_snap = snap_cad
     steps = 0
@@ -424,17 +469,22 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             if steps >= config.max_steps:
                 traj.termination = "step_cap"
                 break
-            mark = min(next_rec, next_snap, config.t_end)
+            mark = min(next_snap, config.t_end)
+            start = t
             dt, tau = engine.super_step(tau, mark - t, config.cfl_safety,
                                         config.clamp_policy, tol)
             steps += 1
             t = mark if dt >= mark - t - 1e-15 else t + dt
+            while next_rec < t - 1e-12:
+                record(next_rec, *engine.interpolate((next_rec - start) / dt,
+                                                     dt))
+                next_rec = (np.floor(next_rec / rec_cad + 0.5) + 1.0) * rec_cad
             hit_rec = t >= next_rec - 1e-12
             hit_snap = t >= next_snap - 1e-12
             if hit_rec or t >= config.t_end - 1e-12:
-                record(t)
+                record(t, engine.u, engine.d)
             if hit_snap or t >= config.t_end - 1e-12:
-                traj.snapshots.append((t, as_field(engine.u)))
+                traj.snapshots.append((t, field.with_values(engine.u)))
             if hit_rec:
                 next_rec = (np.floor(t / rec_cad + 0.5) + 1.0) * rec_cad
             if hit_snap:
@@ -445,8 +495,11 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
         traj.termination = ("non_finite" if isinstance(exc, NonFiniteError)
                             else "spacelike_violation")
         traj.message = str(exc)
-        record(t)
-        traj.snapshots.append((t, as_field(engine.u)))
+        try:
+            record(t, engine.u, engine.d)
+        except RecordError as err:
+            raise RecordError(f"{err} (the run had halted: {exc})") from err
+        traj.snapshots.append((t, field.with_values(engine.u)))
     traj.steps = steps
     return traj
 

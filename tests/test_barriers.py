@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -321,3 +323,21 @@ def test_translating_curved_residual_positive_far_out():
             threshold = dist
             break
     assert threshold is not None
+
+
+def test_profile_in_dimension_40_reaches_its_limits_without_warnings():
+    # (s/r0)^77 overflows in the height quadrature, where |b'| is 0, and
+    # the tabulated heights fall below the rounding unit of eps, where b_eps
+    # is eps: both limits are taken, with no warning and no NaN
+    metric = conformal_metric(40, a=0.5, tau=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = build_outer_barrier(40, r1_min=4.4, h=0.3, eps=0.05,
+                                      metric=metric)
+        height = supersolution_height(40, profile.r0, profile.r0)
+        r = np.geomspace(profile.r0, 2.0 * profile.r_grid[-1], 400)
+        values = profile.value(r)
+    assert np.isfinite(profile.b_values).all() and np.isfinite(height)
+    assert profile.b_values[0] == pytest.approx(height + 0.05, rel=1e-9)
+    assert np.isfinite(values).all() and np.all(np.diff(values) <= 0.0)
+    assert values[-1] == 0.05 and profile.b_values[-1] == 0.05

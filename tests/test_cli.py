@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 import mcflow
 from mcflow.cli import main
+from mcflow.config import MAX_NODES
 from mcflow.geometry import RadialOperator
 from mcflow.diagnostics import DiagnosticsRecord
-from mcflow.scenarios import (DIAG_HEADER, ConfigError, ScenarioConfig, fmt,
+from mcflow.scenarios import (DIAG_HEADER, MEASURED_SLOPE_FLOOR, ConfigError,
+                              ScenarioConfig, _fit_loglog, fmt,
                               read_diagnostics_csv, read_snapshot_csv,
                               run_scenario_config, write_diagnostics_csv,
                               write_snapshot_csvs)
@@ -268,6 +272,138 @@ def test_simulate_non_finite_exit_three(tmp_path, capsys, monkeypatch):
     assert summary["steps"] == 0
 
 
+def shipped_config(name):
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           name)) as fh:
+        return json.load(fh)
+
+
+def run_no_lift_off_in_dimension_40(tmp_path, **solver):
+    # the no_lift_off data in n = 40: w(r) = 1 + 0.5/r reaches 2 at the
+    # pinned inner end, where the state steepens past the flat bound
+    # |u_{i+1} - u_i|/h < 1 while |u'|/w stays below 1
+    cfg = shipped_config("no_lift_off.json")
+    cfg["metric"]["n"] = 40
+    cfg["solver"].update(solver)
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, "n40.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or log(0) warning
+        code = main(["simulate", path, "--output-dir", out])
+    return code, out
+
+
+def test_states_past_the_flat_slope_bound_are_recorded(tmp_path, capsys):
+    code, out = run_no_lift_off_in_dimension_40(
+        tmp_path, t_end=0.06, record_every=0.005, snapshot_every=0.01)
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["termination"] == "reached_t_end"
+    assert summary["records"] == 13
+    # the run is reported, not cut short: the slope grows by more than the
+    # preservation slack in n = 40, the one failed check
+    assert code == 1
+    failed = [c["name"] for c in summary["checks"] if not c["pass"]]
+    assert failed == ["spacelike_preservation"]
+    assert all(np.isfinite(v) for c in summary["checks"] for k, v in c.items()
+               if isinstance(v, float))
+    coord, data = read_snapshot_csv(os.path.join(out, "snapshots",
+                                                 "t0.060000.csv"))
+    assert np.max(np.abs(np.diff(data[:, 1]))) / 0.05 > 1.0
+    recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
+    assert all(np.isfinite(getattr(r, name)) for r in recs
+               for name in ("sup_u", "grad_max", "l2", "h1_grad", "sup_phi",
+                            "barrier_margin"))
+
+
+def test_dimension_40_run_halts_as_the_solver_reports(tmp_path, capsys):
+    # through t = 1 (records at 0 and 1) the inner end's slope reaches the
+    # null cone: the solver halts after every halving, and the CLI says so
+    # along with what the record of the halted state found
+    code, _ = run_no_lift_off_in_dimension_40(tmp_path, t_end=1.0)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "node-to-node slope" not in err
+    assert "(the run had halted: spacelikeness lost: updated slope" in err
+
+
+@pytest.mark.parametrize("where, value, field", [
+    (("metric", "n"), 41, "metric.n: must be <= 40"),
+    (("domain", "hi"), -10.0 + 0.1 * MAX_NODES, "domain.hi: the grid"),
+    (("solver", "record_every"), 4e-7, "solver.record_every: t_end"),
+    (("solver", "snapshot_every"), 4e-7, "solver.snapshot_every: t_end"),
+])
+def test_sizes_past_the_caps_are_config_errors(tmp_path, capsys, where,
+                                               value, field):
+    cfg = smoke_flow_config(str(tmp_path / "out"))
+    cfg.update(scenario="flow_radial", domain={"lo": 0.0, "hi": 10.0})
+    if where[0] == "domain":
+        cfg.update(scenario="flow_1d", domain={"lo": -10.0, "hi": 10.0})
+    cfg[where[0]][where[1]] = value
+    if where[1] == "snapshot_every":  # records then share its cadence
+        del cfg["solver"]["record_every"]
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}" in err and "Traceback" not in err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("name, command, key, value, field", [
+    ("dirichlet_sweep.json", "sweep", "sweep", [4, 251], "sweep.values"),
+    ("barrier_verify.json", "simulate", "sample_radii", MAX_NODES + 1,
+     "sample_radii: must be <= 1000000"),
+])
+def test_shipped_configs_past_the_caps_exit_two(tmp_path, capsys, name,
+                                                command, key, value, field):
+    # R = 251 puts 1,008,017 nodes on [0, R^2] at h = 1/16
+    cfg = shipped_config(name)
+    if key == "sweep":
+        cfg["sweep"]["values"] = value
+    else:
+        cfg[key] = value
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    ("translating_verify.json", ("metric", "n"), 1e6, "metric.n"),
+    ("translating_verify.json", ("metric", "n"), 1e9, "metric.n"),
+    ("decay_study.json", ("domain", "hi"), 1e6, "domain.hi"),
+    ("decay_study.json", ("domain", "hi"), 1e9, "domain.hi"),
+    ("dirichlet_sweep.json", ("R",), 1e4, "R"),
+    ("nested_balls.json", ("R_list",), [4, 1e4], "R_list"),
+    ("decay_study.json", ("solver", "t_end"), 1e9, "solver.record_every"),
+])
+def test_huge_sizes_fail_the_config_pass(name, path, value, field):
+    # checked before anything is built: these are never run
+    cfg = shipped_config(name)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg.pop("sweep", None)
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(cfg)
+    assert exc.value.path == field
+
+
+def test_measured_exponent_fits_the_slopes_above_the_floor():
+    # the shipped sweep's slopes: the R = 16 one is the discrete tail
+    radii = [4.0, 8.0, 16.0]
+    slopes = [2.6987594014499716e-4, 2.1041594227523926e-10,
+              1.6025658313073766e-152]
+    bounds = np.array([0.12403473458920845, 0.044151078568834795,
+                       0.015623093000542114])
+    floor = MEASURED_SLOPE_FLOOR * bounds
+    assert _fit_loglog(radii, slopes, floor=floor) == pytest.approx(
+        math.log(slopes[1] / slopes[0]) / math.log(2.0), rel=1e-12)
+    assert _fit_loglog(radii, [slopes[0], 0.0, slopes[2]],
+                       floor=floor) is None
+    assert _fit_loglog(radii, bounds) == _fit_loglog(radii, bounds,
+                                                     floor=0.0)
+
+
 @pytest.mark.parametrize("table", [
     "x,u\n-10,0\n0,nan\n10,0\n",     # a non-finite entry
     "x\n-10\n0\n10\n",               # a single column
@@ -481,9 +617,7 @@ MUTANT_VALUES = [0, -1, 1, 2.5, 3.7, -0.5, 40, "ab", None, True, [], {},
 
 def shipped_config_short(name):
     """A shipped config with t_end at most 1 and cadences at most 0.5."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
-                           name)) as fh:
-        raw = json.load(fh)
+    raw = shipped_config(name)
     raw.pop("output_dir", None)
     solver = raw.get("solver")
     if solver is not None:

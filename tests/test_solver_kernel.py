@@ -1,6 +1,7 @@
 """The in-place stepping kernel: the forward-Euler step against a reference
-copy of the array-per-operation engine it replaced, and the RKL2 super-steps
-that runs take.
+copy of the array-per-operation engine it replaced, the RKL2 super-steps
+that runs take, and the interpolant that records inside a step are read
+from.
 
 The reference below keeps that engine's arithmetic verbatim: central
 differences formed from the values, the operator written out inline, a
@@ -12,6 +13,7 @@ the forward differences instead and evaluates the operator through
 import json
 import math
 import os
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -476,3 +478,201 @@ def test_max_steps_counts_accepted_super_steps(monkeypatch):
     traj = run_flow(metric, field, config)
     assert traj.termination == "step_cap"
     assert traj.steps == 5 and len(calls) == 10
+
+
+# ---------------------------------------------------------------------------
+# dense output: records inside a super-step from its cubic Hermite interpolant
+# ---------------------------------------------------------------------------
+
+def stepped_engine(field, metric, config, t_min):
+    """An engine advanced by error-controlled super-steps past `t_min`, then
+    one more; returns (engine, t_n, size of that last step, tol)."""
+    tol = TIME_ERROR_KAPPA * field.h ** 2 * float(np.max(np.abs(field.values)))
+    engine, tau, t = solver._Engine(field, metric), None, 0.0
+    while True:
+        dt, tau = engine.super_step(tau, math.inf, config.cfl_safety,
+                                    config.clamp_policy, tol)
+        if t >= t_min:
+            return engine, t, dt, tol
+        t += dt
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_interpolant_ends_are_the_step_ends_bit_for_bit(case):
+    field, metric, config = CASES[case]()
+    engine, _, dt, _ = stepped_engine(field, metric, config, 0.5)
+    u_n, u_next = engine.cand.copy(), engine.u.copy()
+    assert not np.array_equal(u_n, u_next)
+    for theta, expected in ((0.0, u_n), (1.0, u_next)):
+        values, d = engine.interpolate(theta, dt)
+        assert values.tobytes() == expected.tobytes()
+        assert np.array_equal(d, np.diff(expected))
+    # the step's two states are left as they were
+    assert engine.u.tobytes() == u_next.tobytes()
+    assert engine.cand.tobytes() == u_n.tobytes()
+
+
+def test_interpolant_is_exact_on_data_cubic_in_time(rng):
+    field, metric, _ = decay_line_case()
+    engine = solver._Engine(field, metric)
+    size, tau = field.nodes.size, 0.7
+    a, b, c, e = (rng.uniform(-1.0, 1.0, size) for _ in range(4))
+    for coeff in (a, b, c, e):
+        coeff[[0, -1]] = 0.0  # the line's pinned ends
+    engine.cand[:], engine.f_cand[:] = a, b  # u(t_n), u'(t_n) with t_n = 0
+    engine.u[:] = a + tau * (b + tau * (c + tau * e))
+    engine.f[:] = b + tau * (2.0 * c + 3.0 * tau * e)
+    for theta in (0.1, 0.25, 0.5, 0.6, 0.75, 0.95):
+        s = theta * tau
+        exact = a + s * (b + s * (c + s * e))
+        values, d = engine.interpolate(theta, tau)
+        assert np.max(np.abs(values - exact)) <= 1e-14
+        assert np.array_equal(d, np.diff(values))
+    # the ends, bit for bit, also where u_n + (u_{n+1} - u_n) rounds away
+    # from u_{n+1}: here, where u_{n+1} is far below u_n
+    engine.u[:] = 1e-3 * a + 1e-20 * b
+    assert np.any(engine.cand + (engine.u - engine.cand) != engine.u)
+    for theta, expected in ((0.0, engine.cand), (1.0, engine.u)):
+        assert engine.interpolate(theta, tau)[0].tobytes() \
+            == expected.tobytes()
+
+
+def fine_reference(field, metric, u_n, span, substeps):
+    """u at t_n + span from u_n by `substeps` fixed RKL2 super-steps."""
+    engine = solver._Engine(field.with_values(u_n), metric)
+    for _ in range(substeps):
+        tau = span / substeps
+        assert engine.super_step(tau, tau, 0.9, "reject", math.inf)[0] == tau
+    return engine.u
+
+
+@pytest.mark.parametrize("case, t_min", [("decay_line", 5.0),
+                                         ("curved", 20.0)])
+def test_interpolant_is_within_the_step_tolerance(case, t_min):
+    # against a fine reference stepped from the same state: steps of 1/64
+    # of the accepted one carry about 1/4096 of its error
+    field, metric, config = CASES[case]()
+    engine, _, dt, tol = stepped_engine(field, metric, config, t_min)
+    assert dt > 10.0 * stable_dt(field.with_values(engine.cand), metric,
+                                 config)  # a genuine super-step
+    u_n = engine.cand.copy()
+    for quarter in (1, 2, 3):
+        values = engine.interpolate(quarter / 4.0, dt)[0].copy()
+        reference = fine_reference(field, metric, u_n, quarter * dt / 4.0,
+                                   16 * quarter)
+        assert np.max(np.abs(values - reference)) <= tol
+
+
+def test_interpolated_records_check_their_own_differences(monkeypatch):
+    # with the interpolant's differences steepened alone, a record inside
+    # a step raises, although the step's end states are smooth
+    original = solver._Engine.interpolate
+
+    def steepen(engine, theta, tau):
+        values, d = original(engine, theta, tau)
+        d[len(d) // 2] = 2.0 * engine.h
+        return values, d
+    monkeypatch.setattr(solver._Engine, "interpolate", steepen)
+    field, metric, _ = decay_line_case()
+    config = SolverConfig(h=field.h, t_end=2.0, record_every=0.01,
+                          snapshot_every=1.0)
+    with pytest.raises(solver.RecordError, match="node-to-node slope 2 >= 1"):
+        run_flow(metric, field, config)
+
+
+def test_interpolated_records_hold_pinned_and_frozen_ends():
+    field, metric, config = flat_axis_case()
+    engine, _, dt, _ = stepped_engine(field, metric, config, 0.5)
+    values = engine.interpolate(0.3, dt)[0]
+    assert values[-1] == 0.0 and not np.signbit(values[-1])
+    assert values[0] != engine.u[0]  # the axis node is interpolated
+    curved = conformal_metric(3, a=0.5, tau=1.0)
+    fld = radial_field(1.0, 8.0, 0.05,
+                       lambda r: -0.3 * np.exp(-r) * (8.0 - r) / 7.0,
+                       bc=("asymptotic_decay", "asymptotic_decay"))
+    engine, _, dt, _ = stepped_engine(fld, curved,
+                                      SolverConfig(h=0.05, t_end=1.0), 0.5)
+    for theta in (0.3, 0.7):
+        values = engine.interpolate(theta, dt)[0]
+        assert values[[0, -1]].tobytes() == fld.values[[0, -1]].tobytes()
+
+
+def count_evaluations(monkeypatch):
+    """Counters of `RadialOperator.rhs` calls and of the stage counts the
+    super-steps ask for."""
+    rhs, stages = [], []
+    original_rhs = solver.RadialOperator.rhs
+    original_stages = solver.rkl2_stages
+    monkeypatch.setattr(solver.RadialOperator, "rhs",
+                        lambda self, *a: rhs.append(1) or original_rhs(self,
+                                                                        *a))
+    monkeypatch.setattr(solver, "rkl2_stages",
+                        lambda tau, dt_fe: stages.append(
+                            original_stages(tau, dt_fe)) or stages[-1])
+    return rhs, stages
+
+
+def test_records_cost_no_evaluation_and_do_not_move_the_steps(monkeypatch):
+    # a step costs its stage count in operator calls (plus the first
+    # state's speed), however many records fall inside it
+    cfg = load_config("no_lift_off.json")
+    u0 = build_field_from_config(cfg, "radial")
+    runs = {}
+    for record_every in (10.0, 0.01):
+        rhs, stages = count_evaluations(monkeypatch)
+        config = replace(cfg.solver, t_end=20.0, record_every=record_every)
+        traj = run_flow(cfg.metric, u0, config)
+        assert traj.termination == "reached_t_end"
+        assert len(rhs) == 1 + sum(stages)
+        runs[record_every] = traj, len(rhs)
+        monkeypatch.undo()
+    (sparse, sparse_rhs), (dense, dense_rhs) = runs[10.0], runs[0.01]
+    assert len(sparse.records) == 3 and len(dense.records) == 2001
+    assert dense.steps == sparse.steps and dense_rhs == sparse_rhs
+    for (t, fld), (t_dense, fld_dense) in zip(sparse.snapshots,
+                                              dense.snapshots):
+        assert t == t_dense
+        assert fld.values.tobytes() == fld_dense.values.tobytes()
+
+
+def cadence_times(cadence, t_end):
+    """The record times of a run: 0, then the cadence formula of `_evolve`
+    up to t_end, and t_end."""
+    times = [0.0]
+    while times[-1] < t_end - 1e-12:
+        times.append(min((np.floor(times[-1] / cadence + 0.5) + 1.0)
+                         * cadence, t_end))
+    return times
+
+
+@pytest.mark.parametrize("name, kind, t_end", [
+    ("decay_study.json", "line", 50.0),
+    ("no_lift_off.json", "radial", 100.0),
+    ("dirichlet_sweep.json", "ball", 16.0)])
+def test_record_times_and_count_follow_the_cadence(name, kind, t_end):
+    cfg = load_config(name)
+    config = replace(cfg.solver, t_end=t_end)
+    if kind == "ball":
+        u0 = build_field_from_config(cfg, "radial", outer=16.0)
+        traj = solver.solve_dirichlet(4.0, cfg.metric, u0, config)
+    else:
+        traj = run_flow(cfg.metric, build_field_from_config(cfg, kind),
+                        config)
+    assert traj.termination == "reached_t_end"
+    expected = cadence_times(config.record_cadence, t_end)
+    assert [rec.t for rec in traj.records] == expected
+
+
+def test_records_at_snapshot_marks_are_the_engine_state():
+    cfg = load_config("no_lift_off.json")
+    u0 = build_field_from_config(cfg, "radial")
+    config = replace(cfg.solver, t_end=10.0, record_every=0.05,
+                     snapshot_every=1.0)
+    traj = run_flow(cfg.metric, u0, config)
+    by_time = {rec.t: rec for rec in traj.records}
+    plan = solver.diagnostics.RecordPlan(u0, cfg.metric)
+    assert len(traj.snapshots) == 11
+    for t, fld in traj.snapshots:
+        expected = solver.diagnostics.make_record(plan, fld.values, t)
+        assert [float(x).hex() for x in astuple(by_time[t]) if x is not None] \
+            == [float(x).hex() for x in astuple(expected) if x is not None]
