@@ -36,28 +36,10 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
 
 
-def _out_dir(raw: dict, override: str | None) -> str:
-    if override:
-        return override
-    out = raw.get("output_dir")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("output_dir", "expected a string path")
-    return out or "mcflow_out"
-
-
 def cmd_simulate(args) -> int:
-    try:
-        raw = _load_config(args.config)
-        cfg = ScenarioConfig.from_dict(raw)
-        out = _out_dir(raw, args.output_dir)
-        result = run_scenario_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RecordError as exc:
-        print(f"numeric failure (record): {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    write_run_artifacts(result, out)
+    cfg = ScenarioConfig.from_dict(_load_config(args.config))
+    result = run_scenario_config(cfg)
+    write_run_artifacts(result, args.output_dir or cfg.output_dir)
     for check in result.checks:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{check['name']:32s} {status}")
@@ -67,9 +49,7 @@ def cmd_simulate(args) -> int:
         print(f"numeric failure ({result.summary['termination']}): "
               f"{result.summary.get('halt_message', '')}", file=sys.stderr)
         return EXIT_NUMERIC
-    if not result.all_passed:
-        return EXIT_CHECK_FAILED
-    if args.strict and result.warnings:
+    if not result.all_passed or (args.strict and result.warnings):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -107,47 +87,36 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        raw = _load_config(args.config)
-        cfg = ScenarioConfig.from_dict(raw)
-        if cfg.sweep_values is None:
-            raise ConfigError("sweep", "missing sweep section")
-        out = _out_dir(raw, args.output_dir)
-        os.makedirs(out, exist_ok=True)
-        if cfg.scenario == "dirichlet":
-            rows, fits, results = run_dirichlet_sweep(
-                raw, cfg.sweep_values, out_dir=out, workers=args.workers)
-            write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
-            summary = {"rows": rows, "fits": fits}
-            rng = cfg.bound_exponent_range
-            checks_ok = all(r["pass"] for r in rows)
-            if rng is not None:
-                in_range = (fits["bound_exponent"] is not None
-                            and rng[0] <= fits["bound_exponent"] <= rng[1])
-                summary["bound_exponent_in_range"] = bool(in_range)
-                checks_ok = checks_ok and in_range
-            summary["pass"] = checks_ok
-            write_summary_json(summary, os.path.join(out, "sweep_summary.json"))
-            print(f"bound exponent: {fits['bound_exponent']}")
-            print(f"measured exponent: {fits['measured_exponent']}")
-            return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
-        result = run_nested_scenario(cfg, R_values=cfg.sweep_values)
-        payload = dict(result.summary)
-        payload["warnings"] = sorted(result.warnings)
-        payload["pass"] = result.all_passed
-        write_summary_json(payload, os.path.join(out, "sweep_summary.json"))
-        for row in result.summary["rows"]:
-            print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
-                  f"max difference {row['max_difference']:.6e}")
-        if args.strict and result.warnings:
-            return EXIT_CHECK_FAILED
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RecordError as exc:
-        print(f"numeric failure (record): {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    cfg = ScenarioConfig.from_dict(_load_config(args.config))
+    if cfg.sweep_values is None:
+        raise ConfigError("sweep", "missing sweep section")
+    out = args.output_dir or cfg.output_dir
+    os.makedirs(out, exist_ok=True)
+    if cfg.scenario == "dirichlet":
+        rows, fits, results = run_dirichlet_sweep(
+            cfg, out_dir=out, workers=args.workers)
+        write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
+        summary = {"rows": rows, "fits": fits}
+        rng = cfg.bound_exponent_range
+        checks_ok = all(r["pass"] for r in rows)
+        if rng is not None:
+            in_range = (fits["bound_exponent"] is not None
+                        and rng[0] <= fits["bound_exponent"] <= rng[1])
+            summary["bound_exponent_in_range"] = bool(in_range)
+            checks_ok = checks_ok and in_range
+        summary["pass"] = checks_ok
+        write_summary_json(summary, os.path.join(out, "sweep_summary.json"))
+        print(f"bound exponent: {fits['bound_exponent']}")
+        print(f"measured exponent: {fits['measured_exponent']}")
+        return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
+    result = run_nested_scenario(cfg)
+    payload = {**result.summary, "warnings": sorted(result.warnings),
+               "pass": result.all_passed}
+    write_summary_json(payload, os.path.join(out, "sweep_summary.json"))
+    for row in result.summary["rows"]:
+        print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
+              f"max difference {row['max_difference']:.6e}")
+    return EXIT_CHECK_FAILED if args.strict and result.warnings else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -181,7 +150,14 @@ def main(argv=None) -> int:
     p_swp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RecordError as exc:
+        print(f"numeric failure (record): {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -2,17 +2,19 @@
 
 A scenario config is a JSON object with nested sections (see
 docs/config_schema.md).  `ScenarioConfig.from_dict` is the one pass that
-validates the shared sections (scenario, metric, solver, sweep); every
-malformed entry raises ConfigError naming its field path.
+reads it: every key a runner or the CLI uses becomes a typed field, and
+every malformed entry raises ConfigError naming its field path before
+anything is built or run.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .barriers import TranslatingBarrier
 from .fields import Field, line_field, radial_field
 from .geometry import RadialMetric, conformal_metric, euclidean_metric
 from .initial_data import smooth_cutoff
@@ -21,6 +23,12 @@ from .solver import SolverConfig
 SCENARIO_TAGS = ("flow_1d", "flow_radial", "dirichlet", "nested_balls",
                  "no_lift_off", "barrier_verify", "translating_verify",
                  "decay_study")
+#: Scenarios on a line grid; the other flows run on radial grids.
+LINE_SCENARIOS = ("flow_1d", "decay_study")
+#: Scenarios the `sweep` command runs, each over the radius R.
+SWEEP_SCENARIOS = ("dirichlet", "nested_balls")
+#: Smallest ball radius R of the zero-boundary problem.
+MIN_BALL_RADIUS = 2.0
 
 
 #: Largest dimension n.  The static barrier tabulates (r/r0)^(2n-3) over
@@ -29,55 +37,59 @@ SCENARIO_TAGS = ("flow_1d", "flow_radial", "dirichlet", "nested_balls",
 MAX_DIMENSION = 40
 #: Most nodes of a grid, and most barrier sample radii.
 MAX_NODES = 1_000_000
-#: Most diagnostics records of a run, t_end over the record cadence.
+#: Most records, and most snapshots, of a run: t_end over their cadence.
 MAX_RECORDS = 1_000_000
+#: Most snapshot values a run holds: snapshots times nodes of its grids.
+MAX_SNAPSHOT_VALUES = 100_000_000
 
 
 class ConfigError(ValueError):
     """Invalid or missing configuration entry; carries the field path."""
 
     def __init__(self, path: str, message: str):
+        super().__init__(path, message)  # both, so that the error pickles
         self.path = path
-        super().__init__(f"{path}: {message}")
+
+    def __str__(self) -> str:
+        return "%s: %s" % self.args
 
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _section(cfg: dict, key: str, path: str = "") -> dict:
-    full = _join(path, key)
+def _finite(value) -> bool:
+    """A finite JSON number: not a bool, nor an int past the float range."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
+def _section(cfg: dict, key: str) -> dict:
     value = cfg.get(key)
     if value is None:
-        raise ConfigError(full, "missing section")
+        raise ConfigError(key, "missing section")
     if not isinstance(value, dict):
-        raise ConfigError(full, "expected an object")
+        raise ConfigError(key, "expected an object")
     return value
 
 
 def _number(sec: dict, key: str, path: str, default=None, minimum=None,
-            maximum=None):
+            maximum=None, above=None):
     if key not in sec:
         if default is None:
             raise ConfigError(_join(path, key), "missing required number")
         return default
     value = sec[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not _finite(value):
         raise ConfigError(_join(path, key),
                           f"expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(_join(path, key), f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise ConfigError(_join(path, key), f"must be <= {maximum}, got {value}")
+    if above is not None and not value > above:
+        raise ConfigError(_join(path, key), f"must be > {above:g}, got {value}")
     return float(value)
-
-
-def _positive(sec: dict, key: str, path: str, default=None) -> float:
-    value = _number(sec, key, path, default=default)
-    if not value > 0:
-        raise ConfigError(_join(path, key), f"must be > 0, got {value}")
-    return value
 
 
 def _integer(sec: dict, key: str, path: str, default=None, minimum=None,
@@ -111,8 +123,7 @@ def _pair(sec: dict, key: str, path: str, default=None):
         return default
     value = sec[key]
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(v) for v in value)):
+            or not all(map(_finite, value))):
         raise ConfigError(_join(path, key), "expected a pair of numbers")
     return (float(value[0]), float(value[1]))
 
@@ -125,6 +136,14 @@ def _interval(sec: dict, key: str, path: str, default=None) -> tuple:
     return lo, hi
 
 
+def _numbers(sec: dict, key: str, path: str) -> list:
+    """A list of finite numbers, as given."""
+    values = sec.get(key)
+    if not isinstance(values, list) or not all(map(_finite, values)):
+        raise ConfigError(_join(path, key), "expected a list of finite numbers")
+    return values
+
+
 def build_metric(cfg: dict) -> RadialMetric:
     sec = _section(cfg, "metric")
     family = _string(sec, "family", "metric",
@@ -132,13 +151,9 @@ def build_metric(cfg: dict) -> RadialMetric:
     n = _integer(sec, "n", "metric", minimum=1, maximum=MAX_DIMENSION)
     if family == "euclidean":
         return euclidean_metric(n)
-    a = _number(sec, "a", "metric", minimum=0.0)
-    tau = _number(sec, "tau", "metric")
+    a = _number(sec, "a", "metric", above=0.0)
+    tau = _number(sec, "tau", "metric", above=0.0)
     power = _number(sec, "power", "metric", default=1.0)
-    if tau <= 0:
-        raise ConfigError("metric.tau", f"must be > 0, got {tau}")
-    if a == 0:
-        raise ConfigError("metric.a", "conformal_power needs a > 0")
     return conformal_metric(n, a=a, tau=tau, power=power)
 
 
@@ -171,80 +186,73 @@ def build_solver_config(cfg: dict) -> SolverConfig:
     return config
 
 
-def initial_profile(sec: dict, path: str = "initial_data"):
-    """Profile callable from an initial-data section."""
+@dataclass(frozen=True)
+class InitialProfile:
+    """Initial height at coordinates c: a family and its parameters, in the
+    order `initial_profile` reads them; plain data, so configs pickle."""
+
+    family: str
+    params: tuple = ()
+
+    def __call__(self, c):
+        if self.family == "zero":
+            return np.zeros_like(np.asarray(c, dtype=float))
+        if self.family == "gaussian":
+            height, sigma, center = self.params
+            return height * np.exp(-((c - center) ** 2) / (2 * sigma ** 2))
+        if self.family == "bump":
+            height, plateau, support, center = self.params
+            return height * smooth_cutoff(plateau, support, np.abs(c - center))
+        if self.family == "radial_bump":
+            height, rise, fall = self.params
+            return height * (1.0 - smooth_cutoff(rise[0], rise[1], c)) \
+                * smooth_cutoff(fall[0], fall[1], c)
+        if self.family == "slow_tail":
+            height, core, taper, center = self.params
+            return (height * (1.0 + ((c - center) / core) ** 2) ** -0.25
+                    * smooth_cutoff(taper[0], taper[1], np.abs(c - center)))
+        xs, us = self.params  # tabulated
+        return np.interp(c, xs, us, left=0.0, right=0.0)
+
+
+def initial_profile(sec: dict, path: str = "initial_data") -> InitialProfile:
+    """The profile of an initial-data section; a table is read here, once."""
     family = _string(sec, "family", path,
                      choices=("zero", "gaussian", "bump", "radial_bump",
                               "slow_tail", "tabulated"))
     if family == "zero":
-        return lambda c: np.zeros_like(np.asarray(c, dtype=float))
+        return InitialProfile(family)
+    if family == "tabulated":
+        file_path = _string(sec, "path", path)
+        try:
+            data = np.loadtxt(file_path, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}.path", f"cannot read {file_path}: {exc}")
+        if data.shape[0] < 1 or data.shape[1] < 2:
+            raise ConfigError(f"{path}.path", f"{file_path} needs rows of x, "
+                              f"u columns, got an array of shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ConfigError(f"{path}.path",
+                              f"{file_path} holds a non-finite entry")
+        order = np.argsort(data[:, 0])
+        return InitialProfile(family, (data[order, 0], data[order, 1]))
+    height = _number(sec, "height", path)
+    if family == "radial_bump":
+        return InitialProfile(family, (height, _interval(sec, "rise", path),
+                                       _interval(sec, "fall", path)))
+    center = _number(sec, "center", path, default=0.0)
     if family == "gaussian":
-        height = _number(sec, "height", path)
         sigma = _number(sec, "sigma", path, minimum=1e-12)
-        center = _number(sec, "center", path, default=0.0)
-        return lambda c: height * np.exp(-((c - center) ** 2) / (2 * sigma ** 2))
+        return InitialProfile(family, (height, sigma, center))
     if family == "bump":
-        height = _number(sec, "height", path)
         plateau = _number(sec, "plateau", path, minimum=0.0)
         support = _number(sec, "support", path)
-        center = _number(sec, "center", path, default=0.0)
         if support <= plateau:
             raise ConfigError(f"{path}.support", "must exceed plateau")
-        return lambda c: height * smooth_cutoff(plateau, support,
-                                                np.abs(c - center))
-    if family == "radial_bump":
-        height = _number(sec, "height", path)
-        rise = _interval(sec, "rise", path)
-        fall = _interval(sec, "fall", path)
-        return lambda c: height * (1.0 - smooth_cutoff(rise[0], rise[1], c)) \
-            * smooth_cutoff(fall[0], fall[1], c)
-    if family == "slow_tail":
-        height = _number(sec, "height", path)
-        core = _number(sec, "core", path, minimum=1e-12)
-        taper = _interval(sec, "taper", path)
-        center = _number(sec, "center", path, default=0.0)
-        return lambda c: (height * (1.0 + ((c - center) / core) ** 2) ** -0.25
-                          * smooth_cutoff(taper[0], taper[1], np.abs(c - center)))
-    # tabulated
-    file_path = _string(sec, "path", path)
-    try:
-        data = np.loadtxt(file_path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"{path}.path", f"cannot read {file_path}: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"{path}.path", f"cannot parse {file_path}: {exc}")
-    if data.shape[0] < 1 or data.shape[1] < 2:
-        raise ConfigError(f"{path}.path", f"{file_path} needs rows of x, u "
-                          f"columns, got an array of shape {data.shape}")
-    if not np.isfinite(data).all():
-        raise ConfigError(f"{path}.path",
-                          f"{file_path} holds a non-finite entry")
-    order = np.argsort(data[:, 0])
-    xs, us = data[order, 0], data[order, 1]
-    return lambda c: np.interp(c, xs, us, left=0.0, right=0.0)
-
-
-#: Scenarios the `sweep` command runs, each over the radius R.
-SWEEP_SCENARIOS = ("dirichlet", "nested_balls")
-#: Smallest ball radius R of the zero-boundary problem.
-MIN_BALL_RADIUS = 2.0
-
-
-def _radius_list(cfg: dict, key: str, path: str) -> list:
-    """A list of >= 2 ball radii R >= MIN_BALL_RADIUS, as given."""
-    full = _join(path, key)
-    values = cfg.get(key)
-    if (not isinstance(values, list)
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(v) for v in values)):
-        raise ConfigError(full, "expected a list of finite numbers")
-    if len(values) < 2:
-        raise ConfigError(full, "need a grid of >= 2 points")
-    small = [v for v in values if not v >= MIN_BALL_RADIUS]
-    if small:
-        raise ConfigError(full, f"radii must be >= {MIN_BALL_RADIUS}, "
-                          f"got {small[0]}")
-    return values
+        return InitialProfile(family, (height, plateau, support, center))
+    core = _number(sec, "core", path, minimum=1e-12)  # slow_tail
+    taper = _interval(sec, "taper", path)
+    return InitialProfile(family, (height, core, taper, center))
 
 
 def _sweep_values(cfg: dict, scenario: str) -> list:
@@ -254,80 +262,164 @@ def _sweep_values(cfg: dict, scenario: str) -> list:
     if parameter != "R":
         raise ConfigError("sweep.parameter",
                           f"only 'R' sweeps are supported, got {parameter!r}")
-    values = _radius_list(sec, "values", "sweep")
+    values = _numbers(sec, "values", "sweep")
+    if len(values) < 2:
+        raise ConfigError("sweep.values", "need a grid of >= 2 points")
+    small = [v for v in values if not v >= MIN_BALL_RADIUS]
+    if small:
+        raise ConfigError("sweep.values", f"radii must be >= "
+                          f"{MIN_BALL_RADIUS}, got {small[0]}")
     if scenario not in SWEEP_SCENARIOS:
         raise ConfigError("scenario", f"sweep supports dirichlet and "
                           f"nested_balls, got {scenario!r}")
     return values
 
 
-def _check_grid_size(cfg: dict, scenario: str, h: float, sweep):
-    """Raise ConfigError, naming the field that sets the far end, unless
-    every grid the scenario builds holds at most MAX_NODES nodes."""
-    ends = {}  # field: far end of its grid; balls of radius R end at R^2
-    if sweep is not None:
-        ends["sweep.values"] = max(sweep) ** 2
-    if scenario == "dirichlet" and "R" in cfg:
-        ends["R"] = _number(cfg, "R", "", minimum=MIN_BALL_RADIUS) ** 2
-    elif scenario == "nested_balls" and "R_list" in cfg:
-        ends["R_list"] = max(_radius_list(cfg, "R_list", "")) ** 2
-    elif scenario not in SWEEP_SCENARIOS:
-        ends["domain.hi"] = _number(_section(cfg, "domain"), "hi", "domain")
-    lo = _number(_section(cfg, "domain"), "lo", "domain")
-    for path, hi in ends.items():
-        nodes = (hi - lo) / h + 1.0
-        if nodes > MAX_NODES:
-            raise ConfigError(path, f"the grid [{lo:g}, {hi:g}] at h = {h:g} "
-                              f"has {nodes:.4g} nodes, at most {MAX_NODES}")
+def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
+                 lo: float, hi, R, sweep):
+    """Raise ConfigError unless each grid the scenario builds holds 3 to
+    MAX_NODES nodes, starting at r_min or above when radial, and the run's
+    snapshots are within MAX_RECORDS and MAX_SNAPSHOT_VALUES."""
+    h = solver.h
+    # (field, far end) per grid; a ball of radius R ends at R^2 (inf if huge)
+    ends = [("sweep.values", float(v) * float(v)) for v in sweep or ()]
+    if R is not None:
+        ends.append(("R", R * R))
+    if hi is not None:
+        ends.append(("domain.hi", hi))
+    nodes = [(end - lo) / h + 1.0 for _, end in ends]
+    for (path, end), count in zip(ends, nodes):
+        if count > MAX_NODES:
+            raise ConfigError(path, f"the grid [{lo:g}, {end:g}] at h = {h:g} "
+                              f"has {count:.4g} nodes, at most {MAX_NODES}")
+        if not round((end - lo) / h) >= 2:
+            raise ConfigError("domain", f"[{lo:g}, {end:g}] holds fewer than "
+                              f"3 nodes at h = {h:g}")
+    if scenario not in LINE_SCENARIOS and lo < metric.r_min:
+        raise ConfigError("domain.lo",
+                          f"below the metric's r_min = {metric.r_min:g}")
+    if scenario == "nested_balls" and lo > min(sweep) / 2.0:
+        raise ConfigError("domain.lo", f"the compared window r <= min(R)/2 "
+                          f"= {min(sweep) / 2.0:g} holds no node")
+    # a nested-ball study keeps every ball's run; other runs one grid each
+    held = sum(nodes) if scenario == "nested_balls" else max(nodes, default=0)
+    snapshots = solver.t_end / solver.snapshot_cadence
+    if snapshots > MAX_RECORDS or snapshots * held > MAX_SNAPSHOT_VALUES:
+        raise ConfigError("solver.snapshot_every", f"t_end / snapshot_every = "
+                          f"{snapshots:.4g} snapshots of {held:.4g} nodes; the "
+                          f"caps are {MAX_RECORDS} snapshots and "
+                          f"{MAX_SNAPSHOT_VALUES} values")
+
+
+def _flow_fields(cfg: dict, scenario: str, metric, sweep) -> dict:
+    """The typed fields of a scenario that runs the flow."""
+    solver = build_solver_config(cfg)
+    sec = _section(cfg, "domain")
+    lo = _number(sec, "lo", "domain")
+    hi = None if scenario in SWEEP_SCENARIOS else _number(sec, "hi", "domain")
+    R = (_number(cfg, "R", "", minimum=MIN_BALL_RADIUS)
+         if scenario == "dirichlet" and "R" in cfg else None)
+    _check_grids(scenario, metric, solver, lo, hi, R, sweep)
+    fields = dict(solver=solver, domain=(lo, hi), R=R)
+    if scenario == "no_lift_off":
+        sec = _section(cfg, "barrier")
+        fields.update(barrier_eps=_number(sec, "eps", "barrier", minimum=0.0),
+                      barrier_r1_min=_number(sec, "r1_min", "barrier",
+                                             default=1.0))
+    elif scenario == "decay_study":
+        window = _interval(cfg, "fit_window", "", default=(10.0, solver.t_end))
+        if not window[0] > 0.0:
+            raise ConfigError("fit_window", f"must start after t = 0, got "
+                              f"{window[0]}")
+        fields.update(fit_window=window, expected_exponent_range=_pair(
+            cfg, "expected_exponent_range", "", default=(-0.30, -0.20)))
+    fields["initial_data"] = initial_profile(_section(cfg, "initial_data"))
+    return fields
+
+
+def _translating(cfg: dict, n: int) -> TranslatingBarrier:
+    sec = _section(cfg, "translating")
+    t0 = _number(sec, "t0", "translating")
+    alpha = _number(sec, "alpha", "translating", default=0.0, minimum=0.0)
+    mu = _number(sec, "mu", "translating")
+    x0 = _numbers(sec, "x0", "translating") if "x0" in sec else [0.0] * n
+    if len(x0) != n:
+        raise ConfigError("translating.x0", f"expected metric.n = {n} "
+                          f"numbers, got {len(x0)}")
+    try:
+        return TranslatingBarrier(n=n, x0=x0, t0=t0, alpha=alpha, mu=mu)
+    except ValueError as exc:
+        raise ConfigError("translating", str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario config.  `sweep_values` are the R values of
-    its `sweep` section, as given (None without one), and
-    `bound_exponent_range` its `expected_bound_exponent_range`."""
+    """A validated config: a typed field per key that a runner or the CLI
+    reads (None where the scenario reads no such key).  `domain` is (lo, hi),
+    hi None on balls; `sweep_values` are as given (ints stay ints)."""
 
     scenario: str
     metric: RadialMetric
-    solver: SolverConfig | None
-    raw: dict
+    output_dir: str = "mcflow_out"
+    solver: SolverConfig | None = None
+    domain: tuple | None = None
+    initial_data: InitialProfile | None = None
+    R: float | None = None
     sweep_values: list | None = None
     bound_exponent_range: tuple | None = None
+    fit_window: tuple | None = None
+    expected_exponent_range: tuple | None = None
+    barrier_eps: float | None = None
+    barrier_r1_min: float | None = None
+    barrier_h: float | None = None
+    sample_radii: int | None = None
+    translating: TranslatingBarrier | None = None
+    seed: int | None = None
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ScenarioConfig":
         if not isinstance(cfg, dict):
             raise ConfigError("config", "top level must be an object")
         scenario = _string(cfg, "scenario", "", choices=SCENARIO_TAGS)
-        sweep = _sweep_values(cfg, scenario) if "sweep" in cfg else None
+        sweep = (_sweep_values(cfg, scenario)
+                 if "sweep" in cfg or scenario == "nested_balls" else None)
         metric = build_metric(cfg)
-        needs_solver = scenario not in ("barrier_verify", "translating_verify")
-        solver = build_solver_config(cfg) if needs_solver else None
-        if solver is not None:
-            _check_grid_size(cfg, scenario, solver.h, sweep)
-        rng = None
+        barrier = scenario in ("dirichlet", "no_lift_off", "barrier_verify")
+        if barrier and metric.n < 3:
+            raise ConfigError("metric.n", f"the static barrier needs n >= 3, "
+                              f"got {metric.n}")
+        out = cfg.get("output_dir")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError("output_dir", "expected a string path")
+        fields = dict(scenario=scenario, metric=metric, sweep_values=sweep,
+                      output_dir=out or "mcflow_out")
         if "expected_bound_exponent_range" in cfg:
-            rng = _pair(cfg, "expected_bound_exponent_range", "")
-        return cls(scenario=scenario, metric=metric, solver=solver, raw=cfg,
-                   sweep_values=sweep, bound_exponent_range=rng)
+            fields["bound_exponent_range"] = _pair(
+                cfg, "expected_bound_exponent_range", "")
+        if scenario == "barrier_verify":
+            sec = _section(cfg, "barrier")
+            fields.update(
+                barrier_r1_min=_number(sec, "r1_min", "barrier", above=0.0),
+                barrier_h=_number(sec, "h", "barrier", above=0.0),
+                barrier_eps=_number(sec, "eps", "barrier", default=0.0,
+                                    minimum=0.0),
+                sample_radii=_integer(cfg, "sample_radii", "", default=256,
+                                      minimum=1, maximum=MAX_NODES))
+        elif scenario == "translating_verify":
+            fields.update(translating=_translating(cfg, metric.n),
+                          seed=_integer(cfg, "seed", "", default=0, minimum=0))
+        else:
+            fields.update(_flow_fields(cfg, scenario, metric, sweep))
+        return cls(**fields)
 
 
 def build_field_from_config(cfg: ScenarioConfig, kind: str,
                             outer: float | None = None) -> Field:
-    raw = cfg.raw
-    sec = _section(raw, "domain")
-    lo = _number(sec, "lo", "domain")
-    hi = outer if outer is not None else _number(sec, "hi", "domain")
-    profile = initial_profile(_section(raw, "initial_data"))
-    h = cfg.solver.h
-    if not round((hi - lo) / h) >= 2:
-        raise ConfigError("domain", f"[{lo:g}, {hi:g}] holds fewer than 3 "
-                          f"nodes at h = {h:g}")
-    if kind == "radial" and lo < cfg.metric.r_min:
-        raise ConfigError("domain.lo",
-                          f"below the metric's r_min = {cfg.metric.r_min:g}")
+    """The initial field on the config's domain, or on [lo, outer]."""
+    lo, hi = cfg.domain
     grid = line_field if kind == "line" else radial_field
     try:
-        return grid(lo, hi, h, profile)
+        return grid(lo, hi if outer is None else outer, cfg.solver.h,
+                    cfg.initial_data)
     except ValueError as exc:  # the sampled data is not spacelike
         raise ConfigError("initial_data", str(exc)) from exc

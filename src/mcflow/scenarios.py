@@ -1,9 +1,9 @@
 """Configuration-driven scenario runners and their file artifacts.
 
-A scenario config is a JSON object with nested sections (see
-docs/config_schema.md), validated by `config.ScenarioConfig`.  Every runner
-returns a ScenarioResult carrying a summary dict, a list of named pass/fail
-checks, and warnings; the CLI turns those into exit codes.  All data files
+Runners take the typed `config.ScenarioConfig` of the one config pass,
+never the JSON (see docs/config_schema.md).  Every runner returns a
+ScenarioResult carrying a summary dict, a list of named pass/fail checks,
+and warnings; the CLI turns those into exit codes.  All data files
 are written with 17 significant digits and fixed column order, so identical
 configs produce byte-identical output.
 """
@@ -18,13 +18,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import diagnostics
-from .barriers import (TranslatingBarrier,
-                       build_outer_barrier, supersolution_profile_derivs,
+from .barriers import (build_outer_barrier, supersolution_profile_derivs,
                        translating_barrier_certificate,
                        verify_static_supersolution)
-from .config import (MAX_NODES, MIN_BALL_RADIUS, ConfigError,
-                     ScenarioConfig, _integer, _interval, _number, _pair,
-                     _positive, _radius_list, _section,
+from .config import (LINE_SCENARIOS, ConfigError, ScenarioConfig,
                      build_field_from_config)
 from .geometry import DomainError, RadialMetric, ricci_form_bound
 from .initial_data import decay_radius
@@ -95,10 +92,8 @@ def read_diagnostics_csv(path: str):
         records = []
         for line in fh:
             parts = line.strip().split(",")
-            vals = [float(p) if p else None for p in parts]
             records.append(diagnostics.DiagnosticsRecord(
-                t=vals[0], sup_u=vals[1], grad_max=vals[2], l2=vals[3],
-                h1_grad=vals[4], sup_phi=vals[5], barrier_margin=vals[6]))
+                *(float(p) if p else None for p in parts)))
     return records
 
 
@@ -142,10 +137,8 @@ def write_run_artifacts(result: ScenarioResult, out_dir: str):
                               os.path.join(out_dir, "diagnostics.csv"))
         write_snapshot_csvs(result.trajectory,
                             os.path.join(out_dir, "snapshots"))
-    payload = dict(result.summary)
-    payload["checks"] = result.checks
-    payload["warnings"] = sorted(result.warnings)
-    payload["pass"] = result.all_passed
+    payload = {**result.summary, "checks": result.checks,
+               "warnings": sorted(result.warnings), "pass": result.all_passed}
     write_summary_json(payload, os.path.join(out_dir, "summary.json"))
 
 
@@ -217,16 +210,8 @@ def _solver_input():
 # ---------------------------------------------------------------------------
 
 def run_flow_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    kind = "line" if cfg.scenario in ("flow_1d", "decay_study") else "radial"
+    kind = "line" if cfg.scenario in LINE_SCENARIOS else "radial"
     u0 = build_field_from_config(cfg, kind)
-    if cfg.scenario == "decay_study":
-        window = _interval(cfg.raw, "fit_window", "",
-                           default=(10.0, cfg.solver.t_end))
-        if not window[0] > 0.0:
-            raise ConfigError("fit_window", f"must start after t = 0, got "
-                              f"{window[0]}")
-        rng = _pair(cfg.raw, "expected_exponent_range", "",
-                    default=(-0.30, -0.20))
     with _solver_input():
         traj = run_flow(cfg.metric, u0, cfg.solver)
     checks = _base_flow_checks(traj)
@@ -236,20 +221,15 @@ def run_flow_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     result = ScenarioResult(summary=summary, checks=checks, trajectory=traj)
     if cfg.scenario == "decay_study":
         try:
-            fit = diagnostics.decay_exponent_fit(traj.records, window)
+            fit = diagnostics.decay_exponent_fit(traj.records, cfg.fit_window)
         except diagnostics.InsufficientDataError as exc:
             raise ConfigError("fit_window", str(exc)) from exc
         summary["decay_fit"] = fit.to_dict()
+        rng = cfg.expected_exponent_range
         checks.append({"name": "decay_exponent_in_range",
                        "pass": bool(rng[0] <= fit.exponent <= rng[1]),
                        "exponent": fit.exponent, "range": list(rng)})
     return result
-
-
-def _barrier_dimension(cfg: ScenarioConfig):
-    if cfg.metric.n < 3:
-        raise ConfigError("metric.n", f"the static barrier needs n >= 3, "
-                          f"got {cfg.metric.n}")
 
 
 def dirichlet_gradient_bound(metric: RadialMetric, R: float,
@@ -269,7 +249,6 @@ def dirichlet_gradient_bound(metric: RadialMetric, R: float,
 
 def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
     u0 = build_field_from_config(cfg, "radial", outer=R * R)
-    _barrier_dimension(cfg)
     try:
         bound = dirichlet_gradient_bound(cfg.metric, R,
                                          float(np.max(np.abs(u0.values))))
@@ -305,44 +284,34 @@ def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
 
 
 def run_dirichlet_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    R = _number(cfg.raw, "R", "", minimum=MIN_BALL_RADIUS)
-    return run_dirichlet_case(cfg, R)
+    if cfg.R is None:
+        raise ConfigError("R", "missing required number")
+    return run_dirichlet_case(cfg, cfg.R)
 
 
-def run_nested_scenario(cfg: ScenarioConfig, R_values=None) -> ScenarioResult:
-    if R_values is None:
-        R_values = [float(v) for v in _radius_list(cfg.raw, "R_list", "")]
-    R_values = sorted(R_values)
+def run_nested_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+    R_values = sorted(cfg.sweep_values)
     u0 = build_field_from_config(cfg, "radial", outer=max(R_values) ** 2)
-    if u0.nodes[0] > R_values[0] / 2.0:
-        raise ConfigError("domain.lo", f"the compared window r <= min(R)/2 "
-                          f"= {R_values[0] / 2.0:g} holds no node")
-    if not round((R_values[0] ** 2 - u0.nodes[0]) / u0.h) >= 2:
-        raise ConfigError("domain", f"the ball of R = {R_values[0]:g} holds "
-                          f"fewer than 3 nodes at h = {u0.h:g}")
     with _solver_input():
         rows = nested_ball_study(R_values, cfg.metric, u0, cfg.solver)
     diffs = [row["max_difference"] for row in rows]
     warnings = []
     if any(b > a for a, b in zip(diffs[:-1], diffs[1:])):
         warnings.append("nested-ball differences are not monotone decreasing")
-    summary = {"rows": rows, "R_values": R_values}
-    return ScenarioResult(summary=summary, checks=[], warnings=warnings)
+    return ScenarioResult(summary={"rows": rows, "R_values": R_values},
+                          warnings=warnings)
 
 
 def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     u0 = build_field_from_config(cfg, "radial")
-    sec = _section(cfg.raw, "barrier")
-    _barrier_dimension(cfg)
-    eps = _number(sec, "eps", "barrier", minimum=0.0)
+    eps = cfg.barrier_eps
     sup0 = float(np.max(np.abs(u0.values)))
     try:
         r1 = (decay_radius(u0, eps) if eps > 0 and sup0 > 0
               else float(u0.nodes[0]))
     except ValueError as exc:
         raise ConfigError("barrier.eps", str(exc)) from exc
-    r1 = max(r1, cfg.metric.r_min * 10, _number(sec, "r1_min", "barrier",
-                                                default=1.0))
+    r1 = max(r1, cfg.metric.r_min * 10, cfg.barrier_r1_min)
     profile = build_outer_barrier(cfg.metric.n, r1_min=r1,
                                   h=max(sup0, 1e-6), eps=eps,
                                   metric=cfg.metric)
@@ -372,17 +341,10 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    sec = _section(cfg.raw, "barrier")
-    _barrier_dimension(cfg)
-    profile = build_outer_barrier(
-        cfg.metric.n,
-        r1_min=_positive(sec, "r1_min", "barrier"),
-        h=_positive(sec, "h", "barrier"),
-        eps=_number(sec, "eps", "barrier", default=0.0, minimum=0.0),
-        metric=cfg.metric)
-    count = _integer(cfg.raw, "sample_radii", "", default=256, minimum=1,
-                     maximum=MAX_NODES)
-    radii = np.geomspace(profile.r0, profile.r_grid[-1], count)
+    profile = build_outer_barrier(cfg.metric.n, r1_min=cfg.barrier_r1_min,
+                                  h=cfg.barrier_h, eps=cfg.barrier_eps,
+                                  metric=cfg.metric)
+    radii = np.geomspace(profile.r0, profile.r_grid[-1], cfg.sample_radii)
     report = verify_static_supersolution(cfg.metric, profile, radii)
     checks = [
         {"name": "flat_identity", "pass":
@@ -397,21 +359,9 @@ def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def run_translating_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    sec = _section(cfg.raw, "translating")
-    n = cfg.metric.n
-    t0 = _number(sec, "t0", "translating")
-    alpha = _number(sec, "alpha", "translating", default=0.0, minimum=0.0)
-    mu = _number(sec, "mu", "translating")
-    seed = _integer(cfg.raw, "seed", "", default=0, minimum=0)
-    try:
-        tb = TranslatingBarrier(n=n, x0=np.asarray(sec.get("x0", [0.0] * n),
-                                                   dtype=float),
-                                t0=t0, alpha=alpha, mu=mu)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("translating", str(exc)) from exc
-    cert = translating_barrier_certificate(tb)
-    worst = translating_identity_deviation(tb, np.random.default_rng(seed),
-                                           200)
+    cert = translating_barrier_certificate(cfg.translating)
+    worst = translating_identity_deviation(
+        cfg.translating, np.random.default_rng(cfg.seed), 200)
     checks = [
         {"name": "translating_identity", "pass": bool(worst <= 1e-12),
          "worst": worst},
@@ -444,6 +394,10 @@ def run_scenario_config(cfg: ScenarioConfig) -> ScenarioResult:
 # sweeps
 # ---------------------------------------------------------------------------
 
+#: A swept run's summary entries in its row, between R and the pass flag.
+SWEEP_KEYS = ("max_boundary_slope", "bound_slope", "barrier_r0",
+              "initial_grad_max", "max_grad_max", "termination")
+SWEEP_HEADER = ",".join(("R",) + SWEEP_KEYS + ("pass",))
 #: A measured boundary slope at or below this fraction of its bound (the
 #: bound's rounding unit) is the scheme's discrete tail, not the flow's.
 MEASURED_SLOPE_FLOOR = float(np.finfo(float).eps)
@@ -461,9 +415,8 @@ def _fit_loglog(xs, ys, floor=0.0):
 
 
 def sweep_worker(args):
-    """Top-level worker for process pools: one swept run from primitives."""
-    raw, R, out_dir = args
-    cfg = ScenarioConfig.from_dict(raw)
+    """Top-level worker for process pools: one swept run of a config."""
+    cfg, R, out_dir = args
     result = run_dirichlet_case(cfg, R)
     if out_dir is not None:
         write_run_artifacts(result, out_dir)
@@ -471,8 +424,7 @@ def sweep_worker(args):
     return R, result
 
 
-def run_dirichlet_sweep(raw_config: dict, R_values, out_dir=None,
-                        workers: int = 1):
+def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
     """Ball-problem sweep over R: per-run rows plus scaling fits.
 
     The per-R a priori bound |b'(R^2)| gives the scaling that is fitted
@@ -481,26 +433,17 @@ def run_dirichlet_sweep(raw_config: dict, R_values, out_dir=None,
     information (it decays far faster than the bound; see the README),
     over the slopes above MEASURED_SLOPE_FLOOR times their bound.
     """
-    jobs = [(raw_config, R,
+    jobs = [(cfg, R,
              None if out_dir is None else os.path.join(out_dir, f"run_R{R:g}"))
-            for R in sorted(R_values)]
+            for R in sorted(cfg.sweep_values)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(sweep_worker, jobs))
     else:
         outcomes = [sweep_worker(job) for job in jobs]
-    outcomes.sort(key=lambda pair: pair[0])
-    rows = []
-    for R, result in outcomes:
-        s = result.summary
-        rows.append({"R": R, "max_boundary_slope": s["max_boundary_slope"],
-                     "bound_slope": s["bound_slope"],
-                     "barrier_r0": s["barrier_r0"],
-                     "initial_grad_max": s["initial_grad_max"],
-                     "max_grad_max": s["max_grad_max"],
-                     "termination": s["termination"],
-                     "pass": result.all_passed})
+    rows = [{"R": R, **{key: result.summary[key] for key in SWEEP_KEYS},
+             "pass": result.all_passed} for R, result in outcomes]
     radii = [r["R"] for r in rows]
     bounds = np.array([r["bound_slope"] for r in rows])
     fits = {
@@ -512,19 +455,13 @@ def run_dirichlet_sweep(raw_config: dict, R_values, out_dir=None,
     return rows, fits, [result for _, result in outcomes]
 
 
-SWEEP_HEADER = ("R,max_boundary_slope,bound_slope,barrier_r0,"
-                "initial_grad_max,max_grad_max,termination,pass")
-
-
 def write_sweep_csv(rows, path: str):
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            fmt(r["R"]), fmt(r["max_boundary_slope"]), fmt(r["bound_slope"]),
-            fmt(r["barrier_r0"]), fmt(r["initial_grad_max"]),
-            fmt(r["max_grad_max"]), r["termination"], str(r["pass"]).lower()]))
+    """One line per run, its numbers written as `fmt` writes them."""
+    template = "%.17g," * 6 + "%s,%s\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(SWEEP_HEADER + "\n")
+        fh.writelines(template % (r["R"], *(r[key] for key in SWEEP_KEYS),
+                                  str(r["pass"]).lower()) for r in rows)
 
 
 def read_sweep_csv(path: str) -> list:
@@ -534,13 +471,8 @@ def read_sweep_csv(path: str) -> list:
             raise ValueError(f"unexpected sweep header {header!r}")
         rows = []
         for line in fh:
-            parts = line.strip().split(",")
-            rows.append({"R": float(parts[0]),
-                         "max_boundary_slope": float(parts[1]),
-                         "bound_slope": float(parts[2]),
-                         "barrier_r0": float(parts[3]),
-                         "initial_grad_max": float(parts[4]),
-                         "max_grad_max": float(parts[5]),
-                         "termination": parts[6],
-                         "pass": parts[7] == "true"})
+            *numbers, termination, passed = line.strip().split(",")
+            row = dict(zip(SWEEP_HEADER.split(","), map(float, numbers)))
+            row.update({"termination": termination, "pass": passed == "true"})
+            rows.append(row)
     return rows

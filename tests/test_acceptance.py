@@ -47,8 +47,8 @@ def decay_result():
 
 @pytest.fixture(scope="session")
 def dirichlet_sweep_result():
-    raw = load_config("dirichlet_sweep.json")
-    return run_dirichlet_sweep(raw, raw["sweep"]["values"])
+    cfg = ScenarioConfig.from_dict(load_config("dirichlet_sweep.json"))
+    return run_dirichlet_sweep(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -226,6 +226,19 @@ def test_sweep_dirichlet_parallel_workers(tmp_path):
     assert [r["R"] for r in rows] == [2.0, 3.0]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_config_error_in_a_worker_exits_two(tmp_path, capsys, workers):
+    # the steep data fail as each swept run samples them on its grid: the
+    # error is raised in the worker process and must reach the CLI intact
+    cfg = dirichlet_sweep_config(str(tmp_path / "out"), [2, 3])
+    cfg["initial_data"]["height"] = 5.0
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path, "--workers", str(workers)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: initial_data: node-to-node slope" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_numeric_failure_exit_three(tmp_path, capsys):
     # data with nearly null slope trip the strict spacelikeness guard on the
     # first step; the run halts and the CLI reports a numeric failure
@@ -372,8 +385,14 @@ def test_shipped_configs_past_the_caps_exit_two(tmp_path, capsys, name,
     ("decay_study.json", ("domain", "hi"), 1e6, "domain.hi"),
     ("decay_study.json", ("domain", "hi"), 1e9, "domain.hi"),
     ("dirichlet_sweep.json", ("R",), 1e4, "R"),
-    ("nested_balls.json", ("R_list",), [4, 1e4], "R_list"),
+    ("nested_balls.json", ("sweep", "values"), [4, 1e4], "sweep.values"),
     ("decay_study.json", ("solver", "t_end"), 1e9, "solver.record_every"),
+    # past the float range: R^2 overflows, an int does not convert
+    ("dirichlet_sweep.json", ("R",), 1e200, "R"),
+    pytest.param("decay_study.json", ("domain", "hi"), 10 ** 400, "domain.hi",
+                 id="decay_study.json-int-past-floats-domain.hi"),
+    pytest.param("nested_balls.json", ("sweep", "values"), [4, 10 ** 200],
+                 "sweep.values", id="nested_balls.json-int-squared-past-floats"),
 ])
 def test_huge_sizes_fail_the_config_pass(name, path, value, field):
     # checked before anything is built: these are never run
@@ -382,7 +401,8 @@ def test_huge_sizes_fail_the_config_pass(name, path, value, field):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    cfg.pop("sweep", None)
+    if path[0] != "sweep":
+        cfg.pop("sweep", None)
     with pytest.raises(ConfigError) as exc:
         ScenarioConfig.from_dict(cfg)
     assert exc.value.path == field
@@ -567,6 +587,17 @@ def test_barrier_verify_scenario_runs():
     result = run_scenario_config(ScenarioConfig.from_dict(raw))
     assert result.all_passed
     assert len(result.summary["rows"]) == 64
+
+
+@pytest.mark.parametrize("x0", [[float("nan"), 0, 0], [0, float("inf"), 0],
+                                [0, 0], [0, 0, 0, 0], 0, "0,0,0", None])
+def test_translating_center_is_validated(tmp_path, capsys, x0):
+    cfg = shipped_config("translating_verify.json")
+    cfg["translating"]["x0"] = x0
+    path = write_config(tmp_path, "c.json", cfg)  # json reads NaN, Infinity
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: translating.x0" in err and "Traceback" not in err
 
 
 def test_translating_verify_scenario_runs():

@@ -101,9 +101,8 @@ def curved_run():
     cfg = load("no_lift_off.json", t_end=1.0, record_every=0.1,
                snapshot_every=0.1)
     u0 = build_field_from_config(cfg, "radial")
-    eps = cfg.raw["barrier"]["eps"]
-    r1 = max(decay_radius(u0, eps), cfg.metric.r_min * 10,
-             cfg.raw["barrier"]["r1_min"])
+    eps = cfg.barrier_eps
+    r1 = max(decay_radius(u0, eps), cfg.metric.r_min * 10, cfg.barrier_r1_min)
     profile = build_outer_barrier(cfg.metric.n, r1_min=r1,
                                   h=float(np.max(np.abs(u0.values))), eps=eps,
                                   metric=cfg.metric)
