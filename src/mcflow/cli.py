@@ -87,9 +87,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers", f"must be >= 1, got {args.workers}")
     cfg = ScenarioConfig.from_dict(_load_config(args.config))
     if cfg.sweep_values is None:
         raise ConfigError("sweep", "missing sweep section")
+    if args.workers > 1 and cfg.scenario != "dirichlet":
+        raise ConfigError("--workers", f"applies to dirichlet sweeps; a "
+                          f"{cfg.scenario} sweep runs in one process")
     out = args.output_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
     if cfg.scenario == "dirichlet":
@@ -144,7 +149,8 @@ def main(argv=None) -> int:
     p_swp = sub.add_parser("sweep", help="run a parameter sweep from a config")
     p_swp.add_argument("config")
     p_swp.add_argument("--output-dir", default=None)
-    p_swp.add_argument("--workers", type=int, default=1)
+    p_swp.add_argument("--workers", type=int, default=1,
+                       help="processes for a dirichlet sweep's runs")
     p_swp.add_argument("--strict", action="store_true",
                        help="promote warnings to failures")
     p_swp.set_defaults(func=cmd_sweep)

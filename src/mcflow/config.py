@@ -269,6 +269,11 @@ def _sweep_values(cfg: dict, scenario: str) -> list:
     if small:
         raise ConfigError("sweep.values", f"radii must be >= "
                           f"{MIN_BALL_RADIUS}, got {small[0]}")
+    radii = sorted(map(float, values))
+    repeated = [a for a, b in zip(radii, radii[1:]) if a == b]
+    if repeated:
+        raise ConfigError("sweep.values", f"radii must differ, got "
+                          f"{repeated[0]:g} more than once")
     if scenario not in SWEEP_SCENARIOS:
         raise ConfigError("scenario", f"sweep supports dirichlet and "
                           f"nested_balls, got {scenario!r}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +50,35 @@ class CheckReport:
         return {"pass": self.passed, "worst": self.worst, "detail": self.detail}
 
 
+#: Values in each row buffer of a record batch: a batch holds at most
+#: `batch_rows(nodes)` rows, 33 at 991 nodes.
+BATCH_VALUES = 2 ** 15
+#: Grids of more nodes record one row at a time.  There a row's arithmetic
+#: dwarfs the per-call cost a batch saves, while the batch's six row
+#: buffers push the step's own rows out of the L2 cache: at 8,001 nodes,
+#: 4-row batches made a line_decay run 8% slower on a 2-core Intel Xeon
+#: with 2 MB of L2.
+BATCH_MAX_NODES = 2 ** 12
+
+
+def batch_rows(nodes: int) -> int:
+    """Most rows of a record batch on a grid of `nodes` nodes."""
+    return max(1, BATCH_VALUES // nodes) if nodes <= BATCH_MAX_NODES else 1
+
+
 class RecordPlan:
     """The per-grid part of the diagnostics records, formed once per run.
 
     Holds w(r) at the nodes, the volume weight r^{n-1} w^n, the tilt
-    monitor's validated (lambda, mu) and the barrier's b_eps on the nodes
-    with r >= r0, with their mask.  A record forms u' once, into a buffer,
-    and p = |u'|/w once: p gives max |u'|/w, and its square the
-    gradient-norm integrand and the tilt factor.  A w that is 1 at every
-    node and the line's unit weight are dropped: division and
-    multiplication by 1 are exact.  Without a metric (None) the plan serves
-    only the barrier margin.
+    monitor's validated (lambda, mu), the barrier's b_eps on the nodes
+    with r >= r0 (0 on the others, which the margin never reads) with
+    their mask, and the scratch of a batch of `rows` value rows.  A batch
+    forms u' once, into a buffer, and p = |u'|/w once: p gives max |u'|/w,
+    and its square the gradient-norm integrand and the tilt factor.  Every
+    reduction runs along the rows (`axis=1`), so each row's numbers are
+    those of its own values.  A w that is 1 at every node and the line's
+    unit weight are dropped: division and multiplication by 1 are exact.
+    Without a metric (None) the plan serves only the barrier margin.
     """
 
     def __init__(self, field: Field, metric, phi_params=None, profile=None):
@@ -86,66 +103,78 @@ class RecordPlan:
             if not np.any(outside):
                 raise ValueError("field grid does not reach the profile's "
                                  "inner radius")
-            self.b_eps = profile.value(r[outside])
+            # b_eps on the nodes outside, 0 (never read) on those inside
+            self.b_eps = np.zeros_like(r)
+            self.b_eps[outside] = profile.value(r[outside])
             first = int(outside.argmax())
             # on a radial grid the nodes outside are a suffix: slice them
             self.outside = (slice(first, None) if outside[first:].all()
                             else outside)
-        self.du, self.p2, self.work = (np.empty_like(r) for _ in range(3))
+        self.rows = batch_rows(r.size)
+        self.du, self.p2, self.work = np.empty((3, self.rows, r.size))
 
-    def slopes(self, u) -> float:
-        """Form u' and p^2 = (|u'|/w)^2 of the values `u`; return max
-        |u'|/w.  (u'/w)^2 is p^2: the quotient's sign does not touch its
-        bits."""
-        gradient_into(u, self.h, self.axis, self.du)
-        p = np.abs(self.du, out=self.p2)
+    def slopes(self, u) -> np.ndarray:
+        """Form u' and p^2 = (|u'|/w)^2 of the value rows `u`; return max
+        |u'|/w per row.  (u'/w)^2 is p^2: the quotient's sign does not
+        touch its bits."""
+        du = gradient_into(u, self.h, self.axis, self.du[:len(u)])
+        p = np.abs(du, out=self.p2[:len(u)])
         if self.w is not None:
             p /= self.w
-        grad_max = float(p.max())
+        grad_max = p.max(axis=1)
         p *= p
         return grad_max
 
-    def _trapezoid(self, y) -> float:
-        """np.trapezoid(y, dx=h): its arithmetic, (h (y[1:] + y[:-1]) /
-        2).sum(), without its per-call set-up."""
-        pairs = np.add(y[1:], y[:-1], out=self.du[1:])
+    def _trapezoid(self, y) -> np.ndarray:
+        """np.trapezoid(y, dx=h) per row of the C-contiguous rows `y`: its
+        arithmetic, (h (y[1:] + y[:-1]) / 2).sum(), without its per-call
+        set-up."""
+        # pairs over the flattened rows, one pass for a batch: a row's own
+        # pairs land in du[:, 1:], those across two rows in du[:, 0]
+        du = self.du[:len(y)]
+        flat = y.reshape(-1)
+        pairs = np.add(flat[1:], flat[:-1], out=du.reshape(-1)[1:])
         pairs *= self.h
         pairs /= 2.0
-        return pairs.sum()
+        return du[:, 1:].sum(axis=1)
 
     def _weighted(self, y):
         """y times the volume weight, in the work buffer (y itself on a
         line)."""
         if self.weight is None:
             return y
-        return np.multiply(y, self.weight, out=self.work)
+        return np.multiply(y, self.weight, out=self.work[:len(y)])
 
     def norms(self, u) -> tuple:
-        """(sup|u|, L2 norm, L2 norm of the gradient) of the values `u`;
-        needs `slopes(u)`."""
-        sup_u = float(np.abs(u, out=self.work).max())
-        l2 = math.sqrt(self._trapezoid(
-            self._weighted(np.multiply(u, u, out=self.work))))
-        h1 = math.sqrt(self._trapezoid(self._weighted(self.p2)))
+        """(sup|u|, L2 norm, L2 norm of the gradient) per row of the value
+        rows `u`; needs `slopes(u)`."""
+        work, p2 = self.work[:len(u)], self.p2[:len(u)]
+        sup_u = np.abs(u, out=work).max(axis=1)
+        l2 = np.sqrt(self._trapezoid(
+            self._weighted(np.multiply(u, u, out=work))))
+        h1 = np.sqrt(self._trapezoid(self._weighted(p2)))
         return sup_u, l2, h1
 
-    def tilt(self, u) -> float:
-        """`phi_supremum` of the values `u`; needs `slopes(u)`."""
+    def tilt(self, u) -> np.ndarray:
+        """`phi_supremum` per row of the value rows `u`; needs
+        `slopes(u)`.  Raises if any row fails the monitor's hypotheses."""
         lambda_phi, mu_phi = self.phi
+        du, p2, work = self.du[:len(u)], self.p2[:len(u)], self.work[:len(u)]
         if lambda_phi > 0 and float(u.min()) < -1e-9:
             raise ValueError("monitor needs min u >= 0; shift the data first")
-        if (self.p2 >= 1.0 - TOL_SPACELIKE).any():
+        if (p2 >= 1.0 - TOL_SPACELIKE).any():
             raise SpacelikeViolationError("field is not strictly spacelike")
-        v = np.sqrt(np.subtract(1.0, self.p2, out=self.du), out=self.du)
+        v = np.sqrt(np.subtract(1.0, p2, out=du), out=du)
         v = np.divide(1.0, v, out=v)
-        e = np.exp(np.multiply(u, lambda_phi, out=self.work), out=self.work)
+        e = np.exp(np.multiply(u, lambda_phi, out=work), out=work)
         e = np.exp(np.multiply(e, mu_phi, out=e), out=e)
-        return float(np.multiply(v, e, out=e).max())
+        return np.multiply(v, e, out=e).max(axis=1)
 
-    def margin(self, u) -> float:
-        """`barrier_margin` of the values `u`."""
-        gap = np.abs(u[self.outside], out=self.work[:self.b_eps.size])
-        return float(np.subtract(self.b_eps, gap, out=gap).min())
+    def margin(self, u) -> np.ndarray:
+        """`barrier_margin` per row of the value rows `u`."""
+        gap = np.abs(u, out=self.work[:len(u)])
+        return np.subtract(self.b_eps, gap, out=gap)[:, self.outside].min(
+            axis=1)
 
 
 def field_norms(field: Field, metric) -> tuple:
@@ -156,9 +185,10 @@ def field_norms(field: Field, metric) -> tuple:
     weight, which reduces to the plain integral of u'^2 on a flat line.
     """
     plan = RecordPlan(field, metric)
-    grad_max = plan.slopes(field.values)
-    sup_u, l2, h1 = plan.norms(field.values)
-    return sup_u, grad_max, l2, h1
+    u = field.values[None]
+    grad_max = plan.slopes(u)
+    sup_u, l2, h1 = plan.norms(u)
+    return float(sup_u[0]), float(grad_max[0]), float(l2[0]), float(h1[0])
 
 
 def phi_supremum(field: Field, metric, lambda_phi: float, mu_phi: float) -> float:
@@ -169,13 +199,14 @@ def phi_supremum(field: Field, metric, lambda_phi: float, mu_phi: float) -> floa
     monotonicity, which is validated here whenever lambda > 0.
     """
     plan = RecordPlan(field, metric, phi_params=(lambda_phi, mu_phi))
-    plan.slopes(field.values)
-    return plan.tilt(field.values)
+    plan.slopes(field.values[None])
+    return float(plan.tilt(field.values[None])[0])
 
 
 def barrier_margin(field: Field, profile) -> float:
     """min over nodes with r >= r0 of (b_eps(r) - |u|); positive = dominated."""
-    return RecordPlan(field, None, profile=profile).margin(field.values)
+    plan = RecordPlan(field, None, profile=profile)
+    return float(plan.margin(field.values[None])[0])
 
 
 @dataclass(frozen=True)
@@ -282,12 +313,16 @@ def h1_decay_check(records, rel_slack: float = 1e-3) -> CheckReport:
                        detail="max of (l2^2 + t h1^2) / bound")
 
 
-def make_record(plan: RecordPlan, u: np.ndarray, t: float) -> DiagnosticsRecord:
-    """The record of the values `u` at time t on the plan's grid; the tilt
-    monitor and barrier margin when the plan has them."""
-    grad_max = plan.slopes(u)
-    sup_u, l2, h1 = plan.norms(u)
-    sup_phi = None if plan.phi is None else plan.tilt(u)
-    margin = None if plan.b_eps is None else plan.margin(u)
-    return DiagnosticsRecord(t=t, sup_u=sup_u, grad_max=grad_max, l2=l2,
-                             h1_grad=h1, sup_phi=sup_phi, barrier_margin=margin)
+def make_record(plan: RecordPlan, rows: np.ndarray, times) -> list:
+    """The records of the value rows `rows` (one per time in `times`, at
+    most `plan.rows` of them) on the plan's grid; the tilt monitor and
+    barrier margin when the plan has them.  Raises, as `tilt` does, when
+    any row fails the monitor's hypotheses."""
+    grad_max = plan.slopes(rows)
+    sup_u, l2, h1 = plan.norms(rows)
+    none = [None] * len(times)
+    sup_phi = none if plan.phi is None else plan.tilt(rows).tolist()
+    margin = none if plan.b_eps is None else plan.margin(rows).tolist()
+    return list(map(DiagnosticsRecord, times, sup_u.tolist(),
+                    grad_max.tolist(), l2.tolist(), h1.tolist(), sup_phi,
+                    margin))

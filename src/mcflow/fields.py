@@ -99,25 +99,27 @@ def radial_field(r_lo: float, r_hi: float, h: float, profile,
                  h=h, bc=tuple(bc))
 
 
-def max_node_slope(d: np.ndarray, h: float, hw=None, out=None) -> float:
-    """max |d|/h over the forward differences `d`, or, given `hw` (h w at
-    each gap's midpoint), the metric's slope max |d|/(h w), formed in the
-    scratch row `out`."""
+def max_node_slope(d: np.ndarray, h: float, hw=None, out=None):
+    """max |d|/h along the last axis of the forward differences `d`, one
+    value per row, or, given `hw` (h w at each gap's midpoint), the
+    metric's slope max |d|/(h w), formed in the scratch `out` (d's shape)."""
     if hw is None:
         # max |d|/h is max|d| / h: rounded division by h > 0 is monotone
-        return float(max(d.max(), -d.min())) / h
+        return np.maximum(d.max(axis=-1), -d.min(axis=-1)) / h
     np.abs(d, out=out)
-    return float(np.divide(out, hw, out=out).max())
+    return np.divide(out, hw, out=out).max(axis=-1)
 
 
 def check_node_slopes(d: np.ndarray, h: float, hw=None, out=None):
     """Raise ValueError when a node-to-node slope (`max_node_slope`)
-    reaches 1: such values are not spacelike.  A NaN passes; the solver
-    reports it."""
-    slope = max_node_slope(d, h, hw, out)
-    if slope >= 1.0:
+    reaches 1 in a row of `d`: such values are not spacelike.  The message
+    gives the first such row's slope.  A NaN passes; the solver reports
+    it."""
+    slopes = np.atleast_1d(max_node_slope(d, h, hw, out))
+    steep = slopes[slopes >= 1.0]
+    if steep.size:
         raise ValueError(
-            f"node-to-node slope {slope:.6g} >= 1 breaks spacelikeness")
+            f"node-to-node slope {steep[0]:.6g} >= 1 breaks spacelikeness")
 
 
 def gradient(field: Field) -> np.ndarray:
@@ -128,12 +130,19 @@ def gradient(field: Field) -> np.ndarray:
 
 def gradient_into(u: np.ndarray, h: float, axis: bool,
                   out: np.ndarray) -> np.ndarray:
-    """Discrete u' into `out`: second-order central inside, one-sided at
-    the ends.  An axis end gets exactly zero (even reflection)."""
-    np.subtract(u[2:], u[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * h
-    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    """Discrete u' along the last axis of `u` (each row of a batch) into
+    the C-contiguous `out`: second-order central inside, one-sided at the
+    ends.  An axis end gets exactly zero (even reflection)."""
+    if not out.flags.c_contiguous:
+        raise ValueError("gradient_into needs a C-contiguous out")
+    # central differences over the flattened rows, one pass for a batch:
+    # those across two rows land in the end columns, written next
+    flat_u, flat = u.reshape(-1), out.reshape(-1)
+    np.subtract(flat_u[2:], flat_u[:-2], out=flat[1:-1])
+    flat[1:-1] /= 2.0 * h
+    out[..., 0] = (-3.0 * u[..., 0] + 4.0 * u[..., 1] - u[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2]
+                    + u[..., -3]) / (2.0 * h)
     if axis:
-        out[0] = 0.0
+        out[..., 0] = 0.0
     return out

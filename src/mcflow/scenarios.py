@@ -11,6 +11,7 @@ configs produce byte-identical output.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field as dc_field
@@ -57,6 +58,8 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 DIAG_HEADER = "t,sup_u,grad_max,l2,h1_grad,sup_phi,barrier_margin"
+#: Diagnostics rows formatted by one `%`: bounds the text held at once.
+CSV_BLOCK_ROWS = 1024
 
 
 def fmt(x) -> str:
@@ -69,19 +72,31 @@ def _row_template(cells) -> str:
     return ",".join("" if c is None else "%.17g" for c in cells) + "\n"
 
 
+def _pattern_runs(rows) -> list:
+    """`rows` in consecutive runs that share one pattern of None cells: one
+    run when each column is None in every row or in none, as in a run's
+    records."""
+    if all(column.count(None) in (0, len(rows)) for column in zip(*rows)):
+        return [rows] if rows else []
+    return [list(run) for _, run in itertools.groupby(
+        rows, key=lambda cells: tuple(c is None for c in cells))]
+
+
 def write_diagnostics_csv(records, path: str):
-    templates = {}  # one per pattern of None columns
-    rows = [DIAG_HEADER + "\n"]
-    for rec in records:
-        cells = (rec.t, rec.sup_u, rec.grad_max, rec.l2, rec.h1_grad,
-                 rec.sup_phi, rec.barrier_margin)
-        pattern = tuple(c is None for c in cells)
-        template = templates.get(pattern)
-        if template is None:
-            template = templates[pattern] = _row_template(cells)
-        rows.append(template % tuple(c for c in cells if c is not None))
+    """Each run of rows sharing a pattern of None cells is written one `%`
+    of its row template, repeated, per block of up to CSV_BLOCK_ROWS rows,
+    over the block's cells that are not None."""
+    rows = [(rec.t, rec.sup_u, rec.grad_max, rec.l2, rec.h1_grad,
+             rec.sup_phi, rec.barrier_margin) for rec in records]
     with open(path, "w") as fh:
-        fh.writelines(rows)
+        fh.write(DIAG_HEADER + "\n")
+        for run in _pattern_runs(rows):
+            template = _row_template(run[0])
+            filled = itertools.cycle([c is not None for c in run[0]])
+            for start in range(0, len(run), CSV_BLOCK_ROWS):
+                block = run[start:start + CSV_BLOCK_ROWS]
+                fh.write(template * len(block) % tuple(itertools.compress(
+                    itertools.chain.from_iterable(block), filled)))
 
 
 def read_diagnostics_csv(path: str):

@@ -37,9 +37,17 @@ theta = (t - t_n) / tau, with D = u_{n+1} - u_n,
 
 Its error is O(tau^4) against the step's O(tau^3); measured from a fine
 reference, 0.04-0.28 of the step tolerance at theta = 1/4, 1/2, 3/4, where
-straight-line interpolation is 5-16 times the tolerance.  Records at a
-step's end come from the state itself.  Every recorded state is checked
-against the solver's slope bound |u_{i+1} - u_i| / (h w) < 1.
+straight-line interpolation is 5-16 times the tolerance.  The records
+inside one step are formed as batches: one evaluation of the interpolant
+writes a row per record time (each row with its own weights, so it equals
+the one-theta interpolant bit for bit), one check bounds the rows' slopes
+and one `diagnostics.make_record` call reduces every row along its own
+axis.  A batch holds at most `diagnostics.batch_rows(nodes)` rows; longer
+runs of records are chunked.  Records at a step's end, at t = 0 and of a
+halted run come from the state itself, as batches of one row.  Every
+recorded state is checked against the solver's slope bound
+|u_{i+1} - u_i| / (h w) < 1; a failing batch names its first failing row,
+as a batch of that row alone would.
 
 Every evaluation works in place and forms u' and u'' from the forward
 differences.  Slopes are never clamped: a stage or candidate that breaks
@@ -49,6 +57,7 @@ or infinity halts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -173,6 +182,15 @@ class _Engine:
         self.du, self.d2u, self.comp, self.work = (
             r[:size - 2] for r in rows[8:])
         np.subtract(self.u[1:], self.u[:-1], out=self.d)
+        self.batch = diagnostics.batch_rows(size)
+
+    @functools.cached_property
+    def dense(self):
+        """The scratch of a batch of records, formed on first use: its
+        value rows, their forward differences (in the second block, whose
+        last column is not theirs) and the record check's scratch.  Rows
+        are not padded, so that a batch is one contiguous block."""
+        return np.empty((3, self.batch, self.u.size))
 
     def _complement(self, d):
         """Form u' and 1 - (u'/w)^2 from the forward differences `d` and
@@ -217,12 +235,13 @@ class _Engine:
         return out
 
     def _hold_ends(self, y):
-        """Pinned ends to 0 and frozen ends to the state's values."""
+        """Pinned ends to 0 and frozen ends to the state's values, in each
+        row of `y`."""
         if self.pin_left:
-            y[0] = 0.0
+            y[..., 0] = 0.0
         elif not self.axis:
-            y[0] = self.u[0]
-        y[-1] = 0.0 if self.pin_right else self.u[-1]
+            y[..., 0] = self.u[0]
+        y[..., -1] = 0.0 if self.pin_right else self.u[-1]
 
     def _accept(self):
         """Swap the candidate, its differences, speed and coefficient in as
@@ -234,8 +253,9 @@ class _Engine:
 
     def interpolate(self, theta, tau):
         """The cubic Hermite interpolant of the last accepted step, of size
-        `tau`, at the fraction `theta` of it, and its forward differences;
-        both are written into the stage rows, which are free between steps.
+        `tau`, at each fraction in `theta` (ascending, at most `batch` of
+        them), one row each, and the rows' forward differences; both are
+        written into the dense-output scratch.
 
         It takes u_n and F(u_n) from `cand` and `f_cand`, u_{n+1} and
         F(u_{n+1}) from `u` and `f`, as `_accept` leaves them, so it costs
@@ -246,22 +266,29 @@ class _Engine:
 
         formed from the nearer end (u_{n+1} - (1 - theta)^2 (1 + 2 theta) D
         + ... past the midpoint), so theta = 0 and 1 give u_n and u_{n+1}
-        exactly.  Pinned and frozen ends are held as in a step.
+        exactly.  Each row's weights are its own column, so a row is the
+        one-theta interpolant bit for bit.  Pinned and frozen ends are held
+        as in a step.
         """
-        out, tmp = self.stage, self.stage_prev
-        np.subtract(self.u, self.cand, out=out)
-        if theta <= 0.5:
-            base, weight = self.cand, theta * theta * (3.0 - 2.0 * theta)
-        else:
-            base, weight = self.u, -(1.0 - theta) ** 2 * (1.0 + 2.0 * theta)
-        out *= weight
-        out += np.multiply(self.f_cand, tau * theta * (1.0 - theta) ** 2,
-                           out=tmp)
-        out += np.multiply(self.f, -tau * theta * theta * (1.0 - theta),
-                           out=tmp)
-        out += base
+        out, tmp = self.dense[0, :len(theta)], self.dense[1, :len(theta)]
+        weights = np.array([
+            (th * th * (3.0 - 2.0 * th) if th <= 0.5
+             else -(1.0 - th) ** 2 * (1.0 + 2.0 * th),
+             tau * th * (1.0 - th) ** 2, -tau * th * th * (1.0 - th))
+            for th in theta]).T[:, :, None]
+        np.multiply(np.subtract(self.u, self.cand, out=self.stage),
+                    weights[0], out=out)
+        out += np.multiply(self.f_cand, weights[1], out=tmp)
+        out += np.multiply(self.f, weights[2], out=tmp)
+        near_start = sum(th <= 0.5 for th in theta)
+        out[:near_start] += self.cand
+        out[near_start:] += self.u
         self._hold_ends(out)
-        return out, np.subtract(out[1:], out[:-1], out=tmp[:-1])
+        # differences over the flattened rows, one pass for the batch: those
+        # across two rows land in tmp's last column, outside the view
+        flat = out.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=tmp.reshape(-1)[:-1])
+        return out, tmp[:, :-1]
 
     def max_metric_slope(self, d):
         """max |d| / (h w) over the midpoints (w = 1 when hw_mid is None)."""
@@ -429,6 +456,23 @@ def step_radial(field: Field, metric, n: int, config: SolverConfig,
     return replace(field, values=engine.u), dt
 
 
+def _record(traj, plan, engine, times, rows, d):
+    """Append to `traj` the records of the value rows `rows`, with forward
+    differences `d`, at `times`.  A RecordError names the first row that
+    fails a check, as a batch of that row alone would."""
+    try:
+        # the solver's bound |u'|/w < 1, on the rows' own differences
+        check_node_slopes(d, engine.h, engine.hw_mid,
+                          engine.dense[2, :len(d), :-1])
+        traj.records += diagnostics.make_record(plan, rows, times)
+    except ValueError as exc:
+        if len(times) > 1:  # the first failing row raises on its own
+            for i in range(len(times)):
+                _record(traj, plan, engine, times[i:i + 1], rows[i:i + 1],
+                        d[i:i + 1])
+        raise RecordError(f"state at t = {times[0]:.6g}: {exc}") from exc
+
+
 def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             barrier=None) -> FlowTrajectory:
     """Drive an engine from `field` to t_end by RKL2 super-steps, recording
@@ -446,20 +490,18 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     plan = diagnostics.RecordPlan(field, metric, phi_params, barrier)
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
     tau = None
-
-    def record(t, values, d):
-        try:
-            # the solver's bound |u'|/w < 1, on the state's own differences
-            check_node_slopes(d, engine.h, engine.hw_mid, engine.slope)
-            traj.records.append(diagnostics.make_record(plan, values, t))
-        except ValueError as exc:
-            raise RecordError(f"state at t = {t:.6g}: {exc}") from exc
-
     traj = FlowTrajectory()
+    # not a closure: one that calls itself is a reference cycle, which
+    # keeps the run's buffers alive until the next garbage collection
+    record = functools.partial(_record, traj, plan, engine)
+
+    def record_state(t):
+        record([t], engine.u[None], engine.d[None])
+
     rec_cad = config.record_cadence
     snap_cad = config.snapshot_cadence
     t = 0.0
-    record(t, engine.u, engine.d)
+    record_state(t)
     traj.snapshots.append((t, field.with_values(engine.u)))
     next_rec = rec_cad
     next_snap = snap_cad
@@ -475,14 +517,18 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
                                         config.clamp_policy, tol)
             steps += 1
             t = mark if dt >= mark - t - 1e-15 else t + dt
+            inside = []
             while next_rec < t - 1e-12:
-                record(next_rec, *engine.interpolate((next_rec - start) / dt,
-                                                     dt))
+                inside.append(next_rec)
                 next_rec = (np.floor(next_rec / rec_cad + 0.5) + 1.0) * rec_cad
+            for first in range(0, len(inside), engine.batch):
+                times = inside[first:first + engine.batch]
+                record(times, *engine.interpolate(
+                    [(s - start) / dt for s in times], dt))
             hit_rec = t >= next_rec - 1e-12
             hit_snap = t >= next_snap - 1e-12
             if hit_rec or t >= config.t_end - 1e-12:
-                record(t, engine.u, engine.d)
+                record_state(t)
             if hit_snap or t >= config.t_end - 1e-12:
                 traj.snapshots.append((t, field.with_values(engine.u)))
             if hit_rec:
@@ -496,7 +542,7 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
                             else "spacelike_violation")
         traj.message = str(exc)
         try:
-            record(t, engine.u, engine.d)
+            record_state(t)
         except RecordError as err:
             raise RecordError(f"{err} (the run had halted: {exc})") from err
         traj.snapshots.append((t, field.with_values(engine.u)))

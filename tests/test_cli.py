@@ -226,6 +226,32 @@ def test_sweep_dirichlet_parallel_workers(tmp_path):
     assert [r["R"] for r in rows] == [2.0, 3.0]
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("name", ["dirichlet", "nested_balls"])
+def test_sweep_workers_below_one_exit_two(tmp_path, capsys, name, workers):
+    cfg = dirichlet_sweep_config(str(tmp_path / "out"), [2, 3])
+    cfg["scenario"] = name
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path, "--workers", str(workers)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --workers: must be >= 1, got {workers}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_nested_ball_sweep_rejects_workers(tmp_path, capsys):
+    # a nested-ball study runs its radii in one process: --workers 2 is not
+    # ignored but refused, before any run
+    cfg = dirichlet_sweep_config(str(tmp_path / "out"), [2, 3])
+    cfg["scenario"] = "nested_balls"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path, "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --workers: applies to dirichlet sweeps" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_config_error_in_a_worker_exits_two(tmp_path, capsys, workers):
     # the steep data fail as each swept run samples them on its grid: the

@@ -135,3 +135,18 @@ def test_nested_balls_hold_the_snapshots_of_every_ball():
     assert "snapshots of 1282 nodes" in snapshot_error(cfg)
     cfg["scenario"] = "dirichlet"
     assert ScenarioConfig.from_dict(cfg).sweep_values == [4, 8]
+
+
+# ---------------------------------------------------------------------------
+# sweep radii
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["dirichlet_sweep.json", "nested_balls.json"])
+@pytest.mark.parametrize("values", [[4, 4], [8, 4, 8.0], [4, 16, 8, 16]])
+def test_repeated_sweep_radii_are_a_config_error(name, values):
+    cfg = load(name)
+    cfg["sweep"]["values"] = values
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(cfg)
+    assert exc.value.path == "sweep.values"
+    assert "more than once" in str(exc.value)

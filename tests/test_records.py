@@ -100,17 +100,7 @@ def axis_ball_run():
 def curved_run():
     cfg = load("no_lift_off.json", t_end=1.0, record_every=0.1,
                snapshot_every=0.1)
-    u0 = build_field_from_config(cfg, "radial")
-    eps = cfg.barrier_eps
-    r1 = max(decay_radius(u0, eps), cfg.metric.r_min * 10, cfg.barrier_r1_min)
-    profile = build_outer_barrier(cfg.metric.n, r1_min=r1,
-                                  h=float(np.max(np.abs(u0.values))), eps=eps,
-                                  metric=cfg.metric)
-    c = ricci_form_bound(cfg.metric, float(u0.nodes[0]), float(u0.nodes[-1]))
-    phi = (c, 1.0 / c)
-    traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi,
-                    barrier=profile)
-    return traj, cfg.metric, phi, profile
+    return curved_run_of(cfg, lam=None)
 
 
 @pytest.mark.parametrize("run", [decay_line_run, axis_ball_run, curved_run])
@@ -147,8 +137,9 @@ def test_plan_matches_the_formulas_on_signed_data(kind):
                 bc=grid.bc)
     phi = (0.0, 0.5)  # lambda = 0 admits data of both signs
     plan = diagnostics.RecordPlan(fld, metric, phi, profile)
-    assert bits(diagnostics.make_record(plan, fld.values, 0.25)) == bits(
-        reference_record(fld, metric, 0.25, phi, profile))
+    record, = diagnostics.make_record(plan, fld.values[None], [0.25])
+    assert bits(record) == bits(reference_record(fld, metric, 0.25, phi,
+                                                 profile))
 
 
 def test_plan_validates_the_monitor_once_and_the_data_per_record():
@@ -160,11 +151,11 @@ def test_plan_validates_the_monitor_once_and_the_data_per_record():
         diagnostics.RecordPlan(u0, cfg.metric, phi_params=(-1.0, 1.0))
     plan = diagnostics.RecordPlan(u0, cfg.metric, phi_params=(1.0, 1.0))
     with pytest.raises(ValueError, match="min u >= 0"):
-        diagnostics.make_record(plan, -u0.values, 0.0)
+        diagnostics.make_record(plan, -u0.values[None], [0.0])
     steep = u0.values * 0.0
     steep[100] = 0.2  # |u'| = 2 = 0.2 / (2 h) at its neighbours
     with pytest.raises(SpacelikeViolationError):
-        diagnostics.make_record(plan, steep, 0.0)
+        diagnostics.make_record(plan, steep[None], [0.0])
 
 
 def test_recorded_state_with_unit_node_slope_raises(monkeypatch):
@@ -202,3 +193,123 @@ def test_record_check_reads_the_engine_differences(monkeypatch):
                   h=0.1, bc=u0.bc)
     with pytest.raises(ValueError, match="node-to-node slope 2 >= 1"):
         run_flow(load("decay_study.json").metric, u0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# batches: the records inside a super-step from one pass over their rows
+# ---------------------------------------------------------------------------
+
+def capture_batches(monkeypatch):
+    """Wrap `make_record`, as the solver calls it, to log each batch's rows
+    and times; `None` marks each accepted super-step."""
+    log = []
+    original = diagnostics.make_record
+    step = solver._Engine.super_step
+
+    def capture(plan, rows, times):
+        log.append((rows.copy(), list(times)))
+        return original(plan, rows, times)
+
+    def mark(engine, *args):
+        log.append(None)
+        return step(engine, *args)
+    monkeypatch.setattr(diagnostics, "make_record", capture)
+    monkeypatch.setattr(solver._Engine, "super_step", mark)
+    return log
+
+
+def dense_decay_line_run():
+    cfg = load("decay_study.json", t_end=20.0, record_every=0.05,
+               snapshot_every=5.0)
+    u0 = build_field_from_config(cfg, "line")
+    return run_flow(cfg.metric, u0, cfg.solver), cfg.metric, None, None
+
+
+def dense_axis_ball_run():
+    cfg = load("dirichlet_sweep.json", t_end=4.0, record_every=0.01,
+               snapshot_every=1.0)
+    u0 = build_field_from_config(cfg, "radial", outer=16.0)
+    traj = solve_dirichlet(4.0, cfg.metric, u0, cfg.solver)
+    eps = min(0.999, 1.0 - lipschitz_constant(cfg.metric, u0))
+    blend = interpolate_initial_data(cfg.metric, u0, 3.0, 4.0, eps)
+    return traj, blend.sigma_tilde, None, None
+
+
+def dense_curved_run():
+    # the benchmark's cadence: up to 20 records a step
+    cfg = load("no_lift_off.json", t_end=3.0, record_every=0.005,
+               snapshot_every=0.1)
+    return curved_run_of(cfg, lam=None)
+
+
+def chunked_curved_run():
+    # past t = 2.4 a step holds more records than a batch: it is chunked.
+    # The monitor runs at lambda = 0: at lambda = c, this cadence puts a
+    # record inside the first step, whose interpolant dips below the
+    # monitor's floor min u >= -1e-9 (see CHANGES.md)
+    cfg = load("no_lift_off.json", t_end=3.0, record_every=0.001,
+               snapshot_every=0.1)
+    return curved_run_of(cfg, lam=0.0)
+
+
+def curved_run_of(cfg, lam):
+    """The curved run with its barrier and the tilt monitor at (lam, 1/c),
+    lam None meaning the Ricci constant c."""
+    u0 = build_field_from_config(cfg, "radial")
+    eps = cfg.barrier_eps
+    r1 = max(decay_radius(u0, eps), cfg.metric.r_min * 10, cfg.barrier_r1_min)
+    profile = build_outer_barrier(cfg.metric.n, r1_min=r1,
+                                  h=float(np.max(np.abs(u0.values))), eps=eps,
+                                  metric=cfg.metric)
+    c = ricci_form_bound(cfg.metric, float(u0.nodes[0]), float(u0.nodes[-1]))
+    phi = (c if lam is None else lam, 1.0 / c)
+    traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi,
+                    barrier=profile)
+    return traj, cfg.metric, phi, profile
+
+
+@pytest.mark.parametrize("run", [dense_decay_line_run, dense_axis_ball_run,
+                                 dense_curved_run, chunked_curved_run])
+def test_batched_records_match_the_formulas_bit_for_bit(run, monkeypatch):
+    log = capture_batches(monkeypatch)
+    traj, metric, phi, profile = run()
+    assert traj.termination == "reached_t_end"
+    grid = traj.snapshots[0][1]
+    batches = [entry for entry in log if entry is not None]
+    assert sum(len(times) for _, times in batches) == len(traj.records)
+    cap = diagnostics.batch_rows(grid.nodes.size)
+    largest = max(len(times) for _, times in batches)
+    # the line's 8,001 nodes are recorded a row at a time
+    assert largest == 1 if cap == 1 else 1 < largest <= cap
+    if run is chunked_curved_run:  # a step's records fill two batches
+        assert cap == 33
+        sizes = [0 if entry is None else len(entry[1]) for entry in log]
+        assert any(sizes[i:i + 2] == [0, cap] and sizes[i + 2] > 1
+                   for i in range(len(sizes) - 2))
+    records = iter(traj.records)
+    for rows, times in batches:
+        for row, t in zip(rows, times):
+            assert bits(next(records)) == bits(reference_record(
+                grid.with_values(row), metric, t, phi, profile))
+
+
+def test_every_record_of_a_cli_run_passes_through_make_record(tmp_path,
+                                                              monkeypatch):
+    # the benchmark times records by wrapping `diagnostics.make_record`:
+    # every record of a run, inside a step or at its end, is in a batch
+    from mcflow.cli import main
+    sizes = []
+    original = diagnostics.make_record
+    monkeypatch.setattr(diagnostics, "make_record", lambda plan, rows, times:
+                        sizes.append(len(times)) or original(plan, rows,
+                                                             times))
+    with open(os.path.join(CONFIG_DIR, "no_lift_off.json")) as fh:
+        raw = json.load(fh)
+    raw["solver"].update(t_end=5.0, record_every=0.005, snapshot_every=0.1)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--output-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["records"] == 1001 == sum(sizes)
+    assert len(sizes) < summary["records"] / 2

@@ -18,7 +18,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from mcflow import solver
+from mcflow import diagnostics, geometry, solver
 from mcflow.fields import Field
 from mcflow.geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                              SpacelikeViolationError, euclidean_metric,
@@ -504,7 +504,7 @@ def test_interpolant_ends_are_the_step_ends_bit_for_bit(case):
     u_n, u_next = engine.cand.copy(), engine.u.copy()
     assert not np.array_equal(u_n, u_next)
     for theta, expected in ((0.0, u_n), (1.0, u_next)):
-        values, d = engine.interpolate(theta, dt)
+        values, d = (row[0] for row in engine.interpolate([theta], dt))
         assert values.tobytes() == expected.tobytes()
         assert np.array_equal(d, np.diff(expected))
     # the step's two states are left as they were
@@ -525,7 +525,7 @@ def test_interpolant_is_exact_on_data_cubic_in_time(rng):
     for theta in (0.1, 0.25, 0.5, 0.6, 0.75, 0.95):
         s = theta * tau
         exact = a + s * (b + s * (c + s * e))
-        values, d = engine.interpolate(theta, tau)
+        values, d = (row[0] for row in engine.interpolate([theta], tau))
         assert np.max(np.abs(values - exact)) <= 1e-14
         assert np.array_equal(d, np.diff(values))
     # the ends, bit for bit, also where u_n + (u_{n+1} - u_n) rounds away
@@ -533,7 +533,7 @@ def test_interpolant_is_exact_on_data_cubic_in_time(rng):
     engine.u[:] = 1e-3 * a + 1e-20 * b
     assert np.any(engine.cand + (engine.u - engine.cand) != engine.u)
     for theta, expected in ((0.0, engine.cand), (1.0, engine.u)):
-        assert engine.interpolate(theta, tau)[0].tobytes() \
+        assert engine.interpolate([theta], tau)[0][0].tobytes() \
             == expected.tobytes()
 
 
@@ -557,7 +557,7 @@ def test_interpolant_is_within_the_step_tolerance(case, t_min):
                                  config)  # a genuine super-step
     u_n = engine.cand.copy()
     for quarter in (1, 2, 3):
-        values = engine.interpolate(quarter / 4.0, dt)[0].copy()
+        values = engine.interpolate([quarter / 4.0], dt)[0][0].copy()
         reference = fine_reference(field, metric, u_n, quarter * dt / 4.0,
                                    16 * quarter)
         assert np.max(np.abs(values - reference)) <= tol
@@ -583,7 +583,7 @@ def test_interpolated_records_check_their_own_differences(monkeypatch):
 def test_interpolated_records_hold_pinned_and_frozen_ends():
     field, metric, config = flat_axis_case()
     engine, _, dt, _ = stepped_engine(field, metric, config, 0.5)
-    values = engine.interpolate(0.3, dt)[0]
+    values = engine.interpolate([0.3], dt)[0][0]
     assert values[-1] == 0.0 and not np.signbit(values[-1])
     assert values[0] != engine.u[0]  # the axis node is interpolated
     curved = conformal_metric(3, a=0.5, tau=1.0)
@@ -593,7 +593,7 @@ def test_interpolated_records_hold_pinned_and_frozen_ends():
     engine, _, dt, _ = stepped_engine(fld, curved,
                                       SolverConfig(h=0.05, t_end=1.0), 0.5)
     for theta in (0.3, 0.7):
-        values = engine.interpolate(theta, dt)[0]
+        values = engine.interpolate([theta], dt)[0][0]
         assert values[[0, -1]].tobytes() == fld.values[[0, -1]].tobytes()
 
 
@@ -673,6 +673,119 @@ def test_records_at_snapshot_marks_are_the_engine_state():
     plan = solver.diagnostics.RecordPlan(u0, cfg.metric)
     assert len(traj.snapshots) == 11
     for t, fld in traj.snapshots:
-        expected = solver.diagnostics.make_record(plan, fld.values, t)
+        expected, = solver.diagnostics.make_record(plan, fld.values[None],
+                                                   [t])
         assert [float(x).hex() for x in astuple(by_time[t]) if x is not None] \
             == [float(x).hex() for x in astuple(expected) if x is not None]
+
+
+# ---------------------------------------------------------------------------
+# records in batches: one interpolant evaluation per batch of records
+# ---------------------------------------------------------------------------
+
+BATCH_THETAS = [0.0, 0.1, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.75, 0.999, 1.0]
+
+
+def asymptotic_decay_case():
+    # 'asymptotic_decay' ends are frozen: the outer one at -0.0
+    curved = conformal_metric(3, a=0.5, tau=1.0)
+    fld = radial_field(1.0, 8.0, 0.05,
+                       lambda r: -0.3 * np.exp(-r) * (8.0 - r) / 7.0,
+                       bc=("asymptotic_decay", "asymptotic_decay"))
+    assert np.signbit(fld.values[-1])
+    return fld, curved, SolverConfig(h=0.05, t_end=1.0)
+
+
+@pytest.mark.parametrize("case", ["flat_axis", "blended_axis", "curved",
+                                  "asymptotic_decay"])
+def test_batched_interpolant_rows_are_one_theta_interpolants(case):
+    field, metric, config = (asymptotic_decay_case() if case ==
+                             "asymptotic_decay" else CASES[case]())
+    engine, _, dt, _ = stepped_engine(field, metric, config, 0.5)
+    thetas = BATCH_THETAS  # 0, 1/2 exactly, both sides of 1/2 and 1
+    assert engine.batch >= len(thetas)
+    values, d = (block.copy() for block in engine.interpolate(thetas, dt))
+    assert values.shape == (len(thetas), field.nodes.size)
+    assert d.shape == (len(thetas), field.nodes.size - 1)
+    for row, theta in enumerate(thetas):
+        one_values, one_d = engine.interpolate([theta], dt)
+        assert values[row].tobytes() == one_values[0].tobytes()
+        assert d[row].tobytes() == one_d[0].tobytes()
+        assert np.array_equal(d[row], np.diff(values[row]))
+    # the step's ends, and the held ends of every row
+    assert values[0].tobytes() == engine.cand.tobytes()
+    assert values[-1].tobytes() == engine.u.tobytes()
+    if field.bc[1] == "dirichlet_zero":
+        assert not np.signbit(values[:, -1]).any()
+        assert not values[:, -1].any()
+    else:
+        assert values[:, [0, -1]].tobytes() == np.tile(
+            field.values[[0, -1]], (len(thetas), 1)).tobytes()
+
+
+def corrupt_rows(monkeypatch, steep_at, negative_at):
+    """Make the interpolated rows numbered `steep_at` (counting every row
+    of a run) break the node slope bound, and `negative_at` the tilt
+    monitor's min u >= 0."""
+    original = solver._Engine.interpolate
+    count = [0]
+
+    def corrupt(engine, theta, tau):
+        values, d = original(engine, theta, tau)
+        for row in range(len(theta)):
+            if count[0] == steep_at:
+                d[row] = 2.0 * engine.h
+            if count[0] == negative_at:
+                values[row] *= -1.0
+            count[0] += 1
+        return values, d
+    monkeypatch.setattr(solver._Engine, "interpolate", corrupt)
+
+
+def curved_monitor_run():
+    u0, metric, config = curved_case()
+    c = geometry.ricci_form_bound(metric, float(u0.nodes[0]),
+                                  float(u0.nodes[-1]))
+    config = replace(config, t_end=4.0, record_every=0.01, snapshot_every=1.0)
+    return run_flow(metric, u0, config, phi_params=(c, 1.0 / c))
+
+
+@pytest.mark.parametrize("first", ["slope", "tilt"])
+def test_record_error_names_the_first_failing_row_of_a_batch(first,
+                                                              monkeypatch):
+    # a clean run gives the rows' numbers and times: the first batch of 3 or
+    # more interpolated rows starts at row `start`
+    interpolated, pending = [], []
+    interpolate = solver._Engine.interpolate
+    original = diagnostics.make_record
+
+    def note(engine, theta, tau):
+        pending.append(1)
+        return interpolate(engine, theta, tau)
+
+    def log(plan, rows, times):
+        if pending:
+            interpolated.append(list(times))
+            pending.clear()
+        return original(plan, rows, times)
+    monkeypatch.setattr(solver._Engine, "interpolate", note)
+    monkeypatch.setattr(diagnostics, "make_record", log)
+    assert curved_monitor_run().termination == "reached_t_end"
+    monkeypatch.undo()
+    k = next(i for i, times in enumerate(interpolated) if len(times) >= 3)
+    start = sum(len(times) for times in interpolated[:k])
+    t_first = interpolated[k][1]
+    rows = (start + 1, start + 2) if first == "slope" else (start + 2,
+                                                           start + 1)
+    messages = {}
+    for batch_values in (diagnostics.BATCH_VALUES, 1):  # 1: one-row batches
+        monkeypatch.setattr(diagnostics, "BATCH_VALUES", batch_values)
+        corrupt_rows(monkeypatch, *rows)
+        with pytest.raises(solver.RecordError) as exc:
+            curved_monitor_run()
+        messages[batch_values] = str(exc.value)
+        monkeypatch.undo()
+    expected = ("node-to-node slope" if first == "slope"
+                else "monitor needs min u >= 0")
+    assert messages[1] == messages[diagnostics.BATCH_VALUES]
+    assert messages[1].startswith(f"state at t = {t_first:.6g}: {expected}")
