@@ -270,10 +270,13 @@ def _sweep_values(cfg: dict, scenario: str) -> list:
         raise ConfigError("sweep.values", f"radii must be >= "
                           f"{MIN_BALL_RADIUS}, got {small[0]}")
     radii = sorted(map(float, values))
-    repeated = [a for a, b in zip(radii, radii[1:]) if a == b]
-    if repeated:
-        raise ConfigError("sweep.values", f"radii must differ, got "
-                          f"{repeated[0]:g} more than once")
+    for a, b in zip(radii, radii[1:]):
+        if a == b:
+            raise ConfigError("sweep.values", f"radii must differ, got "
+                              f"{a:g} more than once")
+        if f"{a:g}" == f"{b:g}":  # a sweep writes each run to run_R{R:g}
+            raise ConfigError("sweep.values", f"radii {a!r} and {b!r} "
+                              f"share the run directory run_R{a:g}")
     if scenario not in SWEEP_SCENARIOS:
         raise ConfigError("scenario", f"sweep supports dirichlet and "
                           f"nested_balls, got {scenario!r}")

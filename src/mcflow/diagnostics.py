@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,9 +15,11 @@ class InsufficientDataError(ValueError):
     """Too few usable records for the requested fit."""
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-time diagnostics; sup_phi and barrier_margin only when configured."""
+class DiagnosticsRecord(NamedTuple):
+    """Per-time diagnostics; sup_phi and barrier_margin only when configured.
+
+    A named tuple: immutable, and cheap to build (a run makes one per
+    record, 10,001 on a dense one)."""
 
     t: float
     sup_u: float

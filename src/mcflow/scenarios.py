@@ -3,9 +3,12 @@
 Runners take the typed `config.ScenarioConfig` of the one config pass,
 never the JSON (see docs/config_schema.md).  Every runner returns a
 ScenarioResult carrying a summary dict, a list of named pass/fail checks,
-and warnings; the CLI turns those into exit codes.  All data files
-are written with 17 significant digits and fixed column order, so identical
-configs produce byte-identical output.
+and warnings; the CLI turns those into exit codes.  Data files have a
+fixed column order, and each float in them is written as `fmt` writes it,
+`format(x, '.17g')`, so identical configs produce byte-identical output.
+The diagnostics and snapshot files take those bytes from
+`textfmt.format17` and `textfmt.format_pairs`, which format arrays in bulk
+and hand the values they cannot certify to Python's formatting.
 """
 
 from __future__ import annotations
@@ -58,45 +61,29 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 DIAG_HEADER = "t,sup_u,grad_max,l2,h1_grad,sup_phi,barrier_margin"
-#: Diagnostics rows formatted by one `%`: bounds the text held at once.
-CSV_BLOCK_ROWS = 1024
 
 
 def fmt(x) -> str:
+    """One cell as every data file writes it: '' for None, else
+    format(float(x), '.17g').  The reference that the bulk writers of
+    `textfmt` are tested against."""
     return "" if x is None else format(float(x), ".17g")
 
 
-def _row_template(cells) -> str:
-    """A `%` template writing the cells that are not None as `fmt` does
-    ('%.17g' % x == format(x, '.17g') for every float) and None as ''."""
-    return ",".join("" if c is None else "%.17g" for c in cells) + "\n"
-
-
-def _pattern_runs(rows) -> list:
-    """`rows` in consecutive runs that share one pattern of None cells: one
-    run when each column is None in every row or in none, as in a run's
-    records."""
-    if all(column.count(None) in (0, len(rows)) for column in zip(*rows)):
-        return [rows] if rows else []
-    return [list(run) for _, run in itertools.groupby(
-        rows, key=lambda cells: tuple(c is None for c in cells))]
-
-
 def write_diagnostics_csv(records, path: str):
-    """Each run of rows sharing a pattern of None cells is written one `%`
-    of its row template, repeated, per block of up to CSV_BLOCK_ROWS rows,
-    over the block's cells that are not None."""
-    rows = [(rec.t, rec.sup_u, rec.grad_max, rec.l2, rec.h1_grad,
-             rec.sup_phi, rec.barrier_margin) for rec in records]
-    with open(path, "w") as fh:
-        fh.write(DIAG_HEADER + "\n")
-        for run in _pattern_runs(rows):
-            template = _row_template(run[0])
-            filled = itertools.cycle([c is not None for c in run[0]])
-            for start in range(0, len(run), CSV_BLOCK_ROWS):
-                block = run[start:start + CSV_BLOCK_ROWS]
-                fh.write(template * len(block) % tuple(itertools.compress(
-                    itertools.chain.from_iterable(block), filled)))
+    """One line per record, its cells written as `fmt` writes them, by
+    `textfmt.format17` over blocks of records."""
+    from . import textfmt  # on first write: `import mcflow` stays as fast
+    step = max(1, textfmt.CHUNK_VALUES // len(DIAG_HEADER.split(",")))
+    with open(path, "wb") as fh:
+        fh.write(DIAG_HEADER.encode() + b"\n")
+        for start in range(0, len(records), step):
+            block = records[start:start + step]
+            values = np.array(block, dtype=float)  # None reads as NaN
+            blank = np.isnan(values)
+            for row, col in np.argwhere(blank).tolist():
+                blank[row, col] = block[row][col] is None
+            fh.write(textfmt.format17(values, blank))
 
 
 def read_diagnostics_csv(path: str):
@@ -115,19 +102,20 @@ def read_diagnostics_csv(path: str):
 def write_snapshot_csvs(trajectory: FlowTrajectory, directory: str):
     """One `x,u` or `r,u` CSV per snapshot, named by its time.
 
-    Cells are written as `fmt` writes them.  The header and node column,
-    shared by the snapshots of a trajectory, go into a file template once;
-    each snapshot is one `%` of it over its values.
+    Cells are written as `fmt` writes them, by `textfmt.format_pairs` over
+    each run of snapshots on one grid, which formats the nodes once.
     """
+    from . import textfmt  # on first write: `import mcflow` stays as fast
     os.makedirs(directory, exist_ok=True)
-    nodes = template = None
-    for t, fld in trajectory.snapshots:
-        if fld.nodes is not nodes:
-            nodes = fld.nodes
-            template = ("x,u\n" if fld.kind == "line" else "r,u\n") + "".join(
-                f"{c:.17g},%.17g\n" for c in nodes.tolist())
-        with open(os.path.join(directory, f"t{t:.6f}.csv"), "w") as fh:
-            fh.write(template % tuple(fld.values.tolist()))
+    for _, run in itertools.groupby(trajectory.snapshots,
+                                    key=lambda snap: id(snap[1].nodes)):
+        run = list(run)
+        texts = textfmt.format_pairs(run[0][1].nodes,
+                                     (fld.values for _, fld in run))
+        for (t, fld), pieces in zip(run, texts):
+            with open(os.path.join(directory, f"t{t:.6f}.csv"), "wb") as fh:
+                fh.write(b"x,u\n" if fld.kind == "line" else b"r,u\n")
+                fh.writelines(pieces)
 
 
 def read_snapshot_csv(path: str):

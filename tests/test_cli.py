@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow
+from mcflow import textfmt
 from mcflow.cli import main
 from mcflow.config import MAX_NODES
 from mcflow.geometry import RadialOperator
@@ -521,6 +522,44 @@ def test_diagnostics_writer_bytes_match_per_cell_formatting(tmp_path):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_snapshot_writer_with_a_grid_change_and_no_snapshots(tmp_path):
+    # each run of snapshots on one grid is formatted with its own nodes
+    coarse = np.linspace(0.0, 2.0, 7)
+    fine = np.linspace(-1.0, 1.0, 13)
+    snaps = [(0.0, SimpleNamespace(kind="radial", nodes=coarse,
+                                   values=np.sin(coarse))),
+             (0.25, SimpleNamespace(kind="radial", nodes=coarse,
+                                    values=-np.sin(coarse) / 3.0)),
+             (0.5, SimpleNamespace(kind="line", nodes=fine,
+                                   values=np.exp(fine) * 1e-200)),
+             (0.75, SimpleNamespace(kind="radial", nodes=coarse,
+                                    values=np.zeros(7)))]
+    write_snapshot_csvs(FlowTrajectory(snapshots=snaps), str(tmp_path / "s"))
+    for t, fld in snaps:
+        coord = "x" if fld.kind == "line" else "r"
+        lines = [f"{coord},u"] + [f"{fmt(c)},{fmt(u)}"
+                                  for c, u in zip(fld.nodes, fld.values)]
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "s" / f"t{t:.6f}.csv").read_bytes() == expected
+    write_snapshot_csvs(FlowTrajectory(snapshots=[]), str(tmp_path / "e"))
+    assert os.listdir(tmp_path / "e") == []
+
+
+def test_diagnostics_writer_over_several_chunks(tmp_path):
+    rng = np.random.default_rng(11)
+    rows = textfmt.CHUNK_VALUES // 7 * 3 + 5  # four formatting passes
+    records = [DiagnosticsRecord(*(rng.standard_normal(5) * 10.0 ** k),
+                                 sup_phi=None if k % 4 else 1.0 + k)
+               for k in rng.integers(-40, 40, rows).tolist()]
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(records, str(path))
+    lines = [DIAG_HEADER] + [",".join(fmt(c) for c in rec) for rec in records]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert read_diagnostics_csv(str(path)) == records
+    write_diagnostics_csv([], str(path))
+    assert path.read_bytes() == (DIAG_HEADER + "\n").encode()
+
+
 def test_no_lift_off_artifacts_with_monitor_columns(tmp_path):
     out = str(tmp_path / "out")
     cfg = {
@@ -572,6 +611,16 @@ def test_sweep_radius_below_two_is_config_error(tmp_path, capsys, values):
         capsys.readouterr().err
     nested = dict(cfg, scenario="nested_balls")
     assert main(["sweep", write_config(tmp_path, "n.json", nested)]) == 2
+
+
+def test_sweep_radii_sharing_a_run_directory_exit_2(tmp_path, capsys):
+    cfg = dirichlet_sweep_config(str(tmp_path / "out"), [4, 4.0000001])
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: sweep.values:" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("bad", ["ab", [1.0], [-1.7, "x"], 3])

@@ -150,3 +150,20 @@ def test_repeated_sweep_radii_are_a_config_error(name, values):
         ScenarioConfig.from_dict(cfg)
     assert exc.value.path == "sweep.values"
     assert "more than once" in str(exc.value)
+
+
+def test_radii_sharing_a_run_directory_are_a_config_error():
+    # a sweep writes each run to run_R{R:g}: 4 and 4.0000001 would share
+    # run_R4
+    cfg = load("dirichlet_sweep.json")
+    cfg["sweep"]["values"] = [4, 4.0000001]
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(cfg)
+    assert exc.value.path == "sweep.values"
+    assert "share the run directory run_R4" in str(exc.value)
+
+
+def test_radii_with_distinct_run_directories_are_accepted():
+    cfg = load("dirichlet_sweep.json")
+    cfg["sweep"]["values"] = [4, 4.5, 8]
+    assert ScenarioConfig.from_dict(cfg).sweep_values == [4, 4.5, 8]

@@ -184,3 +184,17 @@ def test_h1_decay_check():
     rep = h1_decay_check(bad)
     assert not rep.passed
     assert rep.worst > 1.1
+
+
+def test_record_fields_defaults_and_immutability():
+    rec = DiagnosticsRecord(0.5, 1.0, 0.25, 2.0, 3.0)
+    assert DiagnosticsRecord._fields == ("t", "sup_u", "grad_max", "l2",
+                                         "h1_grad", "sup_phi",
+                                         "barrier_margin")
+    assert rec.sup_phi is None and rec.barrier_margin is None
+    assert rec == DiagnosticsRecord(t=0.5, sup_u=1.0, grad_max=0.25, l2=2.0,
+                                    h1_grad=3.0, sup_phi=None,
+                                    barrier_margin=None)
+    assert DiagnosticsRecord(*rec[:5], 4.0, -1.0).barrier_margin == -1.0
+    with pytest.raises(AttributeError):
+        rec.t = 1.0

@@ -13,7 +13,7 @@ the forward differences instead and evaluates the operator through
 import json
 import math
 import os
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -675,8 +675,8 @@ def test_records_at_snapshot_marks_are_the_engine_state():
     for t, fld in traj.snapshots:
         expected, = solver.diagnostics.make_record(plan, fld.values[None],
                                                    [t])
-        assert [float(x).hex() for x in astuple(by_time[t]) if x is not None] \
-            == [float(x).hex() for x in astuple(expected) if x is not None]
+        assert [float(x).hex() for x in by_time[t] if x is not None] \
+            == [float(x).hex() for x in expected if x is not None]
 
 
 # ---------------------------------------------------------------------------
