@@ -244,71 +244,76 @@ class RadialOperator:
     For u = U(r) on the conformal background, with p = (U'/w)^2, the
     operator contracts to
 
-        w^{-2} [U'' + (n-1) U'/r + (n-2) f' U'] + w^{-4} U'^2 (U'' - f' U') / (1 - p)
-      = w^{-2} [(U'' - f' U') / (1 - p) + (n-1) (1/r + f') U'],
+        F = w^{-2} [U'' + (n-1) U'/r + (n-2) f' U'] + w^{-4} U'^2 (U'' - f' U') / (1 - p)
+          = w^{-2} [(U'' - f' U') / (1 - p) + (n-1) (1/r + f') U'].
 
-    and the second form is the one evaluated.  The per-grid factors w^2,
-    w^{-2}, f' and (n-1)(1/r + f') are formed once.  On a flat background
-    (w = 1 and f' = 0 at every radius) the factors that are exact identities
-    are skipped, and for n = 1 the drift term vanishes: what is left is the
-    line operator U'' / (1 - U'^2), for which `r` is not used.
+    It is evaluated on scaled inputs s = a U' and q = b U'' (a = b = 1 for
+    pointwise callers; a solver passes sums and differences of its forward
+    differences, with a = 2h and b = h^2).  With K = a^2 w^2 and the scaled
+    complement C = K - s^2 = K (1 - p), the second form times b/a^2 is
+
+        F b/a^2 = (q - g s) / C + k s,
+        g = (b/a) f',    k = (b/a^3) w^{-2} (n-1) (1/r + f'),
+
+    and that is what `rhs` returns.  K, g and k are formed once per grid.
+    On a flat background (w = 1 and f' = 0 at every radius) K is the scalar
+    a^2 and g is None; for n = 1 the drift term vanishes and k is None:
+    what is left is the line operator, for which `r` is not used.
     """
 
-    def __init__(self, n, r, w, fprime):
+    def __init__(self, n, r, w, fprime, a=1.0, b=1.0):
         w = np.asarray(w, dtype=float)
         fprime = np.asarray(fprime, dtype=float)
         flat = bool(np.all(w == 1.0) and np.all(fprime == 0.0))
-        self.w2 = None if flat else w * w
-        self.inv_w2 = None if flat else 1.0 / self.w2
-        self.fprime = None if flat else fprime
-        self.drift = (None if n == 1
-                      else (n - 1) * (1.0 / np.asarray(r, dtype=float) + fprime))
+        self.K = a * a if flat else a * a * (w * w)
+        self.inv_K = None if flat else 1.0 / self.K
+        self.g = None if flat else (b / a) * fprime
+        if n == 1:
+            self.k = None
+        else:
+            drift = (n - 1) * (1.0 / np.asarray(r, dtype=float) + fprime)
+            self.k = (b / (a * a * a)) * (drift if flat else drift / (w * w))
 
-    def slope_complement(self, du, out):
-        """Write 1 - (U'/w)^2 into `out` and return it."""
-        np.multiply(du, du, out=out)
-        if self.inv_w2 is not None:
-            np.multiply(out, self.inv_w2, out=out)
-        return np.subtract(1.0, out, out=out)
+    def complement(self, s, out):
+        """Write C = K - s^2 into `out` and return it."""
+        np.multiply(s, s, out=out)
+        return np.subtract(self.K, out, out=out)
 
-    def rhs(self, du, d2u, comp, out, work):
-        """Write the flow speed into `out` and return it.
+    def rhs(self, s, q, comp, out, work):
+        """Write F b/a^2 into `out` and return it.
 
-        `comp` holds 1 - (U'/w)^2 > 0; `work` is scratch of `out`'s shape.
+        `comp` holds C = K - s^2 > 0; `work` is scratch of `out`'s shape.
         The inputs are not written.
         """
-        if self.fprime is None:
-            np.divide(d2u, comp, out=out)
+        if self.g is None:
+            np.divide(q, comp, out=out)
         else:
-            np.multiply(self.fprime, du, out=out)
-            np.subtract(d2u, out, out=out)
+            np.multiply(self.g, s, out=out)
+            np.subtract(q, out, out=out)
             np.divide(out, comp, out=out)
-        if self.drift is not None:
-            np.multiply(self.drift, du, out=work)
+        if self.k is not None:
+            np.multiply(self.k, s, out=work)
             np.add(out, work, out=out)
-        if self.inv_w2 is not None:
-            np.multiply(out, self.inv_w2, out=out)
         return out
 
 
 def radial_flow_rhs(n, r, du, d2u, w, fprime, one_minus_slope_sq=None):
     """Rotationally reduced flow speed, vectorised over radius arrays.
 
-    Evaluates `RadialOperator` (see there for the formula) on freshly formed
-    factors.  `one_minus_slope_sq` may supply 1 - U'^2 in a
-    cancellation-free closed form (profiles with |U'| near 1); otherwise
-    1 - (U'/w)^2 is formed from du.
+    Evaluates `RadialOperator` (see there for the formula) with a = b = 1
+    on freshly formed factors.  `one_minus_slope_sq` may supply 1 - U'^2 in
+    a cancellation-free closed form (profiles with |U'| near 1); the
+    complement then enters as C = w^2 - U'^2 = (1 - U'^2) + (w^2 - 1).
+    Otherwise C is formed from du.
     """
     op = RadialOperator(n, r, w, fprime)
     shape = np.broadcast_shapes(np.shape(r), np.shape(du), np.shape(d2u),
                                 np.shape(w))
     comp = np.empty(shape)
     if one_minus_slope_sq is None:
-        op.slope_complement(du, comp)
+        op.complement(du, comp)
     else:
-        # 1 - (U'/w)^2 = (1 - U'^2 + (w^2 - 1)) / w^2, stable when 1 - U'^2 is
-        w2 = w * w
-        np.divide(one_minus_slope_sq + (w2 - 1.0), w2, out=comp)
+        np.add(one_minus_slope_sq, w * w - 1.0, out=comp)
     return op.rhs(du, d2u, comp, np.empty(shape), np.empty(shape))
 
 

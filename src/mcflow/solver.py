@@ -49,10 +49,19 @@ recorded state is checked against the solver's slope bound
 |u_{i+1} - u_i| / (h w) < 1; a failing batch names its first failing row,
 as a batch of that row alone would.
 
-Every evaluation works in place and forms u' and u'' from the forward
-differences.  Slopes are never clamped: a stage or candidate that breaks
-strict spacelikeness is retried on a halved step or halts, by policy; a NaN
-or infinity halts.
+Every evaluation works in place on the forward differences d: the
+operator takes s = d_i + d_{i-1} = 2h u' and q = d_i - d_{i-1} = h^2 u''
+as they are (a = 2h, b = h^2 in `RadialOperator`), so the engine's speed
+rows hold F b/a^2 = F/4, and the factor 4 sits in the scalar weights of
+the stages, the error estimate, the interpolant and the forward-Euler
+step.  Strict spacelikeness 1 - (u'/w)^2 > TOL_SPACELIKE is checked as
+min(C)/K on flat grids and min(C/K) on curved ones, with C = 4h^2 w^2 -
+s^2 and K = 4h^2 w^2, and the principal coefficient is 4h^2 / min(C).
+Each stage's increment D_j is one matrix-vector product of four weights
+with the four rows f, f_cand, stage and stage_prev, which form one
+C-contiguous block.  Slopes are never clamped: a stage or candidate that
+breaks strict spacelikeness is retried on a halved step or halts, by
+policy; a NaN or infinity halts.
 """
 
 from __future__ import annotations
@@ -139,21 +148,22 @@ class _Engine:
     """Stepping in place on one grid, from a copy of a field's values.
 
     The state is `u` with its forward differences `d`; once a super-step
-    has run, also its speed `f` and principal coefficient `coeff` (None
-    until formed).  Each step builds its candidate in a second set of
-    buffers, swapped in only once accepted, so a halved retry starts from
-    the untouched state.
+    has run, also its speed `f` (held as F/4) and principal coefficient
+    `coeff` (None until formed).  Each step builds its candidate in a
+    second set of buffers, swapped in only once accepted, so a halved retry
+    starts from the untouched state.
     """
 
     def __init__(self, field: Field, metric, n=None):
         nodes = self.nodes = field.nodes
         self.h, self.axis = field.h, field.axis
+        scale = (2.0 * field.h, field.h * field.h)  # a, b: rows hold F/4
         self.pin_left, self.pin_right = (t == "dirichlet_zero" for t in field.bc)
         if field.kind == "line":
             if getattr(metric, "a", 0.0) != 0.0:
                 raise DomainError("line problems run on the flat metric")
             self.n, w_mid = 1, 1.0
-            self.op = RadialOperator(1, None, 1.0, 0.0)
+            self.op = RadialOperator(1, None, 1.0, 0.0, *scale)
         else:
             r_min = getattr(metric, "r_min", 0.0)
             inner = nodes[1] if self.axis else nodes[0]
@@ -165,7 +175,7 @@ class _Engine:
             self.n = metric.n if n is None else n
             r_int = nodes[1:-1]
             self.op = RadialOperator(self.n, r_int,
-                                     *radial_factors(metric, r_int))
+                                     *radial_factors(metric, r_int), *scale)
             mid = 0.5 * (nodes[:-1] + nodes[1:])
             w_mid = metric.w(np.maximum(mid, max(r_min, 1e-300)))
         self.hw_mid = None if np.all(w_mid == 1.0) else field.h * w_mid
@@ -173,14 +183,21 @@ class _Engine:
         self.u = np.array(field.values, dtype=float)
         self.coeff = self.cand_coeff = None
         # scratch rows share one allocation (cheaper for per-call engines;
-        # rows a forward-Euler step never touches cost it nothing); an even
-        # row length keeps each row 16-byte aligned, like np.empty's
-        rows = np.empty((12, size + size % 2))
-        self.cand, self.f, self.f_cand, self.stage, self.stage_prev = (
-            r[:size] for r in rows[:5])
-        self.d, self.d_cand, self.slope = (r[:size - 1] for r in rows[5:8])
-        self.du, self.d2u, self.comp, self.work = (
-            r[:size - 2] for r in rows[8:])
+        # rows a forward-Euler step never touches cost it nothing).  First
+        # the four rows a stage combines, as one C-contiguous block for one
+        # matrix-vector product; `f_row` is the block row that holds `f`.
+        # Then rows of even length, each 16-byte aligned like np.empty's.
+        pad = size + size % 2
+        scratch = np.empty(4 * size + 8 * pad)
+        self.block = scratch[:4 * size].reshape(4, size)
+        self.f, self.f_cand, self.stage, self.stage_prev = self.block
+        self.f_row = 0
+        rows = scratch[4 * size:].reshape(8, pad)
+        self.cand = rows[0, :size]
+        self.d, self.d_cand, self.slope = (r[:size - 1] for r in rows[1:4])
+        self.s, self.q, self.comp, self.work = (
+            r[:size - 2] for r in rows[4:])
+        self.weights = np.empty(4)  # of the block rows in a stage
         np.subtract(self.u[1:], self.u[:-1], out=self.d)
         self.batch = diagnostics.batch_rows(size)
 
@@ -193,13 +210,20 @@ class _Engine:
         return np.empty((3, self.batch, self.u.size))
 
     def _complement(self, d):
-        """Form u' and 1 - (u'/w)^2 from the forward differences `d` and
-        return the latter's min.  Raises on a NaN or infinity and on a
-        slope at the null cone."""
-        np.add(d[1:], d[:-1], out=self.du)
-        self.du *= 0.5 / self.h
-        comp = self.op.slope_complement(self.du, self.comp)
-        low = float(comp.min())
+        """Form s = 2h u' and C = 4h^2 w^2 - s^2 from the forward
+        differences `d`, and check 1 - (u'/w)^2 = C/K > TOL_SPACELIKE.
+        Returns min(C) on a flat grid, where the check formed it, and None
+        on a curved one.  Raises on a NaN or infinity and on a slope at the
+        null cone, naming the node of the smallest 1 - (u'/w)^2."""
+        np.add(d[1:], d[:-1], out=self.s)
+        comp = self.op.complement(self.s, self.comp)
+        if self.op.inv_K is None:
+            low_c = float(comp.min())
+            low = low_c / self.op.K
+        else:
+            low_c = None
+            comp = np.multiply(comp, self.op.inv_K, out=self.work)
+            low = float(comp.min())
         if not low > TOL_SPACELIKE:
             x = self.nodes[1 + comp.argmin()]  # the first NaN, if any
             if not np.isfinite(low):
@@ -207,30 +231,31 @@ class _Engine:
             raise SpacelikeViolationError(
                 f"spacelikeness lost: 1 - (u'/w)^2 = {low:.6g} <= "
                 f"{TOL_SPACELIKE:g} at x = {x:.6g}")
-        return low
+        return low_c
 
-    def _coefficient(self, low):
-        """Max principal coefficient from the complement `_complement` left
-        and its min `low`."""
-        # max 1/(w^2 comp) is 1/min(w^2 comp): rounded division is monotone
-        if self.op.w2 is not None:
-            low = float(np.multiply(self.op.w2, self.comp, out=self.work).min())
-        return max(1.0 / low, float(self.n) if self.axis else 0.0)
+    def _coefficient(self, low_c):
+        """Max principal coefficient from the complement C `_complement`
+        left and its min `low_c` (None: not formed yet)."""
+        # max 1/(w^2 (1 - (u'/w)^2)) = max 4h^2/C = 4h^2/min(C): rounded
+        # division is monotone
+        if low_c is None:
+            low_c = float(self.comp.min())
+        return max(4.0 * self.h * self.h / low_c,
+                   float(self.n) if self.axis else 0.0)
 
     def coefficient(self):
-        """Max principal coefficient of the state; forms du and
-        1 - (u'/w)^2 on the way.  Raises as `_complement`."""
+        """Max principal coefficient of the state; forms s and C on the
+        way.  Raises as `_complement`."""
         return self._coefficient(self._complement(self.d))
 
     def _speed(self, d, out):
-        """Write the flow speed F of the values with forward differences
-        `d` into `out` and return it: the operator inside, the axis rule at
-        r = 0, zero at pinned or frozen ends.  Needs `_complement(d)`."""
-        h2 = self.h * self.h
-        np.subtract(d[1:], d[:-1], out=self.d2u)
-        self.d2u *= 1.0 / h2
-        self.op.rhs(self.du, self.d2u, self.comp, out[1:-1], self.work)
-        out[0] = self.n * 2.0 * d[0] / h2 if self.axis else 0.0
+        """Write F/4, a quarter of the flow speed of the values with forward
+        differences `d`, into `out` and return it: the operator inside, the
+        axis rule F = 2n (u_1 - u_0)/h^2 at r = 0, zero at pinned or frozen
+        ends.  Needs `_complement(d)`."""
+        np.subtract(d[1:], d[:-1], out=self.q)
+        self.op.rhs(self.s, self.q, self.comp, out[1:-1], self.work)
+        out[0] = self.n * 0.5 * d[0] / (self.h * self.h) if self.axis else 0.0
         out[-1] = 0.0
         return out
 
@@ -249,6 +274,7 @@ class _Engine:
         self.u, self.cand = self.cand, self.u
         self.d, self.d_cand = self.d_cand, self.d
         self.f, self.f_cand = self.f_cand, self.f
+        self.f_row = 1 - self.f_row
         self.coeff = self.cand_coeff
 
     def interpolate(self, theta, tau):
@@ -271,10 +297,11 @@ class _Engine:
         as in a step.
         """
         out, tmp = self.dense[0, :len(theta)], self.dense[1, :len(theta)]
-        weights = np.array([
+        weights = np.array([  # the speed rows hold F/4
             (th * th * (3.0 - 2.0 * th) if th <= 0.5
              else -(1.0 - th) ** 2 * (1.0 + 2.0 * th),
-             tau * th * (1.0 - th) ** 2, -tau * th * th * (1.0 - th))
+             4.0 * tau * th * (1.0 - th) ** 2,
+             -4.0 * tau * th * th * (1.0 - th))
             for th in theta]).T[:, :, None]
         np.multiply(np.subtract(self.u, self.cand, out=self.stage),
                     weights[0], out=out)
@@ -304,7 +331,7 @@ class _Engine:
         f, cand = self._speed(self.d, self.f_cand), self.cand
         attempts = 1 + (MAX_DT_HALVINGS if policy == "reject" else 0)
         for _ in range(attempts):
-            np.add(self.u, np.multiply(f, dt, out=cand), out=cand)
+            np.add(self.u, np.multiply(f, 4.0 * dt, out=cand), out=cand)
             self._hold_ends(cand)
             np.subtract(cand[1:], cand[:-1], out=self.d_cand)
             worst = self.max_metric_slope(self.d_cand)
@@ -330,14 +357,19 @@ class _Engine:
         The stages are kept as increments D_j = Y_j - u, which are small
         next to u:  D_1 = mu~_1 tau F(u) and, for j = 2..s,
         D_j = mu_j D_{j-1} + nu_j D_{j-2} + mu~_j tau F(Y_{j-1})
-              + gamma~_j tau F(u)   (D_0 = 0).
+              + gamma~_j tau F(u)   (D_0 = 0),
+        one matrix-vector product of the four weights (4 tau times those
+        of the speed rows, which hold F/4) with `block`.
         """
         s = rkl2_stages(tau, dt_fe)
         w1 = 4.0 / (s * s + s - 2)
         f0, f, d = self.f, self.f_cand, self.d_cand
         acc = self.cand  # scratch until the candidate is formed
         prev, older = self.stage, self.stage_prev  # D_{j-1}, D_{j-2}
-        np.multiply(f0, w1 * tau / 3.0, out=prev)
+        weights, i_f0 = self.weights, self.f_row
+        i_prev, i_older = 2, 3
+        np.multiply(f0, 4.0 * w1 * tau / 3.0, out=prev)
+        older.fill(0.0)  # D_0: a zero weight would keep a stale NaN
         b_older = b_prev = 1.0 / 3.0
         for j in range(2, s + 1):
             np.subtract(prev[1:], prev[:-1], out=d)
@@ -346,16 +378,15 @@ class _Engine:
             self._speed(d, f)
             b = (j * j + j - 2) / (2.0 * j * (j + 1))
             mu = (2 * j - 1) / j * b / b_prev
-            nu = -(j - 1) / j * b / b_older
-            mu_tau = mu * w1 * tau
-            if j == 2:
-                np.multiply(prev, mu, out=older)
-            else:
-                older *= nu
-                older += np.multiply(prev, mu, out=acc)
-            older += np.multiply(f, mu_tau, out=acc)
-            older += np.multiply(f0, -(1.0 - b_prev) * mu_tau, out=acc)
+            mu_tau = 4.0 * mu * w1 * tau
+            weights[i_prev] = mu
+            weights[i_older] = -(j - 1) / j * b / b_older
+            weights[1 - i_f0] = mu_tau
+            weights[i_f0] = -(1.0 - b_prev) * mu_tau
+            np.dot(weights, self.block, out=acc)
+            np.copyto(older, acc)
             prev, older = older, prev
+            i_prev, i_older = i_older, i_prev
             b_older, b_prev = b_prev, b
         cand = np.add(self.u, prev, out=self.cand)
         self._hold_ends(cand)
@@ -367,9 +398,10 @@ class _Engine:
             raise SpacelikeViolationError(
                 f"spacelikeness lost: updated slope {worst:.12g} reached "
                 f"1 - {TOL_SPACELIKE:g}")
-        # est / 0.8 = 0.5 tau (F(u) + F(cand)) - D_s, over D_{s-1}
+        # est / 0.8 = 0.5 tau (F(u) + F(cand)) - D_s, over D_{s-1}; the
+        # rows hold F/4
         est = np.add(f0, f, out=older)
-        est *= 0.5 * tau
+        est *= 2.0 * tau
         est -= prev
         return 0.8 * float(max(est.max(), -est.min()))
 

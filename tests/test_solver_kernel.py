@@ -434,11 +434,15 @@ def test_super_steps_hold_pinned_and_frozen_ends():
 
 def test_speed_at_the_axis_node_is_the_even_reflection_rule():
     field, metric, _ = flat_axis_case()
+    # the case's plateau has u_1 = u_0; tilted, the rule is not 0 = 0
+    field = field.with_values(field.values * np.exp(-field.nodes / 16.0))
     engine = solver._Engine(field, metric)
     engine.coefficient()
     f = engine._speed(engine.d, np.empty(field.nodes.size))
     u, h = field.values, field.h
-    assert f[0] == metric.n * 2.0 * (u[1] - u[0]) / (h * h)
+    assert f[0] != 0.0
+    # the engine's speed rows hold F/4
+    assert 4.0 * f[0] == metric.n * 2.0 * (u[1] - u[0]) / (h * h)
     assert f[-1] == 0.0
 
 
@@ -519,9 +523,10 @@ def test_interpolant_is_exact_on_data_cubic_in_time(rng):
     a, b, c, e = (rng.uniform(-1.0, 1.0, size) for _ in range(4))
     for coeff in (a, b, c, e):
         coeff[[0, -1]] = 0.0  # the line's pinned ends
-    engine.cand[:], engine.f_cand[:] = a, b  # u(t_n), u'(t_n) with t_n = 0
+    # u(t_n), u'(t_n) with t_n = 0; the engine's speed rows hold u'/4
+    engine.cand[:], engine.f_cand[:] = a, b / 4.0
     engine.u[:] = a + tau * (b + tau * (c + tau * e))
-    engine.f[:] = b + tau * (2.0 * c + 3.0 * tau * e)
+    engine.f[:] = (b + tau * (2.0 * c + 3.0 * tau * e)) / 4.0
     for theta in (0.1, 0.25, 0.5, 0.6, 0.75, 0.95):
         s = theta * tau
         exact = a + s * (b + s * (c + s * e))
