@@ -326,7 +326,12 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             phi_params = (c_ric, 1.0 / c_ric)
     with _solver_input():
         if phi_params is not None:  # the tilt monitor's hypotheses
-            diagnostics.phi_supremum(u0, cfg.metric, *phi_params)
+            with np.errstate(over="ignore"):
+                phi0 = diagnostics.phi_supremum(u0, cfg.metric, *phi_params)
+            if not np.isfinite(phi0):
+                raise RecordError(
+                    f"tilt monitor overflows at t = 0: sup v exp(mu e^(lambda"
+                    f" u)) is {phi0} with mu = 1/lambda = {phi_params[1]:.6g}")
         traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi_params,
                         barrier=profile)
     checks = _base_flow_checks(traj)

@@ -166,8 +166,10 @@ class _Engine:
             self.op = RadialOperator(1, None, 1.0, 0.0, *scale)
         else:
             r_min = getattr(metric, "r_min", 0.0)
-            inner = nodes[1] if self.axis else nodes[0]
-            if r_min > 0.0 and inner < r_min:
+            if r_min > 0.0 and self.axis:  # w is singular at r = 0
+                raise DomainError("an axis grid (r = 0) needs a metric "
+                                  f"defined at r = 0, not r_min = {r_min:g}")
+            if r_min > 0.0 and nodes[0] < r_min:
                 raise DomainError("radial grid reaches below the metric's r_min")
             if not self.axis and nodes[0] <= 0.0:
                 raise DomainError("radial grid starting at r = 0 needs the "
@@ -176,8 +178,7 @@ class _Engine:
             r_int = nodes[1:-1]
             self.op = RadialOperator(self.n, r_int,
                                      *radial_factors(metric, r_int), *scale)
-            mid = 0.5 * (nodes[:-1] + nodes[1:])
-            w_mid = metric.w(np.maximum(mid, max(r_min, 1e-300)))
+            w_mid = metric.w(0.5 * (nodes[:-1] + nodes[1:]))
         self.hw_mid = None if np.all(w_mid == 1.0) else field.h * w_mid
         size = nodes.size
         self.u = np.array(field.values, dtype=float)

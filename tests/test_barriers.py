@@ -2,9 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from mcflow.barriers import (TranslatingBarrier,
+from mcflow.barriers import (QuadratureError, TranslatingBarrier, _heights,
                              build_outer_barrier, curved_profile_speed,
                              maximal_slope, maximal_surface_residual,
                              supersolution_height,
@@ -72,19 +71,62 @@ def test_profile_second_derivative_consistent_with_slope():
             assert b2 == pytest.approx((up - dn) / (2 * h), abs=1e-8)
 
 
-def test_height_tail_and_oracle():
-    # independent oracle: quadrature over the raw infinite interval
-    def oracle(n, r0, r):
-        val, _ = quad(lambda s: (1 + (s / r0) ** (2 * n - 3)) ** -0.5,
-                      r, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
-        return val
+def reference_height(n, r0, r, terms=80):
+    """b(r) without the exp-sinh rule.  For r >= 2 r0 the convergent series
+    b(r) = r0 sum_k C(-1/2, k) x^{1 - m(k + 1/2)} / (m(k + 1/2) - 1), with
+    x = r/r0 and m = 2n - 3; inside, b(2 r0) plus composite Gauss-Legendre
+    of |b'| over [r, 2 r0] (64 panels of 20 nodes)."""
+    m = 2 * n - 3
+    x = max(r / r0, 2.0)
+    k = np.arange(terms)
+    binom = np.cumprod(np.concatenate([[1.0], (-0.5 - k[:-1]) / (k[:-1] + 1)]))
+    p = m * (k + 0.5)
+    height = r0 * np.sum(binom * x ** (1.0 - p) / (p - 1.0))
+    if r >= 2.0 * r0:
+        return height
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(r / r0, 2.0, 65)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    panels = ((1.0 + s ** m) ** -0.5 @ weights) * 0.5 * (hi - lo)[:, 0]
+    return height + r0 * np.sum(panels)
 
+
+def test_height_tail_and_oracle():
     for n, r0, r in [(3, 1.0, 1.0), (3, 1.0, 100.0), (4, 2.0, 3.0),
                      (5, 0.5, 10.0)]:
         assert supersolution_height(n, r0, r) == pytest.approx(
-            oracle(n, r0, r), abs=1e-9)
+            reference_height(n, r0, r), abs=1e-9)
     # n=3 leading tail: 2 r0^{3/2} r^{-1/2}
     assert supersolution_height(3, 1.0, 100.0) == pytest.approx(0.2, rel=0.02)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 20, 40])
+@pytest.mark.parametrize("r0", [1.0, 2.0, 64.0])
+def test_heights_match_the_reference(n, r0):
+    ratios = np.concatenate([np.geomspace(1.0, 1.0e4, 41), [1.5, 1.999]])
+    expected = np.array([reference_height(n, r0, x * r0) for x in ratios])
+    tabulated = _heights(n, r0, ratios * r0)
+    single = np.array([supersolution_height(n, r0, x * r0) for x in ratios])
+    assert np.max(np.abs(tabulated / expected - 1.0)) <= 1e-13
+    assert np.max(np.abs(single / expected - 1.0)) <= 1e-13
+
+
+def test_height_in_dimension_40_far_out():
+    # b(1e4 r0) = r0 1e-150 / 37.5 up to a relative 1e-308: far below the
+    # rounding unit of 1, where (1 + x^77)^{-1/2} would overflow to 0
+    expected = 1.0e-150 / 37.5
+    assert reference_height(40, 1.0, 1.0e4) == pytest.approx(expected,
+                                                             rel=1e-15)
+    assert supersolution_height(40, 1.0, 1.0e4) == pytest.approx(expected,
+                                                                 rel=1e-13)
+
+
+def test_coarse_height_rule_raises():
+    # at step 1/16 the rule and its every-other-node rule (step 1/8) are
+    # 2e-8 apart for n = 3, above the 1e-10 the rule accepts
+    with pytest.raises(QuadratureError):
+        _heights(3, 1.0, np.geomspace(1.0, 1.0e4, 64), step=1.0 / 16.0)
 
 
 def test_height_monotone_decreasing():

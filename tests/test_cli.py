@@ -366,6 +366,22 @@ def test_dimension_40_run_halts_as_the_solver_reports(tmp_path, capsys):
     assert "(the run had halted: spacelikeness lost: updated slope" in err
 
 
+def test_tilt_monitor_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # metric.a = 40: Ricci constant 5.9e-4, so mu = 1/lambda ~ 1688 and
+    # v exp(mu e^(lambda u)) overflows on the data at t = 0
+    cfg = shipped_config("no_lift_off.json")
+    cfg["metric"]["a"] = 40.0
+    cfg["solver"].update(t_end=1.0, snapshot_every=0.5, record_every=0.5)
+    path = write_config(tmp_path, "a40.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or inf - inf warning
+        code = main(["simulate", path, "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric failure (record): tilt monitor overflows at t = 0" in err
+    assert "mu = 1/lambda = 1688" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("where, value, field", [
     (("metric", "n"), 41, "metric.n: must be <= 40"),
     (("domain", "hi"), -10.0 + 0.1 * MAX_NODES, "domain.hi: the grid"),
@@ -687,27 +703,57 @@ def test_translating_verify_scenario_runs():
     assert cert["rho"] == pytest.approx(12.0)
 
 
-def test_flat_decay_run_does_not_import_scipy():
-    # scipy serves barrier construction only; importing mcflow and running
-    # the flat line study in a fresh interpreter must not load it
-    config = os.path.join(os.path.dirname(__file__), "..", "configs",
-                          "decay_study.json")
+#: Runs of the shipped configs: every config once, a dirichlet sweep also
+#: across worker processes.
+SHIPPED_RUNS = [("decay_study.json", "simulate", ()),
+                ("no_lift_off.json", "simulate", ()),
+                ("dirichlet_sweep.json", "sweep", ()),
+                ("dirichlet_sweep.json", "sweep", ("--workers", "2")),
+                ("nested_balls.json", "sweep", ()),
+                ("barrier_verify.json", "simulate", ()),
+                ("translating_verify.json", "simulate", ())]
+
+
+def test_shipped_configs_run_without_scipy(tmp_path):
+    # a fresh interpreter whose import system refuses scipy runs every
+    # shipped config (shortened) through the CLI: mcflow needs only numpy
+    runs = []
+    for i, (name, command, flags) in enumerate(SHIPPED_RUNS):
+        raw = shipped_config_short(name)
+        if name == "decay_study.json":  # its exponent check needs t >= 10
+            raw["solver"].update(t_end=100.0, record_every=0.5)
+            raw["fit_window"] = [10.0, 100.0]
+        config = write_config(tmp_path, name, raw)
+        runs.append([command, config, "--output-dir",
+                     str(tmp_path / f"out{i}"), *flags])
     code = "\n".join([
-        "import json, sys",
-        "import mcflow",
-        "from mcflow.scenarios import ScenarioConfig, build_field_from_config",
-        "from mcflow.solver import SolverConfig, run_flow",
-        f"cfg = ScenarioConfig.from_dict(json.load(open({config!r})))",
-        "u0 = build_field_from_config(cfg, 'line')",
-        "traj = run_flow(cfg.metric, u0, SolverConfig(h=cfg.solver.h, t_end=0.01))",
-        "assert traj.termination == 'reached_t_end' and traj.steps > 0",
-        "assert 'scipy' not in sys.modules, 'scipy was imported'",
+        "import contextlib, importlib.abc, io, json, sys",
+        "class NoScipy(importlib.abc.MetaPathFinder):",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.split('.')[0] == 'scipy':",
+        "            raise ImportError(f'{name} is not installed')",
+        "sys.meta_path.insert(0, NoScipy())",
+        "try:",
+        "    import scipy",
+        "except ImportError:",
+        "    pass",
+        "else:",
+        "    sys.exit('the finder let scipy in')",
+        "from mcflow.cli import main",
+        "codes = []",
+        f"for argv in {runs!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        codes.append(main(argv))",
+        "print(json.dumps(codes))",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(mcflow.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs), (codes, proc.stderr)
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from mcflow.barriers import maximal_slope, supersolution_height
 from mcflow.fields import Field, line_field, radial_field
-from mcflow.geometry import SpacelikeViolationError, euclidean_metric
+from mcflow.geometry import (DomainError, SpacelikeViolationError,
+                             conformal_metric, euclidean_metric)
 from mcflow.initial_data import smooth_cutoff
 from mcflow.solver import (SolverConfig, nested_ball_study, run_flow,
                            solve_dirichlet, stable_dt, step_1d, step_radial)
@@ -146,12 +147,16 @@ def test_evolved_exact_profile_drift_is_second_order():
     flat = euclidean_metric(3)
     t_end = 0.25
 
-    from scipy.integrate import quad
+    xg, wg = np.polynomial.legendre.leggauss(8)
 
     def drift(h):
         nodes = np.arange(1.0, 8.0 + h / 2, h)
-        gaps = np.array([quad(lambda s: -maximal_slope(3, 1.0, s), 1.0, r,
-                              epsabs=1e-13, epsrel=1e-13)[0] for r in nodes])
+        # integral of -beta' from 1 to each node: 8-point Gauss-Legendre on
+        # each grid panel, accumulated outward
+        lo, hi = nodes[:-1, None], nodes[1:, None]
+        s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
+        panels = (-maximal_slope(3, 1.0, s) @ wg) * 0.5 * (hi - lo)[:, 0]
+        gaps = np.concatenate([[0.0], np.cumsum(panels)])
         beta = gaps.max() - gaps  # decreasing, beta(8) = 0
         fld = Field(kind="radial", nodes=nodes, values=beta, h=h,
                     bc=("asymptotic_decay", "asymptotic_decay"))
@@ -185,6 +190,18 @@ def test_step_radial_static_profile_descends():
     tol_grid_1 = abs(s2 - s1) * 8  # generous multiple of the measured h^2 term
     assert s1 <= max(0.0, tol_grid_1)
     assert s1 < 0.0 or s1 < 1e-3
+
+
+def test_axis_grid_on_a_curved_metric_is_refused():
+    # w(r) = 1 + 0.5/r is singular at r = 0, where the flat axis rule would
+    # apply: no step is taken
+    fld = radial_field(0.0, 10.0, 0.05, lambda r: 0.3 * np.exp(-r * r / 2),
+                       bc=("axis_symmetry", "dirichlet_zero"))
+    with pytest.raises(DomainError, match="axis grid"):
+        run_flow(conformal_metric(3, 0.5, 1.0), fld,
+                 SolverConfig(h=0.05, t_end=0.1))
+    flat = run_flow(euclidean_metric(3), fld, SolverConfig(h=0.05, t_end=0.1))
+    assert flat.termination == "reached_t_end"
 
 
 def test_axis_rule_uses_even_reflection():
