@@ -5,7 +5,7 @@ Library layout:
 * `geometry` - radial conformal backgrounds, graph quantities, flow operators
 * `barriers` - stationary, static and translating comparison profiles
 * `initial_data` - cutoffs, metric blending, slope and decay functionals
-* `solver` - explicit stepping: line, radial, ball problems, nested studies
+* `solver` - RKL2 super-steps: line, radial, ball problems, nested studies
 * `diagnostics` - norms, monitors, margins, rate fits
 * `verification` - the closed-form identity suite
 * `config` - reading and validating scenario configs, the initial field

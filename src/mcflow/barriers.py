@@ -43,7 +43,8 @@ MAX_DOUBLINGS = 40
 #: sum to less than 2.3e-17 r0.
 HEIGHT_T_MAX = 4.6
 HEIGHT_STEP = 1.0 / 32.0
-#: Largest accepted gap between the height rule at step h and at step 2h.
+#: Largest accepted gap between the height rule at step h and at step 2h,
+#: absolute up to heights of 1 and relative to the largest height above.
 HEIGHT_TOL = 1e-10
 #: Rounding allowance for certificate inequalities whose extreme case is an
 #: exact analytic equality (e.g. the boundary slope at the window's far end).
@@ -122,7 +123,7 @@ def supersolution_height(n: int, r0: float, r: float) -> float:
 
     With s = r + r0 exp((pi/2) sinh t), the trapezoid rule at step 1/32 on
     t in [-4.6, 4.6] integrates |b'(s)| ds/dt; the same rule at step 1/16
-    (every other node) must agree to 1e-10, else QuadratureError.
+    (every other node) must agree to 1e-10 max(1, b), else QuadratureError.
     """
     if n < 3:
         raise DomainError(f"static profile needs n >= 3, got n = {n}")
@@ -153,9 +154,10 @@ def _heights(n, r0, radii, step=HEIGHT_STEP):
     fine = step * f.sum(axis=1)
     coarse = 2.0 * step * f[:, k % 2 == 0].sum(axis=1)
     gap = float(np.max(np.abs(fine - coarse)))
-    if gap > HEIGHT_TOL:
+    bound = HEIGHT_TOL * max(1.0, float(fine.max()))
+    if gap > bound:
         raise QuadratureError(
-            f"height rule error estimate {gap:g} > {HEIGHT_TOL:g}")
+            f"height rule error estimate {gap:g} > {bound:g}")
     return fine
 
 

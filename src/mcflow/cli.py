@@ -63,8 +63,7 @@ def cmd_verify(args) -> int:
               f"got {args.dimensions!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        report = run_identity_suite(seed=args.seed, dims=dims,
-                                    inject_fault=args.inject_fault)
+        report = run_identity_suite(seed=args.seed, dims=dims)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -142,8 +141,6 @@ def main(argv=None) -> int:
                        help="seed for randomized sample points")
     p_ver.add_argument("--dimensions", default="3,4,5",
                        help="profile dimensions to sweep (comma list)")
-    p_ver.add_argument("--inject-fault", default=None,
-                       help="perturb the named identity (test mode)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_swp = sub.add_parser("sweep", help="run a parameter sweep from a config")

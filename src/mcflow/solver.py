@@ -24,7 +24,8 @@ and a step is accepted when max|est| <= TIME_ERROR_KAPPA h^2 sup|u_0|, so
 the time error stays below the O(h^2) space error.  F(u_{n+1}) is the next
 step's F(u_n): an accepted step costs s evaluations.  Error rejections stop
 at dt_FE, where a step is accepted whatever its estimate.  `step_1d` and
-`step_radial` take one forward-Euler step of size dt_FE.
+`step_radial` take one such step of size min(dt_FE, dt_cap), as a run's
+first step, with no error control.
 
 Dense output: only snapshot marks and t_end end a step.  A record at a
 time strictly inside an accepted step (t_n, t_n + tau) is the cubic
@@ -53,10 +54,10 @@ Every evaluation works in place on the forward differences d: the
 operator takes s = d_i + d_{i-1} = 2h u' and q = d_i - d_{i-1} = h^2 u''
 as they are (a = 2h, b = h^2 in `RadialOperator`), so the engine's speed
 rows hold F b/a^2 = F/4, and the factor 4 sits in the scalar weights of
-the stages, the error estimate, the interpolant and the forward-Euler
-step.  Strict spacelikeness 1 - (u'/w)^2 > TOL_SPACELIKE is checked as
-min(C)/K on flat grids and min(C/K) on curved ones, with C = 4h^2 w^2 -
-s^2 and K = 4h^2 w^2, and the principal coefficient is 4h^2 / min(C).
+the stages, the error estimate and the interpolant.  Strict spacelikeness
+1 - (u'/w)^2 > TOL_SPACELIKE is checked as min(C)/K on flat grids and
+min(C/K) on curved ones, with C = 4h^2 w^2 - s^2 and K = 4h^2 w^2, and the
+principal coefficient is 4h^2 / min(C).
 Each stage's increment D_j is one matrix-vector product of four weights
 with the four rows f, f_cand, stage and stage_prev, which form one
 C-contiguous block.  Slopes are never clamped: a stage or candidate that
@@ -183,10 +184,9 @@ class _Engine:
         size = nodes.size
         self.u = np.array(field.values, dtype=float)
         self.coeff = self.cand_coeff = None
-        # scratch rows share one allocation (cheaper for per-call engines;
-        # rows a forward-Euler step never touches cost it nothing).  First
-        # the four rows a stage combines, as one C-contiguous block for one
-        # matrix-vector product; `f_row` is the block row that holds `f`.
+        # scratch rows share one allocation (cheaper for per-call engines).
+        # First the four rows a stage combines, as one C-contiguous block for
+        # one matrix-vector product; `f_row` is the block row that holds `f`.
         # Then rows of even length, each 16-byte aligned like np.empty's.
         pad = size + size % 2
         scratch = np.empty(4 * size + 8 * pad)
@@ -322,29 +322,6 @@ class _Engine:
         """max |d| / (h w) over the midpoints (w = 1 when hw_mid is None)."""
         return max_node_slope(d, self.h, self.hw_mid, self.slope)
 
-    def advance(self, dt_cap, cfl, policy):
-        """One accepted forward-Euler step of at most `dt_cap`; returns dt.
-        Raises on violation, leaving the state as it was."""
-        h = self.h
-        dt = cfl * h * h / (2.0 * self.coefficient())
-        if dt_cap is not None:
-            dt = min(dt, dt_cap)
-        f, cand = self._speed(self.d, self.f_cand), self.cand
-        attempts = 1 + (MAX_DT_HALVINGS if policy == "reject" else 0)
-        for _ in range(attempts):
-            np.add(self.u, np.multiply(f, 4.0 * dt, out=cand), out=cand)
-            self._hold_ends(cand)
-            np.subtract(cand[1:], cand[:-1], out=self.d_cand)
-            worst = self.max_metric_slope(self.d_cand)
-            if worst < 1.0 - TOL_SPACELIKE:
-                self._accept()
-                self.coeff = None  # its speed is not formed
-                return dt
-            dt *= 0.5
-        raise SpacelikeViolationError(
-            f"spacelikeness lost: updated slope {worst:.12g} reached "
-            f"1 - {TOL_SPACELIKE:g} (policy {policy}, last dt {dt * 2:g})")
-
     def rkl2(self, tau, dt_fe):
         """Form the RKL2 super-step of size `tau` from the state.
 
@@ -461,7 +438,8 @@ def _step_factor(ratio):
 
 
 def stable_dt(field: Field, metric, config: SolverConfig) -> float:
-    """Largest explicit step: cfl * h^2 / (2 max principal coefficient).
+    """The forward-Euler bound dt_FE = cfl * h^2 / (2 max principal
+    coefficient), the unit of the RKL2 stage count.
 
     On a flat line this is cfl * h^2 / (2 max 1/(1 - u'^2)); the axis node of
     a radial grid contributes its limit coefficient n.
@@ -470,23 +448,30 @@ def stable_dt(field: Field, metric, config: SolverConfig) -> float:
     return config.cfl_safety * field.h * field.h / (2.0 * coeff)
 
 
+def _step(field: Field, metric, n, config: SolverConfig, dt_cap):
+    """One RKL2 step of size min(dt_FE, dt_cap) from `field`, under the
+    run's halving policy: the step a run starts with.  Returns (new field,
+    dt)."""
+    engine = _Engine(field, metric, n)
+    dt, _ = engine.super_step(None, math.inf if dt_cap is None else dt_cap,
+                              config.cfl_safety, config.clamp_policy,
+                              math.inf)
+    return field.with_values(engine.u), dt
+
+
 def step_1d(field: Field, config: SolverConfig, dt_cap: float | None = None):
-    """One explicit step of the flat line flow.  Returns (new field, dt)."""
+    """One step of the flat line flow.  Returns (new field, dt)."""
     if field.kind != "line":
         raise ValueError("step_1d expects a line field")
-    engine = _Engine(field, euclidean_metric(1))
-    dt = engine.advance(dt_cap, config.cfl_safety, config.clamp_policy)
-    return replace(field, values=engine.u), dt
+    return _step(field, euclidean_metric(1), None, config, dt_cap)
 
 
 def step_radial(field: Field, metric, n: int, config: SolverConfig,
                 dt_cap: float | None = None):
-    """One explicit step of the rotationally reduced flow in dimension n."""
+    """One step of the rotationally reduced flow in dimension n."""
     if field.kind != "radial":
         raise ValueError("step_radial expects a radial field")
-    engine = _Engine(field, metric, n)
-    dt = engine.advance(dt_cap, config.cfl_safety, config.clamp_policy)
-    return replace(field, values=engine.u), dt
+    return _step(field, metric, n, config, dt_cap)
 
 
 def _record(traj, plan, engine, times, rows, d):

@@ -213,13 +213,11 @@ def check_radial_cartesian_consistency(n_points=100, seed=0):
 
 
 def run_identity_suite(seed: int = 0, dims=(3, 4, 5),
-                       n_random: int = 10000,
-                       inject_fault: str | None = None) -> VerificationReport:
+                       n_random: int = 10000) -> VerificationReport:
     """Run the whole closed-form suite.
 
     `dims` sweeps the profile dimensions (an empty sweep yields an empty
-    report).  `inject_fault` perturbs the named check past its tolerance, to
-    exercise failure reporting.
+    report).
     """
     checks: list = []
     if dims:
@@ -229,18 +227,4 @@ def run_identity_suite(seed: int = 0, dims=(3, 4, 5),
         checks.extend(check_translating_certificates())
         checks.extend(check_graph_quantities(n_points=n_random, seed=seed))
         checks.append(check_radial_cartesian_consistency(seed=seed))
-    if inject_fault is not None:
-        bumped = []
-        known = False
-        for c in checks:
-            if c.name == inject_fault:
-                known = True
-                bumped.append(IdentityCheck(
-                    name=c.name, deviation=c.deviation + 10.0 * (c.tolerance or 1e-10),
-                    tolerance=c.tolerance, passed=False, samples=c.samples))
-            else:
-                bumped.append(c)
-        if not known:
-            raise ValueError(f"unknown check name {inject_fault!r}")
-        checks = bumped
     return VerificationReport(checks=checks)

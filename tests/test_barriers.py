@@ -124,7 +124,7 @@ def test_height_in_dimension_40_far_out():
 
 def test_coarse_height_rule_raises():
     # at step 1/16 the rule and its every-other-node rule (step 1/8) are
-    # 2e-8 apart for n = 3, above the 1e-10 the rule accepts
+    # 2e-8 apart for n = 3, above the 1e-10 max b = 1.9e-10 the rule accepts
     with pytest.raises(QuadratureError):
         _heights(3, 1.0, np.geomspace(1.0, 1.0e4, 64), step=1.0 / 16.0)
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow
-from mcflow import textfmt
+from mcflow import textfmt, verification
 from mcflow.cli import main
 from mcflow.config import MAX_NODES
 from mcflow.geometry import RadialOperator
@@ -159,8 +159,20 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_inject_fault_fails(capsys):
-    assert main(["verify", "--inject-fault", "graph_gradient_identity"]) == 1
+def test_verify_inject_fault_fails(capsys, monkeypatch):
+    # one identity pushed past its tolerance fails the suite by name
+    check = verification.check_graph_quantities
+
+    def faulty(**kwargs):
+        checks = check(**kwargs)
+        gradient = checks[0]
+        assert gradient.name == "graph_gradient_identity"
+        checks[0] = verification._check(gradient.name,
+                                         10.0 * gradient.tolerance,
+                                         gradient.tolerance, gradient.samples)
+        return checks
+    monkeypatch.setattr(verification, "check_graph_quantities", faulty)
+    assert main(["verify"]) == 1
     captured = capsys.readouterr()
     assert "graph_gradient_identity" in captured.err
 
@@ -168,10 +180,6 @@ def test_verify_inject_fault_fails(capsys):
 def test_verify_empty_sweep_exit_two(capsys):
     assert main(["verify", "--dimensions", ""]) == 2
     assert "nothing to verify" in capsys.readouterr().err
-
-
-def test_verify_bad_fault_name(capsys):
-    assert main(["verify", "--inject-fault", "not_a_check"]) == 2
 
 
 def test_verify_seed_changes_samples_not_outcome():
@@ -380,6 +388,22 @@ def test_tilt_monitor_overflow_is_a_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric failure (record): tilt monitor overflows at t = 0" in err
     assert "mu = 1/lambda = 1688" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("height", [1e5, 1e6])
+def test_barrier_verify_runs_at_large_heights(tmp_path, capsys, height):
+    # the gap between the height rule at step h and at 2h, 2.3e-10 and
+    # 1.2e-10 here, is rounding of heights near 1e5, above an absolute 1e-10
+    cfg = shipped_config("barrier_verify.json")
+    cfg["barrier"]["h"] = height
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, "tall.json", cfg)
+    assert main(["simulate", path, "--output-dir", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.load(open(os.path.join(out, "summary.json")))
+    assert summary["pass"]
+    assert [c["name"] for c in summary["checks"] if c["pass"]] == [
+        "flat_identity", "curved_sign"]
 
 
 @pytest.mark.parametrize("where, value, field", [

@@ -1,0 +1,62 @@
+"""The benchmark's traced-run probes of single public mcflow calls.
+
+`perfbench/probes.py` times `stable_dt`, `step_1d`/`step_radial`, one
+barrier build, one Ricci bound and one blend on each workload's config.
+Each probe runs here once, on every workload's seed-0 config, so that an
+API change that would break `perfbench/run.py --trace 1` fails the suite.
+"""
+
+import importlib.util
+import math
+import os
+import sys
+import time
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def load(name):
+    """A perfbench module, loaded by path under a name of its own."""
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+probes, workloads = load("probes"), load("workloads")
+
+
+@pytest.fixture
+def single_calls(monkeypatch):
+    """`probes.per_call` cut to one timed call."""
+    def once(fn, calls, batches=9):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+    monkeypatch.setattr(probes, "per_call", once)
+
+
+def seed_zero(name):
+    return workloads.generate_config(ROOT, name, 0)
+
+
+def check_timings(values, names):
+    assert sorted(values) == sorted(names)
+    assert all(math.isfinite(v) and v >= 0.0 for v in values.values())
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_solver_probes_run_on_each_workload(name, single_calls):
+    check_timings(probes.solver_probes(seed_zero(name)),
+                  ["solver.stable_dt_us", "solver.step_call_us"])
+
+
+def test_minor_layer_probes_run(single_calls):
+    check_timings(probes.minor_layer_probes(seed_zero("ball_sweep"),
+                                            seed_zero("curved_dense")),
+                  ["barriers.build_s", "geometry.ricci_bound_s",
+                   "initial_data.blend_s"])

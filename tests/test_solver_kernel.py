@@ -1,13 +1,13 @@
-"""The in-place stepping kernel: the forward-Euler step against a reference
-copy of the array-per-operation engine it replaced, the RKL2 super-steps
-that runs take, and the interpolant that records inside a step are read
-from.
+"""The in-place stepping kernel: its operator against a reference copy of
+the array-per-operation engine it replaced, the RKL2 super-steps that runs
+and single steps take, and the interpolant that records inside a step are
+read from.
 
-The reference below keeps that engine's arithmetic verbatim: central
-differences formed from the values, the operator written out inline, a
-fresh candidate array per attempt.  The kernel forms its differences from
-the forward differences instead and evaluates the operator through
-`geometry.RadialOperator`, so the two agree to rounding, not bit for bit.
+The reference below keeps that engine's operator verbatim: central
+differences formed from the values and the operator written out inline.
+The kernel forms its differences from the forward differences instead and
+evaluates the operator through `geometry.RadialOperator`, so the two agree
+to rounding, not bit for bit.
 """
 
 import json
@@ -27,9 +27,8 @@ from mcflow.initial_data import interpolate_initial_data, lipschitz_constant
 from mcflow.scenarios import ScenarioConfig, build_field_from_config
 from mcflow.fields import radial_field
 from mcflow.geometry import conformal_metric
-from mcflow.solver import (MAX_DT_HALVINGS, TIME_ERROR_KAPPA, SolverConfig,
-                           rkl2_stages, run_flow, stable_dt, step_1d,
-                           step_radial)
+from mcflow.solver import (TIME_ERROR_KAPPA, SolverConfig, rkl2_stages,
+                           run_flow, stable_dt, step_1d, step_radial)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 STEPS = 100
@@ -37,29 +36,23 @@ EPS = np.finfo(float).eps
 
 
 class ReferenceEngine:
-    """Explicit step with the operator re-derived inline, one new array per
-    operation; the arithmetic the in-place kernel is checked against."""
+    """The operator re-derived inline, one new array per operation; the
+    arithmetic the in-place kernel's speed is checked against."""
 
     def __init__(self, kind, nodes, h, bc, metric, n):
         self.kind = kind
-        self.nodes = nodes
         self.h = h
-        self.bc = bc
         self.n = n
         self.axis = bc[0] == "axis_symmetry"
-        r_min = getattr(metric, "r_min", 0.0)
         if kind == "line":
             if getattr(metric, "a", 0.0) != 0.0:
                 raise DomainError("line problems run on the flat metric")
             self.w_int = np.ones(nodes.size - 2)
             self.fp_int = np.zeros(nodes.size - 2)
-            self.w_mid = np.ones(nodes.size - 1)
             self.r_int = None
         else:
             self.r_int = nodes[1:-1]
             self.w_int, self.fp_int = radial_factors(metric, self.r_int)
-            mid = 0.5 * (nodes[:-1] + nodes[1:])
-            self.w_mid = metric.w(np.maximum(mid, max(r_min, 1e-300)))
 
     def rhs_and_coeff(self, u):
         h = self.h
@@ -84,33 +77,6 @@ class ReferenceEngine:
             axis_rhs = self.n * 2.0 * (u[1] - u[0]) / (h * h)
             coeff = max(coeff, float(self.n))
         return rhs, axis_rhs, coeff
-
-    def apply(self, u, dt, rhs, axis_rhs):
-        out = u.copy()
-        out[1:-1] += dt * rhs
-        if self.axis:
-            out[0] = u[0] + dt * axis_rhs
-        elif self.bc[0] == "dirichlet_zero":
-            out[0] = 0.0
-        if self.bc[1] == "dirichlet_zero":
-            out[-1] = 0.0
-        return out
-
-    def max_metric_slope(self, u):
-        return float(np.max(np.abs(np.diff(u)) / (self.h * self.w_mid)))
-
-    def advance(self, u, dt_cap, cfl, policy):
-        rhs, axis_rhs, coeff = self.rhs_and_coeff(u)
-        dt = cfl * self.h * self.h / (2.0 * coeff)
-        if dt_cap is not None:
-            dt = min(dt, dt_cap)
-        attempts = 1 + (MAX_DT_HALVINGS if policy == "reject" else 0)
-        for _ in range(attempts):
-            candidate = self.apply(u, dt, rhs, axis_rhs)
-            if self.max_metric_slope(candidate) < 1.0 - TOL_SPACELIKE:
-                return candidate, dt
-            dt *= 0.5
-        raise SpacelikeViolationError("updated slope reached the null slope")
 
 
 def load_config(name):
@@ -164,17 +130,25 @@ def reference_for(field, metric):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference_over_100_steps(case):
+    # the speed (the rows hold F/4) and the principal coefficient against
+    # the inline operator, on the initial data and after 100 fixed
+    # super-steps; a second difference rounds at about EPS sup|u| / h^2
     field, metric, config = CASES[case]()
     ref = reference_for(field, metric)
-    u_ref = field.values.copy()
-    tol = 64 * EPS * float(np.max(np.abs(field.values)))
-    assert tol > 0.0
-    for _ in range(STEPS):
-        field, dt = step(field, metric, config)
-        u_ref, dt_ref = ref.advance(u_ref, None, config.cfl_safety,
-                                    config.clamp_policy)
-        assert dt == pytest.approx(dt_ref, rel=1e-12)
-    assert np.max(np.abs(field.values - u_ref)) <= tol
+    tau = 20.0 * stable_dt(field, metric, config)
+    for engine in (solver._Engine(field, metric),
+                   fixed_steps(field, metric, tau, STEPS)):
+        coeff = engine.coefficient()
+        speed = 4.0 * engine._speed(engine.d, np.empty(field.nodes.size))
+        rhs, axis_rhs, coeff_ref = ref.rhs_and_coeff(engine.u)
+        expected = np.zeros(field.nodes.size)
+        expected[1:-1] = rhs
+        if axis_rhs is not None:
+            expected[0] = axis_rhs
+        tol = 64 * EPS * float(np.max(np.abs(engine.u))) / field.h ** 2
+        assert tol > 0.0
+        assert np.max(np.abs(speed - expected)) <= tol
+        assert coeff == pytest.approx(coeff_ref, rel=64 * EPS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -224,7 +198,8 @@ def test_engine_keeps_the_accepted_differences():
     engine = solver._Engine(field, metric)
     u_before, d_before = engine.u.copy(), engine.d.copy()
     buffers = (engine.u, engine.d)
-    engine.advance(None, config.cfl_safety, config.clamp_policy)
+    engine.super_step(None, math.inf, config.cfl_safety, config.clamp_policy,
+                      math.inf)
     assert engine.u is not buffers[0] and engine.d is not buffers[1]
     # the kept differences are those of the accepted values
     assert np.array_equal(engine.d, np.diff(engine.u))
@@ -270,7 +245,7 @@ def test_step_radial_reports_nan_and_infinity_as_non_finite():
     engine.u[0] = np.inf
     engine.d[0] = engine.u[1] - engine.u[0]
     with pytest.raises(NonFiniteError, match="non-finite"):
-        engine.advance(None, 0.9, "reject")
+        engine.super_step(None, math.inf, 0.9, "reject", math.inf)
 
 
 def test_run_flow_terminates_non_finite_with_message():
@@ -320,23 +295,15 @@ def fixed_steps(field, metric, tau, count):
 
 
 def test_fixed_tau_super_steps_are_second_order():
-    # against forward Euler at dt_FE/8 and dt_FE/16, extrapolated to second
-    # order (its own error is ~1e-9 here, against ~1e-5 for RKL2)
-    field, metric, config = decay_line_case()
-    dt_fe = stable_dt(field, metric, config)
+    # self-convergence: with u_k from k fixed super-steps to t_end, the
+    # differences u_16 - u_32 and u_32 - u_64 shrink by 4 at second order
+    field, metric, _ = decay_line_case()
     t_end = 0.25
-    fine = []
-    for dt in (dt_fe / 8.0, dt_fe / 16.0):
-        engine, t = solver._Engine(field, metric), 0.0
-        while t < t_end - 1e-15:
-            t += engine.advance(min(dt, t_end - t), config.cfl_safety,
-                                config.clamp_policy)
-        fine.append(engine.u)
-    reference = 2.0 * fine[1] - fine[0]
-    errors = [float(np.max(np.abs(
-        fixed_steps(field, metric, t_end / k, k).u - reference)))
-        for k in (16, 32)]  # tau = 17 and 8.5 dt_FE
-    assert 3.5 <= errors[0] / errors[1] <= 4.5
+    u16, u32, u64 = (fixed_steps(field, metric, t_end / k, k).u
+                     for k in (16, 32, 64))  # tau = 17, 8.5, 4.25 dt_FE
+    ratio = (float(np.max(np.abs(u16 - u32)))
+             / float(np.max(np.abs(u32 - u64))))
+    assert 3.5 <= ratio <= 4.5
 
 
 def reject_first(monkeypatch, name, rejection):
