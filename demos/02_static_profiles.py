@@ -27,15 +27,15 @@ for r in (10.0, 100.0, 1000.0):
 metric = conformal_metric(3, a=0.5, tau=1.0)
 profile = build_outer_barrier(3, r1_min=10.0, h=2.0, eps=0.0, metric=metric)
 print("\ninner radius found:", profile.r0, " cap:", profile.cap)
-report = verify_static_supersolution(metric, profile,
-                                     np.geomspace(profile.r0, 1e3 * profile.r0, 9))
+rows = verify_static_supersolution(metric, profile,
+                                   np.geomspace(profile.r0, 1e3 * profile.r0, 9))
 print("radius      flat speed     deviation from (1/2)b'/r   curved speed")
-for row in report.rows:
-    print(f"{row.radius:9.2f}  {row.flat_value: .3e}   {row.identity_deviation:.3e}"
-          f"               {row.curved_value: .3e}  {'ok' if row.passed else 'BAD'}")
+for row in rows:
+    print(f"{row['radius']:9.2f}  {row['flat_value']: .3e}   {row['identity_deviation']:.3e}"
+          f"               {row['curved_value']: .3e}  {'ok' if row['pass'] else 'BAD'}")
 
 # The same profile shifted up stays valid (the speed sees only derivatives),
 # and its negation descends from below.
-flat_report = verify_static_supersolution(euclidean_metric(3), profile, [profile.r0])
-print("\nflat speed at r0 =", flat_report.rows[0].flat_value,
+flat_rows = verify_static_supersolution(euclidean_metric(3), profile, [profile.r0])
+print("\nflat speed at r0 =", flat_rows[0]["flat_value"],
       " (exactly half the slope over the radius)")

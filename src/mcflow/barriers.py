@@ -258,65 +258,28 @@ def _tabulate_profile(n, r0, cap, eps) -> BarrierProfile:
                           tail_coeff=supersolution_tail_coefficient(n, r0))
 
 
-@dataclass(frozen=True)
-class SupersolutionReportRow:
-    radius: float
-    flat_value: float
-    identity_deviation: float
-    curved_value: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"radius": self.radius, "flat_value": self.flat_value,
-                "identity_deviation": self.identity_deviation,
-                "curved_value": self.curved_value, "pass": self.passed}
-
-
-@dataclass(frozen=True)
-class SupersolutionReport:
-    rows: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    @property
-    def max_identity_deviation(self) -> float:
-        return max(row.identity_deviation for row in self.rows)
-
-    @property
-    def max_curved_value(self) -> float:
-        return max(row.curved_value for row in self.rows)
-
-    def to_json_rows(self) -> list:
-        return [row.to_dict() for row in self.rows]
-
-
 def verify_static_supersolution(metric: RadialMetric, profile: BarrierProfile,
-                                sample_radii) -> SupersolutionReport:
-    """Per-radius certificate for a tabulated profile.
+                                sample_radii) -> list:
+    """Per-radius certificate rows for a tabulated profile.
 
-    Each row carries the flat flow speed, its deviation from the exact
-    identity (1/2) b'/r, the speed under `metric`, and a sign flag
-    (curved speed <= 0).  Failures are rows, not exceptions.
+    Each row dict carries the radius, the flat flow speed, its deviation
+    from the exact identity (1/2) b'/r, the speed under `metric`, and a sign
+    flag `pass` (curved speed <= 0).  Failures are rows, not exceptions.
     """
     sample_radii = np.asarray(sample_radii, dtype=float)
     if np.any(sample_radii < profile.r0 * (1.0 - 1e-12)):
         raise DomainError("sample radii must be >= the profile's inner radius")
-    b1, b2, q = profile.derivs(sample_radii)
-    flat = euclidean_metric(profile.n)
-    w1, f1 = radial_factors(flat, sample_radii)
-    flat_vals = radial_flow_rhs(profile.n, sample_radii, b1, b2, w1, f1,
-                                one_minus_slope_sq=q)
-    exact = 0.5 * b1 / sample_radii
+    b1 = profile.derivs(sample_radii)[0]
+    flat_vals = curved_profile_speed(euclidean_metric(profile.n), profile.n,
+                                     profile.r0, sample_radii)
+    deviations = np.abs(flat_vals - 0.5 * b1 / sample_radii)
     curved_vals = curved_profile_speed(metric, profile.n, profile.r0,
                                        sample_radii)
-    rows = [SupersolutionReportRow(radius=float(r), flat_value=float(fv),
-                                   identity_deviation=float(abs(fv - ex)),
-                                   curved_value=float(cv),
-                                   passed=bool(cv <= 0.0))
-            for r, fv, ex, cv in zip(sample_radii, flat_vals, exact, curved_vals)]
-    return SupersolutionReport(rows=rows)
+    return [{"radius": r, "flat_value": fv, "identity_deviation": dev,
+             "curved_value": cv, "pass": cv <= 0.0}
+            for r, fv, dev, cv in zip(sample_radii.tolist(), flat_vals.tolist(),
+                                      deviations.tolist(),
+                                      curved_vals.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from .config import MAX_DIMENSION
 from .scenarios import (ConfigError, ScenarioConfig, run_dirichlet_sweep,
                         run_nested_scenario, run_scenario_config,
                         write_run_artifacts, write_summary_json,
@@ -36,10 +37,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
 
 
+def _output_dir(args, cfg) -> str:
+    """The run's output directory, made before anything runs: one that
+    cannot be made is a config error naming the flag or config key it came
+    from."""
+    out = args.output_dir or cfg.output_dir
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--output-dir" if args.output_dir else "output_dir",
+                          f"cannot create {out}: {exc}") from exc
+    return out
+
+
 def cmd_simulate(args) -> int:
     cfg = ScenarioConfig.from_dict(_load_config(args.config))
+    out = _output_dir(args, cfg)
     result = run_scenario_config(cfg)
-    write_run_artifacts(result, args.output_dir or cfg.output_dir)
+    write_run_artifacts(result, out)
     for check in result.checks:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{check['name']:32s} {status}")
@@ -55,32 +70,33 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dims_raw = args.dimensions.strip()
     try:
-        dims = tuple(int(s) for s in dims_raw.split(",") if s.strip())
+        dims = tuple(int(s) for s in args.dimensions.split(",") if s.strip())
     except ValueError:
-        print(f"config error: --dimensions must be a comma list of integers, "
-              f"got {args.dimensions!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--dimensions", f"must be a comma list of integers, "
+                          f"got {args.dimensions!r}")
+    if any(n > MAX_DIMENSION for n in dims):
+        raise ConfigError("--dimensions", f"must be at most {MAX_DIMENSION}, "
+                          f"got {args.dimensions!r}")
     try:
-        report = run_identity_suite(seed=args.seed, dims=dims)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if report.empty:
+        checks = run_identity_suite(seed=args.seed, dims=dims)
+    except ValueError as exc:  # a dimension the profiles are not defined in
+        raise ConfigError("--dimensions", str(exc)) from exc
+    if not checks:
         print("nothing to verify: empty sweep", file=sys.stderr)
         return EXIT_CONFIG
     print(f"{'identity':34s} {'samples':>8s} {'deviation':>13s} "
           f"{'tolerance':>10s}  status")
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{check.name:34s} {check.samples:8d} {check.deviation:13.3e} "
-              f"{check.tolerance:10.0e}  {status}")
-    if not report.all_passed:
-        worst = max((c for c in report.checks if not c.passed),
-                    key=lambda c: c.deviation - c.tolerance)
-        print(f"FAILED: {worst.name} deviated by {worst.deviation:.3e} "
-              f"(tolerance {worst.tolerance:.0e})", file=sys.stderr)
+    for check in checks:
+        status = "PASS" if check["pass"] else "FAIL"
+        print(f"{check['name']:34s} {check['samples']:8d} "
+              f"{check['deviation']:13.3e} {check['tolerance']:10.0e}  "
+              f"{status}")
+    failed = [check for check in checks if not check["pass"]]
+    if failed:
+        worst = max(failed, key=lambda c: c["deviation"] - c["tolerance"])
+        print(f"FAILED: {worst['name']} deviated by {worst['deviation']:.3e} "
+              f"(tolerance {worst['tolerance']:.0e})", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -94,8 +110,7 @@ def cmd_sweep(args) -> int:
     if args.workers > 1 and cfg.scenario != "dirichlet":
         raise ConfigError("--workers", f"applies to dirichlet sweeps; a "
                           f"{cfg.scenario} sweep runs in one process")
-    out = args.output_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args, cfg)
     if cfg.scenario == "dirichlet":
         rows, fits, results = run_dirichlet_sweep(
             cfg, out_dir=out, workers=args.workers)

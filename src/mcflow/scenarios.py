@@ -31,7 +31,8 @@ from .geometry import DomainError, RadialMetric, ricci_form_bound
 from .initial_data import decay_radius
 from .solver import (NUMERIC_FAILURES, FlowTrajectory, RecordError,
                      nested_ball_study, run_flow, solve_dirichlet)
-from .verification import translating_identity_deviation
+from .verification import (PROFILE_TOL, SAMPLE_TOL,
+                           translating_identity_deviation)
 
 #: Allowed rise of the discrete metric slope over a run (empirical surrogate
 #: for gradient preservation).
@@ -150,36 +151,17 @@ def write_run_artifacts(result: ScenarioResult, out_dir: str):
 # ---------------------------------------------------------------------------
 
 def _base_flow_checks(traj: FlowTrajectory, slack=SPACELIKE_PRESERVATION_SLACK):
-    checks = []
-    mp = diagnostics.max_principle_check(traj.records)
-    checks.append({"name": "max_principle", "pass": mp.passed,
-                   "worst": mp.worst})
     grads = [rec.grad_max for rec in traj.records]
     ok = max(grads) <= grads[0] + slack
-    checks.append({"name": "spacelike_preservation", "pass": bool(ok),
-                   "initial": grads[0], "max": max(grads), "slack": slack})
-    return checks
+    return [diagnostics.max_principle_check(traj.records),
+            {"name": "spacelike_preservation", "pass": bool(ok),
+             "initial": grads[0], "max": max(grads), "slack": slack}]
 
 
 def _line_integral_checks(traj: FlowTrajectory):
-    checks = []
     l2s = np.array([rec.l2 for rec in traj.records])
-    rises = np.diff(l2s)
-    ok = bool(np.all(rises <= 1e-3 * l2s[:-1]))
-    checks.append({"name": "l2_monotone", "pass": ok,
-                   "worst": float(rises.max()) if rises.size else 0.0})
-    hb = diagnostics.h1_decay_check(traj.records)
-    checks.append({"name": "h1_integral_bound", "pass": hb.passed,
-                   "worst": hb.worst})
-    return checks
-
-
-def _phi_monotone_check(traj: FlowTrajectory):
-    phis = np.array([rec.sup_phi for rec in traj.records])
-    rises = np.diff(phis)
-    worst = float(rises.max()) if rises.size else 0.0
-    return {"name": "phi_monotone", "pass": bool(worst <= PHI_MONOTONE_SLACK),
-            "worst": worst}
+    return [diagnostics.rise_check("l2_monotone", l2s, 1e-3 * l2s[:-1]),
+            diagnostics.h1_decay_check(traj.records)]
 
 
 def _summarize(traj: FlowTrajectory) -> dict:
@@ -340,7 +322,9 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                    "pass": bool(min(margins) > 0.0),
                    "min_margin": float(min(margins))})
     if phi_params is not None:
-        checks.append(_phi_monotone_check(traj))
+        checks.append(diagnostics.rise_check(
+            "phi_monotone", [rec.sup_phi for rec in traj.records],
+            PHI_MONOTONE_SLACK))
     summary = _summarize(traj)
     summary.update({"barrier_r0": profile.r0, "barrier_eps": eps,
                     "decay_radius": r1,
@@ -353,16 +337,16 @@ def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                                   h=cfg.barrier_h, eps=cfg.barrier_eps,
                                   metric=cfg.metric)
     radii = np.geomspace(profile.r0, profile.r_grid[-1], cfg.sample_radii)
-    report = verify_static_supersolution(cfg.metric, profile, radii)
+    rows = verify_static_supersolution(cfg.metric, profile, radii)
+    deviation = float(np.max([row["identity_deviation"] for row in rows]))
     checks = [
-        {"name": "flat_identity", "pass":
-            bool(report.max_identity_deviation <= 1e-10),
-         "worst": report.max_identity_deviation},
-        {"name": "curved_sign", "pass": report.all_passed,
-         "worst": report.max_curved_value},
+        {"name": "flat_identity", "pass": bool(deviation <= PROFILE_TOL),
+         "worst": deviation},
+        {"name": "curved_sign", "pass": all(row["pass"] for row in rows),
+         "worst": float(np.max([row["curved_value"] for row in rows]))},
     ]
     summary = {"barrier_r0": profile.r0, "cap": profile.cap,
-               "eps": profile.eps, "rows": report.to_json_rows()}
+               "eps": profile.eps, "rows": rows}
     return ScenarioResult(summary=summary, checks=checks)
 
 
@@ -371,7 +355,7 @@ def run_translating_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     worst = translating_identity_deviation(
         cfg.translating, np.random.default_rng(cfg.seed), 200)
     checks = [
-        {"name": "translating_identity", "pass": bool(worst <= 1e-12),
+        {"name": "translating_identity", "pass": bool(worst <= SAMPLE_TOL),
          "worst": worst},
         {"name": "gradient_bound", "pass": cert.gradient_ok,
          "value": cert.min_gradient_complement, "bound": cert.gradient_bound},
@@ -446,7 +430,8 @@ def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
             for R in sorted(cfg.sweep_values)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # all workers start on the first submit: no more than there are runs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             outcomes = list(pool.map(sweep_worker, jobs))
     else:
         outcomes = [sweep_worker(job) for job in jobs]

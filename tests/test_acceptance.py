@@ -67,8 +67,8 @@ def test_criterion_01_maximal_surface_residual():
                                            r_range=(0.1, 100.0))
     elapsed = time.time() - t0
     report("criterion 1: stationary-profile residual <= 1e-10",
-           check.passed and elapsed < 1.0,
-           f"worst {check.deviation:.3e} over {check.samples} samples, "
+           check["pass"] and elapsed < 1.0,
+           f"worst {check['deviation']:.3e} over {check['samples']} samples, "
            f"{elapsed:.2f}s")
 
 
@@ -78,8 +78,8 @@ def test_criterion_02_strict_supersolution_identity():
                                                 inner_radii=(0.5, 1.0, 2.0))
     elapsed = time.time() - t0
     report("criterion 2: static-profile speed = (1/2) b'/r to 1e-10",
-           check.passed and elapsed < 1.0,
-           f"worst {check.deviation:.3e}, {elapsed:.2f}s")
+           check["pass"] and elapsed < 1.0,
+           f"worst {check['deviation']:.3e}, {elapsed:.2f}s")
 
 
 def test_criterion_03_translating_certificate():
@@ -90,9 +90,9 @@ def test_criterion_03_translating_certificate():
     grad_chk, slope_chk = check_translating_certificates(
         mus=(0.1, 0.5, 0.9), t0s=(-2.0, -10.0, -100.0))
     elapsed = time.time() - t0
-    ok = ident.passed and grad_chk.passed and slope_chk.passed and elapsed < 5.0
+    ok = ident["pass"] and grad_chk["pass"] and slope_chk["pass"] and elapsed < 5.0
     report("criterion 3: translating identity 1e-12 + inequality certificates",
-           ok, f"identity worst {ident.deviation:.3e} at {ident.samples} pts, "
+           ok, f"identity worst {ident['deviation']:.3e} at {ident['samples']} pts, "
                f"{elapsed:.2f}s")
 
 
@@ -179,10 +179,10 @@ def test_criterion_10_graph_quantity_identities():
     t0 = time.time()
     grad_chk, inv_chk = check_graph_quantities(n_points=10000)
     elapsed = time.time() - t0
-    ok = grad_chk.passed and inv_chk.passed and elapsed < 1.0
+    ok = grad_chk["pass"] and inv_chk["pass"] and elapsed < 1.0
     report("criterion 10: graph identities to 1e-12 at 1e4 configurations",
-           ok, f"gradient {grad_chk.deviation:.3e}, inverse "
-               f"{inv_chk.deviation:.3e}, {elapsed:.2f}s")
+           ok, f"gradient {grad_chk['deviation']:.3e}, inverse "
+               f"{inv_chk['deviation']:.3e}, {elapsed:.2f}s")
 
 
 def test_criterion_11_self_convergence():

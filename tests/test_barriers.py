@@ -207,20 +207,18 @@ def test_build_outer_barrier_curved_and_failure():
 def test_flat_identity_value_in_report():
     prof = build_outer_barrier(3, r1_min=2.0, h=0.1, eps=0.0)
     assert prof.r0 == 2.0
-    report = verify_static_supersolution(euclidean_metric(3), prof, [2.0])
-    row = report.rows[0]
+    row, = verify_static_supersolution(euclidean_metric(3), prof, [2.0])
     # (1/2) b'(r0) / r0 = -1/(sqrt(2) * 4)
-    assert row.flat_value == pytest.approx(-1 / (4 * np.sqrt(2)), abs=1e-12)
-    assert row.flat_value == pytest.approx(-0.1767767, abs=1e-7)
-    assert row.identity_deviation < 1e-12
-    assert row.passed
+    assert row["flat_value"] == pytest.approx(-1 / (4 * np.sqrt(2)), abs=1e-12)
+    assert row["flat_value"] == pytest.approx(-0.1767767, abs=1e-7)
+    assert row["identity_deviation"] < 1e-12
+    assert row["pass"] is True
 
 
 def test_report_json_rows_schema():
     prof = build_outer_barrier(3, r1_min=2.0, h=0.1, eps=0.0)
-    report = verify_static_supersolution(
+    rows = verify_static_supersolution(
         conformal_metric(3, a=0.3, tau=1.0), prof, np.geomspace(2.0, 100.0, 7))
-    rows = report.to_json_rows()
     assert len(rows) == 7
     for row in rows:
         assert set(row) == {"radius", "flat_value", "identity_deviation",
@@ -234,9 +232,9 @@ def test_report_json_rows_schema():
 def test_curved_sign_certificate(a, tau):
     metric = conformal_metric(3, a=a, tau=tau)
     prof = build_outer_barrier(3, r1_min=2.0, h=0.5, eps=0.0, metric=metric)
-    report = verify_static_supersolution(
+    rows = verify_static_supersolution(
         metric, prof, np.geomspace(prof.r0, 1e4 * prof.r0, 64))
-    assert report.all_passed
+    assert all(row["pass"] for row in rows)
 
 
 def test_negation_yields_subsolution():

@@ -126,6 +126,23 @@ def test_simulate_output_dir_flag_overrides(tmp_path):
     assert os.path.exists(os.path.join(out, "summary.json"))
 
 
+def test_simulate_output_dir_that_cannot_be_made_exit_two(tmp_path, capsys,
+                                                        monkeypatch):
+    # made before the run: the runner is never called
+    monkeypatch.setattr("mcflow.cli.run_scenario_config",
+                        lambda cfg: pytest.fail("the scenario ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_config(tmp_path, "c.json", smoke_flow_config(str(blocker)))
+    assert main(["simulate", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: output_dir: cannot create" in err
+    assert "Traceback" not in err
+    assert main(["simulate", path, "--output-dir", str(blocker)]) == 2
+    assert "config error: --output-dir: cannot create" in \
+        capsys.readouterr().err
+
+
 def test_simulate_diagnostics_roundtrip(tmp_path):
     out = str(tmp_path / "out")
     path = write_config(tmp_path, "c.json", smoke_flow_config(out))
@@ -166,10 +183,11 @@ def test_verify_inject_fault_fails(capsys, monkeypatch):
     def faulty(**kwargs):
         checks = check(**kwargs)
         gradient = checks[0]
-        assert gradient.name == "graph_gradient_identity"
-        checks[0] = verification._check(gradient.name,
-                                         10.0 * gradient.tolerance,
-                                         gradient.tolerance, gradient.samples)
+        assert gradient["name"] == "graph_gradient_identity"
+        checks[0] = verification._check(gradient["name"],
+                                         [10.0 * gradient["tolerance"]],
+                                         gradient["tolerance"],
+                                         gradient["samples"])
         return checks
     monkeypatch.setattr(verification, "check_graph_quantities", faulty)
     assert main(["verify"]) == 1
@@ -184,6 +202,14 @@ def test_verify_empty_sweep_exit_two(capsys):
 
 def test_verify_seed_changes_samples_not_outcome():
     assert main(["verify", "--seed", "7"]) == 0
+
+
+@pytest.mark.parametrize("dims", ["41", "3,41", "79", "2", "0", "3,x"])
+def test_verify_bad_dimensions_exit_two(capsys, dims):
+    # past the cap of 40: at 79 the stationary profile's r^(2n-2) overflows
+    # to NaN residuals; below 3 there is no static profile
+    assert main(["verify", "--dimensions", dims]) == 2
+    assert "config error: --dimensions: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +259,47 @@ def test_sweep_dirichlet_parallel_workers(tmp_path):
     from mcflow.scenarios import read_sweep_csv
     rows = read_sweep_csv(os.path.join(out, "sweep.csv"))
     assert [r["R"] for r in rows] == [2.0, 3.0]
+
+
+def test_sweep_output_dir_that_cannot_be_made_exit_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = dict(dirichlet_sweep_config(str(blocker / "x"), [2, 3]),
+               scenario="nested_balls")
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: output_dir: cannot create" in err
+    assert "Traceback" not in err
+    assert main(["sweep", path, "--output-dir", str(blocker / "x")]) == 2
+    assert "config error: --output-dir: cannot create" in \
+        capsys.readouterr().err
+
+
+def test_sweep_starts_no_more_workers_than_radii(tmp_path, monkeypatch):
+    # a pool starts all of its workers on the first submit: never ask for
+    # more than there are runs
+    import concurrent.futures
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = dirichlet_sweep_config(str(tmp_path / "out"), [2, 3, 4])
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["sweep", path, "--workers", "64"]) == 0
+    assert started == [3]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
