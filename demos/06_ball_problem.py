@@ -10,7 +10,7 @@ configs/dirichlet_sweep.json.
 
 import numpy as np
 
-from mcflow import (SolverConfig, boundary_slope_series, euclidean_metric,
+from mcflow import (SolverConfig, euclidean_metric, max_boundary_slope,
                     nested_ball_study, radial_field, smooth_cutoff,
                     solve_dirichlet)
 from mcflow.scenarios import dirichlet_gradient_bound
@@ -28,11 +28,11 @@ slopes, bounds, Rs = [], [], (2.0, 3.0, 4.0)
 for R in Rs:
     u0 = radial_field(0.0, R * R, cfg.h, bump)
     traj = solve_dirichlet(R, metric, u0, cfg)
-    series = boundary_slope_series(traj)
+    slope = max_boundary_slope(traj)
     bound = dirichlet_gradient_bound(metric, R, 0.4)["bound_slope"]
-    slopes.append(series.max_slope)
+    slopes.append(slope)
     bounds.append(bound)
-    print(f"{R:3.0f}   {series.max_slope:12.3e}   {bound:12.3e}")
+    print(f"{R:3.0f}   {slope:12.3e}   {bound:12.3e}")
 
 fit = np.polyfit(np.log(Rs), np.log(bounds), 1)[0]
 print("\nbound-slope scaling exponent:", round(fit, 3),

@@ -18,8 +18,8 @@ from .barriers import (BarrierProfile, TranslatingBarrier, build_outer_barrier,
                        translating_barrier_certificate,
                        translating_barrier_eval, verify_static_supersolution)
 from .diagnostics import (DecayFit, DiagnosticsRecord, barrier_margin,
-                          boundary_slope_series, decay_exponent_fit,
-                          field_norms, h1_decay_check, max_principle_check,
+                          decay_exponent_fit, field_norms, h1_decay_check,
+                          max_boundary_slope, max_principle_check,
                           phi_supremum)
 from .fields import Field, gradient, line_field, radial_field
 from .geometry import (GraphQuantities, RadialMetric, conformal_metric,

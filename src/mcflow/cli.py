@@ -14,10 +14,10 @@ import os
 import sys
 
 from .config import MAX_DIMENSION
-from .scenarios import (ConfigError, ScenarioConfig, run_dirichlet_sweep,
-                        run_nested_scenario, run_scenario_config,
-                        write_run_artifacts, write_summary_json,
-                        write_sweep_csv)
+from .scenarios import (RUNNERS, ConfigError, ScenarioConfig,
+                        run_dirichlet_sweep, run_nested_sweep,
+                        run_scenario_config, write_run_artifacts,
+                        write_summary_json, write_sweep_csv)
 from .solver import RecordError
 from .verification import run_identity_suite
 
@@ -52,19 +52,19 @@ def _output_dir(args, cfg) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = ScenarioConfig.from_dict(_load_config(args.config))
+    if cfg.scenario not in RUNNERS:
+        raise ConfigError("scenario", f"{cfg.scenario} runs under sweep only")
     out = _output_dir(args, cfg)
     result = run_scenario_config(cfg)
     write_run_artifacts(result, out)
     for check in result.checks:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{check['name']:32s} {status}")
-    for warning in result.warnings:
-        print(f"warning: {warning}")
     if result.numeric_failure:
         print(f"numeric failure ({result.summary['termination']}): "
               f"{result.summary.get('halt_message', '')}", file=sys.stderr)
         return EXIT_NUMERIC
-    if not result.all_passed or (args.strict and result.warnings):
+    if not result.all_passed:
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -112,30 +112,17 @@ def cmd_sweep(args) -> int:
                           f"{cfg.scenario} sweep runs in one process")
     out = _output_dir(args, cfg)
     if cfg.scenario == "dirichlet":
-        rows, fits, results = run_dirichlet_sweep(
-            cfg, out_dir=out, workers=args.workers)
-        write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
-        summary = {"rows": rows, "fits": fits}
-        rng = cfg.bound_exponent_range
-        checks_ok = all(r["pass"] for r in rows)
-        if rng is not None:
-            in_range = (fits["bound_exponent"] is not None
-                        and rng[0] <= fits["bound_exponent"] <= rng[1])
-            summary["bound_exponent_in_range"] = bool(in_range)
-            checks_ok = checks_ok and in_range
-        summary["pass"] = checks_ok
-        write_summary_json(summary, os.path.join(out, "sweep_summary.json"))
-        print(f"bound exponent: {fits['bound_exponent']}")
-        print(f"measured exponent: {fits['measured_exponent']}")
-        return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
-    result = run_nested_scenario(cfg)
-    payload = {**result.summary, "warnings": sorted(result.warnings),
-               "pass": result.all_passed}
-    write_summary_json(payload, os.path.join(out, "sweep_summary.json"))
-    for row in result.summary["rows"]:
-        print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
-              f"max difference {row['max_difference']:.6e}")
-    return EXIT_CHECK_FAILED if args.strict and result.warnings else EXIT_OK
+        summary = run_dirichlet_sweep(cfg, out_dir=out, workers=args.workers)
+        write_sweep_csv(summary["rows"], os.path.join(out, "sweep.csv"))
+        print(f"bound exponent: {summary['fits']['bound_exponent']}")
+        print(f"measured exponent: {summary['fits']['measured_exponent']}")
+    else:
+        summary = run_nested_sweep(cfg)
+        for row in summary["rows"]:
+            print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
+                  f"max difference {row['max_difference']:.6e}")
+    write_summary_json(summary, os.path.join(out, "sweep_summary.json"))
+    return EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
@@ -147,8 +134,6 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one scenario from a config")
     p_sim.add_argument("config")
     p_sim.add_argument("--output-dir", default=None)
-    p_sim.add_argument("--strict", action="store_true",
-                       help="promote warnings to failures")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the closed-form identity suite")
@@ -163,8 +148,6 @@ def main(argv=None) -> int:
     p_swp.add_argument("--output-dir", default=None)
     p_swp.add_argument("--workers", type=int, default=1,
                        help="processes for a dirichlet sweep's runs")
-    p_swp.add_argument("--strict", action="store_true",
-                       help="promote warnings to failures")
     p_swp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -167,9 +167,6 @@ def build_solver_config(cfg: dict) -> SolverConfig:
                                minimum=0.0) or None,
         record_every=_number(sec, "record_every", "solver", default=0.0,
                              minimum=0.0) or None,
-        clamp_policy=_string(sec, "clamp_policy", "solver",
-                             choices=("reject", "halt_and_report"),
-                             default="reject"),
         max_steps=_integer(sec, "max_steps", "solver", default=20_000_000,
                            minimum=1),
     )

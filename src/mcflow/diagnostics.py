@@ -223,26 +223,12 @@ def decay_exponent_fit(records, window: tuple) -> DecayFit:
                     r_squared=r2, window=(float(t_lo), float(t_hi)))
 
 
-@dataclass(frozen=True)
-class SlopeSeries:
-    times: np.ndarray
-    slopes: np.ndarray
-
-    @property
-    def max_slope(self) -> float:
-        return float(self.slopes.max())
-
-
-def boundary_slope_series(trajectory, metric=None) -> SlopeSeries:
-    """Outer-boundary |u'|/w per snapshot, one-sided second order."""
-    times, slopes = [], []
-    for t, field in trajectory.snapshots:
-        u = field.values
-        du = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * field.h)
-        w = float(metric.w(field.radii()[-1])) if metric is not None else 1.0
-        times.append(t)
-        slopes.append(abs(du) / w)
-    return SlopeSeries(times=np.asarray(times), slopes=np.asarray(slopes))
+def max_boundary_slope(trajectory) -> float:
+    """Largest outer-boundary |u'| over the snapshots, one-sided second
+    order (the ball problem's metric is flat there); NaN if any is."""
+    return float(np.max([
+        abs(3.0 * fld.values[-1] - 4.0 * fld.values[-2] + fld.values[-3])
+        / (2.0 * fld.h) for _, fld in trajectory.snapshots]))
 
 
 def rise_check(name: str, values, slack) -> dict:

@@ -2,13 +2,14 @@
 
 Runners take the typed `config.ScenarioConfig` of the one config pass,
 never the JSON (see docs/config_schema.md).  Every runner returns a
-ScenarioResult carrying a summary dict, a list of named pass/fail checks,
-and warnings; the CLI turns those into exit codes.  Data files have a
-fixed column order, and each float in them is written as `fmt` writes it,
-`format(x, '.17g')`, so identical configs produce byte-identical output.
-The diagnostics and snapshot files take those bytes from
-`textfmt.format17` and `textfmt.format_pairs`, which format arrays in bulk
-and hand the values they cannot certify to Python's formatting.
+ScenarioResult carrying a summary dict and a list of named pass/fail
+checks, a sweep its summary dict; the CLI turns their `pass` into exit
+codes.  Data files have a fixed column order, and each float in them is
+written as `fmt` writes it, `format(x, '.17g')`, so identical configs
+produce byte-identical output.  The diagnostics and snapshot files take
+those bytes from `textfmt.format17` and `textfmt.format_pairs`, which
+format arrays in bulk and hand the values they cannot certify to Python's
+formatting.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ PHI_MONOTONE_SLACK = 1e-6
 class ScenarioResult:
     summary: dict
     checks: list = dc_field(default_factory=list)
-    warnings: list = dc_field(default_factory=list)
     trajectory: FlowTrajectory | None = None
 
     @property
@@ -142,7 +142,7 @@ def write_run_artifacts(result: ScenarioResult, out_dir: str):
         write_snapshot_csvs(result.trajectory,
                             os.path.join(out_dir, "snapshots"))
     payload = {**result.summary, "checks": result.checks,
-               "warnings": sorted(result.warnings), "pass": result.all_passed}
+               "pass": result.all_passed}
     write_summary_json(payload, os.path.join(out_dir, "summary.json"))
 
 
@@ -242,27 +242,26 @@ def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
                           f"{exc}") from exc
     with _solver_input():
         traj = solve_dirichlet(R, cfg.metric, u0, cfg.solver)
-    series = diagnostics.boundary_slope_series(traj)
+    max_slope = diagnostics.max_boundary_slope(traj)
     profile = bound.pop("profile")
     checks = _base_flow_checks(traj)
     checks.append({"name": "boundary_slope_dominated",
-                   "pass": bool(series.max_slope <= bound["bound_slope"]),
-                   "max_boundary_slope": series.max_slope,
+                   "pass": bool(max_slope <= bound["bound_slope"]),
+                   "max_boundary_slope": max_slope,
                    "bound_slope": bound["bound_slope"]})
-    # domination by the shifted profile on [r0, R^2]
+    # domination by the shifted profile on [r0, R^2): both are 0 at R^2
     shift = profile.value(R * R)
-    worst = np.inf
+    margins = [np.inf]
     for _, fld in traj.snapshots:
-        mask = fld.nodes >= profile.r0
-        if not np.any(mask):
-            continue
-        margin = (profile.value(fld.nodes[mask]) - shift
-                  - np.abs(fld.values[mask]))
-        worst = min(worst, float(margin.min()))
+        nodes, values = fld.nodes[:-1], fld.values[:-1]
+        mask = nodes >= profile.r0
+        margins.append(np.min(profile.value(nodes[mask]) - shift
+                              - np.abs(values[mask]), initial=np.inf))
+    worst = float(np.min(margins))  # a NaN margin fails
     checks.append({"name": "dirichlet_domination",
                    "pass": bool(worst >= -1e-12), "worst_margin": worst})
     summary = _summarize(traj)
-    summary.update({"R": R, "max_boundary_slope": series.max_slope,
+    summary.update({"R": R, "max_boundary_slope": max_slope,
                     "bound_slope": bound["bound_slope"],
                     "barrier_r0": bound["r0"]})
     return ScenarioResult(summary=summary, checks=checks, trajectory=traj)
@@ -272,19 +271,6 @@ def run_dirichlet_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if cfg.R is None:
         raise ConfigError("R", "missing required number")
     return run_dirichlet_case(cfg, cfg.R)
-
-
-def run_nested_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    R_values = sorted(cfg.sweep_values)
-    u0 = build_field_from_config(cfg, "radial", outer=max(R_values) ** 2)
-    with _solver_input():
-        rows = nested_ball_study(R_values, cfg.metric, u0, cfg.solver)
-    diffs = [row["max_difference"] for row in rows]
-    warnings = []
-    if any(b > a for a, b in zip(diffs[:-1], diffs[1:])):
-        warnings.append("nested-ball differences are not monotone decreasing")
-    return ScenarioResult(summary={"rows": rows, "R_values": R_values},
-                          warnings=warnings)
 
 
 def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -366,12 +352,12 @@ def run_translating_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                           checks=checks)
 
 
-_RUNNERS = {
+#: The runner of each scenario `simulate` runs: all but the nested study.
+RUNNERS = {
     "flow_1d": run_flow_scenario,
     "flow_radial": run_flow_scenario,
     "decay_study": run_flow_scenario,
     "dirichlet": run_dirichlet_scenario,
-    "nested_balls": run_nested_scenario,
     "no_lift_off": run_no_lift_off_scenario,
     "barrier_verify": run_barrier_verify_scenario,
     "translating_verify": run_translating_verify_scenario,
@@ -379,7 +365,7 @@ _RUNNERS = {
 
 
 def run_scenario_config(cfg: ScenarioConfig) -> ScenarioResult:
-    return _RUNNERS[cfg.scenario](cfg)
+    return RUNNERS[cfg.scenario](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +403,9 @@ def sweep_worker(args):
 
 
 def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
-    """Ball-problem sweep over R: per-run rows plus scaling fits.
+    """Ball-problem sweep over R: the summary of per-run rows, scaling
+    fits and `pass`, which needs every run to pass and the bound exponent
+    in the config's range, if set.
 
     The per-R a priori bound |b'(R^2)| gives the scaling that is fitted
     (`bound_exponent`); the measured outer slopes are checked against their
@@ -445,7 +433,29 @@ def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
             radii, [r["max_boundary_slope"] for r in rows],
             floor=MEASURED_SLOPE_FLOOR * bounds),
     }
-    return rows, fits, [result for _, result in outcomes]
+    summary = {"rows": rows, "fits": fits}
+    passed = all(r["pass"] for r in rows)
+    rng = cfg.bound_exponent_range
+    if rng is not None:
+        exponent = fits["bound_exponent"]
+        in_range = exponent is not None and rng[0] <= exponent <= rng[1]
+        summary["bound_exponent_in_range"] = bool(in_range)
+        passed = passed and in_range
+    summary["pass"] = bool(passed)
+    return summary
+
+
+def run_nested_sweep(cfg: ScenarioConfig) -> dict:
+    """Nested-ball study over the sweep's radii: the summary of difference
+    rows and whether they decrease (reported, not checked)."""
+    R_values = sorted(cfg.sweep_values)
+    u0 = build_field_from_config(cfg, "radial", outer=max(R_values) ** 2)
+    with _solver_input():
+        rows = nested_ball_study(R_values, cfg.metric, u0, cfg.solver)
+    diffs = [row["max_difference"] for row in rows]
+    decrease = all(b <= a for a, b in zip(diffs[:-1], diffs[1:]))
+    return {"rows": rows, "R_values": R_values,
+            "differences_decrease": decrease, "pass": True}
 
 
 def write_sweep_csv(rows, path: str):

@@ -61,8 +61,8 @@ principal coefficient is 4h^2 / min(C).
 Each stage's increment D_j is one matrix-vector product of four weights
 with the four rows f, f_cand, stage and stage_prev, which form one
 C-contiguous block.  Slopes are never clamped: a stage or candidate that
-breaks strict spacelikeness is retried on a halved step or halts, by
-policy; a NaN or infinity halts.
+breaks strict spacelikeness is retried on a halved step, at most
+MAX_DT_HALVINGS times, and then halts; a NaN or infinity halts.
 """
 
 from __future__ import annotations
@@ -80,11 +80,10 @@ from .geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                        euclidean_metric, radial_factors)
 from .initial_data import interpolate_initial_data, lipschitz_constant
 
-CLAMP_POLICIES = ("reject", "halt_and_report")
 #: Terminations that halt a run on a numeric failure.
 NUMERIC_FAILURES = ("spacelike_violation", "non_finite")
 TERMINATIONS = ("reached_t_end", *NUMERIC_FAILURES, "step_cap")
-#: Retries (each halving dt) under the 'reject' policy.
+#: Retries, each halving dt, of a step that breaks spacelikeness.
 MAX_DT_HALVINGS = 10
 #: Local time-error tolerance per step, in units of h^2 sup|u_0|.
 TIME_ERROR_KAPPA = 1e-4
@@ -104,7 +103,6 @@ class SolverConfig:
     cfl_safety: float = 0.9
     snapshot_every: float | None = None
     record_every: float | None = None
-    clamp_policy: str = "reject"
     max_steps: int = 20_000_000
 
     def __post_init__(self):
@@ -114,8 +112,6 @@ class SolverConfig:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if self.h <= 0:
             raise ValueError(f"h must be > 0, got {self.h}")
-        if self.clamp_policy not in CLAMP_POLICIES:
-            raise ValueError(f"clamp_policy must be one of {CLAMP_POLICIES}")
 
     @property
     def snapshot_cadence(self) -> float:
@@ -383,13 +379,13 @@ class _Engine:
         est -= prev
         return 0.8 * float(max(est.max(), -est.min()))
 
-    def super_step(self, tau, dt_cap, cfl, policy, tol):
+    def super_step(self, tau, dt_cap, cfl, tol):
         """One accepted RKL2 super-step of the proposed size `tau` (None:
         dt_FE), at most `dt_cap`, under local error tolerance `tol`.
 
         Returns (dt, next proposed size).  A stage or candidate that breaks
-        spacelikeness halves dt from the untouched state ('reject', at most
-        MAX_DT_HALVINGS times) or halts ('halt_and_report'); a failed error
+        spacelikeness halves dt from the untouched state, at most
+        MAX_DT_HALVINGS times, and then halts; a failed error
         estimate shrinks dt, but not below dt_FE, where the step is
         accepted.  A step cut short by `dt_cap` does not shrink the next
         proposal.  Raises on violation, leaving the state as it was.
@@ -407,9 +403,9 @@ class _Engine:
             try:
                 err = self.rkl2(dt, dt_fe)
             except SpacelikeViolationError as exc:
-                if policy != "reject" or halvings == MAX_DT_HALVINGS:
+                if halvings == MAX_DT_HALVINGS:
                     raise SpacelikeViolationError(
-                        f"{exc} (policy {policy}, last dt {dt:g})") from exc
+                        f"{exc} (last dt {dt:g})") from exc
                 halvings += 1
                 dt *= 0.5
                 capped = False
@@ -449,13 +445,12 @@ def stable_dt(field: Field, metric, config: SolverConfig) -> float:
 
 
 def _step(field: Field, metric, n, config: SolverConfig, dt_cap):
-    """One RKL2 step of size min(dt_FE, dt_cap) from `field`, under the
-    run's halving policy: the step a run starts with.  Returns (new field,
-    dt)."""
+    """One RKL2 step of size min(dt_FE, dt_cap) from `field`, halved on a
+    violation as a run's steps are: the step a run starts with.  Returns
+    (new field, dt)."""
     engine = _Engine(field, metric, n)
     dt, _ = engine.super_step(None, math.inf if dt_cap is None else dt_cap,
-                              config.cfl_safety, config.clamp_policy,
-                              math.inf)
+                              config.cfl_safety, math.inf)
     return field.with_values(engine.u), dt
 
 
@@ -531,8 +526,7 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
                 break
             mark = min(next_snap, config.t_end)
             start = t
-            dt, tau = engine.super_step(tau, mark - t, config.cfl_safety,
-                                        config.clamp_policy, tol)
+            dt, tau = engine.super_step(tau, mark - t, config.cfl_safety, tol)
             steps += 1
             t = mark if dt >= mark - t - 1e-15 else t + dt
             inside = []

@@ -134,7 +134,7 @@ def test_criterion_06_one_dimensional_integral_bounds(decay_result):
 
 
 def test_criterion_07_boundary_gradient_scaling(dirichlet_sweep_result):
-    rows, fits, _ = dirichlet_sweep_result
+    rows, fits = dirichlet_sweep_result["rows"], dirichlet_sweep_result["fits"]
     exponent = fits["bound_exponent"]
     dominated = all(row["max_boundary_slope"] <= row["bound_slope"]
                     for row in rows)
@@ -166,7 +166,7 @@ def test_criterion_09_spacelikeness_preservation(decay_result,
         grads = [rec.grad_max for rec in traj.records]
         worst_rise = max(worst_rise, max(grads) - grads[0])
         details.append(f"{grads[0]:.3f}->{max(grads):.3f}")
-    for row in dirichlet_sweep_result[0]:
+    for row in dirichlet_sweep_result["rows"]:
         worst_rise = max(worst_rise, row["max_grad_max"]
                          - row["initial_grad_max"])
         details.append(f"{row['initial_grad_max']:.3f}->"

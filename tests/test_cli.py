@@ -15,16 +15,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow
-from mcflow import textfmt, verification
+from mcflow import scenarios, textfmt, verification
 from mcflow.cli import main
-from mcflow.config import MAX_NODES
+from mcflow.config import MAX_NODES, SWEEP_SCENARIOS
 from mcflow.geometry import RadialOperator
 from mcflow.diagnostics import DiagnosticsRecord
 from mcflow.scenarios import (DIAG_HEADER, MEASURED_SLOPE_FLOOR, ConfigError,
                               ScenarioConfig, _fit_loglog, fmt,
                               read_diagnostics_csv, read_snapshot_csv,
-                              run_scenario_config, write_diagnostics_csv,
-                              write_snapshot_csvs)
+                              run_dirichlet_case, run_scenario_config,
+                              write_diagnostics_csv, write_snapshot_csvs)
 from mcflow.solver import FlowTrajectory
 
 
@@ -578,6 +578,8 @@ def test_malformed_tabulated_data_is_config_error(tmp_path, capsys, table):
 
 @pytest.mark.parametrize("argv", [["simulate", "c.json", "--seed", "1"],
                                   ["sweep", "c.json", "--seed", "1"],
+                                  ["simulate", "c.json", "--strict"],
+                                  ["sweep", "c.json", "--strict"],
                                   ["verify", "--strict"]])
 def test_removed_ignored_flags_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -692,7 +694,15 @@ def test_no_lift_off_artifacts_with_monitor_columns(tmp_path):
 
 def test_sweep_nested_balls(tmp_path, capsys):
     out = str(tmp_path / "out")
-    cfg = {
+    path = write_config(tmp_path, "c.json", nested_config(out))
+    assert main(["sweep", path]) == 0
+    assert "max difference" in capsys.readouterr().out
+    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
+    assert len(summary["rows"]) == 1
+
+
+def nested_config(out_dir):
+    return {
         "scenario": "nested_balls",
         "sweep": {"parameter": "R", "values": [2, 3]},
         "metric": {"family": "euclidean", "n": 3},
@@ -700,13 +710,74 @@ def test_sweep_nested_balls(tmp_path, capsys):
         "initial_data": {"family": "bump", "height": 0.3, "plateau": 0.25,
                          "support": 1.0},
         "solver": {"h": 0.1, "t_end": 1.0, "snapshot_every": 0.25},
-        "output_dir": out,
+        "output_dir": out_dir,
     }
+
+
+def test_simulate_nested_balls_is_a_config_error(tmp_path, capsys):
+    # the study runs under `sweep` only; simulate refuses it before any run
+    path = write_config(tmp_path, "c.json",
+                        nested_config(str(tmp_path / "out")))
+    assert main(["simulate", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenario:" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_nested_sweep_reports_whether_differences_decrease(tmp_path,
+                                                           monkeypatch):
+    cfg = nested_config(str(tmp_path / "out"))
+    cfg["sweep"]["values"] = [2, 3, 4]
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["sweep", path]) == 0
-    assert "max difference" in capsys.readouterr().out
-    summary = json.load(open(os.path.join(out, "sweep_summary.json")))
-    assert len(summary["rows"]) == 1
+    summary = json.load(open(tmp_path / "out" / "sweep_summary.json"))
+    diffs = [row["max_difference"] for row in summary["rows"]]
+    assert diffs[0] > diffs[1] > 0.0
+    assert summary["differences_decrease"] is True
+    assert "warnings" not in summary
+
+    # rising differences are reported, not failed
+    def rising(R_list, *args):
+        return [{"R_small": a, "R_large": b, "window": 1.0,
+                 "max_difference": 0.1 * (i + 1)}
+                for i, (a, b) in enumerate(zip(R_list, R_list[1:]))]
+    monkeypatch.setattr(scenarios, "nested_ball_study", rising)
+    assert main(["sweep", path]) == 0
+    summary = json.load(open(tmp_path / "out" / "sweep_summary.json"))
+    assert summary["differences_decrease"] is False
+    assert summary["pass"] is True
+
+
+def test_dirichlet_domination_margin_is_interior(tmp_path):
+    # the pinned outer node, where profile and run are both zero, is left
+    # out: the worst margin is that of the interior, above zero
+    raw = dirichlet_sweep_config(str(tmp_path / "out"), [2, 3])
+    cfg = ScenarioConfig.from_dict(raw)
+    for R in (2, 3):
+        check = next(c for c in run_dirichlet_case(cfg, R).checks
+                     if c["name"] == "dirichlet_domination")
+        assert check["pass"] and check["worst_margin"] > 0.0
+
+
+def test_dirichlet_domination_fails_on_a_nan(tmp_path, monkeypatch):
+    solve = scenarios.solve_dirichlet
+
+    def nan_inside(R, *args):
+        traj = solve(R, *args)
+        t, fld = traj.snapshots[-1]
+        values = fld.values.copy()
+        values[len(values) // 2] = np.nan
+        traj.snapshots[-1] = (t, SimpleNamespace(
+            nodes=fld.nodes, values=values, h=fld.h, kind=fld.kind))
+        return traj
+    monkeypatch.setattr(scenarios, "solve_dirichlet", nan_inside)
+    cfg = ScenarioConfig.from_dict(
+        dirichlet_sweep_config(str(tmp_path / "out"), [2, 3]))
+    check = next(c for c in run_dirichlet_case(cfg, 3).checks
+                 if c["name"] == "dirichlet_domination")
+    assert check["pass"] is False
+    assert math.isnan(check["worst_margin"])
 
 
 @pytest.mark.parametrize("values", [[1, 4], [4, 0.5]])
@@ -899,8 +970,8 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(data):
     else:
         parent[path[-1]] = data.draw(st.sampled_from(MUTANT_VALUES))
     commands = ["simulate"]
-    if "sweep" in raw:
-        commands = (["sweep"] if raw.get("scenario") == "dirichlet"
+    if "sweep" in raw:  # a shipped sweep runs under `sweep` only
+        commands = (["sweep"] if raw.get("scenario") in SWEEP_SCENARIOS
                     else ["simulate", "sweep"])
     command = data.draw(st.sampled_from(commands))
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,16 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mcflow.barriers import build_outer_barrier
 from mcflow.diagnostics import (DiagnosticsRecord, InsufficientDataError,
-                                barrier_margin, boundary_slope_series,
-                                decay_exponent_fit, field_norms,
-                                h1_decay_check, max_principle_check,
+                                barrier_margin, decay_exponent_fit,
+                                field_norms, h1_decay_check,
+                                max_boundary_slope, max_principle_check,
                                 phi_supremum, rise_check)
 from mcflow.fields import line_field, radial_field
 from mcflow.geometry import conformal_metric, euclidean_metric
 from mcflow.initial_data import smooth_cutoff
-from mcflow.solver import SolverConfig, run_flow
+from mcflow.solver import FlowTrajectory, SolverConfig, run_flow
 
 
 def records_from(ts, sups, l2s=None, h1s=None):
@@ -145,9 +147,19 @@ def test_boundary_slope_series_zero_run():
     cfg = SolverConfig(h=0.05, t_end=0.5, snapshot_every=0.1)
     fld = radial_field(0.0, 4.0, 0.05, lambda r: np.zeros_like(r))
     traj = run_flow(euclidean_metric(3), fld, cfg)
-    series = boundary_slope_series(traj)
-    assert np.all(series.slopes == 0.0)
-    assert series.max_slope == 0.0
+    assert max_boundary_slope(traj) == 0.0
+
+
+def test_max_boundary_slope_takes_the_largest_and_keeps_a_nan():
+    # the one-sided end slope (3 u_N - 4 u_(N-1) + u_(N-2)) / (2 h)
+    def snap(t, *ends):
+        return t, SimpleNamespace(values=np.array(ends), h=0.1)
+    steep = snap(0.0, 0.5, 0.2, 0.0)     # |0 - 0.8 + 0.5| / 0.2 = 1.5
+    gentle = snap(1.0, 0.1, 0.05, 0.0)   # |0 - 0.2 + 0.1| / 0.2 = 0.5
+    traj = FlowTrajectory(snapshots=[gentle, steep])
+    assert max_boundary_slope(traj) == pytest.approx(1.5, rel=1e-14)
+    traj.snapshots.append(snap(2.0, np.nan, 0.0, 0.0))
+    assert np.isnan(max_boundary_slope(traj))
 
 
 def test_max_principle_check():

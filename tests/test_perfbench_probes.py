@@ -1,12 +1,18 @@
-"""The benchmark's traced-run probes of single public mcflow calls.
+"""The benchmark's traced-run probes of single public mcflow calls, and
+its span recorder.
 
 `perfbench/probes.py` times `stable_dt`, `step_1d`/`step_radial`, one
 barrier build, one Ricci bound and one blend on each workload's config.
 Each probe runs here once, on every workload's seed-0 config, so that an
 API change that would break `perfbench/run.py --trace 1` fails the suite.
+`perfbench/spans.py` times layers by wrapping the names their callers look
+up; a shortened traced run of two workloads checks that each layer's span
+still opens, so that a renamed or bypassed caller-side name fails too.
 """
 
+import importlib
 import importlib.util
+import json
 import math
 import os
 import sys
@@ -27,7 +33,7 @@ def load(name):
     return module
 
 
-probes, workloads = load("probes"), load("workloads")
+probes, workloads, spans = load("probes"), load("workloads"), load("spans")
 
 
 @pytest.fixture
@@ -60,3 +66,28 @@ def test_minor_layer_probes_run(single_calls):
                                             seed_zero("curved_dense")),
                   ["barriers.build_s", "geometry.ricci_bound_s",
                    "initial_data.blend_s"])
+
+
+def test_wrapped_names_resolve():
+    for module, attr, _ in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr)), \
+            (module, attr)
+
+
+@pytest.mark.parametrize("name, solver, layers", [
+    ("ball_sweep", {"t_end": 0.5}, ()),
+    ("curved_dense", {"t_end": 0.5}, ("geometry.ricci_bound",)),
+])
+def test_traced_runs_open_every_layer_span(tmp_path, name, solver, layers):
+    raw = seed_zero(name)
+    raw["solver"].update(solver)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    code, run = spans.Tracer().run(
+        name, "cli.main", workloads.run_cli, name, str(config),
+        str(tmp_path / "out"))
+    assert code == 0
+    opened = {span.name for span in run}
+    for layer in ("scenarios.run", "scenarios.write", "solver.run",
+                  "barriers.build", "diagnostics.record") + layers:
+        assert layer in opened, (name, layer, sorted(opened))

@@ -13,6 +13,7 @@ to rounding, not bit for bit.
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -185,11 +186,10 @@ def test_rejected_candidate_leaves_state_untouched(case, monkeypatch):
     assert dt == dt_half
     assert np.array_equal(out.values, expected.values)
     # without retries the rejected candidate halts the step
-    halt = SolverConfig(h=config.h, t_end=config.t_end,
-                        clamp_policy="halt_and_report")
+    monkeypatch.setattr(solver, "MAX_DT_HALVINGS", 0)
     calls.clear()
     with pytest.raises(SpacelikeViolationError, match="spacelikeness"):
-        step(field, metric, halt)
+        step(field, metric, config)
     assert len(calls) == 1
 
 
@@ -198,8 +198,7 @@ def test_engine_keeps_the_accepted_differences():
     engine = solver._Engine(field, metric)
     u_before, d_before = engine.u.copy(), engine.d.copy()
     buffers = (engine.u, engine.d)
-    engine.super_step(None, math.inf, config.cfl_safety, config.clamp_policy,
-                      math.inf)
+    engine.super_step(None, math.inf, config.cfl_safety, math.inf)
     assert engine.u is not buffers[0] and engine.d is not buffers[1]
     # the kept differences are those of the accepted values
     assert np.array_equal(engine.d, np.diff(engine.u))
@@ -245,7 +244,7 @@ def test_step_radial_reports_nan_and_infinity_as_non_finite():
     engine.u[0] = np.inf
     engine.d[0] = engine.u[1] - engine.u[0]
     with pytest.raises(NonFiniteError, match="non-finite"):
-        engine.super_step(None, math.inf, 0.9, "reject", math.inf)
+        engine.super_step(None, math.inf, 0.9, math.inf)
 
 
 def test_run_flow_terminates_non_finite_with_message():
@@ -289,7 +288,7 @@ def fixed_steps(field, metric, tau, count):
     """`count` RKL2 super-steps of size tau with no error control."""
     engine = solver._Engine(field, metric)
     for _ in range(count):
-        dt, _ = engine.super_step(tau, tau, 0.9, "reject", math.inf)
+        dt, _ = engine.super_step(tau, tau, 0.9, math.inf)
         assert dt == tau
     return engine
 
@@ -333,13 +332,12 @@ def test_rejected_super_step_retries_from_the_untouched_state(
     else:
         calls = reject_first(monkeypatch, "max_metric_slope", 1.0)
     engine = solver._Engine(field, metric)
-    dt, _ = engine.super_step(tau, tau, config.cfl_safety, "reject", tol)
+    dt, _ = engine.super_step(tau, tau, config.cfl_safety, tol)
     assert len(calls) == 2
     assert dt == (0.1 * tau if kind == "estimate" else 0.5 * tau)
     monkeypatch.undo()
     one_shot = solver._Engine(field, metric)
-    assert one_shot.super_step(dt, dt, config.cfl_safety, "reject",
-                               tol)[0] == dt
+    assert one_shot.super_step(dt, dt, config.cfl_safety, tol)[0] == dt
     for name in ("u", "d", "f"):
         assert np.array_equal(getattr(engine, name), getattr(one_shot, name))
     assert engine.coeff == one_shot.coeff
@@ -348,11 +346,11 @@ def test_rejected_super_step_retries_from_the_untouched_state(
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_halt_and_report_halts_on_the_first_stage_violation(case,
                                                             monkeypatch):
+    # with no halvings left a violation halts the step and reports it
     field, metric, config = CASES[case]()
     tau = 40.0 * stable_dt(field, metric, config)
     engine = solver._Engine(field, metric)
-    engine.super_step(tau, tau, config.cfl_safety, "halt_and_report",
-                      math.inf)  # forms the state's speed
+    engine.super_step(tau, tau, config.cfl_safety, math.inf)  # forms F(u)
     state = {name: getattr(engine, name).copy() for name in ("u", "d", "f")}
     complement = solver._Engine._complement
     stages = []
@@ -364,17 +362,17 @@ def test_halt_and_report_halts_on_the_first_stage_violation(case,
         return complement(self, d)
 
     monkeypatch.setattr(solver._Engine, "_complement", violate_first_stage)
+    monkeypatch.setattr(solver, "MAX_DT_HALVINGS", 0)
     with pytest.raises(SpacelikeViolationError,
-                       match="stub .policy halt_and_report"):
-        engine.super_step(tau, tau, config.cfl_safety, "halt_and_report",
-                          math.inf)
+                       match=re.escape(f"stub (last dt {tau:g})")):
+        engine.super_step(tau, tau, config.cfl_safety, math.inf)
     assert len(stages) == 1
     for name, before in state.items():
         assert np.array_equal(getattr(engine, name), before)
-    # under 'reject' the same violation costs one halving
+    # with halvings left the same violation costs one halving
+    monkeypatch.setattr(solver, "MAX_DT_HALVINGS", 10)
     stages.clear()
-    dt, _ = engine.super_step(tau, tau, config.cfl_safety, "reject",
-                              math.inf)
+    dt, _ = engine.super_step(tau, tau, config.cfl_safety, math.inf)
     assert dt == 0.5 * tau
 
 
@@ -424,8 +422,7 @@ def test_accepted_super_steps_meet_the_error_tolerance(monkeypatch):
     engine = solver._Engine(field, metric)
     tau, t, above = None, 0.0, 0
     while t < 2.0:  # past the initial layer, where steps stay near dt_FE
-        dt, tau = engine.super_step(tau, math.inf, config.cfl_safety,
-                                    config.clamp_policy, tol)
+        dt, tau = engine.super_step(tau, math.inf, config.cfl_safety, tol)
         t += dt
         accepted_tau, dt_fe, err = attempts[-1]
         assert accepted_tau == dt
@@ -461,8 +458,7 @@ def stepped_engine(field, metric, config, t_min):
     tol = TIME_ERROR_KAPPA * field.h ** 2 * float(np.max(np.abs(field.values)))
     engine, tau, t = solver._Engine(field, metric), None, 0.0
     while True:
-        dt, tau = engine.super_step(tau, math.inf, config.cfl_safety,
-                                    config.clamp_policy, tol)
+        dt, tau = engine.super_step(tau, math.inf, config.cfl_safety, tol)
         if t >= t_min:
             return engine, t, dt, tol
         t += dt
@@ -514,7 +510,7 @@ def fine_reference(field, metric, u_n, span, substeps):
     engine = solver._Engine(field.with_values(u_n), metric)
     for _ in range(substeps):
         tau = span / substeps
-        assert engine.super_step(tau, tau, 0.9, "reject", math.inf)[0] == tau
+        assert engine.super_step(tau, tau, 0.9, math.inf)[0] == tau
     return engine.u
 
 
