@@ -34,8 +34,8 @@ for _ in range(1000):
 print("\nworst |d_t b - flat speed| over 1000 points:", worst)
 
 cert = translating_barrier_certificate(tb)
-print("\nmin (1 - |grad|^2) =", cert.min_gradient_complement,
-      ">= mu/4 =", cert.gradient_bound)
-print("min boundary slope =", cert.min_boundary_slope,
-      ">= sqrt(1 - mu/2) =", cert.boundary_slope_bound)
-print("certificate passed:", cert.all_passed)
+print("\nmin (1 - |grad|^2) =", cert["min_gradient_complement"],
+      ">= mu/4 =", cert["gradient_bound"])
+print("min boundary slope =", cert["min_boundary_slope"],
+      ">= sqrt(1 - mu/2) =", cert["boundary_slope_bound"])
+print("certificate passed:", cert["pass"])

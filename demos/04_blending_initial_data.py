@@ -18,22 +18,24 @@ u0 = radial_field(0.5, 30.0, 0.02,
 margin0 = 1.0 - lipschitz_constant(metric, u0)
 print("slope margin of the raw data:", margin0)
 
-res = interpolate_initial_data(metric, u0, R1=10.0, R2=20.0, eps=0.5)
-print("annulus thirds S1..S4:", res.s1, res.s2, res.s3, res.s4)
-print("metric stretch lam   :", res.lam)
+sigma_tilde, u_tilde = interpolate_initial_data(metric, u0, R1=10.0, R2=20.0,
+                                                eps=0.5)
+print("annulus thirds S1..S4:", sigma_tilde.s1, sigma_tilde.s2,
+      sigma_tilde.s3, sigma_tilde.s4)
+print("metric stretch lam   :", sigma_tilde.lam)
 
 r = u0.radii()
 print("\nblend anatomy (r, w_tilde, u_tilde):")
 for rr in (5.0, 11.0, 15.0, 18.0, 25.0):
     i = int(np.argmin(np.abs(r - rr)))
-    print(f"  r = {rr:5.1f}   w = {float(res.sigma_tilde.w(rr)):.6f}   "
-          f"u = {res.u_tilde.values[i]:.6f}")
+    print(f"  r = {rr:5.1f}   w = {float(sigma_tilde.w(rr)):.6f}   "
+          f"u = {u_tilde.values[i]:.6f}")
 
 print("\ndata unchanged inside S1:",
-      bool(np.array_equal(res.u_tilde.values[r <= 10.0],
+      bool(np.array_equal(u_tilde.values[r <= 10.0],
                           u0.values[r <= 10.0])))
 print("data zero beyond S3:",
-      bool(np.all(res.u_tilde.values[r >= res.s3] == 0.0)))
+      bool(np.all(u_tilde.values[r >= sigma_tilde.s3] == 0.0)))
 print("blended slope margin:",
-      1.0 - lipschitz_constant(res.sigma_tilde, res.u_tilde),
+      1.0 - lipschitz_constant(sigma_tilde, u_tilde),
       "(requested eps = 0.5)")

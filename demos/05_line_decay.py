@@ -28,8 +28,8 @@ traj = run_flow(metric, u0, cfg)
 fit = decay_exponent_fit(traj.records, (2.0, 100.0))
 print("slow-tail hump:")
 print("  records:", len(traj.records), " termination:", traj.termination)
-print("  fitted sup-norm exponent:", round(fit.exponent, 4),
-      " r^2:", round(fit.r_squared, 5))
+print("  fitted sup-norm exponent:", round(fit["exponent"], 4),
+      " r^2:", round(fit["r_squared"], 5))
 
 l2s = np.array([rec.l2 for rec in traj.records])
 lhs = np.array([rec.l2 ** 2 + rec.t * rec.h1_grad ** 2
@@ -42,5 +42,5 @@ gauss = line_field(-60.0, 60.0, cfg.h,
 traj_g = run_flow(metric, gauss, cfg)
 fit_g = decay_exponent_fit(traj_g.records, (2.0, 100.0))
 print("\ncompact hump (for contrast):")
-print("  fitted sup-norm exponent:", round(fit_g.exponent, 4),
+print("  fitted sup-norm exponent:", round(fit_g["exponent"], 4),
       " (heat-kernel rate -1/2)")

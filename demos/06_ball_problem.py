@@ -11,9 +11,9 @@ configs/dirichlet_sweep.json.
 import numpy as np
 
 from mcflow import (SolverConfig, euclidean_metric, max_boundary_slope,
-                    nested_ball_study, radial_field, smooth_cutoff,
-                    solve_dirichlet)
-from mcflow.scenarios import dirichlet_gradient_bound
+                    radial_field, smooth_cutoff, solve_dirichlet)
+from mcflow.scenarios import (ScenarioConfig, dirichlet_gradient_bound,
+                              run_nested_sweep)
 
 metric = euclidean_metric(3)
 cfg = SolverConfig(h=0.1, t_end=8.0, snapshot_every=1.0, record_every=1.0)
@@ -38,9 +38,19 @@ fit = np.polyfit(np.log(Rs), np.log(bounds), 1)[0]
 print("\nbound-slope scaling exponent:", round(fit, 3),
       "(the three-dimensional rate is -3/2 as R grows)")
 
-rows = nested_ball_study([2.0, 3.0, 4.0], metric,
-                         radial_field(0.0, 16.0, cfg.h, bump), cfg)
+# the nested-ball study, as `mcflow sweep` runs it from a config: the same
+# data, restricted from the largest ball to each smaller one
+nested = run_nested_sweep(ScenarioConfig.from_dict({
+    "scenario": "nested_balls",
+    "sweep": {"parameter": "R", "values": [2, 3, 4]},
+    "metric": {"family": "euclidean", "n": 3},
+    "domain": {"lo": 0.0},
+    "initial_data": {"family": "bump", "height": 0.4, "plateau": 0.5,
+                     "support": 2.0},
+    "solver": {"h": cfg.h, "t_end": cfg.t_end, "snapshot_every": 1.0,
+               "record_every": 1.0},
+}))
 print("\nnested-domain differences on the shared window:")
-for row in rows:
+for row in nested["rows"]:
     print(f"  R {row['R_small']:g} vs {row['R_large']:g}: "
           f"max |difference| = {row['max_difference']:.3e}")

@@ -236,6 +236,12 @@ def build_outer_barrier(n: int, r1_min: float, h: float, eps: float,
     r0 = float(r1_min)
     worst = np.inf
     for _ in range(MAX_DOUBLINGS + 1):
+        try:  # for n >= 3, r0^(n - 3/2) overflows before any height does
+            tail_coeff = supersolution_tail_coefficient(n, r0)
+        except OverflowError:
+            raise BarrierConstructionError(
+                f"inner radius r0 = {r0:g} too large: the tail coefficient "
+                f"r0^(n - 3/2) overflows") from None
         height_ok = supersolution_height(n, r0, r0) >= h + eps
         if curved:
             radii = np.geomspace(r0, PROFILE_GRID_SPAN * r0, CERTIFICATE_POINTS)
@@ -244,18 +250,15 @@ def build_outer_barrier(n: int, r1_min: float, h: float, eps: float,
         else:
             sign_ok = True
         if height_ok and sign_ok:
-            return _tabulate_profile(n, r0, h, eps)
+            r_grid = np.geomspace(r0, PROFILE_GRID_SPAN * r0,
+                                  PROFILE_GRID_POINTS)
+            return BarrierProfile(n=n, r0=r0, eps=eps, cap=h, r_grid=r_grid,
+                                  b_values=_heights(n, r0, r_grid) + eps,
+                                  tail_coeff=tail_coeff)
         r0 *= 2.0
     raise BarrierConstructionError(
-        f"no inner radius in [{r1_min:g}, {r0 / 2:g}] certified; "
-        f"worst curved speed {worst:.3g}")
-
-
-def _tabulate_profile(n, r0, cap, eps) -> BarrierProfile:
-    r_grid = np.geomspace(r0, PROFILE_GRID_SPAN * r0, PROFILE_GRID_POINTS)
-    return BarrierProfile(n=n, r0=r0, eps=eps, cap=cap, r_grid=r_grid,
-                          b_values=_heights(n, r0, r_grid) + eps,
-                          tail_coeff=supersolution_tail_coefficient(n, r0))
+        f"no inner radius in [{r1_min:g}, {r0 / 2:g}] certified for the "
+        f"height h + eps = {h + eps:g}; worst curved speed {worst:.3g}")
 
 
 def verify_static_supersolution(metric: RadialMetric, profile: BarrierProfile,
@@ -336,33 +339,12 @@ def translating_barrier_eval(tb: TranslatingBarrier, x, t: float):
     return value, dt_value, grad, hess
 
 
-@dataclass(frozen=True)
-class TranslatingCertificate:
-    rho: float
-    min_gradient_complement: float     # min over ball x window of 1 - |grad|^2
-    gradient_bound: float              # mu / 4
-    min_boundary_slope: float          # radial slope at |x - x0| = rho
-    boundary_slope_bound: float        # sqrt(1 - mu/2)
-    gradient_ok: bool
-    boundary_ok: bool
-
-    @property
-    def all_passed(self) -> bool:
-        return self.gradient_ok and self.boundary_ok
-
-    def to_dict(self) -> dict:
-        return {"rho": self.rho,
-                "min_gradient_complement": self.min_gradient_complement,
-                "gradient_bound": self.gradient_bound,
-                "min_boundary_slope": self.min_boundary_slope,
-                "boundary_slope_bound": self.boundary_slope_bound,
-                "pass": self.all_passed}
-
-
 def translating_barrier_certificate(tb: TranslatingBarrier,
                                     n_radii: int = 101,
-                                    n_times: int = 51) -> TranslatingCertificate:
-    """Sampled inequality certificate for the translating profile.
+                                    n_times: int = 51) -> dict:
+    """Sampled inequality certificate for the translating profile, as the
+    dict summary.json writes: `rho`, the least slope complement and
+    boundary slope with their bounds mu/4 and sqrt(1 - mu/2), and `pass`.
 
     By rotational symmetry about x0 the extrema live on a (radius, time)
     rectangle: 1 - |grad|^2 = 2n(t - t0) / s is smallest at t = 0 on the
@@ -378,12 +360,12 @@ def translating_barrier_certificate(tb: TranslatingBarrier,
     min_slope = float(np.min(tb.rho / np.sqrt(s_boundary)))
     grad_bound = tb.mu / 4.0
     slope_bound = float(np.sqrt(1.0 - tb.mu / 2.0))
-    return TranslatingCertificate(
-        rho=tb.rho,
-        min_gradient_complement=min_comp, gradient_bound=grad_bound,
-        min_boundary_slope=min_slope, boundary_slope_bound=slope_bound,
-        gradient_ok=min_comp >= grad_bound - EQUALITY_SLACK,
-        boundary_ok=min_slope >= slope_bound - EQUALITY_SLACK)
+    return {"rho": tb.rho,
+            "min_gradient_complement": min_comp, "gradient_bound": grad_bound,
+            "min_boundary_slope": min_slope,
+            "boundary_slope_bound": slope_bound,
+            "pass": (min_comp >= grad_bound - EQUALITY_SLACK
+                     and min_slope >= slope_bound - EQUALITY_SLACK)}
 
 
 def translating_curved_residual(tb: TranslatingBarrier, metric: RadialMetric,
@@ -396,12 +378,12 @@ def translating_curved_residual(tb: TranslatingBarrier, metric: RadialMetric,
     from .geometry import mcf_operator_cartesian
 
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    residuals = []
     for _ in range(n_samples):
         direction = rng.normal(size=tb.n)
         direction /= np.linalg.norm(direction)
         x = tb.x0 + direction * tb.rho * rng.uniform(0.0, 1.0)
         t = rng.uniform(0.0, -tb.t0)
         value, dtv, grad, hess = translating_barrier_eval(tb, x, t)
-        worst = min(worst, dtv - mcf_operator_cartesian(metric, x, grad, hess))
-    return float(worst)
+        residuals.append(dtv - mcf_operator_cartesian(metric, x, grad, hess))
+    return float(np.min(residuals, initial=np.inf))  # NaN if any is

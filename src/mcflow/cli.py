@@ -1,9 +1,11 @@
 """Command line entry point: `simulate <config>`, `verify`, `sweep <config>`.
 
-Exit codes: 0 all enabled checks pass, 1 a check failed, 2 configuration
-error (the message names the offending field), 3 numeric failure (a run
-halted on a spacelikeness violation or a non-finite value, or a recorded
-state failed its record's checks; the message says which and where).
+Exit codes: 0 every run reached t_end and all enabled checks pass, 1 a
+check failed or a run stopped at the step cap `solver.max_steps`, 2
+configuration error (the message names the offending field), 3 numeric
+failure (a run halted on a spacelikeness violation or a non-finite value,
+or a recorded state failed its record's checks; the message says which and
+where).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .scenarios import (RUNNERS, ConfigError, ScenarioConfig,
                         run_dirichlet_sweep, run_nested_sweep,
                         run_scenario_config, write_run_artifacts,
                         write_summary_json, write_sweep_csv)
-from .solver import RecordError
+from .solver import NUMERIC_FAILURES, RecordError
 from .verification import run_identity_suite
 
 EXIT_OK = 0
@@ -50,6 +52,25 @@ def _output_dir(args, cfg) -> str:
     return out
 
 
+def _stopped_short(runs, solver) -> int | None:
+    """Say on stderr which of `runs`, (where, termination, halt message)
+    triples, stopped before t_end and why.  Returns EXIT_NUMERIC if one
+    halted on a numeric failure, else EXIT_CHECK_FAILED if one stopped at
+    the step cap, else None."""
+    code = None
+    for where, termination, message in runs:
+        if termination in NUMERIC_FAILURES:
+            print(f"numeric failure ({termination}){where}"
+                  + (f": {message}" if message else ""), file=sys.stderr)
+            code = EXIT_NUMERIC
+        elif termination == "step_cap":
+            print(f"step cap{where}: stopped before t_end after "
+                  f"solver.max_steps = {solver.max_steps} steps",
+                  file=sys.stderr)
+            code = code or EXIT_CHECK_FAILED
+    return code
+
+
 def cmd_simulate(args) -> int:
     cfg = ScenarioConfig.from_dict(_load_config(args.config))
     if cfg.scenario not in RUNNERS:
@@ -60,13 +81,13 @@ def cmd_simulate(args) -> int:
     for check in result.checks:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{check['name']:32s} {status}")
-    if result.numeric_failure:
-        print(f"numeric failure ({result.summary['termination']}): "
-              f"{result.summary.get('halt_message', '')}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if not result.all_passed:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    summary = result.summary
+    code = _stopped_short([("", summary.get("termination"),
+                            summary.get("halt_message", ""))],
+                          cfg.solver)
+    if code is not None:
+        return code
+    return EXIT_OK if result.all_passed else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -116,12 +137,20 @@ def cmd_sweep(args) -> int:
         write_sweep_csv(summary["rows"], os.path.join(out, "sweep.csv"))
         print(f"bound exponent: {summary['fits']['bound_exponent']}")
         print(f"measured exponent: {summary['fits']['measured_exponent']}")
+        terminations = [row["termination"] for row in summary["rows"]]
     else:
         summary = run_nested_sweep(cfg)
         for row in summary["rows"]:
             print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
                   f"max difference {row['max_difference']:.6e}")
+        terminations = summary["terminations"]
     write_summary_json(summary, os.path.join(out, "sweep_summary.json"))
+    code = _stopped_short([(f" in the run at R = {R:g}", termination, "")
+                           for R, termination in zip(sorted(cfg.sweep_values),
+                                                     terminations)],
+                          cfg.solver)
+    if code is not None:
+        return code
     return EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED
 
 

@@ -389,6 +389,9 @@ class ScenarioConfig:
         sweep = (_sweep_values(cfg, scenario)
                  if "sweep" in cfg or scenario == "nested_balls" else None)
         metric = build_metric(cfg)
+        if scenario in LINE_SCENARIOS and metric.family != "euclidean":
+            raise ConfigError("metric.family", f"{scenario} runs on the flat "
+                              f"line: needs 'euclidean', got {metric.family!r}")
         barrier = scenario in ("dirichlet", "no_lift_off", "barrier_verify")
         if barrier and metric.n < 3:
             raise ConfigError("metric.n", f"the static barrier needs n >= 3, "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,19 +27,6 @@ class DiagnosticsRecord(NamedTuple):
     h1_grad: float
     sup_phi: float | None = None
     barrier_margin: float | None = None
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    exponent: float
-    intercept: float
-    r_squared: float
-    window: tuple
-
-    def to_dict(self) -> dict:
-        return {"exponent": self.exponent, "intercept": self.intercept,
-                "r_squared": self.r_squared,
-                "window": [self.window[0], self.window[1]]}
 
 
 #: Values in each row buffer of a record batch: a batch holds at most
@@ -202,8 +188,10 @@ def barrier_margin(field: Field, profile) -> float:
     return float(plan.margin(field.values[None])[0])
 
 
-def decay_exponent_fit(records, window: tuple) -> DecayFit:
-    """Least-squares line through (log t, log sup_u) inside the window."""
+def decay_exponent_fit(records, window: tuple) -> dict:
+    """Least-squares line through (log t, log sup_u) inside the window: its
+    `exponent`, `intercept` and `r_squared`, and the `window` [t_lo, t_hi],
+    as summary.json writes them."""
     t_lo, t_hi = window
     if not t_lo < t_hi:
         raise ValueError(f"window must have t_lo < t_hi, got {window}")
@@ -219,8 +207,8 @@ def decay_exponent_fit(records, window: tuple) -> DecayFit:
     ss_res = float(np.sum((logs - fitted) ** 2))
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return DecayFit(exponent=float(slope), intercept=float(intercept),
-                    r_squared=r2, window=(float(t_lo), float(t_hi)))
+    return {"exponent": float(slope), "intercept": float(intercept),
+            "r_squared": r2, "window": [float(t_lo), float(t_hi)]}
 
 
 def max_boundary_slope(trajectory) -> float:

@@ -4,7 +4,7 @@ The spatial background is R^n with a rotationally symmetric conformal metric
 
     sigma_ij(x) = w(r)^2 delta_ij,     w(r) = (1 + a r^{-tau})^power,
 
-which approaches the Euclidean metric at rate omega(r) = a r^{-tau}.  A
+which approaches the Euclidean metric at rate a r^{-tau}.  A
 spacelike graph over this background is described pointwise by its gradient
 (and Hessian), and the flow speed is the trace of the graph Hessian against
 the inverse induced metric
@@ -90,11 +90,6 @@ class RadialMetric:
         return self.power * base ** (self.power - 1.0) * (
             -self.a * self.tau * r ** (-self.tau - 1.0))
 
-    def omega(self, r):
-        """Asymptotic deviation scale omega(r) = a r^{-tau}."""
-        r = np.asarray(r, dtype=float)
-        return self.a * r ** -self.tau
-
 
 def euclidean_metric(n: int) -> RadialMetric:
     return RadialMetric(n=n, family="euclidean")
@@ -106,13 +101,12 @@ def conformal_metric(n: int, a: float, tau: float, power: float = 1.0) -> Radial
 
 @dataclass(frozen=True)
 class GraphQuantities:
-    """Pointwise quantities of a spacelike graph: tilt v, induced metric, normal."""
+    """Pointwise quantities of a spacelike graph: tilt v, induced metric and
+    its inverse."""
 
     v: float
     g: np.ndarray
     g_inv: np.ndarray
-    nu_spatial: np.ndarray
-    nu_time: float
 
 
 def _check_point(metric, x) -> tuple[np.ndarray, float]:
@@ -195,7 +189,7 @@ def ricci_eval(metric: RadialMetric, x, spacing: float = 1e-4) -> np.ndarray:
 
 
 def graph_quantities(metric: RadialMetric, x, grad_u) -> GraphQuantities:
-    """Tilt factor, induced metric and inverse, and unit normal of a graph.
+    """Tilt factor, induced metric and inverse of a graph.
 
     Requires a strictly spacelike gradient, |grad u|^2_sigma < 1 - TOL_SPACELIKE.
     """
@@ -211,8 +205,7 @@ def graph_quantities(metric: RadialMetric, x, grad_u) -> GraphQuantities:
     # a[:, None] * b is np.outer(a, b) without its call overhead
     g = sigma - grad_u[:, None] * grad_u
     g_inv = sigma_inv + raised[:, None] * raised / (1.0 - du2)
-    return GraphQuantities(v=v, g=g, g_inv=g_inv,
-                           nu_spatial=v * raised, nu_time=v)
+    return GraphQuantities(v=v, g=g, g_inv=g_inv)
 
 
 def mcf_operator_cartesian(metric: RadialMetric, x, grad_u, hess_u) -> float:
@@ -357,7 +350,7 @@ def ricci_form_bound(metric: RadialMetric, r_lo: float, r_hi: float,
     if metric.a == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
-    best = 0.0
+    ratios = []
     for r in np.geomspace(max(r_lo, R_MIN * 10), r_hi, n_radii):
         x = np.zeros(metric.n)
         x[0] = r
@@ -365,5 +358,5 @@ def ricci_form_bound(metric: RadialMetric, r_lo: float, r_hi: float,
         w2 = float(metric.w(r)) ** 2
         for _ in range(n_dirs):
             y = rng.normal(size=metric.n)
-            best = max(best, abs(y @ ric @ y) / (w2 * (y @ y)))
-    return best
+            ratios.append(abs(y @ ric @ y) / (w2 * (y @ y)))
+    return float(np.max(ratios, initial=0.0))  # NaN if any ratio is

@@ -102,18 +102,6 @@ class BlendedRadialMetric:
         return dwsq / (2.0 * np.sqrt(wsq))
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
-    sigma_tilde: BlendedRadialMetric
-    u_tilde: Field
-    lam: float
-    s1: float
-    s2: float
-    s3: float
-    s4: float
-    eps: float
-
-
 def lipschitz_constant(metric, field: Field) -> float:
     """sup over nodes of |u'| / w(r), the discrete slope in the metric."""
     r = field.radii()
@@ -138,8 +126,10 @@ def decay_radius(field: Field, eps: float) -> float:
 
 
 def interpolate_initial_data(metric: RadialMetric, u0: Field, R1: float,
-                             R2: float, eps: float) -> InterpolationResult:
-    """Blend (sigma, u0) to (delta, 0) across [R1, R2], keeping margin eps.
+                             R2: float, eps: float) -> tuple:
+    """Blend (sigma, u0) to (delta, 0) across [R1, R2], keeping margin eps:
+    the blended metric sigma_tilde (a BlendedRadialMetric, which holds lam
+    and the annulus thirds s1..s4) and the damped data u_tilde.
 
     The stretch is lam = max(1, 2 sup(u0^2 |psi2'|^2_sigma
     + psi2^2 |u0'|^2_sigma) / (1 - eps)^2) * 1.05, the sup running over the
@@ -179,5 +169,4 @@ def interpolate_initial_data(metric: RadialMetric, u0: Field, R1: float,
         raise InterpolationError(
             f"blended slope {slopes[worst]:.12g} > 1 - eps = {1 - eps:.12g} "
             f"at node {worst} (r = {r[worst]:g})")
-    return InterpolationResult(sigma_tilde=sigma_tilde, u_tilde=u_tilde,
-                               lam=lam, s1=s1, s2=s2, s3=s3, s4=s4, eps=eps)
+    return sigma_tilde, u_tilde

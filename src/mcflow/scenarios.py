@@ -23,15 +23,16 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import diagnostics
-from .barriers import (build_outer_barrier, supersolution_profile_derivs,
+from .barriers import (EQUALITY_SLACK, BarrierConstructionError,
+                       build_outer_barrier, supersolution_profile_derivs,
                        translating_barrier_certificate,
                        verify_static_supersolution)
 from .config import (LINE_SCENARIOS, ConfigError, ScenarioConfig,
                      build_field_from_config)
+from .fields import Field
 from .geometry import DomainError, RadialMetric, ricci_form_bound
 from .initial_data import decay_radius
-from .solver import (NUMERIC_FAILURES, FlowTrajectory, RecordError,
-                     nested_ball_study, run_flow, solve_dirichlet)
+from .solver import FlowTrajectory, RecordError, run_flow, solve_dirichlet
 from .verification import (PROFILE_TOL, SAMPLE_TOL,
                            translating_identity_deviation)
 
@@ -42,6 +43,14 @@ SPACELIKE_PRESERVATION_SLACK = 0.02
 PHI_MONOTONE_SLACK = 1e-6
 
 
+def run_passed(termination: str | None, checks) -> bool:
+    """The one pass rule: a flow run passes only if it reached t_end and
+    every check passed; a run without a termination (a certificate) passes
+    if every check passed."""
+    return (termination in (None, "reached_t_end")
+            and all(c["pass"] for c in checks))
+
+
 @dataclass
 class ScenarioResult:
     summary: dict
@@ -50,11 +59,7 @@ class ScenarioResult:
 
     @property
     def all_passed(self) -> bool:
-        return all(c["pass"] for c in self.checks)
-
-    @property
-    def numeric_failure(self) -> bool:
-        return self.summary.get("termination") in NUMERIC_FAILURES
+        return run_passed(self.summary.get("termination"), self.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +157,11 @@ def write_run_artifacts(result: ScenarioResult, out_dir: str):
 
 def _base_flow_checks(traj: FlowTrajectory, slack=SPACELIKE_PRESERVATION_SLACK):
     grads = [rec.grad_max for rec in traj.records]
-    ok = max(grads) <= grads[0] + slack
+    worst = float(np.max(grads))  # a NaN fails
     return [diagnostics.max_principle_check(traj.records),
-            {"name": "spacelike_preservation", "pass": bool(ok),
-             "initial": grads[0], "max": max(grads), "slack": slack}]
+            {"name": "spacelike_preservation",
+             "pass": bool(worst <= grads[0] + slack),
+             "initial": grads[0], "max": worst, "slack": slack}]
 
 
 def _line_integral_checks(traj: FlowTrajectory):
@@ -170,7 +176,8 @@ def _summarize(traj: FlowTrajectory) -> dict:
                "final_time": traj.final_time,
                "final_sup_u": last.sup_u, "final_l2": last.l2,
                "initial_grad_max": traj.records[0].grad_max,
-               "max_grad_max": max(rec.grad_max for rec in traj.records),
+               "max_grad_max": float(np.max([rec.grad_max
+                                             for rec in traj.records])),
                "records": len(traj.records)}
     if traj.message:  # a halted run says why; other summaries keep their keys
         summary["halt_message"] = traj.message
@@ -190,6 +197,19 @@ def _solver_input():
         raise ConfigError("initial_data", str(exc)) from exc
 
 
+def _static_barrier(cfg: ScenarioConfig, r1_min: float, h: float,
+                    eps: float):
+    """The static barrier on the config's metric.  One that cannot be built
+    from the config's numbers (no certified inner radius within the search
+    budget, or one too large for float64) is a config error naming
+    `barrier`."""
+    try:
+        return build_outer_barrier(cfg.metric.n, r1_min=r1_min, h=h, eps=eps,
+                                   metric=cfg.metric)
+    except BarrierConstructionError as exc:
+        raise ConfigError("barrier", f"no static barrier: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # scenario runners
 # ---------------------------------------------------------------------------
@@ -204,16 +224,17 @@ def run_flow_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         checks.extend(_line_integral_checks(traj))
     summary = _summarize(traj)
     result = ScenarioResult(summary=summary, checks=checks, trajectory=traj)
-    if cfg.scenario == "decay_study":
+    # a run cut short fails whatever its fit; its window may hold no record
+    if cfg.scenario == "decay_study" and traj.termination == "reached_t_end":
         try:
             fit = diagnostics.decay_exponent_fit(traj.records, cfg.fit_window)
         except diagnostics.InsufficientDataError as exc:
             raise ConfigError("fit_window", str(exc)) from exc
-        summary["decay_fit"] = fit.to_dict()
+        summary["decay_fit"] = fit
         rng = cfg.expected_exponent_range
         checks.append({"name": "decay_exponent_in_range",
-                       "pass": bool(rng[0] <= fit.exponent <= rng[1]),
-                       "exponent": fit.exponent, "range": list(rng)})
+                       "pass": bool(rng[0] <= fit["exponent"] <= rng[1]),
+                       "exponent": fit["exponent"], "range": list(rng)})
     return result
 
 
@@ -237,7 +258,7 @@ def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
     try:
         bound = dirichlet_gradient_bound(cfg.metric, R,
                                          float(np.max(np.abs(u0.values))))
-    except DomainError as exc:  # the profile starts outside the ball
+    except (DomainError, BarrierConstructionError) as exc:  # no profile fits
         raise ConfigError("R", f"no a priori slope bound at R = {R:g}: "
                           f"{exc}") from exc
     with _solver_input():
@@ -283,13 +304,14 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     except ValueError as exc:
         raise ConfigError("barrier.eps", str(exc)) from exc
     r1 = max(r1, cfg.metric.r_min * 10, cfg.barrier_r1_min)
-    profile = build_outer_barrier(cfg.metric.n, r1_min=r1,
-                                  h=max(sup0, 1e-6), eps=eps,
-                                  metric=cfg.metric)
+    profile = _static_barrier(cfg, r1, max(sup0, 1e-6), eps)
     phi_params = None
     if cfg.metric.a != 0.0:
         c_ric = ricci_form_bound(cfg.metric, float(u0.nodes[0]),
                                  float(u0.nodes[-1]))
+        if np.isnan(c_ric):  # `c_ric > 0` would turn the monitor off
+            raise RecordError(f"the Ricci bound on [{u0.nodes[0]:g}, "
+                              f"{u0.nodes[-1]:g}] is NaN: no tilt monitor")
         if c_ric > 0:
             phi_params = (c_ric, 1.0 / c_ric)
     with _solver_input():
@@ -303,10 +325,9 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi_params,
                         barrier=profile)
     checks = _base_flow_checks(traj)
-    margins = [rec.barrier_margin for rec in traj.records]
+    worst = float(np.min([rec.barrier_margin for rec in traj.records]))
     checks.append({"name": "barrier_margin_positive",
-                   "pass": bool(min(margins) > 0.0),
-                   "min_margin": float(min(margins))})
+                   "pass": bool(worst > 0.0), "min_margin": worst})
     if phi_params is not None:
         checks.append(diagnostics.rise_check(
             "phi_monotone", [rec.sup_phi for rec in traj.records],
@@ -319,9 +340,8 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    profile = build_outer_barrier(cfg.metric.n, r1_min=cfg.barrier_r1_min,
-                                  h=cfg.barrier_h, eps=cfg.barrier_eps,
-                                  metric=cfg.metric)
+    profile = _static_barrier(cfg, cfg.barrier_r1_min, cfg.barrier_h,
+                              cfg.barrier_eps)
     radii = np.geomspace(profile.r0, profile.r_grid[-1], cfg.sample_radii)
     rows = verify_static_supersolution(cfg.metric, profile, radii)
     deviation = float(np.max([row["identity_deviation"] for row in rows]))
@@ -340,16 +360,16 @@ def run_translating_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     cert = translating_barrier_certificate(cfg.translating)
     worst = translating_identity_deviation(
         cfg.translating, np.random.default_rng(cfg.seed), 200)
-    checks = [
-        {"name": "translating_identity", "pass": bool(worst <= SAMPLE_TOL),
-         "worst": worst},
-        {"name": "gradient_bound", "pass": cert.gradient_ok,
-         "value": cert.min_gradient_complement, "bound": cert.gradient_bound},
-        {"name": "boundary_slope", "pass": cert.boundary_ok,
-         "value": cert.min_boundary_slope, "bound": cert.boundary_slope_bound},
-    ]
-    return ScenarioResult(summary={"certificate": cert.to_dict()},
-                          checks=checks)
+    checks = [{"name": "translating_identity",
+               "pass": bool(worst <= SAMPLE_TOL), "worst": worst}]
+    for name, value, bound in (
+            ("gradient_bound", "min_gradient_complement", "gradient_bound"),
+            ("boundary_slope", "min_boundary_slope", "boundary_slope_bound")):
+        checks.append({"name": name,
+                       "pass": bool(cert[value]
+                                    >= cert[bound] - EQUALITY_SLACK),
+                       "value": cert[value], "bound": cert[bound]})
+    return ScenarioResult(summary={"certificate": cert}, checks=checks)
 
 
 #: The runner of each scenario `simulate` runs: all but the nested study.
@@ -446,16 +466,40 @@ def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
 
 
 def run_nested_sweep(cfg: ScenarioConfig) -> dict:
-    """Nested-ball study over the sweep's radii: the summary of difference
-    rows and whether they decrease (reported, not checked)."""
+    """Nested-ball study over the sweep's radii: one ball run per R, on the
+    data of the largest ball restricted to [lo, R^2].  A row holds max
+    |u_R - u_R'| of consecutive radii over r <= min(R)/2 and their shared
+    snapshot times (NaN if any is).  The summary adds whether the rows
+    decrease (reported, not checked), each run's termination and `pass`."""
     R_values = sorted(cfg.sweep_values)
     u0 = build_field_from_config(cfg, "radial", outer=max(R_values) ** 2)
+    window = R_values[0] / 2.0
+    runs = []
     with _solver_input():
-        rows = nested_ball_study(R_values, cfg.metric, u0, cfg.solver)
+        for R in R_values:
+            inside = u0.nodes <= R * R + u0.h / 2.0
+            ball = Field(kind="radial", nodes=u0.nodes[inside],
+                         values=u0.values[inside], h=u0.h, bc=u0.bc)
+            runs.append(solve_dirichlet(float(R), cfg.metric, ball,
+                                        cfg.solver))
+    rows = []
+    for i, (small, large) in enumerate(zip(runs, runs[1:])):
+        diffs = [0.0]
+        for (t_s, f_s), (t_l, f_l) in zip(small.snapshots, large.snapshots):
+            if abs(t_s - t_l) > 1e-9 * max(1.0, t_s):
+                continue
+            m = f_s.nodes <= window + u0.h / 2.0
+            diffs.append(np.max(np.abs(f_s.values[m]
+                                       - f_l.values[:m.sum()])))
+        rows.append({"R_small": float(R_values[i]),
+                     "R_large": float(R_values[i + 1]), "window": window,
+                     "max_difference": float(np.max(diffs))})
     diffs = [row["max_difference"] for row in rows]
     decrease = all(b <= a for a, b in zip(diffs[:-1], diffs[1:]))
+    terminations = [traj.termination for traj in runs]
     return {"rows": rows, "R_values": R_values,
-            "differences_decrease": decrease, "pass": True}
+            "differences_decrease": decrease, "terminations": terminations,
+            "pass": all(run_passed(t, []) for t in terminations)}
 
 
 def write_sweep_csv(rows, path: str):

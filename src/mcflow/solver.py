@@ -5,8 +5,8 @@ Space: second-order central differences, with the flow speed F from
 case), the axis rule n * 2 (u_1 - u_0) / h^2 at r = 0, and zero speed at
 pinned or frozen ends.  This covers the flat line problem
 u_t = u'' / (1 - u'^2), the rotationally symmetric radial problem on
-conformal backgrounds, the zero-boundary problem on balls with blended
-initial data, and nested-domain comparison studies.
+conformal backgrounds, and the zero-boundary problem on balls with blended
+initial data.
 
 Time: runs take second-order Runge-Kutta-Legendre (RKL2) super-steps with
 local error control (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014).
@@ -582,8 +582,8 @@ def run_flow(metric, u0: Field, config: SolverConfig, phi_params=None,
     return _evolve(u0, metric, config, phi_params=phi_params, barrier=barrier)
 
 
-def solve_dirichlet(R: float, metric, u0: Field, config: SolverConfig,
-                    phi_params=None, barrier=None) -> FlowTrajectory:
+def solve_dirichlet(R: float, metric, u0: Field,
+                    config: SolverConfig) -> FlowTrajectory:
     """Zero-boundary problem on the ball of radius R^2 with blended data.
 
     The data and metric are blended to (delta, 0) across [R-1, R] at the
@@ -601,44 +601,7 @@ def solve_dirichlet(R: float, metric, u0: Field, config: SolverConfig,
                          f"{u0.nodes[-1]:g}")
     margin = 1.0 - lipschitz_constant(metric, u0)
     eps = min(0.999, margin)
-    interp = interpolate_initial_data(metric, u0, R - 1.0, R, eps)
-    blended = interp.sigma_tilde
-    ball = replace(interp.u_tilde, bc=(u0.bc[0], "dirichlet_zero"))
-    return _evolve(ball, blended, config, phi_params=phi_params,
-                   barrier=barrier)
+    blended, u_tilde = interpolate_initial_data(metric, u0, R - 1.0, R, eps)
+    ball = replace(u_tilde, bc=(u0.bc[0], "dirichlet_zero"))
+    return _evolve(ball, blended, config)
 
-
-def nested_ball_study(R_list, metric, u0: Field, config: SolverConfig) -> list:
-    """Differences between zero-boundary runs on nested domains.
-
-    `u0` lives on the largest grid; each run restricts it to [inner, R^2].
-    Rows report max |u_R - u_R'| over the shared window r <= min(R)/2 and
-    over shared snapshot times, for consecutive R pairs.  The expected
-    decrease with R is reported, not asserted.
-    """
-    R_list = sorted(float(R) for R in R_list)
-    if len(R_list) < 2:
-        raise ValueError("need at least two radii")
-    window = R_list[0] / 2.0
-    runs = {}
-    for R in R_list:
-        mask = u0.nodes <= R * R + u0.h / 2.0
-        fld = Field(kind="radial", nodes=u0.nodes[mask],
-                    values=u0.values[mask], h=u0.h, bc=u0.bc)
-        runs[R] = solve_dirichlet(R, metric, fld, config)
-    rows = []
-    for R_small, R_large in zip(R_list[:-1], R_list[1:]):
-        small, large = runs[R_small], runs[R_large]
-        n_common = min(len(small.snapshots), len(large.snapshots))
-        diff = 0.0
-        for k in range(n_common):
-            t_s, f_s = small.snapshots[k]
-            t_l, f_l = large.snapshots[k]
-            if abs(t_s - t_l) > 1e-9 * max(1.0, t_s):
-                continue
-            m = f_s.nodes <= window + u0.h / 2.0
-            diff = max(diff, float(np.max(np.abs(
-                f_s.values[m] - f_l.values[:m.sum()]))))
-        rows.append({"R_small": R_small, "R_large": R_large,
-                     "window": window, "max_difference": diff})
-    return rows

@@ -115,10 +115,10 @@ def check_translating_certificates(mus=(0.1, 0.5, 0.9),
                                     mu=mu))
              for mu in mus for t0 in t0s]
     return [_check("translating_gradient_bound",
-                   [c.gradient_bound - c.min_gradient_complement
+                   [c["gradient_bound"] - c["min_gradient_complement"]
                     for c in certs], EQUALITY_SLACK, len(certs)),
             _check("translating_boundary_slope",
-                   [c.boundary_slope_bound - c.min_boundary_slope
+                   [c["boundary_slope_bound"] - c["min_boundary_slope"]
                     for c in certs], EQUALITY_SLACK, len(certs))]
 
 

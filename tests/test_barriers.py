@@ -331,12 +331,13 @@ def test_translating_derivatives_against_fd():
 def test_translating_certificate_exact_values():
     tb = TranslatingBarrier(n=3, x0=np.zeros(3), t0=-4.0, alpha=0.0, mu=0.5)
     cert = translating_barrier_certificate(tb)
-    assert cert.rho == pytest.approx(12.0, abs=1e-12)
+    assert cert["rho"] == pytest.approx(12.0, abs=1e-12)
     # worst slope complement is mu / (4 - mu) = 1/7 >= mu/4 = 1/8
-    assert cert.min_gradient_complement == pytest.approx(1 / 7, abs=1e-12)
-    assert cert.gradient_bound == pytest.approx(0.125, abs=1e-15)
-    assert cert.min_boundary_slope == pytest.approx(np.sqrt(0.75), abs=1e-12)
-    assert cert.all_passed
+    assert cert["min_gradient_complement"] == pytest.approx(1 / 7, abs=1e-12)
+    assert cert["gradient_bound"] == pytest.approx(0.125, abs=1e-15)
+    assert cert["min_boundary_slope"] == pytest.approx(np.sqrt(0.75),
+                                                       abs=1e-12)
+    assert cert["pass"] is True
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
@@ -344,9 +345,24 @@ def test_translating_certificate_exact_values():
 def test_translating_certificate_sweep(mu, t0):
     tb = TranslatingBarrier(n=3, x0=np.zeros(3), t0=t0, alpha=0.0, mu=mu)
     cert = translating_barrier_certificate(tb)
-    assert cert.all_passed
-    assert cert.min_gradient_complement == pytest.approx(mu / (4 - mu),
-                                                         rel=1e-9)
+    assert cert["pass"] is True
+    assert cert["min_gradient_complement"] == pytest.approx(mu / (4 - mu),
+                                                            rel=1e-9)
+
+
+def test_translating_curved_residual_keeps_a_nan(monkeypatch):
+    # a NaN speed at the second sample: Python's min would keep the others
+    from mcflow import geometry
+    speed, calls = geometry.mcf_operator_cartesian, []
+
+    def nan_second(*args):
+        calls.append(args)
+        return np.nan if len(calls) == 2 else speed(*args)
+    monkeypatch.setattr(geometry, "mcf_operator_cartesian", nan_second)
+    tb = TranslatingBarrier(n=3, x0=np.array([100.0, 0.0, 0.0]), t0=-2.0,
+                            alpha=0.1, mu=0.5)
+    assert np.isnan(translating_curved_residual(
+        tb, conformal_metric(3, a=0.5, tau=1.0), n_samples=8))
 
 
 def test_translating_curved_residual_positive_far_out():

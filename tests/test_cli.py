@@ -15,10 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow
-from mcflow import scenarios, textfmt, verification
+from mcflow import scenarios, solver, textfmt, verification
 from mcflow.cli import main
 from mcflow.config import MAX_NODES, SWEEP_SCENARIOS
-from mcflow.geometry import RadialOperator
+from mcflow.geometry import RadialOperator, SpacelikeViolationError
 from mcflow.diagnostics import DiagnosticsRecord
 from mcflow.scenarios import (DIAG_HEADER, MEASURED_SLOPE_FLOOR, ConfigError,
                               ScenarioConfig, _fit_loglog, fmt,
@@ -231,10 +231,15 @@ def dirichlet_sweep_config(out_dir, values):
 
 
 def test_sweep_single_point_exit_two(tmp_path, capsys):
-    cfg = dirichlet_sweep_config(str(tmp_path / "out"), [4])
-    path = write_config(tmp_path, "c.json", cfg)
-    assert main(["sweep", path]) == 2
-    assert ">= 2" in capsys.readouterr().err
+    # a nested study of one radius included: it compares no pair
+    for scenario in ("dirichlet", "nested_balls"):
+        cfg = dirichlet_sweep_config(str(tmp_path / "out"), [4])
+        cfg["scenario"] = scenario
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["sweep", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sweep.values: need a grid of >= 2 points" in err
+        assert "Traceback" not in err
 
 
 def test_sweep_dirichlet_small(tmp_path):
@@ -455,6 +460,141 @@ def test_tilt_monitor_overflow_is_a_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric failure (record): tilt monitor overflows at t = 0" in err
     assert "mu = 1/lambda = 1688" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# runs that stop before t_end, barriers that cannot be built, NaN reductions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, command, max_steps", [
+    ("no_lift_off.json", "simulate", 1),
+    ("decay_study.json", "simulate", 3),  # too few records for its fit
+    ("dirichlet_sweep.json", "sweep", 1),
+    ("nested_balls.json", "sweep", 1)])
+def test_a_run_stopped_at_the_step_cap_fails(tmp_path, capsys, name, command,
+                                             max_steps):
+    cfg = shipped_config(name)
+    cfg["solver"]["max_steps"] = max_steps
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([command, path, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"solver.max_steps = {max_steps} steps" in err
+    assert "config error" not in err and "Traceback" not in err
+    runs = sorted(out.glob("**/summary.json"))  # none for a nested sweep
+    for run in runs:
+        summary = json.load(open(run))
+        assert summary["termination"] == "step_cap"
+        assert summary["pass"] is False
+    if command == "sweep":
+        summary = json.load(open(out / "sweep_summary.json"))
+        assert summary["pass"] is False
+        terminations = summary.get("terminations") or [
+            row["termination"] for row in summary["rows"]]
+        assert terminations == ["step_cap"] * 3
+        assert len(runs) == (3 if name == "dirichlet_sweep.json" else 0)
+
+
+@pytest.mark.parametrize("name", ["dirichlet_sweep.json", "nested_balls.json"])
+def test_a_sweep_whose_runs_halt_exit_three(tmp_path, capsys, monkeypatch,
+                                            name):
+    def violation(self, tau, dt_fe):
+        raise SpacelikeViolationError("spacelikeness lost: injected")
+    monkeypatch.setattr(solver._Engine, "rkl2", violation)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", shipped_config(name))
+    assert main(["sweep", path, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("numeric failure (spacelike_violation) in ") == 3
+    assert "Traceback" not in err
+    summary = json.load(open(out / "sweep_summary.json"))
+    assert summary["pass"] is False
+    if name == "dirichlet_sweep.json":
+        assert all(row["termination"] == "spacelike_violation"
+                   and row["pass"] is False for row in summary["rows"])
+    else:
+        assert summary["terminations"] == ["spacelike_violation"] * 3
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("barrier_verify.json", "h", 1e20),
+    ("no_lift_off.json", "eps", 1e300),
+    ("no_lift_off.json", "r1_min", 1e300)])
+def test_a_barrier_that_cannot_be_built_exit_two(tmp_path, capsys, name, key,
+                                                 value):
+    cfg = shipped_config(name)
+    cfg["barrier"][key] = value
+    path = write_config(tmp_path, "c.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        code = main(["simulate", path, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: barrier: no static barrier: " in err
+    assert "Traceback" not in err
+
+
+def test_a_line_scenario_on_a_curved_metric_exit_two(tmp_path, capsys):
+    cfg = shipped_config("decay_study.json")
+    cfg["metric"].update(family="conformal_power", a=0.5, tau=1.0)
+    path = write_config(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: metric.family: decay_study runs on the flat" in err
+    assert "Traceback" not in err
+    assert not out.exists()  # refused by the config pass, before any run
+
+
+def test_a_nan_ricci_bound_is_a_numeric_failure(tmp_path, capsys,
+                                                monkeypatch):
+    # NaN > 0 is False: the tilt monitor must not be switched off silently
+    monkeypatch.setattr(scenarios, "ricci_form_bound",
+                        lambda *args: float("nan"))
+    cfg = shipped_config("no_lift_off.json")
+    cfg["solver"].update(t_end=1.0)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure (record): the Ricci bound on [0.5, 50] is NaN" \
+        in err
+    assert "Traceback" not in err
+
+
+def nan_slope_records():
+    """Three records, the last with a NaN `grad_max`."""
+    return [DiagnosticsRecord(t, 0.5, grad_max, 1.0, 0.1)
+            for t, grad_max in ((0.0, 0.2), (0.5, 0.2), (1.0, np.nan))]
+
+
+def test_spacelike_preservation_fails_on_a_nan():
+    traj = FlowTrajectory(records=nan_slope_records())
+    check = next(c for c in scenarios._base_flow_checks(traj)
+                 if c["name"] == "spacelike_preservation")
+    assert check["pass"] is False and math.isnan(check["max"])
+
+
+def test_max_grad_max_keeps_a_nan():
+    traj = FlowTrajectory(snapshots=[(0.0, None), (1.0, None)],
+                          records=nan_slope_records())
+    assert math.isnan(scenarios._summarize(traj)["max_grad_max"])
+
+
+def test_barrier_margin_positive_fails_on_a_nan(monkeypatch):
+    run_flow = scenarios.run_flow
+
+    def nan_margin(*args, **kwargs):
+        traj = run_flow(*args, **kwargs)
+        traj.records[-1] = traj.records[-1]._replace(
+            barrier_margin=float("nan"))
+        return traj
+    monkeypatch.setattr(scenarios, "run_flow", nan_margin)
+    cfg = shipped_config("no_lift_off.json")
+    cfg["solver"].update(t_end=1.0)
+    result = run_scenario_config(ScenarioConfig.from_dict(cfg))
+    check = next(c for c in result.checks
+                 if c["name"] == "barrier_margin_positive")
+    assert check["pass"] is False and math.isnan(check["min_margin"])
 
 
 @pytest.mark.parametrize("height", [1e5, 1e6])
@@ -737,16 +877,38 @@ def test_nested_sweep_reports_whether_differences_decrease(tmp_path,
     assert summary["differences_decrease"] is True
     assert "warnings" not in summary
 
-    # rising differences are reported, not failed
-    def rising(R_list, *args):
-        return [{"R_small": a, "R_large": b, "window": 1.0,
-                 "max_difference": 0.1 * (i + 1)}
-                for i, (a, b) in enumerate(zip(R_list, R_list[1:]))]
-    monkeypatch.setattr(scenarios, "nested_ball_study", rising)
+    # rising differences are reported, not failed: shifting the balls' runs
+    # by 0, 0.1 and 0.3 makes the differences about 0.1 and 0.2
+    solve = scenarios.solve_dirichlet
+
+    def shifted(R, *args):
+        traj = solve(R, *args)
+        shift = {2: 0.0, 3: 0.1, 4: 0.3}[R]
+        traj.snapshots = [(t, fld.with_values(fld.values + shift))
+                          for t, fld in traj.snapshots]
+        return traj
+    monkeypatch.setattr(scenarios, "solve_dirichlet", shifted)
     assert main(["sweep", path]) == 0
     summary = json.load(open(tmp_path / "out" / "sweep_summary.json"))
     assert summary["differences_decrease"] is False
     assert summary["pass"] is True
+
+
+def test_nested_sweep_keeps_a_nan_difference(tmp_path, monkeypatch):
+    solve = scenarios.solve_dirichlet
+
+    def nan_in_window(R, *args):
+        traj = solve(R, *args)
+        if R == 3:  # a NaN at r = 0 of the last snapshot of one ball
+            t, fld = traj.snapshots[-1]
+            values = fld.values.copy()
+            values[0] = np.nan
+            traj.snapshots[-1] = (t, fld.with_values(values))
+        return traj
+    monkeypatch.setattr(scenarios, "solve_dirichlet", nan_in_window)
+    cfg = nested_config(str(tmp_path / "out"))
+    summary = scenarios.run_nested_sweep(ScenarioConfig.from_dict(cfg))
+    assert math.isnan(summary["rows"][0]["max_difference"])
 
 
 def test_dirichlet_domination_margin_is_interior(tmp_path):
@@ -974,6 +1136,11 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(data):
         commands = (["sweep"] if raw.get("scenario") in SWEEP_SCENARIOS
                     else ["simulate", "sweep"])
     command = data.draw(st.sampled_from(commands))
+    # one step never ends a shortened flow: a first step is dt_FE long,
+    # and it stops at the first snapshot mark, before t_end, at the latest
+    capped = isinstance(raw.get("solver"), dict) and data.draw(st.booleans())
+    if capped:
+        raw["solver"]["max_steps"] = 1
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "c.json")
         with open(config, "w") as fh:
@@ -982,4 +1149,4 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(data):
             # an exception escaping main is a traceback at the shell
             code = main([command, config, "--output-dir",
                          os.path.join(tmp, "out")])
-    assert code in (0, 1, 2, 3)
+    assert code in ((1, 2, 3) if capped else (0, 1, 2, 3))

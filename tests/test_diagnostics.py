@@ -130,11 +130,12 @@ def test_barrier_margin_of_profile_itself_is_zero():
 def test_decay_fit_exact_power_laws():
     ts = np.geomspace(1.0, 100.0, 40)
     fit = decay_exponent_fit(records_from(ts, ts ** -0.25), (1.0, 100.0))
-    assert fit.exponent == pytest.approx(-0.25, abs=1e-10)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit["exponent"] == pytest.approx(-0.25, abs=1e-10)
+    assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
+    assert fit["window"] == [1.0, 100.0]
     fit = decay_exponent_fit(records_from(ts, 3.0 * ts ** -0.5), (1.0, 100.0))
-    assert fit.exponent == pytest.approx(-0.5, abs=1e-10)
-    assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-10)
+    assert fit["exponent"] == pytest.approx(-0.5, abs=1e-10)
+    assert fit["intercept"] == pytest.approx(np.log(3.0), abs=1e-10)
 
 
 def test_decay_fit_needs_enough_points():

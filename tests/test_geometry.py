@@ -169,6 +169,20 @@ def test_ricci_form_bound_finite_and_controls_normal_direction(rng):
         assert abs(ric_normal) <= c * (q.v ** 2 - 1.0) * (1 + 1e-9)
 
 
+def test_ricci_form_bound_keeps_a_nan(monkeypatch):
+    # a NaN tensor at the third radius: Python's max would keep the others
+    from mcflow import geometry
+    ricci, calls = geometry.ricci_eval, []
+
+    def nan_third(metric, x):
+        calls.append(x)
+        ric = ricci(metric, x)
+        return ric * np.nan if len(calls) == 3 else ric
+    monkeypatch.setattr(geometry, "ricci_eval", nan_third)
+    assert np.isnan(ricci_form_bound(conformal_metric(3, a=0.5, tau=1.0),
+                                     2.0, 100.0))
+
+
 # ---------------------------------------------------------------------------
 # graph quantities
 # ---------------------------------------------------------------------------

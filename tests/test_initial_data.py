@@ -84,13 +84,13 @@ def test_decay_radius_cases():
 def test_interpolation_zero_data():
     metric = euclidean_metric(3)
     u0 = radial_field(0.0, 30.0, 0.1, lambda r: np.zeros_like(r))
-    res = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=0.5)
-    assert np.all(res.u_tilde.values == 0.0)
-    assert res.lam == pytest.approx(1.05, abs=1e-12)
+    sigma_tilde, u_tilde = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=0.5)
+    assert np.all(u_tilde.values == 0.0)
+    assert sigma_tilde.lam == pytest.approx(1.05, abs=1e-12)
     # metric interpolates delta -> lam delta -> delta
-    assert res.sigma_tilde.w(5.0) == pytest.approx(1.0, abs=1e-15)
-    assert res.sigma_tilde.w(15.0) == pytest.approx(np.sqrt(1.05), abs=1e-12)
-    assert res.sigma_tilde.w(25.0) == pytest.approx(1.0, abs=1e-15)
+    assert sigma_tilde.w(5.0) == pytest.approx(1.0, abs=1e-15)
+    assert sigma_tilde.w(15.0) == pytest.approx(np.sqrt(1.05), abs=1e-12)
+    assert sigma_tilde.w(25.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_interpolation_keeps_core_and_kills_tail():
@@ -98,19 +98,19 @@ def test_interpolation_keeps_core_and_kills_tail():
     u0 = radial_field(0.5, 30.0, 0.05,
                       lambda r: 0.8 * smooth_cutoff(2.0, 6.0, r),
                       bc=("asymptotic_decay", "dirichlet_zero"))
-    res = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=0.3)
+    sigma_tilde, u_tilde = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=0.3)
     r = u0.radii()
     core = r <= 10.0
     outside = r >= 10.0 + 2 * (20.0 - 10.0) / 3.0
-    assert np.array_equal(res.u_tilde.values[core], u0.values[core])
-    assert np.all(res.u_tilde.values[outside] == 0.0)
+    assert np.array_equal(u_tilde.values[core], u0.values[core])
+    assert np.all(u_tilde.values[outside] == 0.0)
     # sigma_tilde matches sigma inside S1 and delta outside S4
-    assert res.sigma_tilde.w(5.0) == pytest.approx(float(metric.w(5.0)),
+    assert sigma_tilde.w(5.0) == pytest.approx(float(metric.w(5.0)),
                                                    abs=1e-15)
-    assert res.sigma_tilde.w(25.0) == pytest.approx(1.0, abs=1e-15)
+    assert sigma_tilde.w(25.0) == pytest.approx(1.0, abs=1e-15)
     # data supported inside S1 pass through wherever nonzero
-    nz = res.u_tilde.values != 0.0
-    assert np.array_equal(res.u_tilde.values[nz], u0.values[nz])
+    nz = u_tilde.values != 0.0
+    assert np.array_equal(u_tilde.values[nz], u0.values[nz])
 
 
 def test_interpolation_blended_metric_derivative():
@@ -118,8 +118,8 @@ def test_interpolation_blended_metric_derivative():
     u0 = radial_field(0.5, 30.0, 0.05,
                       lambda r: 0.5 * smooth_cutoff(2.0, 12.0, r),
                       bc=("asymptotic_decay", "dirichlet_zero"))
-    res = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=0.4)
-    st = res.sigma_tilde
+    sigma_tilde, u_tilde = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=0.4)
+    st = sigma_tilde
     rr = np.linspace(1.0, 29.0, 97)
     h = 1e-6
     fd = (st.w(rr + h) - st.w(rr - h)) / (2 * h)
@@ -132,20 +132,20 @@ def test_interpolation_lambda_formula_and_margin():
                       lambda r: 1.0 * smooth_cutoff(6.0, 16.0, r),
                       bc=("asymptotic_decay", "dirichlet_zero"))
     eps = 0.5
-    res = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=eps)
+    sigma_tilde, u_tilde = interpolate_initial_data(metric, u0, 10.0, 20.0, eps=eps)
     # independent recomputation of the stretch from the budget on [S2, S3]
     from mcflow.fields import gradient
     r = u0.radii()
     w = metric.w(r)
-    psi2 = smooth_cutoff(res.s2, res.s3, r)
-    dpsi2 = smooth_cutoff_deriv(res.s2, res.s3, r)
+    psi2 = smooth_cutoff(sigma_tilde.s2, sigma_tilde.s3, r)
+    dpsi2 = smooth_cutoff_deriv(sigma_tilde.s2, sigma_tilde.s3, r)
     du0 = gradient(u0)
-    mid = (r >= res.s2) & (r <= res.s3)
+    mid = (r >= sigma_tilde.s2) & (r <= sigma_tilde.s3)
     budget = (u0.values ** 2 * (dpsi2 / w) ** 2 + psi2 ** 2 * (du0 / w) ** 2)
     lam_expected = max(1.0, 2.0 * float(budget[mid].max()) / (1 - eps) ** 2) * 1.05
-    assert res.lam == pytest.approx(lam_expected, rel=1e-12)
+    assert sigma_tilde.lam == pytest.approx(lam_expected, rel=1e-12)
     # verified margin, node by node
-    assert lipschitz_constant(res.sigma_tilde, res.u_tilde) <= 1.0 - eps
+    assert lipschitz_constant(sigma_tilde, u_tilde) <= 1.0 - eps
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
@@ -163,12 +163,12 @@ def test_interpolation_margin_preserved_random_bumps(eps, rng):
         margin = 1.0 - lipschitz_constant(metric, u0)
         if margin < eps:
             continue  # bump too steep for this margin, not a valid input
-        res = interpolate_initial_data(metric, u0, 12.0, 24.0, eps=eps)
-        assert lipschitz_constant(res.sigma_tilde, res.u_tilde) <= 1.0 - eps
+        sigma_tilde, u_tilde = interpolate_initial_data(metric, u0, 12.0, 24.0, eps=eps)
+        assert lipschitz_constant(sigma_tilde, u_tilde) <= 1.0 - eps
         # monotone damping and sign preservation
-        assert np.all(np.abs(res.u_tilde.values) <= np.abs(u0.values) + 1e-15)
-        nz = res.u_tilde.values != 0
-        assert np.all(np.sign(res.u_tilde.values[nz])
+        assert np.all(np.abs(u_tilde.values) <= np.abs(u0.values) + 1e-15)
+        nz = u_tilde.values != 0
+        assert np.all(np.sign(u_tilde.values[nz])
                       == np.sign(u0.values[nz]))
 
 

@@ -93,8 +93,8 @@ def axis_ball_run():
     u0 = build_field_from_config(cfg, "radial", outer=16.0)
     traj = solve_dirichlet(4.0, cfg.metric, u0, cfg.solver)
     eps = min(0.999, 1.0 - lipschitz_constant(cfg.metric, u0))
-    blend = interpolate_initial_data(cfg.metric, u0, 3.0, 4.0, eps)
-    return traj, blend.sigma_tilde, None, None
+    sigma_tilde, _ = interpolate_initial_data(cfg.metric, u0, 3.0, 4.0, eps)
+    return traj, sigma_tilde, None, None
 
 
 def curved_run():
@@ -231,8 +231,8 @@ def dense_axis_ball_run():
     u0 = build_field_from_config(cfg, "radial", outer=16.0)
     traj = solve_dirichlet(4.0, cfg.metric, u0, cfg.solver)
     eps = min(0.999, 1.0 - lipschitz_constant(cfg.metric, u0))
-    blend = interpolate_initial_data(cfg.metric, u0, 3.0, 4.0, eps)
-    return traj, blend.sigma_tilde, None, None
+    sigma_tilde, _ = interpolate_initial_data(cfg.metric, u0, 3.0, 4.0, eps)
+    return traj, sigma_tilde, None, None
 
 
 def dense_curved_run():

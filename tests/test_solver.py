@@ -7,8 +7,9 @@ from mcflow.fields import Field, line_field, radial_field
 from mcflow.geometry import (DomainError, SpacelikeViolationError,
                              conformal_metric, euclidean_metric)
 from mcflow.initial_data import smooth_cutoff
-from mcflow.solver import (SolverConfig, nested_ball_study, run_flow,
-                           solve_dirichlet, stable_dt, step_1d, step_radial)
+from mcflow.scenarios import ScenarioConfig, run_nested_sweep
+from mcflow.solver import (SolverConfig, run_flow, solve_dirichlet, stable_dt,
+                           step_1d, step_radial)
 
 
 def gaussian(height, sigma):
@@ -314,20 +315,30 @@ def test_solve_dirichlet_grid_mismatch_rejected():
         solve_dirichlet(3.0, euclidean_metric(3), fld, cfg)
 
 
+def nested_config(values, initial_data):
+    """A nested-ball sweep config over `values`; the data live on the
+    largest ball, [0, max(values)^2]."""
+    return ScenarioConfig.from_dict({
+        "scenario": "nested_balls",
+        "sweep": {"parameter": "R", "values": values},
+        "metric": {"family": "euclidean", "n": 3},
+        "domain": {"lo": 0.0},
+        "initial_data": initial_data,
+        "solver": {"h": 0.05, "t_end": 1.0, "snapshot_every": 0.25},
+    })
+
+
 def test_nested_ball_study_zero_and_bump():
-    metric = euclidean_metric(3)
-    cfg = SolverConfig(h=0.05, t_end=1.0, snapshot_every=0.25)
-    zero = radial_field(0.0, 16.0, 0.05, lambda r: np.zeros_like(r))
-    rows = nested_ball_study([3.0, 4.0], metric, zero, cfg)
+    summary = run_nested_sweep(nested_config([3.0, 4.0], {"family": "zero"}))
+    rows = summary["rows"]
     assert len(rows) == 1
     assert rows[0]["max_difference"] == 0.0
 
-    bump = radial_field(0.0, 25.0, 0.05,
-                        lambda r: 0.4 * smooth_cutoff(0.25, 1.0, r))
-    rows = nested_ball_study([2.0, 3.0, 5.0], metric, bump, cfg)
+    bump = {"family": "bump", "height": 0.4, "plateau": 0.25, "support": 1.0}
+    summary = run_nested_sweep(nested_config([2.0, 3.0, 5.0], bump))
+    rows = summary["rows"]
     assert len(rows) == 2
     assert rows[0]["max_difference"] > 0.0
     # nested runs approach each other as the domain grows
     assert rows[1]["max_difference"] < rows[0]["max_difference"]
-    with pytest.raises(ValueError):
-        nested_ball_study([3.0], metric, bump, cfg)
+    assert summary["terminations"] == ["reached_t_end"] * 3

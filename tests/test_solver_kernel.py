@@ -103,8 +103,9 @@ def blended_axis_case():
     # the same ball under its blended metric, as `solve_dirichlet` runs it
     u0, metric, config = flat_axis_case()
     eps = min(0.999, 1.0 - lipschitz_constant(metric, u0))
-    interp = interpolate_initial_data(metric, u0, 3.0, 4.0, eps)
-    return interp.u_tilde, interp.sigma_tilde, config
+    sigma_tilde, u_tilde = interpolate_initial_data(metric, u0, 3.0, 4.0,
+                                                    eps)
+    return u_tilde, sigma_tilde, config
 
 
 def curved_case():
