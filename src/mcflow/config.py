@@ -3,8 +3,8 @@
 A scenario config is a JSON object with nested sections (see
 docs/config_schema.md).  `ScenarioConfig.from_dict` is the one pass that
 reads it: every key a runner or the CLI uses becomes a typed field, and
-every malformed entry raises ConfigError naming its field path before
-anything is built or run.
+every malformed entry, and every key the pass does not read, raises
+ConfigError naming its field path before anything is built or run.
 """
 
 from __future__ import annotations
@@ -56,6 +56,35 @@ class ConfigError(ValueError):
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+class _Keys(dict):
+    """A config object that records which of its keys are read; its object
+    values are _Keys too."""
+
+    def __init__(self, value: dict, path: str = ""):
+        super().__init__((key, _Keys(item, _join(path, key))
+                          if isinstance(item, dict) else item)
+                         for key, item in value.items())
+        self.path = path
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def unread(self):
+        """The dotted path of each key that was not read, here and in the
+        objects that were."""
+        for key, item in self.items():
+            if key not in self.read:
+                yield _join(self.path, key)
+            elif isinstance(item, _Keys):
+                yield from item.unread()
 
 
 def _finite(value) -> bool:
@@ -385,6 +414,7 @@ class ScenarioConfig:
     def from_dict(cls, cfg: dict) -> "ScenarioConfig":
         if not isinstance(cfg, dict):
             raise ConfigError("config", "top level must be an object")
+        cfg = _Keys(cfg)
         scenario = _string(cfg, "scenario", "", choices=SCENARIO_TAGS)
         sweep = (_sweep_values(cfg, scenario)
                  if "sweep" in cfg or scenario == "nested_balls" else None)
@@ -418,6 +448,11 @@ class ScenarioConfig:
                           seed=_integer(cfg, "seed", "", default=0, minimum=0))
         else:
             fields.update(_flow_fields(cfg, scenario, metric, sweep))
+        unread = list(cfg.unread())
+        if unread:
+            others = f" (nor {', '.join(unread[1:])})" if unread[1:] else ""
+            raise ConfigError(unread[0], f"unknown key: a {scenario} config "
+                              f"does not read it{others}")
         return cls(**fields)
 
 

@@ -12,20 +12,28 @@ Time: runs take second-order Runge-Kutta-Legendre (RKL2) super-steps with
 local error control (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014).
 A super-step of size tau uses the fewest s >= 2 stages that are stable,
 
-    tau <= dt_FE (s^2 + s - 2) / 4,       dt_FE = cfl * h^2 / (2 max a),
+    tau <= dt_FE (s^2 + s - 2) / 4,       dt_FE = cfl * h^2 / (2 c),
     a(u') = w^{-2} / (1 - (u'/w)^2),
 
-where dt_FE is the forward-Euler bound at the step's start.  The local
-error is estimated as in RKC (Sommeijer, Shampine & Verwer, 1998),
+where dt_FE is the forward-Euler bound at the step's start and c the
+stability coefficient: every eigenvalue of the frozen-coefficient operator
+lies within 4c/h^2 of 0.  On line grids and annuli c = max a, from each
+row's Gershgorin disc.  On an axis grid (flat at r = 0) and n <= 3 the
+axis row's own disc, reaching 4n/h^2, overstates the spectrum, and
+c = max(max a, `axis_coefficient`), which is 3/2 instead of n = 3 on a
+resting ball.  For n >= 4 the axis term stays n.  The local error is
+estimated as in RKC (Sommeijer, Shampine & Verwer, 1998),
 
     est = 0.8 (u_n - u_{n+1}) + 0.4 tau (F(u_n) + F(u_{n+1})),
 
 and a step is accepted when max|est| <= TIME_ERROR_KAPPA h^2 sup|u_0|, so
 the time error stays below the O(h^2) space error.  F(u_{n+1}) is the next
 step's F(u_n): an accepted step costs s evaluations.  Error rejections stop
-at dt_FE, where a step is accepted whatever its estimate.  `step_1d` and
-`step_radial` take one such step of size min(dt_FE, dt_cap), as a run's
-first step, with no error control.
+at the floor cfl * h^2 / (2 max(c, n)) on axis grids (the Gershgorin bound
+with the axis row's own disc; equal to dt_FE for n >= 4) and at dt_FE
+elsewhere; a step of the floor's size is accepted whatever its estimate.
+A run's first step is proposed at the floor.  `step_1d` and `step_radial`
+take one such step of size min(floor, dt_cap), with no error control.
 
 Dense output: only snapshot marks and t_end end a step.  A record at a
 time strictly inside an accepted step (t_n, t_n + tau) is the cubic
@@ -145,7 +153,7 @@ class _Engine:
     """Stepping in place on one grid, from a copy of a field's values.
 
     The state is `u` with its forward differences `d`; once a super-step
-    has run, also its speed `f` (held as F/4) and principal coefficient
+    has run, also its speed `f` (held as F/4) and stability coefficient
     `coeff` (None until formed).  Each step builds its candidate in a
     second set of buffers, swapped in only once accepted, so a halved retry
     starts from the untouched state.
@@ -231,18 +239,24 @@ class _Engine:
         return low_c
 
     def _coefficient(self, low_c):
-        """Max principal coefficient from the complement C `_complement`
-        left and its min `low_c` (None: not formed yet)."""
+        """Stability coefficient from the complement C `_complement` left
+        and its min `low_c` (None: not formed yet): the max principal
+        coefficient, and on an axis grid at least `axis_coefficient` of the
+        coefficient at r = h."""
         # max 1/(w^2 (1 - (u'/w)^2)) = max 4h^2/C = 4h^2/min(C): rounded
         # division is monotone
         if low_c is None:
             low_c = float(self.comp.min())
-        return max(4.0 * self.h * self.h / low_c,
-                   float(self.n) if self.axis else 0.0)
+        scale = 4.0 * self.h * self.h
+        coeff = scale / low_c
+        if self.axis:  # flat: C is not divided by K
+            coeff = max(coeff, axis_coefficient(self.n,
+                                                scale / float(self.comp[0])))
+        return coeff
 
     def coefficient(self):
-        """Max principal coefficient of the state; forms s and C on the
-        way.  Raises as `_complement`."""
+        """Stability coefficient of the state; forms s and C on the way.
+        Raises as `_complement`."""
         return self._coefficient(self._complement(self.d))
 
     def _speed(self, d, out):
@@ -386,16 +400,22 @@ class _Engine:
         Returns (dt, next proposed size).  A stage or candidate that breaks
         spacelikeness halves dt from the untouched state, at most
         MAX_DT_HALVINGS times, and then halts; a failed error
-        estimate shrinks dt, but not below dt_FE, where the step is
+        estimate shrinks dt, but not below the floor, where the step is
         accepted.  A step cut short by `dt_cap` does not shrink the next
         proposal.  Raises on violation, leaving the state as it was.
+
+        The stages are counted in dt_FE = cfl h^2 / (2 coeff).  The floor
+        is the bound with the axis row's own Gershgorin disc,
+        cfl h^2 / (2 max(coeff, n)) on axis grids, and dt_FE elsewhere.
         """
         if self.coeff is None:  # then kept from the last accepted step
             self.coeff = self.coefficient()
             self._speed(self.d, self.f)
         h = self.h
         dt_fe = cfl * h * h / (2.0 * self.coeff)
-        tau = dt_fe if tau is None else max(tau, dt_fe)
+        floor = (cfl * h * h / (2.0 * max(self.coeff, self.n)) if self.axis
+                 else dt_fe)
+        tau = floor if tau is None else max(tau, floor)
         dt = min(tau, dt_cap)
         capped = dt < tau
         halvings = 0
@@ -411,13 +431,40 @@ class _Engine:
                 capped = False
                 continue
             ratio = err / tol if tol > 0.0 else (math.inf if err else 0.0)
-            if ratio <= 1.0 or dt <= dt_fe:
+            if ratio <= 1.0 or dt <= floor:
                 break
-            dt = max(dt_fe, dt * _step_factor(ratio))
+            dt = max(floor, dt * _step_factor(ratio))
             capped = False
         self._accept()
         grown = dt * _step_factor(ratio)
         return dt, max(grown, tau) if capped else grown
+
+
+def axis_coefficient(n, a1):
+    """Axis term of the stability coefficient of a grid flat at r = 0, in
+    dimension `n`, with principal coefficient `a1` at r = h.
+
+    The frozen-coefficient operator J couples the axis row to node 1 by
+    2n/h^2 (diagonal -2n/h^2) and node 1 to the axis by e/h^2, where
+    e = a1 - P and P = (n - 1)/2.  Gershgorin's discs of D J D^-1, with
+    D = diag(delta, 1, 1, ...), reach
+        2n (1 + delta)/h^2                  in row 0,
+        (3 a1 + P + e/delta)/h^2            in row 1,
+        4 a_i/h^2                           in rows i >= 2,
+    the last because for n <= 3 a_i >= 1 >= P/i there (cell Peclet number
+    at most 1).  With e >= 0 the two axis rows balance at the positive
+    root delta* of 2n delta^2 + B delta - e = 0, B = 2n - 3 a1 - P, and
+    the bound is n (1 + delta*)/2 (e = 0 gives max(2n, 3 a1 + P)/4).  It
+    is at most max(a1, n), the bound at delta = 1.  For n >= 4 node 1's
+    coupling to the axis can be negative and the spectrum complex, off the
+    real interval RKL2 is stable on; the term stays n.
+    """
+    if n > 3:
+        return float(n)
+    p = 0.5 * (n - 1)
+    b = 2.0 * n - 3.0 * a1 - p
+    delta = (math.sqrt(b * b + 8.0 * n * (a1 - p)) - b) / (4.0 * n)
+    return 0.5 * n * (1.0 + delta)
 
 
 def rkl2_stages(tau, dt_fe):
@@ -434,11 +481,13 @@ def _step_factor(ratio):
 
 
 def stable_dt(field: Field, metric, config: SolverConfig) -> float:
-    """The forward-Euler bound dt_FE = cfl * h^2 / (2 max principal
+    """The forward-Euler bound dt_FE = cfl * h^2 / (2 stability
     coefficient), the unit of the RKL2 stage count.
 
-    On a flat line this is cfl * h^2 / (2 max 1/(1 - u'^2)); the axis node of
-    a radial grid contributes its limit coefficient n.
+    On a flat line this is cfl * h^2 / (2 max 1/(1 - u'^2)).  On an axis
+    grid the coefficient is at least `axis_coefficient` (3/2 for n = 3 at
+    rest) and, for n >= 4, n.  Error rejections stop at a floor that may be
+    smaller: see `_Engine.super_step`.
     """
     coeff = _Engine(field, metric).coefficient()
     return config.cfl_safety * field.h * field.h / (2.0 * coeff)

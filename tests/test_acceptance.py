@@ -189,6 +189,7 @@ def test_criterion_11_self_convergence():
     def sup_at_t1(h):
         raw = load_config("decay_study.json")
         raw["scenario"] = "flow_1d"
+        del raw["fit_window"], raw["expected_exponent_range"]  # unread
         raw["solver"].update({"h": h, "t_end": 1.0, "snapshot_every": 1.0,
                               "record_every": 1.0})
         result = run_scenario_config(ScenarioConfig.from_dict(raw))

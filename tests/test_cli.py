@@ -58,6 +58,16 @@ def test_missing_field_names_path(tmp_path, capsys):
     assert "solver.h" in capsys.readouterr().err
 
 
+def test_unknown_key_exits_two_naming_its_path(tmp_path, capsys):
+    cfg = smoke_flow_config(str(tmp_path / "out"))
+    cfg["solver"]["record_evry"] = 0.1
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["simulate", path]) == 2
+    assert "config error: solver.record_evry: unknown key" in \
+        capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_bad_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -72,6 +72,39 @@ def test_config_errors_pickle_with_their_field_path():
 
 
 # ---------------------------------------------------------------------------
+# unknown keys: every key the pass does not read is an error
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, section, key, path", [
+    ("no_lift_off.json", "solver", "record_evry", "solver.record_evry"),
+    ("no_lift_off.json", "solver", "clamp_policy", "solver.clamp_policy"),
+    ("no_lift_off.json", None, "comment", "comment"),
+    # read by other scenarios or families, not by this one
+    ("dirichlet_sweep.json", "domain", "hi", "domain.hi"),
+    ("dirichlet_sweep.json", "initial_data", "sigma", "initial_data.sigma"),
+    ("translating_verify.json", None, "solver", "solver"),
+    ("decay_study.json", None, "R", "R"),
+])
+def test_an_unread_key_is_a_config_error_naming_it(name, section, key,
+                                                   path):
+    raw = load(name)
+    (raw if section is None else raw[section])[key] = 1.0
+    with pytest.raises(ConfigError, match="unknown key") as info:
+        ScenarioConfig.from_dict(raw)
+    assert info.value.path == path
+
+
+def test_every_unread_key_is_named():
+    raw = load("no_lift_off.json")
+    raw["solver"]["record_evry"] = 0.1
+    raw["metric"]["colour"] = "red"
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict(raw)
+    assert info.value.path == "metric.colour"
+    assert "(nor solver.record_evry)" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
 # the snapshot caps, checked in the pass (these configs are never run)
 # ---------------------------------------------------------------------------
 

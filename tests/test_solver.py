@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcflow import solver
 from mcflow.barriers import maximal_slope, supersolution_height
@@ -72,9 +76,118 @@ def test_stable_dt_h_squared_scaling():
 def test_stable_dt_axis_coefficient():
     cfg = SolverConfig(h=0.1, t_end=1.0, cfl_safety=1.0)
     fld = radial_field(0.0, 5.0, 0.1, lambda r: np.zeros_like(r))
-    # axis limit coefficient is n
-    assert stable_dt(fld, euclidean_metric(3), cfg) == pytest.approx(
-        1.0 * 0.01 / (2 * 3), rel=1e-12)
+    # at rest (every a_i = 1) the axis term is the balanced Gershgorin bound
+    # n (1 + delta*)/2 for n <= 3, where n = 3 has e = 0 and the bound
+    # max(2n, 3 + 1)/4, and n itself from n = 4 on
+    for n, coeff in ((1, 1.0), (2, (15.0 + math.sqrt(33.0)) / 16.0),
+                     (3, 1.5), (4, 4.0), (5, 5.0)):
+        assert stable_dt(fld, euclidean_metric(n), cfg) == pytest.approx(
+            1.0 * 0.01 / (2 * coeff), rel=1e-12)
+
+
+def frozen_jacobian(engine):
+    """The frozen-coefficient operator of an axis grid with a pinned outer
+    end, from the engine's own principal coefficients a_i, and the a_i:
+    rows 0 .. N-2 (the pinned end is dropped), the axis row
+    2n (u_1 - u_0)/h^2 and, inside,
+        a_i (u_{i+1} - 2 u_i + u_{i-1})/h^2
+        + (n - 1)/(2 i) (u_{i+1} - u_{i-1})/h^2.
+    Needs `engine.coefficient()` to have formed C."""
+    h, n = engine.h, engine.n
+    a = 4.0 * h * h / engine.comp
+    size = engine.u.size - 1
+    jac = np.zeros((size, size))
+    jac[0, :2] = -2.0 * n, 2.0 * n
+    for i in range(1, size):
+        drift = 0.5 * (n - 1) / i
+        jac[i, i - 1:i + 1] = a[i - 1] - drift, -2.0 * a[i - 1]
+        if i + 1 < size:
+            jac[i, i + 1] = a[i - 1] + drift
+    return jac / (h * h), a
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5),
+       slopes=st.lists(st.floats(-0.999, 0.999), min_size=3, max_size=40))
+def test_axis_coefficient_bounds_the_spectrum(n, slopes):
+    # any spacelike state on an axis grid with a pinned outer end: the
+    # stage unit's coefficient bounds every eigenvalue of the frozen
+    # operator, 4 coeff/h^2 >= max |lambda| (to eigvals' rounding)
+    h = 0.1
+    values = np.concatenate([[0.0], np.cumsum(slopes)]) * h
+    values -= values[-1]
+    fld = Field(kind="radial", nodes=h * np.arange(values.size),
+                values=values, h=h, bc=("axis_symmetry", "dirichlet_zero"))
+    engine = solver._Engine(fld, euclidean_metric(n))
+    coeff = engine.coefficient()
+    jac, a = frozen_jacobian(engine)
+    radius = float(np.max(np.abs(np.linalg.eigvals(jac))))
+    assert radius <= 4.0 * coeff / h ** 2 * (1.0 + 1e-12)
+    if n >= 4:  # the axis term stays n
+        assert coeff == max(float(np.max(a)), float(n))
+    else:
+        assert coeff <= max(float(np.max(a)), float(n))
+
+
+def stage_limit_run(n, coeff=None, steps=60, stages=20):
+    """(coeff, sup|u| before, sup|u| after) `steps` RKL2 super-steps of
+    `stages` stages at the longest step they allow in units of
+    dt_FE = cfl h^2/(2 coeff) (the engine's own coefficient when None),
+    with no error control, from 1e-8 noise on the ball of radius R^2 = 16
+    at h = 0.0625."""
+    h, cfl = 0.0625, 0.9
+    noise = np.random.default_rng(7).uniform(-1e-8, 1e-8, 257)
+    noise[-1] = 0.0
+    fld = Field(kind="radial", nodes=h * np.arange(257), values=noise, h=h,
+                bc=("axis_symmetry", "dirichlet_zero"))
+    engine = solver._Engine(fld, euclidean_metric(n))
+    engine.coeff = engine.coefficient()
+    engine._speed(engine.d, engine.f)
+    coeff = engine.coeff if coeff is None else coeff
+    dt_fe = cfl * h * h / (2.0 * coeff)
+    tau = dt_fe * (stages * stages + stages - 2) / 4.0
+    assert solver.rkl2_stages(tau, dt_fe) == stages
+    for _ in range(steps):
+        engine.rkl2(tau, dt_fe)
+        engine._accept()
+    return coeff, float(np.max(np.abs(noise))), float(np.max(np.abs(engine.u)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_axis_grids_are_stable_at_the_stage_limit(n):
+    # the stage unit of the engine's coefficient: the balanced axis bound
+    # for n <= 3, n from n = 4 on
+    coeff, before, after = stage_limit_run(n)
+    assert (coeff == n) == (n >= 4)
+    assert after < before
+
+
+def test_stage_limit_run_breaks_under_a_too_small_coefficient():
+    # the control: n/2 at n = 2 sits below the axis row's spectrum
+    with pytest.raises(SpacelikeViolationError):
+        stage_limit_run(2, coeff=1.0)
+
+
+@pytest.mark.xfail(raises=SpacelikeViolationError, strict=True,
+                   reason="for large n the axis term n does not keep RKL2 "
+                          "stable: node 1's coupling to the axis is negative "
+                          "and the spectrum complex")
+def test_axis_grid_in_dimension_40_is_stable_at_the_stage_limit():
+    _, before, after = stage_limit_run(40)
+    assert after < before
+
+
+def test_axis_error_rejections_stop_at_the_gershgorin_floor():
+    # the stages count in dt_FE of the coefficient 3/2, but a run starts,
+    # and error rejections stop, at cfl h^2/(2 max(a, n)) = cfl h^2/6
+    cfg = SolverConfig(h=0.1, t_end=1.0)
+    fld = radial_field(0.0, 5.0, 0.1, gaussian(0.3, 1.0))
+    engine = solver._Engine(fld, euclidean_metric(3))
+    floor = cfg.cfl_safety * 0.1 * 0.1 / (2 * 3.0)
+    assert 1.99 * floor < stable_dt(fld, euclidean_metric(3), cfg) <= 2 * floor
+    assert engine.super_step(None, math.inf, cfg.cfl_safety, 0.0)[0] == floor
+    assert engine.super_step(100.0 * floor, math.inf, cfg.cfl_safety,
+                             0.0)[0] == floor
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,25 @@ class ReferenceEngine:
         axis_rhs = None
         if self.axis:
             axis_rhs = self.n * 2.0 * (u[1] - u[0]) / (h * h)
-            coeff = max(coeff, float(self.n))
+            coeff = max(coeff, self.axis_coefficient(1.0 / comp[0]))
         return rhs, axis_rhs, coeff
+
+    def axis_coefficient(self, a1):
+        """The axis term of the stability coefficient (axis grids are
+        flat), with a1 the coefficient at r = h.  Gershgorin's discs of
+        D J D^-1, D = diag(delta, 1, 1, ...), reach 2n (1 + delta)/h^2 in the
+        axis row and (3 a1 + P + e/delta)/h^2 in the next, P = (n - 1)/2,
+        e = a1 - P; the bound balances the two.  From n = 4 on it is n."""
+        n = self.n
+        if n >= 4:
+            return float(n)
+        p = 0.5 * (n - 1)
+        e = a1 - p
+        if e == 0.0:  # row 1 does not see the axis: delta -> 0
+            return max(2.0 * n, 3.0 * a1 + p) / 4.0
+        # the balance 2n (1 + delta) = 3 a1 + P + e/delta, times delta
+        delta = max(np.roots([2.0 * n, 2.0 * n - 3.0 * a1 - p, -e]).real)
+        return n * (1.0 + delta) / 2.0
 
 
 def load_config(name):
