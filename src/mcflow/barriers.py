@@ -339,19 +339,18 @@ def translating_barrier_eval(tb: TranslatingBarrier, x, t: float):
     return value, dt_value, grad, hess
 
 
-def translating_barrier_certificate(tb: TranslatingBarrier,
-                                    n_radii: int = 101,
-                                    n_times: int = 51) -> dict:
+def translating_barrier_certificate(tb: TranslatingBarrier) -> dict:
     """Sampled inequality certificate for the translating profile, as the
     dict summary.json writes: `rho`, the least slope complement and
     boundary slope with their bounds mu/4 and sqrt(1 - mu/2), and `pass`.
 
     By rotational symmetry about x0 the extrema live on a (radius, time)
-    rectangle: 1 - |grad|^2 = 2n(t - t0) / s is smallest at t = 0 on the
-    boundary sphere, the boundary radial slope rho / sqrt(s) at t = -t0.
+    rectangle, sampled at 101 radii by 51 times: 1 - |grad|^2 =
+    2n(t - t0) / s is smallest at t = 0 on the boundary sphere, the
+    boundary radial slope rho / sqrt(s) at t = -t0.
     """
-    radii = np.linspace(0.0, tb.rho, n_radii)
-    times = np.linspace(0.0, -tb.t0, n_times)
+    radii = np.linspace(0.0, tb.rho, 101)
+    times = np.linspace(0.0, -tb.t0, 51)
     rr, tt = np.meshgrid(radii, times, indexing="ij")
     s = 2.0 * tb.n * (tt - tb.t0) + rr * rr
     complement = 2.0 * tb.n * (tt - tb.t0) / s
@@ -366,24 +365,3 @@ def translating_barrier_certificate(tb: TranslatingBarrier,
             "boundary_slope_bound": slope_bound,
             "pass": (min_comp >= grad_bound - EQUALITY_SLACK
                      and min_slope >= slope_bound - EQUALITY_SLACK)}
-
-
-def translating_curved_residual(tb: TranslatingBarrier, metric: RadialMetric,
-                                n_samples: int = 64, seed: int = 0) -> float:
-    """Min over sampled (x, t) of  d_t b_hat - curved flow speed of b_hat.
-
-    Positive means the translating profile is a strict upper profile under
-    `metric` on its ball; this holds once the ball sits far enough out.
-    """
-    from .geometry import mcf_operator_cartesian
-
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(n_samples):
-        direction = rng.normal(size=tb.n)
-        direction /= np.linalg.norm(direction)
-        x = tb.x0 + direction * tb.rho * rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, -tb.t0)
-        value, dtv, grad, hess = translating_barrier_eval(tb, x, t)
-        residuals.append(dtv - mcf_operator_cartesian(metric, x, grad, hess))
-    return float(np.min(residuals, initial=np.inf))  # NaN if any is

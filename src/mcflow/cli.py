@@ -91,6 +91,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed", f"must be >= 0, got {args.seed}")
     try:
         dims = tuple(int(s) for s in args.dimensions.split(",") if s.strip())
     except ValueError:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .barriers import TranslatingBarrier
 from .fields import Field, line_field, radial_field
-from .geometry import RadialMetric, conformal_metric, euclidean_metric
+from .geometry import (TOL_SPACELIKE, RadialMetric, conformal_metric,
+                       euclidean_metric)
 from .initial_data import smooth_cutoff
 from .solver import SolverConfig
 
@@ -41,6 +42,10 @@ MAX_NODES = 1_000_000
 MAX_RECORDS = 1_000_000
 #: Most snapshot values a run holds: snapshots times nodes of its grids.
 MAX_SNAPSHOT_VALUES = 100_000_000
+#: Least `translating.mu` (exclusive).  The cone's least slope complement,
+#: mu / (4 - mu), then exceeds 2 TOL_SPACELIKE: its gradients stay clear of
+#: the spacelikeness test with room for the rounding of 1 - |grad|^2.
+MIN_TRANSLATING_MU = 8.0 * TOL_SPACELIKE
 
 
 class ConfigError(ValueError):
@@ -132,11 +137,9 @@ def _integer(sec: dict, key: str, path: str, default=None, minimum=None,
     return int(value)
 
 
-def _string(sec: dict, key: str, path: str, choices=None, default=None):
+def _string(sec: dict, key: str, path: str, choices=None):
     if key not in sec:
-        if default is None:
-            raise ConfigError(_join(path, key), "missing required string")
-        return default
+        raise ConfigError(_join(path, key), "missing required string")
     value = sec[key]
     if not isinstance(value, str):
         raise ConfigError(_join(path, key), f"expected a string, got {value!r}")
@@ -188,10 +191,11 @@ def build_metric(cfg: dict) -> RadialMetric:
 
 def build_solver_config(cfg: dict) -> SolverConfig:
     sec = _section(cfg, "solver")
-    kwargs = dict(
-        h=_number(sec, "h", "solver"),
-        t_end=_number(sec, "t_end", "solver"),
-        cfl_safety=_number(sec, "cfl_safety", "solver", default=0.9),
+    config = SolverConfig(
+        h=_number(sec, "h", "solver", above=0.0),
+        t_end=_number(sec, "t_end", "solver", above=0.0),
+        cfl_safety=_number(sec, "cfl_safety", "solver", default=0.9,
+                           above=0.0, maximum=1.0),
         snapshot_every=_number(sec, "snapshot_every", "solver", default=0.0,
                                minimum=0.0) or None,
         record_every=_number(sec, "record_every", "solver", default=0.0,
@@ -199,10 +203,6 @@ def build_solver_config(cfg: dict) -> SolverConfig:
         max_steps=_integer(sec, "max_steps", "solver", default=20_000_000,
                            minimum=1),
     )
-    try:
-        config = SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc)) from exc
     # records do not end steps, so max_steps does not bound their count
     records = config.t_end / config.record_cadence
     if records > MAX_RECORDS:
@@ -241,8 +241,9 @@ class InitialProfile:
         return np.interp(c, xs, us, left=0.0, right=0.0)
 
 
-def initial_profile(sec: dict, path: str = "initial_data") -> InitialProfile:
-    """The profile of an initial-data section; a table is read here, once."""
+def initial_profile(sec: dict) -> InitialProfile:
+    """The profile of the `initial_data` section; a table is read once."""
+    path = "initial_data"
     family = _string(sec, "family", path,
                      choices=("zero", "gaussian", "bump", "radial_bump",
                               "slow_tail", "tabulated"))
@@ -375,7 +376,7 @@ def _translating(cfg: dict, n: int) -> TranslatingBarrier:
     sec = _section(cfg, "translating")
     t0 = _number(sec, "t0", "translating")
     alpha = _number(sec, "alpha", "translating", default=0.0, minimum=0.0)
-    mu = _number(sec, "mu", "translating")
+    mu = _number(sec, "mu", "translating", above=MIN_TRANSLATING_MU)
     x0 = _numbers(sec, "x0", "translating") if "x0" in sec else [0.0] * n
     if len(x0) != n:
         raise ConfigError("translating.x0", f"expected metric.n = {n} "

@@ -7,7 +7,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Field, gradient_into
-from .geometry import TOL_SPACELIKE, SpacelikeViolationError
+from .geometry import (TOL_SPACELIKE, SpacelikeViolationError,
+                       euclidean_metric)
 
 
 class InsufficientDataError(ValueError):
@@ -57,17 +58,15 @@ class RecordPlan:
     reduction runs along the rows (`axis=1`), so each row's numbers are
     those of its own values.  A w that is 1 at every node and the line's
     unit weight are dropped: division and multiplication by 1 are exact.
-    Without a metric (None) the plan serves only the barrier margin.
     """
 
     def __init__(self, field: Field, metric, phi_params=None, profile=None):
         r = field.radii()
         self.h, self.axis = field.h, field.axis
-        if metric is not None:
-            w = metric.w(r)
-            self.weight = (r ** (metric.n - 1) * w ** metric.n
-                           if field.kind == "radial" else None)
-            self.w = None if np.all(w == 1.0) else w
+        w = metric.w(r)
+        self.weight = (r ** (metric.n - 1) * w ** metric.n
+                       if field.kind == "radial" else None)
+        self.w = None if np.all(w == 1.0) else w
         self.phi = None
         if phi_params is not None:
             lambda_phi, mu_phi = phi_params
@@ -184,7 +183,8 @@ def phi_supremum(field: Field, metric, lambda_phi: float, mu_phi: float) -> floa
 
 def barrier_margin(field: Field, profile) -> float:
     """min over nodes with r >= r0 of (b_eps(r) - |u|); positive = dominated."""
-    plan = RecordPlan(field, None, profile=profile)
+    # the margin reads no metric: a flat one serves
+    plan = RecordPlan(field, euclidean_metric(profile.n), profile=profile)
     return float(plan.margin(field.values[None])[0])
 
 
@@ -219,6 +219,12 @@ def max_boundary_slope(trajectory) -> float:
         / (2.0 * fld.h) for _, fld in trajectory.snapshots]))
 
 
+#: Largest rise of sup|u| between records that `max_principle_check` passes.
+MAX_PRINCIPLE_SLACK = 1e-9
+#: Relative slack of the integral bound that `h1_decay_check` passes.
+H1_BOUND_REL_SLACK = 1e-3
+
+
 def rise_check(name: str, values, slack) -> dict:
     """The named check that `values`, one per record, never rise by more
     than `slack` (a number, or one per rise) between records; `worst` is
@@ -228,13 +234,15 @@ def rise_check(name: str, values, slack) -> dict:
             "worst": float(rises.max()) if rises.size else 0.0}
 
 
-def max_principle_check(records, slack: float = 1e-9) -> dict:
-    """Pass iff sup_u never rises by more than `slack` between records."""
-    return rise_check("max_principle", [rec.sup_u for rec in records], slack)
+def max_principle_check(records) -> dict:
+    """Pass iff sup_u rises by at most MAX_PRINCIPLE_SLACK between records."""
+    return rise_check("max_principle", [rec.sup_u for rec in records],
+                      MAX_PRINCIPLE_SLACK)
 
 
-def h1_decay_check(records, rel_slack: float = 1e-3) -> dict:
-    """Pass iff l2^2 + t * h1_grad^2 <= l2(0)^2 (1 + rel_slack) at every record.
+def h1_decay_check(records) -> dict:
+    """Pass iff l2^2 + t * h1_grad^2 <= l2(0)^2 (1 + H1_BOUND_REL_SLACK) at
+    every record.
 
     The right-hand side is the integral bound the cutoff argument yields in
     the limit of wide cutoffs; see the notes on the stated versus derived
@@ -243,7 +251,7 @@ def h1_decay_check(records, rel_slack: float = 1e-3) -> dict:
     """
     if not records:
         raise ValueError("no records")
-    bound = records[0].l2 ** 2 * (1.0 + rel_slack)
+    bound = records[0].l2 ** 2 * (1.0 + H1_BOUND_REL_SLACK)
     lhs = np.array([rec.l2 ** 2 + rec.t * rec.h1_grad ** 2 for rec in records])
     if bound == 0.0:
         ok, worst = np.all(lhs == 0.0), lhs.max()

@@ -28,6 +28,9 @@ TOL_SPACELIKE = 1e-10
 #: Non-Euclidean metrics are never evaluated below this radius.
 R_MIN = 1e-6
 
+#: Central-difference spacing of the Christoffel symbols in `ricci_eval`.
+RICCI_SPACING = 1e-4
+
 
 class DomainError(ValueError):
     """Input outside the metric's validity domain (r < r_min, non-finite, ...)."""
@@ -160,8 +163,9 @@ def metric_eval(metric: RadialMetric, x):
     return sigma, sigma_inv, gamma
 
 
-def ricci_eval(metric: RadialMetric, x, spacing: float = 1e-4) -> np.ndarray:
-    """Ricci tensor of sigma at a point, by central differencing of Christoffels.
+def ricci_eval(metric: RadialMetric, x) -> np.ndarray:
+    """Ricci tensor of sigma at a point, by central differencing of
+    Christoffels at spacing RICCI_SPACING.
 
     Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik
              + Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik.
@@ -176,10 +180,10 @@ def ricci_eval(metric: RadialMetric, x, spacing: float = 1e-4) -> np.ndarray:
     dgamma = np.empty((n, n, n, n))  # dgamma[l] = d_l Gamma
     for l in range(n):
         e = np.zeros(n)
-        e[l] = spacing
+        e[l] = RICCI_SPACING
         gp = metric_eval(metric, x + e)[2]
         gm = metric_eval(metric, x - e)[2]
-        dgamma[l] = (gp - gm) / (2.0 * spacing)
+        dgamma[l] = (gp - gm) / (2.0 * RICCI_SPACING)
     g0 = metric_eval(metric, x)[2]
     ric = (np.einsum("iijk->jk", dgamma)
            - np.einsum("jiik->jk", dgamma)
@@ -310,15 +314,15 @@ def radial_flow_rhs(n, r, du, d2u, w, fprime, one_minus_slope_sq=None):
     return op.rhs(du, d2u, comp, np.empty(shape), np.empty(shape))
 
 
-def mcf_operator_radial(metric, r, du, d2u, one_minus_slope_sq=None):
+def mcf_operator_radial(metric, r, du, d2u):
     """Flow speed for a rotationally symmetric graph u = U(r).
 
     Args:
         metric: object with attributes `n`, `w(r)`, `dw(r)` (RadialMetric or a
             blended metric from the interpolation module).
         r: radius > 0 (scalar or array).
-        du, d2u: U'(r), U''(r).
-        one_minus_slope_sq: optional exact 1 - U'^2 for near-null slopes.
+        du, d2u: U'(r), U''(r); a near-null profile's exact 1 - U'^2
+            goes to `radial_flow_rhs` instead.
 
     Agrees with `mcf_operator_cartesian` on the rotationally symmetric
     extension to machine precision.
@@ -335,28 +339,28 @@ def mcf_operator_radial(metric, r, du, d2u, one_minus_slope_sq=None):
     if np.any((du / w) ** 2 >= 1.0 - TOL_SPACELIKE):
         raise SpacelikeViolationError("|U'/w|^2 >= 1 - tol in radial operator")
     out = radial_flow_rhs(metric.n, r, du, np.asarray(d2u, dtype=float),
-                          w, fprime, one_minus_slope_sq)
+                          w, fprime)
     return float(out) if out.ndim == 0 else out
 
 
-def ricci_form_bound(metric: RadialMetric, r_lo: float, r_hi: float,
-                     n_radii: int = 40, n_dirs: int = 8, seed: int = 0) -> float:
+def ricci_form_bound(metric: RadialMetric, r_lo: float, r_hi: float) -> float:
     """Measured constant C with |Ric_sigma(y, y)| <= C |y|^2_sigma on [r_lo, r_hi].
 
-    The bound is sampled, not proven: log-spaced radii along the first axis
-    (rotational symmetry makes the base point direction irrelevant) and random
-    test directions.  Used to configure the tilt monitor on curved runs.
+    The bound is sampled, not proven: 40 log-spaced radii along the first
+    axis (rotational symmetry makes the base point direction irrelevant) and
+    8 random test directions per radius, from seed 0.  Used to configure the
+    tilt monitor on curved runs.
     """
     if metric.a == 0.0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ratios = []
-    for r in np.geomspace(max(r_lo, R_MIN * 10), r_hi, n_radii):
+    for r in np.geomspace(max(r_lo, R_MIN * 10), r_hi, 40):
         x = np.zeros(metric.n)
         x[0] = r
         ric = ricci_eval(metric, x)
         w2 = float(metric.w(r)) ** 2
-        for _ in range(n_dirs):
+        for _ in range(8):
             y = rng.normal(size=metric.n)
             ratios.append(abs(y @ ric @ y) / (w2 * (y @ y)))
     return float(np.max(ratios, initial=0.0))  # NaN if any ratio is

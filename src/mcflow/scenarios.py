@@ -15,7 +15,6 @@ formatting.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 from dataclasses import dataclass, field as dc_field
@@ -108,20 +107,18 @@ def read_diagnostics_csv(path: str):
 def write_snapshot_csvs(trajectory: FlowTrajectory, directory: str):
     """One `x,u` or `r,u` CSV per snapshot, named by its time.
 
-    Cells are written as `fmt` writes them, by `textfmt.format_pairs` over
-    each run of snapshots on one grid, which formats the nodes once.
+    Cells are written as `fmt` writes them, by `textfmt.format_pairs`,
+    which formats the nodes once: a run's snapshots share one grid.
     """
     from . import textfmt  # on first write: `import mcflow` stays as fast
     os.makedirs(directory, exist_ok=True)
-    for _, run in itertools.groupby(trajectory.snapshots,
-                                    key=lambda snap: id(snap[1].nodes)):
-        run = list(run)
-        texts = textfmt.format_pairs(run[0][1].nodes,
-                                     (fld.values for _, fld in run))
-        for (t, fld), pieces in zip(run, texts):
-            with open(os.path.join(directory, f"t{t:.6f}.csv"), "wb") as fh:
-                fh.write(b"x,u\n" if fld.kind == "line" else b"r,u\n")
-                fh.writelines(pieces)
+    snapshots = trajectory.snapshots
+    texts = textfmt.format_pairs(snapshots[0][1].nodes,
+                                 (fld.values for _, fld in snapshots))
+    for (t, fld), pieces in zip(snapshots, texts):
+        with open(os.path.join(directory, f"t{t:.6f}.csv"), "wb") as fh:
+            fh.write(b"x,u\n" if fld.kind == "line" else b"r,u\n")
+            fh.writelines(pieces)
 
 
 def read_snapshot_csv(path: str):
@@ -155,9 +152,10 @@ def write_run_artifacts(result: ScenarioResult, out_dir: str):
 # shared run pieces
 # ---------------------------------------------------------------------------
 
-def _base_flow_checks(traj: FlowTrajectory, slack=SPACELIKE_PRESERVATION_SLACK):
+def _base_flow_checks(traj: FlowTrajectory):
     grads = [rec.grad_max for rec in traj.records]
     worst = float(np.max(grads))  # a NaN fails
+    slack = SPACELIKE_PRESERVATION_SLACK
     return [diagnostics.max_principle_check(traj.records),
             {"name": "spacelike_preservation",
              "pass": bool(worst <= grads[0] + slack),
@@ -304,16 +302,24 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     except ValueError as exc:
         raise ConfigError("barrier.eps", str(exc)) from exc
     r1 = max(r1, cfg.metric.r_min * 10, cfg.barrier_r1_min)
-    profile = _static_barrier(cfg, r1, max(sup0, 1e-6), eps)
+    lo, hi = float(u0.nodes[0]), float(u0.nodes[-1])
     phi_params = None
     if cfg.metric.a != 0.0:
-        c_ric = ricci_form_bound(cfg.metric, float(u0.nodes[0]),
-                                 float(u0.nodes[-1]))
+        try:
+            c_ric = ricci_form_bound(cfg.metric, lo, hi)
+        except ArithmeticError as exc:  # w^2 or 1/w past the float range
+            raise ConfigError("metric.a", f"w(r) = (1 + a r^-tau)^power "
+                              f"leaves the float range on [{lo:g}, {hi:g}]"
+                              ) from exc
         if np.isnan(c_ric):  # `c_ric > 0` would turn the monitor off
-            raise RecordError(f"the Ricci bound on [{u0.nodes[0]:g}, "
-                              f"{u0.nodes[-1]:g}] is NaN: no tilt monitor")
+            raise RecordError(f"the Ricci bound on [{lo:g}, {hi:g}] is NaN: "
+                              f"no tilt monitor")
         if c_ric > 0:
             phi_params = (c_ric, 1.0 / c_ric)
+    profile = _static_barrier(cfg, r1, max(sup0, 1e-6), eps)
+    if profile.r0 > hi:  # the margin needs a node at r >= r0
+        raise ConfigError("barrier", f"the profile's inner radius r0 = "
+                          f"{profile.r0:g} lies past the grid's end {hi:g}")
     with _solver_input():
         if phi_params is not None:  # the tilt monitor's hypotheses
             with np.errstate(over="ignore"):

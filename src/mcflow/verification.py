@@ -28,6 +28,8 @@ PROFILE_TOL = 1e-10
 #: Tolerance of the pointwise identities at random samples: the cone
 #: profile's drift and the graph algebra.
 SAMPLE_TOL = 1e-12
+#: Log-spaced radii per profile in the radial profile checks.
+PROFILE_RADII = 201
 
 
 def _check(name, deviations, tolerance, samples) -> dict:
@@ -38,9 +40,9 @@ def _check(name, deviations, tolerance, samples) -> dict:
 
 
 def check_maximal_surface_residual(dims=(3, 4, 5), cs=(0.5, 1.0, 2.0),
-                                   r_range=(0.1, 100.0), n_radii=201):
+                                   r_range=(0.1, 100.0)):
     """Flat radial speed on the exact stationary profile is zero."""
-    radii = np.geomspace(r_range[0], r_range[1], n_radii)
+    radii = np.geomspace(r_range[0], r_range[1], PROFILE_RADII)
     worsts = [np.max(np.abs(maximal_surface_residual(n, c, radii)))
               for n in dims for c in cs]
     return _check("maximal_surface_residual", worsts, PROFILE_TOL,
@@ -48,19 +50,19 @@ def check_maximal_surface_residual(dims=(3, 4, 5), cs=(0.5, 1.0, 2.0),
 
 
 def check_strict_supersolution_identity(dims=(3, 4, 5),
-                                        inner_radii=(0.5, 1.0, 2.0),
-                                        r_hi=100.0, n_radii=201):
-    """Flat radial speed on the static profile equals (1/2) b'/r."""
+                                        inner_radii=(0.5, 1.0, 2.0)):
+    """Flat radial speed on the static profile equals (1/2) b'/r on
+    [r0, 100]."""
     worsts = []
     for n in dims:
         flat = euclidean_metric(n)
         for r0 in inner_radii:
-            radii = np.geomspace(r0, r_hi, n_radii)
+            radii = np.geomspace(r0, 100.0, PROFILE_RADII)
             b1 = supersolution_profile_derivs(n, r0, radii)[0]
             vals = curved_profile_speed(flat, n, r0, radii)
             worsts.append(np.max(np.abs(vals - 0.5 * b1 / radii)))
     return _check("strict_supersolution_identity", worsts, PROFILE_TOL,
-                  len(worsts) * n_radii)
+                  len(worsts) * PROFILE_RADII)
 
 
 def check_translating_identity(n_points=10000, mus=(0.1, 0.5, 0.9),
@@ -155,11 +157,12 @@ def check_graph_quantities(n_points=10000, seed=0):
             _check("graph_inverse_identity", inv_devs, SAMPLE_TOL, n_points)]
 
 
-def check_radial_cartesian_consistency(n_points=100, seed=0):
-    """Reduced radial speed against the full contraction at aligned points."""
+def check_radial_cartesian_consistency(seed=0):
+    """Reduced radial speed against the full contraction at 100 aligned
+    points."""
     rng = np.random.default_rng(seed)
     deviations = []
-    for _ in range(n_points):
+    for _ in range(100):
         n = int(rng.integers(1, 6))
         if rng.random() < 0.25:
             metric = euclidean_metric(n)
@@ -178,7 +181,7 @@ def check_radial_cartesian_consistency(n_points=100, seed=0):
         deviations.append(abs(mcf_operator_cartesian(metric, x, grad, hess)
                               - mcf_operator_radial(metric, r, du, d2u)))
     return _check("radial_cartesian_consistency", deviations, PROFILE_TOL,
-                  n_points)
+                  len(deviations))
 
 
 def run_identity_suite(seed: int = 0, dims=(3, 4, 5),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import mcflow
 from mcflow import scenarios, solver, textfmt, verification
 from mcflow.cli import main
-from mcflow.config import MAX_NODES, SWEEP_SCENARIOS
+from mcflow.config import MAX_NODES, MIN_TRANSLATING_MU, SWEEP_SCENARIOS
 from mcflow.geometry import RadialOperator, SpacelikeViolationError
 from mcflow.diagnostics import DiagnosticsRecord
 from mcflow.scenarios import (DIAG_HEADER, MEASURED_SLOPE_FLOOR, ConfigError,
@@ -212,6 +212,12 @@ def test_verify_empty_sweep_exit_two(capsys):
 
 def test_verify_seed_changes_samples_not_outcome():
     assert main(["verify", "--seed", "7"]) == 0
+
+
+def test_verify_negative_seed_exit_two(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: --seed: must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("dims", ["41", "3,41", "79", "2", "0", "3,x"])
@@ -544,6 +550,50 @@ def test_a_barrier_that_cannot_be_built_exit_two(tmp_path, capsys, name, key,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, key, value, message", [
+    # w(0.5) = 2e200, whose square overflows in the Ricci bound
+    ("no_lift_off.json", "metric.a", 1e200, "metric.a: w(r) = (1 + a "
+     "r^-tau)^power leaves the float range on [0.5, 50]"),
+    # the cone's least slope complement mu/(4 - mu) under TOL_SPACELIKE
+    ("translating_verify.json", "translating.mu", 1e-12,
+     "translating.mu: must be > 8e-10, got 1e-12"),
+    ("translating_verify.json", "translating.mu", 3e-10,
+     "translating.mu: must be > 8e-10, got 3e-10"),
+    # a profile whose inner radius lies past the grid's end at 50
+    ("no_lift_off.json", "barrier.r1_min", 100, "barrier: the profile's "
+     "inner radius r0 = 100 lies past the grid's end 50"),
+    ("no_lift_off.json", "barrier.eps", 1e6, "barrier: the profile's "
+     "inner radius r0 = 1.04858e+06 lies past the grid's end 50"),
+    ("no_lift_off.json", "solver.h", 0, "solver.h: must be > 0, got 0"),
+    ("no_lift_off.json", "solver.t_end", -1,
+     "solver.t_end: must be > 0, got -1"),
+    ("no_lift_off.json", "solver.cfl_safety", 2,
+     "solver.cfl_safety: must be <= 1.0, got 2")],
+    ids=["a", "mu-1e-12", "mu-3e-10", "r1_min", "eps", "h", "t_end",
+         "cfl_safety"])
+def test_an_entry_out_of_range_exits_two_naming_its_field(
+        tmp_path, capsys, name, key, value, message):
+    cfg = shipped_config(name)
+    section, entry = key.split(".")
+    cfg[section][entry] = value
+    path = write_config(tmp_path, "c.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        code = main(["simulate", path, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+
+
+def test_translating_mu_just_above_its_bound_runs(tmp_path):
+    # its gradients stay strictly spacelike: the run returns an exit code
+    cfg = shipped_config("translating_verify.json")
+    cfg["translating"]["mu"] = MIN_TRANSLATING_MU * (1.0 + 1e-9)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) \
+        in (0, 1)
+
+
 def test_a_line_scenario_on_a_curved_metric_exit_two(tmp_path, capsys):
     cfg = shipped_config("decay_study.json")
     cfg["metric"].update(family="conformal_power", a=0.5, tau=1.0)
@@ -738,24 +788,31 @@ def test_removed_ignored_flags_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def check_snapshot_files(snaps, directory):
+    """Write `snaps`, one run's snapshots, into `directory` and compare
+    each file with its cells written one at a time by `fmt`."""
+    write_snapshot_csvs(FlowTrajectory(snapshots=snaps), str(directory))
+    for t, fld in snaps:
+        coord = "x" if fld.kind == "line" else "r"
+        lines = [f"{coord},u"] + [f"{fmt(c)},{fmt(u)}"
+                                  for c, u in zip(fld.nodes, fld.values)]
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (directory / f"t{t:.6f}.csv").read_bytes() == expected
+
+
 def test_snapshot_writer_bytes_match_per_cell_formatting(tmp_path):
     # the writer formats each cell as `fmt` does, so files keep their bytes;
     # values a Field would reject still exercise the formatting
     values = np.array([-0.0, 1e-300, 1e300, -1e-300, 0.1, 1.0 / 3.0,
                        -2.5e-17, 5e-324, np.nan, np.inf, -np.inf, 0.0])
     nodes = np.linspace(0.0, 2.0, values.size)
-    snaps = [(0.0, SimpleNamespace(kind="radial", nodes=nodes, values=values)),
-             (0.5, SimpleNamespace(kind="radial", nodes=nodes,
-                                   values=values[::-1])),
-             (1.0, SimpleNamespace(kind="line", nodes=nodes - 1.0,
-                                   values=values))]
-    write_snapshot_csvs(FlowTrajectory(snapshots=snaps), str(tmp_path))
-    for t, fld in snaps:
-        coord = "x" if fld.kind == "line" else "r"
-        lines = [f"{coord},u"] + [f"{fmt(c)},{fmt(u)}"
-                                  for c, u in zip(fld.nodes, fld.values)]
-        expected = ("\n".join(lines) + "\n").encode()
-        assert (tmp_path / f"t{t:.6f}.csv").read_bytes() == expected
+    check_snapshot_files(
+        [(0.0, SimpleNamespace(kind="radial", nodes=nodes, values=values)),
+         (0.5, SimpleNamespace(kind="radial", nodes=nodes,
+                               values=values[::-1]))], tmp_path / "radial")
+    check_snapshot_files(
+        [(1.0, SimpleNamespace(kind="line", nodes=nodes - 1.0,
+                               values=values))], tmp_path / "line")
 
 
 def test_diagnostics_writer_bytes_match_per_cell_formatting(tmp_path):
@@ -781,27 +838,21 @@ def test_diagnostics_writer_bytes_match_per_cell_formatting(tmp_path):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_snapshot_writer_with_a_grid_change_and_no_snapshots(tmp_path):
-    # each run of snapshots on one grid is formatted with its own nodes
+def test_snapshot_writer_on_two_grids(tmp_path):
+    # each run's snapshots are formatted with its own grid's nodes
     coarse = np.linspace(0.0, 2.0, 7)
     fine = np.linspace(-1.0, 1.0, 13)
-    snaps = [(0.0, SimpleNamespace(kind="radial", nodes=coarse,
-                                   values=np.sin(coarse))),
-             (0.25, SimpleNamespace(kind="radial", nodes=coarse,
-                                    values=-np.sin(coarse) / 3.0)),
-             (0.5, SimpleNamespace(kind="line", nodes=fine,
-                                   values=np.exp(fine) * 1e-200)),
-             (0.75, SimpleNamespace(kind="radial", nodes=coarse,
-                                    values=np.zeros(7)))]
-    write_snapshot_csvs(FlowTrajectory(snapshots=snaps), str(tmp_path / "s"))
-    for t, fld in snaps:
-        coord = "x" if fld.kind == "line" else "r"
-        lines = [f"{coord},u"] + [f"{fmt(c)},{fmt(u)}"
-                                  for c, u in zip(fld.nodes, fld.values)]
-        expected = ("\n".join(lines) + "\n").encode()
-        assert (tmp_path / "s" / f"t{t:.6f}.csv").read_bytes() == expected
-    write_snapshot_csvs(FlowTrajectory(snapshots=[]), str(tmp_path / "e"))
-    assert os.listdir(tmp_path / "e") == []
+    check_snapshot_files(
+        [(0.0, SimpleNamespace(kind="radial", nodes=coarse,
+                               values=np.sin(coarse))),
+         (0.25, SimpleNamespace(kind="radial", nodes=coarse,
+                                values=-np.sin(coarse) / 3.0)),
+         (0.75, SimpleNamespace(kind="radial", nodes=coarse,
+                                values=np.zeros(7)))], tmp_path / "coarse")
+    check_snapshot_files(
+        [(0.5, SimpleNamespace(kind="line", nodes=fine,
+                               values=np.exp(fine) * 1e-200))],
+        tmp_path / "fine")
 
 
 def test_diagnostics_writer_over_several_chunks(tmp_path):

@@ -122,6 +122,14 @@ def test_plan_records_match_the_formulas_bit_for_bit(run):
                 == bits(rec)[6]
 
 
+@pytest.mark.parametrize("run", [decay_line_run, axis_ball_run, curved_run])
+def test_snapshots_of_a_run_share_its_grid(run):
+    # the snapshot writer formats one grid's nodes for every snapshot
+    snapshots = run()[0].snapshots
+    assert len(snapshots) >= 9
+    assert all(fld.nodes is snapshots[0][1].nodes for _, fld in snapshots)
+
+
 @pytest.mark.parametrize("kind", ["line", "radial"])
 def test_plan_matches_the_formulas_on_signed_data(kind):
     # values of both signs beyond r0; on a line the nodes with |x| >= r0
