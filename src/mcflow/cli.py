@@ -52,12 +52,13 @@ def _output_dir(args, cfg) -> str:
     return out
 
 
-def _stopped_short(runs, solver) -> int | None:
-    """Say on stderr which of `runs`, (where, termination, halt message)
-    triples, stopped before t_end and why.  Returns EXIT_NUMERIC if one
-    halted on a numeric failure, else EXIT_CHECK_FAILED if one stopped at
-    the step cap, else None."""
-    code = None
+def _exit_code(summary: dict, runs, solver) -> int:
+    """The exit code of a command whose result is `summary`.  Says on
+    stderr which of `runs`, (where, termination, halt message) triples,
+    stopped before t_end and why: EXIT_NUMERIC if one halted on a numeric
+    failure, else EXIT_OK or EXIT_CHECK_FAILED by the summary's `pass`
+    (which a run stopped at the step cap fails)."""
+    code = EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED
     for where, termination, message in runs:
         if termination in NUMERIC_FAILURES:
             print(f"numeric failure ({termination}){where}"
@@ -67,7 +68,6 @@ def _stopped_short(runs, solver) -> int | None:
             print(f"step cap{where}: stopped before t_end after "
                   f"solver.max_steps = {solver.max_steps} steps",
                   file=sys.stderr)
-            code = code or EXIT_CHECK_FAILED
     return code
 
 
@@ -76,18 +76,14 @@ def cmd_simulate(args) -> int:
     if cfg.scenario not in RUNNERS:
         raise ConfigError("scenario", f"{cfg.scenario} runs under sweep only")
     out = _output_dir(args, cfg)
-    result = run_scenario_config(cfg)
-    write_run_artifacts(result, out)
-    for check in result.checks:
+    summary, trajectory = run_scenario_config(cfg)
+    write_run_artifacts(summary, trajectory, out)
+    for check in summary["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{check['name']:32s} {status}")
-    summary = result.summary
-    code = _stopped_short([("", summary.get("termination"),
-                            summary.get("halt_message", ""))],
-                          cfg.solver)
-    if code is not None:
-        return code
-    return EXIT_OK if result.all_passed else EXIT_CHECK_FAILED
+    return _exit_code(summary, [("", summary.get("termination"),
+                                 summary.get("halt_message", ""))],
+                      cfg.solver)
 
 
 def cmd_verify(args) -> int:
@@ -147,13 +143,10 @@ def cmd_sweep(args) -> int:
                   f"max difference {row['max_difference']:.6e}")
         terminations = summary["terminations"]
     write_summary_json(summary, os.path.join(out, "sweep_summary.json"))
-    code = _stopped_short([(f" in the run at R = {R:g}", termination, "")
-                           for R, termination in zip(sorted(cfg.sweep_values),
-                                                     terminations)],
-                          cfg.solver)
-    if code is not None:
-        return code
-    return EXIT_OK if summary["pass"] else EXIT_CHECK_FAILED
+    return _exit_code(summary, [(f" in the run at R = {R:g}", termination, "")
+                                for R, termination in zip(
+                                    sorted(cfg.sweep_values), terminations)],
+                      cfg.solver)
 
 
 def main(argv=None) -> int:

@@ -46,6 +46,9 @@ MAX_SNAPSHOT_VALUES = 100_000_000
 #: mu / (4 - mu), then exceeds 2 TOL_SPACELIKE: its gradients stay clear of
 #: the spacelikeness test with room for the rounding of 1 - |grad|^2.
 MIN_TRANSLATING_MU = 8.0 * TOL_SPACELIKE
+#: log of the largest float: w^2 and 1/w^2 are finite while 2 |log w| is
+#: below it.
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 class ConfigError(ValueError):
@@ -313,8 +316,9 @@ def _sweep_values(cfg: dict, scenario: str) -> list:
 def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
                  lo: float, hi, R, sweep):
     """Raise ConfigError unless each grid the scenario builds holds 3 to
-    MAX_NODES nodes, starting at r_min or above when radial, and the run's
-    snapshots are within MAX_RECORDS and MAX_SNAPSHOT_VALUES."""
+    MAX_NODES nodes, starting at r_min or above when radial, with w^2 and
+    1/w^2 in the float range on it, and the run's snapshots are within
+    MAX_RECORDS and MAX_SNAPSHOT_VALUES."""
     h = solver.h
     # (field, far end) per grid; a ball of radius R ends at R^2 (inf if huge)
     ends = [("sweep.values", float(v) * float(v)) for v in sweep or ()]
@@ -333,6 +337,17 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
     if scenario not in LINE_SCENARIOS and lo < metric.r_min:
         raise ConfigError("domain.lo",
                           f"below the metric's r_min = {metric.r_min:g}")
+    if metric.a != 0.0:
+        # w = (1 + a r^-tau)^power is monotone in r: farthest from 1 at lo.
+        # The power is at fault if w would stay in range at power 1.
+        log_base = float(np.logaddexp(0.0, np.log(metric.a)
+                                      - metric.tau * np.log(lo)))
+        if not 2.0 * abs(metric.power * log_base) < LOG_FLOAT_MAX:
+            far = max((end for _, end in ends), default=lo)
+            raise ConfigError(
+                "metric.power" if 2.0 * log_base < LOG_FLOAT_MAX
+                else "metric.a", f"w(r) = (1 + a r^-tau)^power leaves the "
+                f"float range on [{lo:g}, {far:g}]")
     if scenario == "nested_balls" and lo > min(sweep) / 2.0:
         raise ConfigError("domain.lo", f"the compared window r <= min(R)/2 "
                           f"= {min(sweep) / 2.0:g} holds no node")

@@ -135,7 +135,8 @@ class RecordPlan:
 
     def tilt(self, u) -> np.ndarray:
         """`phi_supremum` per row of the value rows `u`; needs
-        `slopes(u)`.  Raises if any row fails the monitor's hypotheses."""
+        `slopes(u)`.  Raises if any row fails the monitor's hypotheses or
+        its supremum overflows."""
         lambda_phi, mu_phi = self.phi
         du, p2, work = self.du[:len(u)], self.p2[:len(u)], self.work[:len(u)]
         if lambda_phi > 0 and float(u.min()) < -1e-9:
@@ -144,9 +145,15 @@ class RecordPlan:
             raise SpacelikeViolationError("field is not strictly spacelike")
         v = np.sqrt(np.subtract(1.0, p2, out=du), out=du)
         v = np.divide(1.0, v, out=v)
-        e = np.exp(np.multiply(u, lambda_phi, out=work), out=work)
-        e = np.exp(np.multiply(e, mu_phi, out=e), out=e)
-        return np.multiply(v, e, out=e).max(axis=1)
+        with np.errstate(over="ignore"):  # an overflow raises, below
+            e = np.exp(np.multiply(u, lambda_phi, out=work), out=work)
+            e = np.exp(np.multiply(e, mu_phi, out=e), out=e)
+            sup = np.multiply(v, e, out=e).max(axis=1)
+        if np.isinf(sup).any():  # a NaN state keeps its NaN
+            raise ValueError(f"tilt monitor overflows: sup v exp(mu e^(lambda"
+                             f" u)) is inf with lambda = {lambda_phi:.6g}, "
+                             f"mu = {mu_phi:.6g}")
+        return sup
 
     def margin(self, u) -> np.ndarray:
         """`barrier_margin` per row of the value rows `u`."""
@@ -174,7 +181,8 @@ def phi_supremum(field: Field, metric, lambda_phi: float, mu_phi: float) -> floa
 
     A monotone monitor on curved runs when lambda is the measured curvature
     constant and mu its reciprocal; requires min u >= 0 (up to rounding) for
-    monotonicity, which is validated here whenever lambda > 0.
+    monotonicity, which is validated here whenever lambda > 0.  Raises
+    ValueError when the supremum overflows.
     """
     plan = RecordPlan(field, metric, phi_params=(lambda_phi, mu_phi))
     plan.slopes(field.values[None])

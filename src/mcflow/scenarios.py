@@ -1,15 +1,16 @@
 """Configuration-driven scenario runners and their file artifacts.
 
 Runners take the typed `config.ScenarioConfig` of the one config pass,
-never the JSON (see docs/config_schema.md).  Every runner returns a
-ScenarioResult carrying a summary dict and a list of named pass/fail
-checks, a sweep its summary dict; the CLI turns their `pass` into exit
-codes.  Data files have a fixed column order, and each float in them is
-written as `fmt` writes it, `format(x, '.17g')`, so identical configs
-produce byte-identical output.  The diagnostics and snapshot files take
-those bytes from `textfmt.format17` and `textfmt.format_pairs`, which
-format arrays in bulk and hand the values they cannot certify to Python's
-formatting.
+never the JSON (see docs/config_schema.md).  A run returns (summary,
+trajectory): the summary is the dict its summary.json writes, with its
+named pass/fail `checks` and its `pass`, and the trajectory is None for a
+certificate.  A sweep returns its summary dict, in the same shape; the CLI
+turns their `pass` into exit codes.  Data files have a fixed column order,
+and each float in them is written as `fmt` writes it, `format(x, '.17g')`,
+so identical configs produce byte-identical output.  The diagnostics and
+snapshot files take those bytes from `textfmt.format17` and
+`textfmt.format_pairs`, which format arrays in bulk and hand the values
+they cannot certify to Python's formatting.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -50,15 +50,12 @@ def run_passed(termination: str | None, checks) -> bool:
             and all(c["pass"] for c in checks))
 
 
-@dataclass
-class ScenarioResult:
-    summary: dict
-    checks: list = dc_field(default_factory=list)
-    trajectory: FlowTrajectory | None = None
-
-    @property
-    def all_passed(self) -> bool:
-        return run_passed(self.summary.get("termination"), self.checks)
+def _finish(summary: dict, checks: list, trajectory=None) -> tuple:
+    """A run's (summary, trajectory), its summary completed with its
+    `checks` and their `pass` by `run_passed`."""
+    summary["checks"] = checks
+    summary["pass"] = run_passed(summary.get("termination"), checks)
+    return summary, trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +133,13 @@ def write_summary_json(summary: dict, path: str):
         fh.write("\n")
 
 
-def write_run_artifacts(result: ScenarioResult, out_dir: str):
+def write_run_artifacts(summary: dict, trajectory, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    if result.trajectory is not None:
-        write_diagnostics_csv(result.trajectory.records,
+    if trajectory is not None:
+        write_diagnostics_csv(trajectory.records,
                               os.path.join(out_dir, "diagnostics.csv"))
-        write_snapshot_csvs(result.trajectory,
-                            os.path.join(out_dir, "snapshots"))
-    payload = {**result.summary, "checks": result.checks,
-               "pass": result.all_passed}
-    write_summary_json(payload, os.path.join(out_dir, "summary.json"))
+        write_snapshot_csvs(trajectory, os.path.join(out_dir, "snapshots"))
+    write_summary_json(summary, os.path.join(out_dir, "summary.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +206,7 @@ def _static_barrier(cfg: ScenarioConfig, r1_min: float, h: float,
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def run_flow_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+def run_flow_scenario(cfg: ScenarioConfig) -> tuple:
     kind = "line" if cfg.scenario in LINE_SCENARIOS else "radial"
     u0 = build_field_from_config(cfg, kind)
     with _solver_input():
@@ -221,7 +215,6 @@ def run_flow_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if kind == "line":
         checks.extend(_line_integral_checks(traj))
     summary = _summarize(traj)
-    result = ScenarioResult(summary=summary, checks=checks, trajectory=traj)
     # a run cut short fails whatever its fit; its window may hold no record
     if cfg.scenario == "decay_study" and traj.termination == "reached_t_end":
         try:
@@ -233,7 +226,7 @@ def run_flow_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         checks.append({"name": "decay_exponent_in_range",
                        "pass": bool(rng[0] <= fit["exponent"] <= rng[1]),
                        "exponent": fit["exponent"], "range": list(rng)})
-    return result
+    return _finish(summary, checks, traj)
 
 
 def dirichlet_gradient_bound(metric: RadialMetric, R: float,
@@ -251,7 +244,7 @@ def dirichlet_gradient_bound(metric: RadialMetric, R: float,
             "profile": profile}
 
 
-def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
+def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> tuple:
     u0 = build_field_from_config(cfg, "radial", outer=R * R)
     try:
         bound = dirichlet_gradient_bound(cfg.metric, R,
@@ -283,16 +276,16 @@ def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> ScenarioResult:
     summary.update({"R": R, "max_boundary_slope": max_slope,
                     "bound_slope": bound["bound_slope"],
                     "barrier_r0": bound["r0"]})
-    return ScenarioResult(summary=summary, checks=checks, trajectory=traj)
+    return _finish(summary, checks, traj)
 
 
-def run_dirichlet_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+def run_dirichlet_scenario(cfg: ScenarioConfig) -> tuple:
     if cfg.R is None:
         raise ConfigError("R", "missing required number")
     return run_dirichlet_case(cfg, cfg.R)
 
 
-def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+def run_no_lift_off_scenario(cfg: ScenarioConfig) -> tuple:
     u0 = build_field_from_config(cfg, "radial")
     eps = cfg.barrier_eps
     sup0 = float(np.max(np.abs(u0.values)))
@@ -321,13 +314,6 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         raise ConfigError("barrier", f"the profile's inner radius r0 = "
                           f"{profile.r0:g} lies past the grid's end {hi:g}")
     with _solver_input():
-        if phi_params is not None:  # the tilt monitor's hypotheses
-            with np.errstate(over="ignore"):
-                phi0 = diagnostics.phi_supremum(u0, cfg.metric, *phi_params)
-            if not np.isfinite(phi0):
-                raise RecordError(
-                    f"tilt monitor overflows at t = 0: sup v exp(mu e^(lambda"
-                    f" u)) is {phi0} with mu = 1/lambda = {phi_params[1]:.6g}")
         traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi_params,
                         barrier=profile)
     checks = _base_flow_checks(traj)
@@ -342,10 +328,10 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     summary.update({"barrier_r0": profile.r0, "barrier_eps": eps,
                     "decay_radius": r1,
                     "ricci_constant": phi_params[0] if phi_params else 0.0})
-    return ScenarioResult(summary=summary, checks=checks, trajectory=traj)
+    return _finish(summary, checks, traj)
 
 
-def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+def run_barrier_verify_scenario(cfg: ScenarioConfig) -> tuple:
     profile = _static_barrier(cfg, cfg.barrier_r1_min, cfg.barrier_h,
                               cfg.barrier_eps)
     radii = np.geomspace(profile.r0, profile.r_grid[-1], cfg.sample_radii)
@@ -357,12 +343,11 @@ def run_barrier_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         {"name": "curved_sign", "pass": all(row["pass"] for row in rows),
          "worst": float(np.max([row["curved_value"] for row in rows]))},
     ]
-    summary = {"barrier_r0": profile.r0, "cap": profile.cap,
-               "eps": profile.eps, "rows": rows}
-    return ScenarioResult(summary=summary, checks=checks)
+    return _finish({"barrier_r0": profile.r0, "cap": profile.cap,
+                    "eps": profile.eps, "rows": rows}, checks)
 
 
-def run_translating_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
+def run_translating_verify_scenario(cfg: ScenarioConfig) -> tuple:
     cert = translating_barrier_certificate(cfg.translating)
     worst = translating_identity_deviation(
         cfg.translating, np.random.default_rng(cfg.seed), 200)
@@ -375,7 +360,7 @@ def run_translating_verify_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                        "pass": bool(cert[value]
                                     >= cert[bound] - EQUALITY_SLACK),
                        "value": cert[value], "bound": cert[bound]})
-    return ScenarioResult(summary={"certificate": cert}, checks=checks)
+    return _finish({"certificate": cert}, checks)
 
 
 #: The runner of each scenario `simulate` runs: all but the nested study.
@@ -390,7 +375,7 @@ RUNNERS = {
 }
 
 
-def run_scenario_config(cfg: ScenarioConfig) -> ScenarioResult:
+def run_scenario_config(cfg: ScenarioConfig) -> tuple:
     return RUNNERS[cfg.scenario](cfg)
 
 
@@ -419,13 +404,13 @@ def _fit_loglog(xs, ys, floor=0.0):
 
 
 def sweep_worker(args):
-    """Top-level worker for process pools: one swept run of a config."""
+    """Top-level worker for process pools: one swept run of a config, as
+    (R, its summary)."""
     cfg, R, out_dir = args
-    result = run_dirichlet_case(cfg, R)
+    summary, trajectory = run_dirichlet_case(cfg, R)
     if out_dir is not None:
-        write_run_artifacts(result, out_dir)
-    result.trajectory = None  # keep the return payload picklable and small
-    return R, result
+        write_run_artifacts(summary, trajectory, out_dir)
+    return R, summary
 
 
 def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
@@ -449,8 +434,8 @@ def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
             outcomes = list(pool.map(sweep_worker, jobs))
     else:
         outcomes = [sweep_worker(job) for job in jobs]
-    rows = [{"R": R, **{key: result.summary[key] for key in SWEEP_KEYS},
-             "pass": result.all_passed} for R, result in outcomes]
+    rows = [{"R": R, **{key: summary[key] for key in SWEEP_KEYS},
+             "pass": summary["pass"]} for R, summary in outcomes]
     radii = [r["R"] for r in rows]
     bounds = np.array([r["bound_slope"] for r in rows])
     fits = {

@@ -542,6 +542,9 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
 
     Only snapshot marks and t_end end a step.  A record strictly inside a
     step comes from the step's interpolant, one at its end from the state.
+    Raises ValueError, before any step or record, when the data with their
+    pinned ends at zero are not spacelike in the metric: a node-to-node
+    slope |u_{i+1} - u_i|/(h w) >= 1.
     """
     u = field.values.copy()
     if field.bc[0] == "dirichlet_zero":
@@ -549,6 +552,14 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     if field.bc[1] == "dirichlet_zero":
         u[-1] = 0.0
     engine = _Engine(replace(field, values=u), metric)
+    slopes = np.abs(engine.d, out=engine.slope)
+    slopes /= engine.h if engine.hw_mid is None else engine.hw_mid
+    i = int(slopes.argmax())
+    if slopes[i] >= 1.0:
+        x = "x" if field.kind == "line" else "r"
+        raise ValueError(f"not spacelike in the metric: node-to-node slope "
+                         f"{slopes[i]:.6g} >= 1 between {x} = "
+                         f"{field.nodes[i]:.6g} and {field.nodes[i + 1]:.6g}")
     plan = diagnostics.RecordPlan(field, metric, phi_params, barrier)
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
     tau = None

@@ -114,15 +114,16 @@ def test_criterion_04_curved_supersolution_sign():
 
 
 def test_criterion_05_one_dimensional_decay_rate(decay_result):
-    fit = decay_result.summary["decay_fit"]
-    ok = (decay_result.summary["termination"] == "reached_t_end"
+    summary, _ = decay_result
+    fit = summary["decay_fit"]
+    ok = (summary["termination"] == "reached_t_end"
           and -0.30 <= fit["exponent"] <= -0.20)
     report("criterion 5: sup-norm decay exponent in [-0.30, -0.20]", ok,
            f"exponent {fit['exponent']:.4f} (r^2 = {fit['r_squared']:.5f})")
 
 
 def test_criterion_06_one_dimensional_integral_bounds(decay_result):
-    recs = decay_result.trajectory.records
+    recs = decay_result[1].records
     l2s = np.array([r.l2 for r in recs])
     mono = bool(np.all(np.diff(l2s) <= 1e-3 * l2s[:-1]))
     bound = l2s[0] ** 2 * (1 + 1e-3)
@@ -148,9 +149,10 @@ def test_criterion_07_boundary_gradient_scaling(dirichlet_sweep_result):
 
 
 def test_criterion_08_no_lift_off(no_lift_off_result):
-    recs = no_lift_off_result.trajectory.records
+    summary, traj = no_lift_off_result
+    recs = traj.records
     margins = [rec.barrier_margin for rec in recs]
-    ok = (no_lift_off_result.summary["termination"] == "reached_t_end"
+    ok = (summary["termination"] == "reached_t_end"
           and min(margins) > 0.0 and recs[-1].t >= 100.0 - 1e-9)
     report("criterion 8: barrier margin positive through t = 100", ok,
            f"min margin {min(margins):.4f} over {len(recs)} records")
@@ -160,7 +162,7 @@ def test_criterion_09_spacelikeness_preservation(decay_result,
                                                  dirichlet_sweep_result,
                                                  no_lift_off_result):
     worst_rise = -np.inf
-    runs = [decay_result.trajectory, no_lift_off_result.trajectory]
+    runs = [decay_result[1], no_lift_off_result[1]]
     details = []
     for traj in runs:
         grads = [rec.grad_max for rec in traj.records]
@@ -192,8 +194,8 @@ def test_criterion_11_self_convergence():
         del raw["fit_window"], raw["expected_exponent_range"]  # unread
         raw["solver"].update({"h": h, "t_end": 1.0, "snapshot_every": 1.0,
                               "record_every": 1.0})
-        result = run_scenario_config(ScenarioConfig.from_dict(raw))
-        return result.summary["final_sup_u"]
+        summary, _ = run_scenario_config(ScenarioConfig.from_dict(raw))
+        return summary["final_sup_u"]
 
     s1, s2, s4 = sup_at_t1(0.05), sup_at_t1(0.025), sup_at_t1(0.0125)
     ratio = (s1 - s2) / (s2 - s4)

@@ -24,7 +24,8 @@ from mcflow.scenarios import (DIAG_HEADER, MEASURED_SLOPE_FLOOR, ConfigError,
                               ScenarioConfig, _fit_loglog, fmt,
                               read_diagnostics_csv, read_snapshot_csv,
                               run_dirichlet_case, run_scenario_config,
-                              write_diagnostics_csv, write_snapshot_csvs)
+                              write_diagnostics_csv, write_run_artifacts,
+                              write_snapshot_csvs)
 from mcflow.solver import FlowTrajectory
 
 
@@ -474,8 +475,46 @@ def test_tilt_monitor_overflow_is_a_numeric_failure(tmp_path, capsys):
         code = main(["simulate", path, "--output-dir", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "numeric failure (record): tilt monitor overflows at t = 0" in err
-    assert "mu = 1/lambda = 1688" in err and "Traceback" not in err
+    assert ("numeric failure (record): state at t = 0: tilt monitor "
+            "overflows" in err)
+    # mu = 1/lambda: 1 / 0.00059239 = 1688.08
+    assert "with lambda = 0.00059239, mu = 1688.08" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario", ["no_lift_off", "flow_radial"])
+def test_data_not_spacelike_in_the_metric_exit_two(tmp_path, capsys,
+                                                   scenario):
+    # power -2: w(r) = (1 + 0.5/r)^-2 < 1, and the bump's rise, below the
+    # flat bound, is a node-to-node slope of 1.00179 in the metric
+    cfg = shipped_config("no_lift_off.json")
+    cfg["metric"]["power"] = -2.0
+    cfg["solver"]["t_end"] = 1.0
+    if scenario == "flow_radial":
+        cfg["scenario"] = scenario
+        del cfg["barrier"]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", path, "--output-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: initial_data: not spacelike in the metric: "
+        "node-to-node slope 1.00179 >= 1 between r = 1.45 and 1.5\n")
+    assert os.listdir(out) == []  # no step and no record was made
+
+
+@pytest.mark.parametrize("name", ["flow_1d", "translating_verify"])
+def test_a_run_returns_the_summary_it_writes(tmp_path, name):
+    raw = (smoke_flow_config(str(tmp_path / "unused")) if name == "flow_1d"
+           else shipped_config("translating_verify.json"))
+    summary, trajectory = run_scenario_config(ScenarioConfig.from_dict(raw))
+    assert (trajectory is None) == (name == "translating_verify")
+    assert summary["pass"] is True and summary["checks"]
+    write_run_artifacts(summary, trajectory, str(tmp_path / "out"))
+    with open(tmp_path / "out" / "summary.json") as fh:
+        assert json.load(fh) == json.loads(json.dumps(summary))
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +593,12 @@ def test_a_barrier_that_cannot_be_built_exit_two(tmp_path, capsys, name, key,
     # w(0.5) = 2e200, whose square overflows in the Ricci bound
     ("no_lift_off.json", "metric.a", 1e200, "metric.a: w(r) = (1 + a "
      "r^-tau)^power leaves the float range on [0.5, 50]"),
+    # w(0.5) = 2^600 and 2^-600: the square, or its reciprocal, overflows;
+    # at power 1 w stays in range, so the power is named
+    ("no_lift_off.json", "metric.power", 600, "metric.power: w(r) = (1 + a "
+     "r^-tau)^power leaves the float range on [0.5, 50]"),
+    ("no_lift_off.json", "metric.power", -600, "metric.power: w(r) = (1 + a "
+     "r^-tau)^power leaves the float range on [0.5, 50]"),
     # the cone's least slope complement mu/(4 - mu) under TOL_SPACELIKE
     ("translating_verify.json", "translating.mu", 1e-12,
      "translating.mu: must be > 8e-10, got 1e-12"),
@@ -569,8 +614,8 @@ def test_a_barrier_that_cannot_be_built_exit_two(tmp_path, capsys, name, key,
      "solver.t_end: must be > 0, got -1"),
     ("no_lift_off.json", "solver.cfl_safety", 2,
      "solver.cfl_safety: must be <= 1.0, got 2")],
-    ids=["a", "mu-1e-12", "mu-3e-10", "r1_min", "eps", "h", "t_end",
-         "cfl_safety"])
+    ids=["a", "power-600", "power-minus-600", "mu-1e-12", "mu-3e-10",
+         "r1_min", "eps", "h", "t_end", "cfl_safety"])
 def test_an_entry_out_of_range_exits_two_naming_its_field(
         tmp_path, capsys, name, key, value, message):
     cfg = shipped_config(name)
@@ -651,8 +696,8 @@ def test_barrier_margin_positive_fails_on_a_nan(monkeypatch):
     monkeypatch.setattr(scenarios, "run_flow", nan_margin)
     cfg = shipped_config("no_lift_off.json")
     cfg["solver"].update(t_end=1.0)
-    result = run_scenario_config(ScenarioConfig.from_dict(cfg))
-    check = next(c for c in result.checks
+    summary, _ = run_scenario_config(ScenarioConfig.from_dict(cfg))
+    check = next(c for c in summary["checks"]
                  if c["name"] == "barrier_margin_positive")
     assert check["pass"] is False and math.isnan(check["min_margin"])
 
@@ -978,7 +1023,7 @@ def test_dirichlet_domination_margin_is_interior(tmp_path):
     raw = dirichlet_sweep_config(str(tmp_path / "out"), [2, 3])
     cfg = ScenarioConfig.from_dict(raw)
     for R in (2, 3):
-        check = next(c for c in run_dirichlet_case(cfg, R).checks
+        check = next(c for c in run_dirichlet_case(cfg, R)[0]["checks"]
                      if c["name"] == "dirichlet_domination")
         assert check["pass"] and check["worst_margin"] > 0.0
 
@@ -997,7 +1042,7 @@ def test_dirichlet_domination_fails_on_a_nan(tmp_path, monkeypatch):
     monkeypatch.setattr(scenarios, "solve_dirichlet", nan_inside)
     cfg = ScenarioConfig.from_dict(
         dirichlet_sweep_config(str(tmp_path / "out"), [2, 3]))
-    check = next(c for c in run_dirichlet_case(cfg, 3).checks
+    check = next(c for c in run_dirichlet_case(cfg, 3)[0]["checks"]
                  if c["name"] == "dirichlet_domination")
     assert check["pass"] is False
     assert math.isnan(check["worst_margin"])
@@ -1060,9 +1105,9 @@ def test_barrier_verify_scenario_runs():
         "barrier": {"r1_min": 5.0, "h": 1.0, "eps": 0.0},
         "sample_radii": 64,
     }
-    result = run_scenario_config(ScenarioConfig.from_dict(raw))
-    assert result.all_passed
-    assert len(result.summary["rows"]) == 64
+    summary, trajectory = run_scenario_config(ScenarioConfig.from_dict(raw))
+    assert summary["pass"] and trajectory is None
+    assert len(summary["rows"]) == 64
 
 
 @pytest.mark.parametrize("x0", [[float("nan"), 0, 0], [0, float("inf"), 0],
@@ -1082,9 +1127,9 @@ def test_translating_verify_scenario_runs():
         "metric": {"family": "euclidean", "n": 3},
         "translating": {"t0": -4.0, "mu": 0.5, "alpha": 0.1},
     }
-    result = run_scenario_config(ScenarioConfig.from_dict(raw))
-    assert result.all_passed
-    cert = result.summary["certificate"]
+    summary, trajectory = run_scenario_config(ScenarioConfig.from_dict(raw))
+    assert summary["pass"] and trajectory is None
+    cert = summary["certificate"]
     assert cert["rho"] == pytest.approx(12.0)
 
 

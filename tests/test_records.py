@@ -10,6 +10,7 @@ agree bit for bit on every recorded state of a run.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,31 @@ def test_plan_validates_the_monitor_once_and_the_data_per_record():
     steep[100] = 0.2  # |u'| = 2 = 0.2 / (2 h) at its neighbours
     with pytest.raises(SpacelikeViolationError):
         diagnostics.make_record(plan, steep[None], [0.0])
+
+
+@pytest.mark.parametrize("phi, scale, shift", [
+    # exp(e^u) overflows once u exceeds about 6.56: in the shifted row only
+    ((1.0, 1.0), 1.0, 7.0),
+    # exp(709.7) = 1.65e308 is finite; times the tilt factor v it overflows
+    # where v > 1.086: max v is 1.023 on the halved data, 1.101 on the data
+    ((0.0, 709.7), 0.5, 0.0)], ids=["exp", "product"])
+def test_a_later_row_whose_tilt_overflows_names_its_time(phi, scale, shift):
+    # no overflow warning reaches the caller
+    cfg = load("no_lift_off.json")
+    u0 = build_field_from_config(cfg, "radial")
+    plan = diagnostics.RecordPlan(u0, cfg.metric, phi_params=phi)
+    rows = np.array([scale * u0.values, u0.values + shift])
+    traj = solver.FlowTrajectory()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(solver.RecordError,
+                           match=r"^state at t = 0\.75: tilt monitor "
+                                 r"overflows") as exc:
+            solver._record(traj, plan, solver._Engine(u0, cfg.metric),
+                           [0.5, 0.75], rows, np.diff(rows, axis=1))
+    assert f"lambda = {phi[0]:g}, mu = {phi[1]:g}" in str(exc.value)
+    assert [rec.t for rec in traj.records] == [0.5]
+    assert np.isfinite(traj.records[0].sup_phi)
 
 
 def test_recorded_state_with_unit_node_slope_raises(monkeypatch):

@@ -1,0 +1,143 @@
+"""Check that the working tree writes the same outputs as a commit.
+
+    python tools/compare_outputs.py REV
+
+Runs, once under a `git archive` of REV and once under the working tree:
+the six shipped configs (`sweep` for the two sweeps, `simulate` for the
+others), `mcflow verify`, and the benchmark workloads' configs at seeds 0
+and 3, as `perfbench/workloads.py` of the working tree generates them.
+Both sides run the same config files, from the same relative paths, so
+their stdout and stderr can be compared as they are.  Prints every
+difference in exit code, stdout, stderr and the files each run writes,
+and exits 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402
+
+SWEEPS = ("dirichlet_sweep", "nested_balls")
+SEEDS = (0, 3)
+
+
+def configs() -> dict:
+    """{run name: (command, config)} for every config run."""
+    runs = {}
+    for fname in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+        name = fname[:-len(".json")]
+        with open(os.path.join(ROOT, "configs", fname)) as fh:
+            runs[name] = ("sweep" if name in SWEEPS else "simulate",
+                          json.load(fh))
+    for name, spec in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            runs[f"{name}_seed{seed}"] = (
+                spec.command, workloads.generate_config(ROOT, name, seed))
+    return runs
+
+
+def tree(path: str) -> dict:
+    """{relative path: bytes} of every file below `path`."""
+    files = {}
+    for dirpath, _, filenames in os.walk(path):
+        for fname in filenames:
+            full = os.path.join(dirpath, fname)
+            with open(full, "rb") as fh:
+                files[os.path.relpath(full, path)] = fh.read()
+    return files
+
+
+def run_side(src: str, work: str, runs: dict) -> dict:
+    """{run name: (exit code, stdout, stderr, files)} of each run, made
+    with `src` on PYTHONPATH and `work` as the working directory."""
+    env = {**os.environ, "PYTHONPATH": src}
+    results = {}
+    for name, (command, raw) in runs.items():
+        argv = ["verify"]
+        if raw is not None:
+            with open(os.path.join(work, f"{name}.json"), "w") as fh:
+                json.dump(raw, fh, indent=2)
+            argv = [command, f"{name}.json", "--output-dir", f"out/{name}"]
+        proc = subprocess.run([sys.executable, "-m", "mcflow", *argv],
+                              cwd=work, env=env, capture_output=True)
+        results[name] = (proc.returncode, proc.stdout, proc.stderr,
+                         tree(os.path.join(work, "out", name)))
+    return results
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """The first line where two texts differ, with its number."""
+    a_lines, b_lines = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(a_lines, b_lines)):
+        if x != y:
+            return f"line {i + 1}: {x[:200]!r} != {y[:200]!r}"
+    return f"{len(a_lines)} lines != {len(b_lines)} lines"
+
+
+def differences(base: dict, head: dict) -> list:
+    found = []
+    for name in base:
+        code_b, out_b, err_b, files_b = base[name]
+        code_h, out_h, err_h, files_h = head[name]
+        if code_b != code_h:
+            found.append(f"{name}: exit code {code_b} != {code_h}")
+        for label, x, y in (("stdout", out_b, out_h),
+                            ("stderr", err_b, err_h)):
+            if x != y:
+                found.append(f"{name}: {label} {first_difference(x, y)}")
+        for path in sorted(files_b.keys() | files_h.keys()):
+            if path not in files_h:
+                found.append(f"{name}: {path} only at the base")
+            elif path not in files_b:
+                found.append(f"{name}: {path} only in the working tree")
+            elif files_b[path] != files_h[path]:
+                found.append(f"{name}: {path} "
+                             + first_difference(files_b[path], files_h[path]))
+    return found
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    runs = {**configs(), "verify": ("verify", None)}
+    scratch = tempfile.mkdtemp(prefix="compare_outputs-")
+    try:
+        base_root = os.path.join(scratch, "base")
+        os.makedirs(base_root)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args[0]],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode(), end="", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", base_root], input=archive.stdout,
+                       check=True)
+        sides = {}
+        for side, src in (("base", os.path.join(base_root, "src")),
+                          ("head", os.path.join(ROOT, "src"))):
+            work = os.path.join(scratch, side + "_runs")
+            os.makedirs(work)
+            sides[side] = run_side(src, work, runs)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    found = differences(sides["base"], sides["head"])
+    for line in found:
+        print(line)
+    files = sum(len(result[3]) for result in sides["head"].values())
+    print(f"{len(runs)} runs, {files} files: "
+          f"{len(found) or 'no'} difference{'s' * (len(found) != 1)} "
+          f"against {args[0]}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
