@@ -16,8 +16,7 @@ import numpy as np
 
 from .barriers import TranslatingBarrier
 from .fields import Field, line_field, radial_field
-from .geometry import (TOL_SPACELIKE, RadialMetric, conformal_metric,
-                       euclidean_metric)
+from .geometry import RadialMetric, conformal_metric, euclidean_metric
 from .initial_data import smooth_cutoff
 from .solver import SolverConfig
 
@@ -42,10 +41,9 @@ MAX_NODES = 1_000_000
 MAX_RECORDS = 1_000_000
 #: Most snapshot values a run holds: snapshots times nodes of its grids.
 MAX_SNAPSHOT_VALUES = 100_000_000
-#: Least `translating.mu` (exclusive).  The cone's least slope complement,
-#: mu / (4 - mu), then exceeds 2 TOL_SPACELIKE: its gradients stay clear of
-#: the spacelikeness test with room for the rounding of 1 - |grad|^2.
-MIN_TRANSLATING_MU = 8.0 * TOL_SPACELIKE
+#: Least `translating.mu` (exclusive): above it the cone's flat identity
+#: holds to SAMPLE_TOL (worst 4.0e-13 at 1e-6, 2.5e-12 at 1e-8; n = 1).
+MIN_TRANSLATING_MU = 1e-6
 #: log of the largest float: w^2 and 1/w^2 are finite while 2 |log w| is
 #: below it.
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))

@@ -271,6 +271,13 @@ class RadialOperator:
             drift = (n - 1) * (1.0 / np.asarray(r, dtype=float) + fprime)
             self.k = (b / (a * a * a)) * (drift if flat else drift / (w * w))
 
+    def window(self, stop):
+        """This operator on the first `stop` radii: its arrays as views."""
+        view = object.__new__(RadialOperator)
+        view.__dict__ = {k: v[:stop] if isinstance(v, np.ndarray) else v
+                         for k, v in vars(self).items()}
+        return view
+
     def complement(self, s, out):
         """Write C = K - s^2 into `out` and return it."""
         np.multiply(s, s, out=out)

@@ -71,6 +71,11 @@ with the four rows f, f_cand, stage and stage_prev, which form one
 C-contiguous block.  Slopes are never clamped: a stage or candidate that
 breaks strict spacelikeness is retried on a halved step, at most
 MAX_DT_HALVINGS times, and then halts; a NaN or infinity halts.
+Where the outer end is pinned (balls, annuli), a step of s stages runs on
+the window [0, m): the last node where u or f is not +0.0, plus s + 3, up
+to a multiple of 64 (np.dot over block[:, :m] is the whole product's head
+only for m a multiple of 4), within the grid; m never shrinks.  A stage
+spreads the support by one node: beyond m every row stays +0.0 and C = K.
 """
 
 from __future__ import annotations
@@ -202,9 +207,15 @@ class _Engine:
         self.d, self.d_cand, self.slope = (r[:size - 1] for r in rows[1:4])
         self.s, self.q, self.comp, self.work = (
             r[:size - 2] for r in rows[4:])
-        self.weights = np.empty(4)  # of the block rows in a stage
         np.subtract(self.u[1:], self.u[:-1], out=self.d)
         self.batch = diagnostics.batch_rows(size)
+        self.m = 0  # the window, formed by the first step
+        self.ops = {size - 2: self.op}  # the operator on each window
+        self.views = {}  # a step's views of the window, per f_row
+        # `_complement` passes above this min(C); min K past each window
+        self.safe_c = 2.0 * TOL_SPACELIKE * float(np.max(self.op.K))
+        self.far_K = None if self.op.inv_K is None else np.append(
+            np.minimum.accumulate(self.op.K[::-1])[::-1], math.inf).tolist()
 
     @functools.cached_property
     def dense(self):
@@ -215,60 +226,80 @@ class _Engine:
         return np.empty((3, self.batch, self.u.size))
 
     def _complement(self, d):
-        """Form s = 2h u' and C = 4h^2 w^2 - s^2 from the forward
-        differences `d`, and check 1 - (u'/w)^2 = C/K > TOL_SPACELIKE.
-        Returns min(C) on a flat grid, where the check formed it, and None
-        on a curved one.  Raises on a NaN or infinity and on a slope at the
-        null cone, naming the node of the smallest 1 - (u'/w)^2."""
-        np.add(d[1:], d[:-1], out=self.s)
-        comp = self.op.complement(self.s, self.comp)
-        if self.op.inv_K is None:
-            low_c = float(comp.min())
-            low = low_c / self.op.K
+        """Form s = 2h u' and C = 4h^2 w^2 - s^2 from the forward differences
+        `d` (of the grid or a window), check 1 - (u'/w)^2 = C/K >
+        TOL_SPACELIKE and return the stability coefficient, on axis grids
+        with `axis_coefficient`.  Raises on a NaN, an infinity or a slope at
+        the null cone, naming the node of the smallest 1 - (u'/w)^2."""
+        stop = d.size - 1
+        s = np.add(d[1:], d[:-1], out=self.s[:stop])
+        op = self.ops[stop]
+        comp = op.complement(s, self.comp[:stop])
+        i = comp.argmin()  # the first NaN, if any
+        low_c = float(comp[i])  # min(C); beyond a window C = K
+        if op.inv_K is None:  # C <= K
+            low = low_c / op.K
         else:
-            low_c = None
-            comp = np.multiply(comp, self.op.inv_K, out=self.work)
-            low = float(comp.min())
+            low_c = min(low_c, self.far_K[stop])
+            comp = np.multiply(comp, op.inv_K, out=self.work[:stop])
+            i = comp.argmin()
+            low = float(comp[i])
         if not low > TOL_SPACELIKE:
-            x = self.nodes[1 + comp.argmin()]  # the first NaN, if any
+            x = self.nodes[1 + i]
             if not np.isfinite(low):
                 raise NonFiniteError(f"non-finite slope at x = {x:.6g}")
             raise SpacelikeViolationError(
                 f"spacelikeness lost: 1 - (u'/w)^2 = {low:.6g} <= "
                 f"{TOL_SPACELIKE:g} at x = {x:.6g}")
-        return low_c
-
-    def _coefficient(self, low_c):
-        """Stability coefficient from the complement C `_complement` left
-        and its min `low_c` (None: not formed yet): the max principal
-        coefficient, and on an axis grid at least `axis_coefficient` of the
-        coefficient at r = h."""
         # max 1/(w^2 (1 - (u'/w)^2)) = max 4h^2/C = 4h^2/min(C): rounded
         # division is monotone
-        if low_c is None:
-            low_c = float(self.comp.min())
         scale = 4.0 * self.h * self.h
-        coeff = scale / low_c
         if self.axis:  # flat: C is not divided by K
-            coeff = max(coeff, axis_coefficient(self.n,
-                                                scale / float(self.comp[0])))
-        return coeff
+            return max(scale / low_c, axis_coefficient(
+                self.n, scale / float(self.comp[0])))
+        return scale / low_c
 
     def coefficient(self):
         """Stability coefficient of the state; forms s and C on the way.
         Raises as `_complement`."""
-        return self._coefficient(self._complement(self.d))
+        return self._complement(self.d)
 
     def _speed(self, d, out):
         """Write F/4, a quarter of the flow speed of the values with forward
-        differences `d`, into `out` and return it: the operator inside, the
-        axis rule F = 2n (u_1 - u_0)/h^2 at r = 0, zero at pinned or frozen
-        ends.  Needs `_complement(d)`."""
-        np.subtract(d[1:], d[:-1], out=self.q)
-        self.op.rhs(self.s, self.q, self.comp, out[1:-1], self.work)
+        differences `d` (of the grid or of a window), into `out` and return
+        it: the operator inside, the axis rule F = 2n (u_1 - u_0)/h^2 at
+        r = 0, zero at pinned or frozen ends.  Needs `_complement(d)`."""
+        q = np.subtract(d[1:], d[:-1], out=self.q[:d.size - 1])
+        self.ops[q.size].rhs(self.s[:q.size], q, self.comp[:q.size],
+                             out[1:-1], self.work[:q.size])
         out[0] = self.n * 0.5 * d[0] / (self.h * self.h) if self.axis else 0.0
         out[-1] = 0.0
         return out
+
+    def _window(self, s):
+        """Grow the window [0, m) for a step of s stages; return its views."""
+        size, m = self.u.size, self.m
+        if not m:  # what no stage writes is +0.0; block[1:]: f_cand, stages
+            for row in (self.block[1:], self.cand, self.d_cand):
+                row.fill(0.0)
+        if m < size and self.pin_right:  # the last node where u or f is not
+            bits = np.bitwise_or(*(  # +0.0; beyond the window both are +0.0
+                row[:m or size].view(np.int64) for row in (self.u, self.f)))
+            last = bits.size - 1 - int(bits[::-1].astype(bool).argmax())
+            m = min(size, max(m, -(-(last + s + 3) // 64) * 64))
+            if m != self.m:  # a grown window's views are not used again
+                self.views, self.ops[m - 2] = {}, self.op.window(m - 2)
+        self.m = m = m or size
+        if (m, self.f_row) not in self.views:
+            f, d = self.f_cand[:m], self.d_cand[:m - 1]
+            rows = self.stage[:m], self.stage_prev[:m]  # D_{j-1}, D_{j-2}
+            self.views[m, self.f_row] = (  # stage j reads rows[j % 2]
+                self.f[:m], f, self.cand[:m], d, self.d[:m - 1], d[1:],
+                d[:-1], f[1:-1], self.block[:, :m], rows,
+                [(r[1:], r[:-1], t) for r, t in zip(rows, rows[::-1])],
+                *(r[:m - 2] for r in (self.s, self.comp, self.q, self.work)),
+                self.ops[m - 2].complement, self.ops[m - 2].rhs)
+        return self.views[m, self.f_row]
 
     def _hold_ends(self, y):
         """Pinned ends to 0 and frozen ends to the state's values, in each
@@ -329,8 +360,9 @@ class _Engine:
         return out, tmp[:, :-1]
 
     def max_metric_slope(self, d):
-        """max |d| / (h w) over the midpoints (w = 1 when hw_mid is None)."""
-        return max_node_slope(d, self.h, self.hw_mid, self.slope)
+        """max |d| / (h w) over the gaps of `d` (w = 1 if hw_mid is None)."""
+        return max_node_slope(d, self.h, None if self.hw_mid is None else
+                              self.hw_mid[:d.size], self.slope[:d.size])
 
     def rkl2(self, tau, dt_fe):
         """Form the RKL2 super-step of size `tau` from the state.
@@ -347,39 +379,38 @@ class _Engine:
         D_j = mu_j D_{j-1} + nu_j D_{j-2} + mu~_j tau F(Y_{j-1})
               + gamma~_j tau F(u)   (D_0 = 0),
         one matrix-vector product of the four weights (4 tau times those
-        of the speed rows, which hold F/4) with `block`.
+        of the speed rows, which hold F/4) with `block`, on the window.
         """
         s = rkl2_stages(tau, dt_fe)
+        (f0, f, acc, d, du, d1, d0, inner, block, rows, ends, s_, comp, q,
+         work, complement, rhs) = self._window(s)
         w1 = 4.0 / (s * s + s - 2)
-        f0, f, d = self.f, self.f_cand, self.d_cand
-        acc = self.cand  # scratch until the candidate is formed
-        prev, older = self.stage, self.stage_prev  # D_{j-1}, D_{j-2}
-        weights, i_f0 = self.weights, self.f_row
-        i_prev, i_older = 2, 3
-        np.multiply(f0, 4.0 * w1 * tau / 3.0, out=prev)
-        older.fill(0.0)  # D_0: a zero weight would keep a stale NaN
-        b_older = b_prev = 1.0 / 3.0
-        for j in range(2, s + 1):
-            np.subtract(prev[1:], prev[:-1], out=d)
-            d += self.d
-            self._complement(d)
-            self._speed(d, f)
-            b = (j * j + j - 2) / (2.0 * j * (j + 1))
-            mu = (2 * j - 1) / j * b / b_prev
-            mu_tau = 4.0 * mu * w1 * tau
-            weights[i_prev] = mu
-            weights[i_older] = -(j - 1) / j * b / b_older
-            weights[1 - i_f0] = mu_tau
-            weights[i_f0] = -(1.0 - b_prev) * mu_tau
-            np.dot(weights, self.block, out=acc)
-            np.copyto(older, acc)
-            prev, older = older, prev
-            i_prev, i_older = i_older, i_prev
-            b_older, b_prev = b_prev, b
-        cand = np.add(self.u, prev, out=self.cand)
+        axis, half_n, h2 = self.axis, self.n * 0.5, self.h * self.h
+        table = _rkl2_weights(1 << (s - 2).bit_length())[:s - 1]
+        weights = table[:, :4].copy()
+        mu_tau = np.multiply(table[:, 4], w1, out=weights[:, 1 - self.f_row])
+        mu_tau *= tau
+        np.multiply(table[:, 5], mu_tau, out=weights[:, self.f_row])
+        np.multiply(f0, 4.0 * w1 * tau / 3.0, out=rows[0])
+        rows[1].fill(0.0)  # a zero weight would keep a stale NaN
+        for weight, (hi, lo, target) in zip(weights, ends * s):
+            np.subtract(hi, lo, d)
+            np.add(d, du, d)
+            np.add(d1, d0, s_)
+            complement(s_, comp)
+            if not comp[comp.argmin()] > self.safe_c:  # first NaN, if any
+                self._complement(d)  # raises, naming the node
+            np.subtract(d1, d0, q)
+            rhs(s_, q, comp, inner, work)
+            if axis:
+                f[0] = half_n * d.item(0) / h2
+            np.dot(weight, block, acc)
+            np.copyto(target, acc)
+        prev, older = rows[(s - 1) % 2], rows[s % 2]
+        cand = np.add(self.u[:acc.size], prev, out=acc)
         self._hold_ends(cand)
         np.subtract(cand[1:], cand[:-1], out=d)
-        self.cand_coeff = self._coefficient(self._complement(d))
+        self.cand_coeff = self._complement(d)
         self._speed(d, f)
         worst = self.max_metric_slope(d)
         if not worst < 1.0 - TOL_SPACELIKE:
@@ -391,7 +422,7 @@ class _Engine:
         est = np.add(f0, f, out=older)
         est *= 2.0 * tau
         est -= prev
-        return 0.8 * float(max(est.max(), -est.min()))
+        return 0.8 * float(max(est[est.argmax()], -est[est.argmin()]))
 
     def super_step(self, tau, dt_cap, cfl, tol):
         """One accepted RKL2 super-step of the proposed size `tau` (None:
@@ -467,6 +498,22 @@ def axis_coefficient(n, a1):
     return 0.5 * n * (1.0 + delta)
 
 
+@functools.lru_cache(maxsize=None)
+def _rkl2_weights(rows):
+    """RKL2 stage weights, read-only, a row per stage j = 2..rows + 1 of any
+    step: of D_{j-1} and D_{j-2} in the `_Engine.block` columns that hold
+    them, then mu~_j / (w1 tau) and gamma~_j / mu~_j."""
+    b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                           for j in range(2, rows + 2)]
+    table = np.zeros((rows, 6))
+    for j in range(2, rows + 2):  # D_{j-1} sits in column 2 for even j
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        table[j - 2, [2 + j % 2, 3 - j % 2, 4, 5]] = (
+            mu, -(j - 1) / j * b[j] / b[j - 2], 4.0 * mu, -(1.0 - b[j - 1]))
+    table.flags.writeable = False
+    return table
+
+
 def rkl2_stages(tau, dt_fe):
     """Fewest RKL2 stages s >= 2 stable at `tau`: tau <= dt_fe (s^2+s-2)/4."""
     s = max(2, int(0.5 * (math.sqrt(9.0 + 16.0 * tau / dt_fe) - 1.0)))
@@ -535,6 +582,21 @@ def _record(traj, plan, engine, times, rows, d):
         raise RecordError(f"state at t = {times[0]:.6g}: {exc}") from exc
 
 
+def _spacelike_engine(field: Field, metric) -> _Engine:
+    """An engine on `field`; ValueError, naming the gap, when the values are
+    not spacelike in the metric: a slope |u_{i+1} - u_i|/(h w) >= 1."""
+    engine = _Engine(field, metric)
+    slopes = np.abs(engine.d, out=engine.slope)
+    slopes /= engine.h if engine.hw_mid is None else engine.hw_mid
+    i = int(slopes.argmax())
+    if slopes[i] >= 1.0:
+        x = "x" if field.kind == "line" else "r"
+        raise ValueError(f"not spacelike in the metric: node-to-node slope "
+                         f"{slopes[i]:.6g} >= 1 between {x} = "
+                         f"{field.nodes[i]:.6g} and {field.nodes[i + 1]:.6g}")
+    return engine
+
+
 def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             barrier=None) -> FlowTrajectory:
     """Drive an engine from `field` to t_end by RKL2 super-steps, recording
@@ -551,15 +613,7 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
         u[0] = 0.0
     if field.bc[1] == "dirichlet_zero":
         u[-1] = 0.0
-    engine = _Engine(replace(field, values=u), metric)
-    slopes = np.abs(engine.d, out=engine.slope)
-    slopes /= engine.h if engine.hw_mid is None else engine.hw_mid
-    i = int(slopes.argmax())
-    if slopes[i] >= 1.0:
-        x = "x" if field.kind == "line" else "r"
-        raise ValueError(f"not spacelike in the metric: node-to-node slope "
-                         f"{slopes[i]:.6g} >= 1 between {x} = "
-                         f"{field.nodes[i]:.6g} and {field.nodes[i + 1]:.6g}")
+    engine = _spacelike_engine(replace(field, values=u), metric)
     plan = diagnostics.RecordPlan(field, metric, phi_params, barrier)
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
     tau = None
@@ -659,6 +713,7 @@ def solve_dirichlet(R: float, metric, u0: Field,
     if abs(u0.nodes[-1] - R * R) > u0.h:
         raise ValueError(f"grid must reach R^2 = {R * R:g}, ends at "
                          f"{u0.nodes[-1]:g}")
+    _spacelike_engine(u0, metric)  # the data, before the blend damps them
     margin = 1.0 - lipschitz_constant(metric, u0)
     eps = min(0.999, margin)
     blended, u_tilde = interpolate_initial_data(metric, u0, R - 1.0, R, eps)

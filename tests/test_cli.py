@@ -505,6 +505,29 @@ def test_data_not_spacelike_in_the_metric_exit_two(tmp_path, capsys,
     assert os.listdir(out) == []  # no step and no record was made
 
 
+@pytest.mark.parametrize("scenario", ["dirichlet", "nested_balls"])
+def test_ball_data_not_spacelike_in_the_metric_name_their_slope(
+        tmp_path, capsys, scenario):
+    # power -2 on the annulus-ball [0.5, R^2]: the bump's rise is a
+    # node-to-node slope of 1.5 in the metric.  The blend's own margin,
+    # 1 - lipschitz_constant = -0.484, is not what the message names.
+    cfg = shipped_config("dirichlet_sweep.json")
+    cfg.update(scenario=scenario, domain={"lo": 0.5}, initial_data={
+        "family": "radial_bump", "height": 0.45, "rise": [1.0, 2.0],
+        "fall": [2.5, 3.5]})
+    cfg["metric"] = {"family": "conformal_power", "n": 3, "a": 0.5,
+                     "tau": 1.0, "power": -2.0}
+    cfg["solver"]["t_end"] = 1.0
+    path = write_config(tmp_path, "c.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", path, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: initial_data: not spacelike in the metric: "
+        "node-to-node slope 1.50028 >= 1 between r = 1.4375 and 1.5\n")
+
+
 @pytest.mark.parametrize("name", ["flow_1d", "translating_verify"])
 def test_a_run_returns_the_summary_it_writes(tmp_path, name):
     raw = (smoke_flow_config(str(tmp_path / "unused")) if name == "flow_1d"
@@ -599,11 +622,11 @@ def test_a_barrier_that_cannot_be_built_exit_two(tmp_path, capsys, name, key,
      "r^-tau)^power leaves the float range on [0.5, 50]"),
     ("no_lift_off.json", "metric.power", -600, "metric.power: w(r) = (1 + a "
      "r^-tau)^power leaves the float range on [0.5, 50]"),
-    # the cone's least slope complement mu/(4 - mu) under TOL_SPACELIKE
+    # a cone below the mu where its flat identity holds to SAMPLE_TOL
     ("translating_verify.json", "translating.mu", 1e-12,
-     "translating.mu: must be > 8e-10, got 1e-12"),
+     "translating.mu: must be > 1e-06, got 1e-12"),
     ("translating_verify.json", "translating.mu", 3e-10,
-     "translating.mu: must be > 8e-10, got 3e-10"),
+     "translating.mu: must be > 1e-06, got 3e-10"),
     # a profile whose inner radius lies past the grid's end at 50
     ("no_lift_off.json", "barrier.r1_min", 100, "barrier: the profile's "
      "inner radius r0 = 100 lies past the grid's end 50"),
@@ -637,6 +660,28 @@ def test_translating_mu_just_above_its_bound_runs(tmp_path):
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) \
         in (0, 1)
+
+
+@pytest.mark.parametrize("n, t0", [(3, -4.0), (1, -1.0001)])
+def test_translating_mu_at_its_bound_passes(tmp_path, n, t0):
+    # the shipped cone, and the one-dimensional cone just past t0 = -1,
+    # whose identity residual was the largest measured near the bound
+    cfg = shipped_config("translating_verify.json")
+    cfg["metric"]["n"] = n
+    cfg["translating"].update(mu=MIN_TRANSLATING_MU * (1.0 + 1e-9), t0=t0)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) \
+        == 0
+
+
+def test_translating_mu_just_below_its_bound_exit_two(tmp_path, capsys):
+    cfg = shipped_config("translating_verify.json")
+    cfg["translating"]["mu"] = MIN_TRANSLATING_MU * (1.0 - 1e-9)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) \
+        == 2
+    assert capsys.readouterr().err == ("config error: translating.mu: must "
+                                       "be > 1e-06, got 9.99999999e-07\n")
 
 
 def test_a_line_scenario_on_a_curved_metric_exit_two(tmp_path, capsys):

@@ -775,3 +775,95 @@ def test_record_error_names_the_first_failing_row_of_a_batch(first,
                 else "monitor needs min u >= 0")
     assert messages[1] == messages[diagnostics.BATCH_VALUES]
     assert messages[1].startswith(f"state at t = {t_first:.6g}: {expected}")
+
+
+# ---------------------------------------------------------------------------
+# the window: grids with a pinned outer end step only their live prefix
+# ---------------------------------------------------------------------------
+
+def curved_ball_config():
+    # the dirichlet sweep on an annulus-ball of w = (1 + 0.5/r)^-2, which
+    # rises outward (no_lift_off's w = 1 + 0.5/r falls outward)
+    with open(os.path.join(CONFIG_DIR, "dirichlet_sweep.json")) as fh:
+        raw = json.load(fh)
+    raw["metric"] = {"family": "conformal_power", "n": 3, "a": 0.5,
+                     "tau": 1.0, "power": -2.0}
+    raw["domain"] = {"lo": 0.5}
+    raw["initial_data"] = {"family": "radial_bump", "height": 0.2,
+                           "rise": [1.0, 2.0], "fall": [2.5, 3.5]}
+    return raw
+
+
+def window_run(case):
+    """One run of `case`: a ball (n = 3, R = 8), the no_lift_off annulus or
+    the curved ball, shortened.  Returns its trajectory."""
+    if case == "no_lift_off":
+        with open(os.path.join(CONFIG_DIR, "no_lift_off.json")) as fh:
+            raw = json.load(fh)
+        raw["solver"].update(t_end=2.0, snapshot_every=0.5, record_every=0.1)
+        cfg = ScenarioConfig.from_dict(raw)
+        return solver.run_flow(cfg.metric, build_field_from_config(
+            cfg, "radial"), cfg.solver)
+    if case == "ball":
+        with open(os.path.join(CONFIG_DIR, "dirichlet_sweep.json")) as fh:
+            raw = json.load(fh)
+    else:
+        raw = curved_ball_config()
+    raw["solver"].update(t_end=4.0, snapshot_every=1.0, record_every=0.25)
+    cfg = ScenarioConfig.from_dict(raw)
+    u0 = build_field_from_config(cfg, "radial", outer=64.0)
+    return solver.solve_dirichlet(8.0, cfg.metric, u0, cfg.solver)
+
+
+def plus_zeros(row):
+    return bool(np.all(row.view(np.int64) == 0))  # +0.0 has no bit set
+
+
+@pytest.mark.parametrize("case", ["ball", "no_lift_off", "curved_ball"])
+def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
+    init, super_step = solver._Engine.__init__, solver._Engine.super_step
+    windows = []
+
+    def keep_origin(self, field, metric, n=None):
+        init(self, field, metric, n)
+        self.origin = field, metric
+
+    def checked(self, *args):
+        result = super_step(self, *args)
+        m, size = self.m, self.u.size
+        windows.append(m / size)
+        assert m == size or m % 64 == 0
+        for row in (self.u, self.f, self.stage, self.stage_prev):
+            assert plus_zeros(row[m:])
+        assert plus_zeros(self.d[m - 1:])
+        # a fresh engine on the whole grid: the same speed and coefficient
+        field, metric = self.origin
+        fresh = solver._Engine(replace(field, values=self.u.copy()), metric)
+        assert fresh.coefficient() == self.cand_coeff == self.coeff
+        speed = fresh._speed(fresh.d, np.empty(size))
+        assert speed.tobytes() == self.f.tobytes()
+        return result
+
+    monkeypatch.setattr(solver._Engine, "__init__", keep_origin)
+    monkeypatch.setattr(solver._Engine, "super_step", checked)
+    windowed = window_run(case)
+    monkeypatch.undo()
+    assert min(windows) < 0.5 and windowed.steps == len(windows)
+    # the same run with every step on the whole grid: an engine that holds
+    # its outer end frozen at the +0.0 it is pinned to forms no window
+    def whole_grid(self, field, metric, n=None):
+        init(self, field, metric, n)
+        self.pin_right = False
+
+    monkeypatch.setattr(solver._Engine, "__init__", whole_grid)
+    monkeypatch.setattr(solver._Engine, "super_step", lambda self, *args: (
+        super_step(self, *args), windows.append(self.m / self.u.size))[0])
+    windows.clear()
+    whole = window_run(case)
+    assert min(windows) == 1.0
+    assert whole.steps == windowed.steps
+    assert whole.termination == windowed.termination == "reached_t_end"
+    assert len(whole.snapshots) == len(windowed.snapshots)
+    for (t_w, f_w), (t, f) in zip(windowed.snapshots, whole.snapshots):
+        assert t_w == t and f_w.values.tobytes() == f.values.tobytes()
+    assert repr(windowed.records) == repr(whole.records)

@@ -292,3 +292,46 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         trees.append(tree_bytes(out_dir))
     assert trees[0] and "summary.json" in trees[0]
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("size", [257, 1025, 4097, 8001])
+def test_a_window_of_64_columns_keeps_the_whole_grid_product(size):
+    # the engine steps the window [0, m) of a grid with a pinned outer end,
+    # m a multiple of 64, with np.dot of the four weights and block[:, :m]:
+    # its entries must be those of the whole grid's product.  OpenBLAS takes
+    # the tail columns apart; at 4,097 nodes some m that are not multiples
+    # of 4 differ in their last columns.
+    rng = np.random.default_rng(size)
+    block = rng.uniform(-1.0, 1.0, (4, size)) * 10.0 ** rng.integers(
+        -300, 0, (4, size))
+    weights = rng.uniform(-2.0, 2.0, 4)
+    whole = np.dot(weights, block)
+    out = np.empty(size)
+    for m in range(64, size, 64):
+        window = np.dot(weights, block[:, :m], out=out[:m])
+        assert window.tobytes() == whole[:m].tobytes(), m
+
+
+@pytest.mark.parametrize("s", [2, 3, 17, 100, 285])
+@pytest.mark.parametrize("f_row", [0, 1])
+def test_the_cached_stage_weights_are_the_recurrence_bit_for_bit(s, f_row):
+    # the weights `rkl2` builds from the cached table against the
+    # recurrence's own arithmetic, stage by stage: the same bytes
+    tau, w1 = 0.37, 4.0 / (s * s + s - 2)
+    table = solver._rkl2_weights(1 << (s - 2).bit_length())[:s - 1]
+    weights = table[:, :4].copy()
+    mu_tau = np.multiply(table[:, 4], w1, out=weights[:, 1 - f_row])
+    mu_tau *= tau
+    np.multiply(table[:, 5], mu_tau, out=weights[:, f_row])
+    i_prev, i_older, b_older, b_prev = 2, 3, 1.0 / 3.0, 1.0 / 3.0
+    for j in range(2, s + 1):
+        b = (j * j + j - 2) / (2.0 * j * (j + 1))
+        mu = (2 * j - 1) / j * b / b_prev
+        expected = np.empty(4)
+        expected[i_prev] = mu
+        expected[i_older] = -(j - 1) / j * b / b_older
+        expected[1 - f_row] = 4.0 * mu * w1 * tau
+        expected[f_row] = -(1.0 - b_prev) * expected[1 - f_row]
+        assert weights[j - 2].tobytes() == expected.tobytes(), j
+        i_prev, i_older = i_older, i_prev
+        b_older, b_prev = b_prev, b

@@ -4,8 +4,9 @@
 
 Runs, once under a `git archive` of REV and once under the working tree:
 the six shipped configs (`sweep` for the two sweeps, `simulate` for the
-others), `mcflow verify`, and the benchmark workloads' configs at seeds 0
-and 3, as `perfbench/workloads.py` of the working tree generates them.
+others), a sweep of curved balls, `mcflow verify`, and the benchmark
+workloads' configs at seeds 0 and 3, as `perfbench/workloads.py` of the
+working tree generates them.
 Both sides run the same config files, from the same relative paths, so
 their stdout and stderr can be compared as they are.  Prints every
 difference in exit code, stdout, stderr and the files each run writes,
@@ -37,11 +38,29 @@ def configs() -> dict:
         with open(os.path.join(ROOT, "configs", fname)) as fh:
             runs[name] = ("sweep" if name in SWEEPS else "simulate",
                           json.load(fh))
+    runs["curved_ball_sweep"] = ("sweep", curved_ball_sweep())
     for name, spec in workloads.WORKLOADS.items():
         for seed in SEEDS:
             runs[f"{name}_seed{seed}"] = (
                 spec.command, workloads.generate_config(ROOT, name, seed))
     return runs
+
+
+def curved_ball_sweep() -> dict:
+    """The dirichlet sweep, R = 4 and 8, on the annulus-balls [0.5, R^2] of
+    w = (1 + 0.5/r)^-2, which rises outward: the stability coefficient's
+    min K then lies at the inner end, where no_lift_off's lies outward."""
+    with open(os.path.join(ROOT, "configs", "dirichlet_sweep.json")) as fh:
+        raw = json.load(fh)
+    del raw["expected_bound_exponent_range"]
+    raw["sweep"]["values"] = [4, 8]
+    raw["metric"] = {"family": "conformal_power", "n": 3, "a": 0.5,
+                     "tau": 1.0, "power": -2.0}
+    raw["domain"] = {"lo": 0.5}
+    raw["initial_data"] = {"family": "radial_bump", "height": 0.2,
+                           "rise": [1.0, 2.0], "fall": [2.5, 3.5]}
+    raw["solver"]["t_end"] = 8.0
+    return raw
 
 
 def tree(path: str) -> dict:
