@@ -27,13 +27,12 @@ u0 = line_field(-60.0, 60.0, cfg.h, slow_tail)
 traj = run_flow(metric, u0, cfg)
 fit = decay_exponent_fit(traj.records, (2.0, 100.0))
 print("slow-tail hump:")
-print("  records:", len(traj.records), " termination:", traj.termination)
+print("  records:", len(traj.records["t"]), " termination:", traj.termination)
 print("  fitted sup-norm exponent:", round(fit["exponent"], 4),
       " r^2:", round(fit["r_squared"], 5))
 
-l2s = np.array([rec.l2 for rec in traj.records])
-lhs = np.array([rec.l2 ** 2 + rec.t * rec.h1_grad ** 2
-                for rec in traj.records])
+l2s = traj.records["l2"]
+lhs = l2s ** 2 + traj.records["t"] * traj.records["h1_grad"] ** 2
 print("  L2 nonincreasing:", bool(np.all(np.diff(l2s) <= 1e-9)))
 print("  sup of l2^2 + t h1^2 over l2(0)^2:", float(lhs.max() / l2s[0] ** 2))
 

@@ -135,17 +135,19 @@ def cmd_sweep(args) -> int:
         write_sweep_csv(summary["rows"], os.path.join(out, "sweep.csv"))
         print(f"bound exponent: {summary['fits']['bound_exponent']}")
         print(f"measured exponent: {summary['fits']['measured_exponent']}")
-        terminations = [row["termination"] for row in summary["rows"]]
+        runs = [(row["termination"], row.get("halt_message", ""))
+                for row in summary["rows"]]
     else:
         summary = run_nested_sweep(cfg)
         for row in summary["rows"]:
             print(f"R {row['R_small']:g} vs {row['R_large']:g}: "
                   f"max difference {row['max_difference']:.6e}")
-        terminations = summary["terminations"]
+        runs = zip(summary["terminations"], summary.get(
+            "halt_messages", [""] * len(summary["terminations"])))
     write_summary_json(summary, os.path.join(out, "sweep_summary.json"))
-    return _exit_code(summary, [(f" in the run at R = {R:g}", termination, "")
-                                for R, termination in zip(
-                                    sorted(cfg.sweep_values), terminations)],
+    return _exit_code(summary, [(f" in the run at R = {R:g}", *run)
+                                for R, run in zip(sorted(cfg.sweep_values),
+                                                  runs)],
                       cfg.solver)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import TranslatingBarrier
-from .fields import Field, line_field, radial_field
+from .fields import (Field, check_node_slopes, gap_scale, line_field,
+                     radial_field)
 from .geometry import RadialMetric, conformal_metric, euclidean_metric
 from .initial_data import smooth_cutoff
 from .solver import SolverConfig
@@ -472,11 +473,14 @@ class ScenarioConfig:
 
 def build_field_from_config(cfg: ScenarioConfig, kind: str,
                             outer: float | None = None) -> Field:
-    """The initial field on the config's domain, or on [lo, outer]."""
+    """The initial field on the config's domain, or on [lo, outer]; data
+    not spacelike in the config's metric are a config error."""
     lo, hi = cfg.domain
     grid = line_field if kind == "line" else radial_field
     try:
-        return grid(lo, hi if outer is None else outer, cfg.solver.h,
-                    cfg.initial_data)
-    except ValueError as exc:  # the sampled data is not spacelike
+        field = grid(lo, hi if outer is None else outer, cfg.solver.h,
+                     cfg.initial_data)
+        check_node_slopes(field, gap_scale(field, cfg.metric))
+    except ValueError as exc:
         raise ConfigError("initial_data", str(exc)) from exc
+    return field

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .fields import Field, gradient_into
@@ -15,19 +13,10 @@ class InsufficientDataError(ValueError):
     """Too few usable records for the requested fit."""
 
 
-class DiagnosticsRecord(NamedTuple):
-    """Per-time diagnostics; sup_phi and barrier_margin only when configured.
-
-    A named tuple: immutable, and cheap to build (a run makes one per
-    record, 10,001 on a dense one)."""
-
-    t: float
-    sup_u: float
-    grad_max: float
-    l2: float
-    h1_grad: float
-    sup_phi: float | None = None
-    barrier_margin: float | None = None
+#: The recorded quantities, in diagnostics.csv's column order; sup_phi and
+#: barrier_margin only where a run configures the monitor or the barrier.
+COLUMNS = ("t", "sup_u", "grad_max", "l2", "h1_grad", "sup_phi",
+           "barrier_margin")
 
 
 #: Values in each row buffer of a record batch: a batch holds at most
@@ -49,15 +38,16 @@ def batch_rows(nodes: int) -> int:
 class RecordPlan:
     """The per-grid part of the diagnostics records, formed once per run.
 
-    Holds w(r) at the nodes, the volume weight r^{n-1} w^n, the tilt
-    monitor's validated (lambda, mu), the barrier's b_eps on the nodes
-    with r >= r0 (0 on the others, which the margin never reads) with
-    their mask, and the scratch of a batch of `rows` value rows.  A batch
-    forms u' once, into a buffer, and p = |u'|/w once: p gives max |u'|/w,
-    and its square the gradient-norm integrand and the tilt factor.  Every
-    reduction runs along the rows (`axis=1`), so each row's numbers are
-    those of its own values.  A w that is 1 at every node and the line's
-    unit weight are dropped: division and multiplication by 1 are exact.
+    Holds the `columns` it records (of COLUMNS), w(r) at the nodes, the
+    volume weight r^{n-1} w^n, the tilt monitor's validated (lambda, mu),
+    the barrier's b_eps on the nodes with r >= r0 (0 on the others, which
+    the margin never reads) with their mask, and the scratch of a batch of
+    `rows` value rows.  A batch forms u' once, into a buffer, and
+    p = |u'|/w once: p gives max |u'|/w, and its square the gradient-norm
+    integrand and the tilt factor.  Every reduction runs along the rows
+    (`axis=1`), so each row's numbers are those of its own values.  A w
+    that is 1 at every node and the line's unit weight are dropped:
+    division and multiplication by 1 are exact.
     """
 
     def __init__(self, field: Field, metric, phi_params=None, profile=None):
@@ -88,6 +78,8 @@ class RecordPlan:
             # on a radial grid the nodes outside are a suffix: slice them
             self.outside = (slice(first, None) if outside[first:].all()
                             else outside)
+        self.columns = (COLUMNS[:5] + ("sup_phi",) * (self.phi is not None)
+                        + ("barrier_margin",) * (self.b_eps is not None))
         self.rows = batch_rows(r.size)
         self.du, self.p2, self.work = np.empty((3, self.rows, r.size))
 
@@ -197,19 +189,20 @@ def barrier_margin(field: Field, profile) -> float:
 
 
 def decay_exponent_fit(records, window: tuple) -> dict:
-    """Least-squares line through (log t, log sup_u) inside the window: its
-    `exponent`, `intercept` and `r_squared`, and the `window` [t_lo, t_hi],
-    as summary.json writes them."""
+    """Least-squares line through (log t, log sup_u) of the `records`
+    inside the window: its `exponent`, `intercept` and `r_squared`, and the
+    `window` [t_lo, t_hi], as summary.json writes them."""
     t_lo, t_hi = window
     if not t_lo < t_hi:
         raise ValueError(f"window must have t_lo < t_hi, got {window}")
-    pts = [(rec.t, rec.sup_u) for rec in records
-           if t_lo <= rec.t <= t_hi and rec.sup_u > 0.0]
-    if len(pts) < 10:
+    t, sup_u = records["t"], records["sup_u"]
+    inside = (t_lo <= t) & (t <= t_hi) & (sup_u > 0.0)
+    count = int(inside.sum())
+    if count < 10:
         raise InsufficientDataError(
-            f"need >= 10 records with sup_u > 0 in {window}, have {len(pts)}")
-    logt = np.log([p[0] for p in pts])
-    logs = np.log([p[1] for p in pts])
+            f"need >= 10 records with sup_u > 0 in {window}, have {count}")
+    logt = np.log(t[inside])
+    logs = np.log(sup_u[inside])
     slope, intercept = np.polyfit(logt, logs, 1)
     fitted = slope * logt + intercept
     ss_res = float(np.sum((logs - fitted) ** 2))
@@ -244,8 +237,7 @@ def rise_check(name: str, values, slack) -> dict:
 
 def max_principle_check(records) -> dict:
     """Pass iff sup_u rises by at most MAX_PRINCIPLE_SLACK between records."""
-    return rise_check("max_principle", [rec.sup_u for rec in records],
-                      MAX_PRINCIPLE_SLACK)
+    return rise_check("max_principle", records["sup_u"], MAX_PRINCIPLE_SLACK)
 
 
 def h1_decay_check(records) -> dict:
@@ -257,10 +249,13 @@ def h1_decay_check(records) -> dict:
     constant in the README.  `worst` is the largest ratio of the two sides
     (the largest left-hand side when the data are zero).
     """
-    if not records:
+    if not len(records["t"]):
         raise ValueError("no records")
-    bound = records[0].l2 ** 2 * (1.0 + H1_BOUND_REL_SLACK)
-    lhs = np.array([rec.l2 ** 2 + rec.t * rec.h1_grad ** 2 for rec in records])
+    # squares by Python's ** (libm pow), which rounds some of them apart
+    # from numpy's x * x: the written `worst` keeps its bits
+    t, l2, h1 = (records[name].tolist() for name in ("t", "l2", "h1_grad"))
+    bound = l2[0] ** 2 * (1.0 + H1_BOUND_REL_SLACK)
+    lhs = np.array([a ** 2 + s * b ** 2 for s, a, b in zip(t, l2, h1)])
     if bound == 0.0:
         ok, worst = np.all(lhs == 0.0), lhs.max()
     else:
@@ -269,16 +264,16 @@ def h1_decay_check(records) -> dict:
             "worst": float(worst)}
 
 
-def make_record(plan: RecordPlan, rows: np.ndarray, times) -> list:
+def make_record(plan: RecordPlan, rows: np.ndarray, times) -> np.ndarray:
     """The records of the value rows `rows` (one per time in `times`, at
-    most `plan.rows` of them) on the plan's grid; the tilt monitor and
-    barrier margin when the plan has them.  Raises, as `tilt` does, when
-    any row fails the monitor's hypotheses."""
+    most `plan.rows` of them) on the plan's grid, as a block: a row per
+    time, a column per name of `plan.columns`.  Raises, as `tilt` does,
+    when any row fails the monitor's hypotheses."""
     grad_max = plan.slopes(rows)
     sup_u, l2, h1 = plan.norms(rows)
-    none = [None] * len(times)
-    sup_phi = none if plan.phi is None else plan.tilt(rows).tolist()
-    margin = none if plan.b_eps is None else plan.margin(rows).tolist()
-    return list(map(DiagnosticsRecord, times, sup_u.tolist(),
-                    grad_max.tolist(), l2.tolist(), h1.tolist(), sup_phi,
-                    margin))
+    cols = [times, sup_u, grad_max, l2, h1]
+    if plan.phi is not None:
+        cols.append(plan.tilt(rows))
+    if plan.b_eps is not None:
+        cols.append(plan.margin(rows))
+    return np.column_stack(cols)

@@ -53,12 +53,12 @@ class Field:
                         and abs(self.nodes[0]) < 1e-14):
                     raise ValueError("axis_symmetry is only valid at r = 0 of a "
                                      "radial grid")
-        check_node_slopes(np.diff(self.values), self.h)
 
     def with_values(self, values) -> "Field":
-        """This grid holding a copy of `values`, which the caller has
-        checked: a solver state keeps the metric's slope |u'|/w below 1,
-        which may exceed the flat bound checked at construction."""
+        """This grid holding a copy of `values`, without repeating the
+        grid's checks: a snapshot costs a copy, not a construction.  Values
+        are spacelike by the metric's rule, which `check_node_slopes`
+        checks, never by a Field."""
         if np.shape(values) != self.nodes.shape:
             raise ValueError("values and nodes must have matching shapes")
         out = copy.copy(self)  # no __init__: the checks are not repeated
@@ -99,27 +99,34 @@ def radial_field(r_lo: float, r_hi: float, h: float, profile,
                  h=h, bc=tuple(bc))
 
 
-def max_node_slope(d: np.ndarray, h: float, hw=None, out=None):
-    """max |d|/h along the last axis of the forward differences `d`, one
-    value per row, or, given `hw` (h w at each gap's midpoint), the
-    metric's slope max |d|/(h w), formed in the scratch `out` (d's shape)."""
-    if hw is None:
-        # max |d|/h is max|d| / h: rounded division by h > 0 is monotone
-        return np.maximum(d.max(axis=-1), -d.min(axis=-1)) / h
-    np.abs(d, out=out)
-    return np.divide(out, hw, out=out).max(axis=-1)
+def gap_scale(field: Field, metric):
+    """h w at each gap's midpoint of `field`'s grid, the unit of the metric's
+    node-to-node slope; None where w is 1 at every gap (a line runs on the
+    flat metric)."""
+    if field.kind == "line":
+        return None
+    w = metric.w(0.5 * (field.nodes[:-1] + field.nodes[1:]))
+    return None if np.all(w == 1.0) else field.h * w
 
 
-def check_node_slopes(d: np.ndarray, h: float, hw=None, out=None):
-    """Raise ValueError when a node-to-node slope (`max_node_slope`)
-    reaches 1 in a row of `d`: such values are not spacelike.  The message
-    gives the first such row's slope.  A NaN passes; the solver reports
-    it."""
-    slopes = np.atleast_1d(max_node_slope(d, h, hw, out))
-    steep = slopes[slopes >= 1.0]
-    if steep.size:
-        raise ValueError(
-            f"node-to-node slope {steep[0]:.6g} >= 1 breaks spacelikeness")
+def check_node_slopes(field: Field, hw, d=None, out=None):
+    """Raise ValueError when values on `field`'s grid are not spacelike in
+    the metric: a node-to-node slope |u_{i+1} - u_i|/(h w) >= 1, with `hw`
+    from `gap_scale`.  `d` holds the forward differences of the values (by
+    default the field's own), or a row of them per value row of a batch;
+    the slopes are formed in `out` (d's shape), if given.  The message
+    names the steepest gap of the first failing row.  A NaN passes; the
+    solver reports it."""
+    slopes = np.abs(np.diff(field.values) if d is None else d, out=out)
+    slopes = np.atleast_2d(slopes)
+    slopes /= field.h if hw is None else hw
+    steep = slopes.max(axis=1) >= 1.0  # a NaN row passes
+    if steep.any():
+        row = slopes[steep.argmax()]  # the first steep row
+        i, x = int(row.argmax()), "x" if field.kind == "line" else "r"
+        raise ValueError(f"not spacelike in the metric: node-to-node slope "
+                         f"{row[i]:.6g} >= 1 between {x} = "
+                         f"{field.nodes[i]:.6g} and {field.nodes[i + 1]:.6g}")
 
 
 def gradient(field: Field) -> np.ndarray:

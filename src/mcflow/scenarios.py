@@ -62,9 +62,6 @@ def _finish(summary: dict, checks: list, trajectory=None) -> tuple:
 # artifact I/O
 # ---------------------------------------------------------------------------
 
-DIAG_HEADER = "t,sup_u,grad_max,l2,h1_grad,sup_phi,barrier_margin"
-
-
 def fmt(x) -> str:
     """One cell as every data file writes it: '' for None, else
     format(float(x), '.17g').  The reference that the bulk writers of
@@ -73,32 +70,28 @@ def fmt(x) -> str:
 
 
 def write_diagnostics_csv(records, path: str):
-    """One line per record, its cells written as `fmt` writes them, by
-    `textfmt.format17` over blocks of records."""
+    """One line per record, a cell per name of `diagnostics.COLUMNS`, as
+    `fmt` writes it: blank in the columns the run does not record."""
     from . import textfmt  # on first write: `import mcflow` stays as fast
-    step = max(1, textfmt.CHUNK_VALUES // len(DIAG_HEADER.split(",")))
+    blank = [name not in records for name in diagnostics.COLUMNS]
+    unset = np.zeros(len(records["t"]))
+    values = np.column_stack([records.get(name, unset)
+                              for name in diagnostics.COLUMNS])
     with open(path, "wb") as fh:
-        fh.write(DIAG_HEADER.encode() + b"\n")
-        for start in range(0, len(records), step):
-            block = records[start:start + step]
-            values = np.array(block, dtype=float)  # None reads as NaN
-            blank = np.isnan(values)
-            for row, col in np.argwhere(blank).tolist():
-                blank[row, col] = block[row][col] is None
-            fh.write(textfmt.format17(values, blank))
+        fh.write(",".join(diagnostics.COLUMNS).encode() + b"\n")
+        fh.write(textfmt.format17(values, blank))
 
 
-def read_diagnostics_csv(path: str):
+def read_diagnostics_csv(path: str) -> dict:
+    """The records `write_diagnostics_csv` wrote to `path`: a column per
+    name with a value in it."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != DIAG_HEADER:
+        if header != ",".join(diagnostics.COLUMNS):
             raise ValueError(f"unexpected diagnostics header {header!r}")
-        records = []
-        for line in fh:
-            parts = line.strip().split(",")
-            records.append(diagnostics.DiagnosticsRecord(
-                *(float(p) if p else None for p in parts)))
-    return records
+        cells = [line.rstrip("\n").split(",") for line in fh]
+    return {name: np.array(column, dtype=float) for name, column
+            in zip(diagnostics.COLUMNS, zip(*cells)) if any(column)}
 
 
 def write_snapshot_csvs(trajectory: FlowTrajectory, directory: str):
@@ -147,30 +140,30 @@ def write_run_artifacts(summary: dict, trajectory, out_dir: str):
 # ---------------------------------------------------------------------------
 
 def _base_flow_checks(traj: FlowTrajectory):
-    grads = [rec.grad_max for rec in traj.records]
+    grads = traj.records["grad_max"]
     worst = float(np.max(grads))  # a NaN fails
     slack = SPACELIKE_PRESERVATION_SLACK
     return [diagnostics.max_principle_check(traj.records),
             {"name": "spacelike_preservation",
              "pass": bool(worst <= grads[0] + slack),
-             "initial": grads[0], "max": worst, "slack": slack}]
+             "initial": float(grads[0]), "max": worst, "slack": slack}]
 
 
 def _line_integral_checks(traj: FlowTrajectory):
-    l2s = np.array([rec.l2 for rec in traj.records])
+    l2s = traj.records["l2"]
     return [diagnostics.rise_check("l2_monotone", l2s, 1e-3 * l2s[:-1]),
             diagnostics.h1_decay_check(traj.records)]
 
 
 def _summarize(traj: FlowTrajectory) -> dict:
-    last = traj.records[-1]
+    records = traj.records
     summary = {"termination": traj.termination, "steps": traj.steps,
                "final_time": traj.final_time,
-               "final_sup_u": last.sup_u, "final_l2": last.l2,
-               "initial_grad_max": traj.records[0].grad_max,
-               "max_grad_max": float(np.max([rec.grad_max
-                                             for rec in traj.records])),
-               "records": len(traj.records)}
+               "final_sup_u": float(records["sup_u"][-1]),
+               "final_l2": float(records["l2"][-1]),
+               "initial_grad_max": float(records["grad_max"][0]),
+               "max_grad_max": float(np.max(records["grad_max"])),
+               "records": len(records["t"])}
     if traj.message:  # a halted run says why; other summaries keep their keys
         summary["halt_message"] = traj.message
     return summary
@@ -317,13 +310,12 @@ def run_no_lift_off_scenario(cfg: ScenarioConfig) -> tuple:
         traj = run_flow(cfg.metric, u0, cfg.solver, phi_params=phi_params,
                         barrier=profile)
     checks = _base_flow_checks(traj)
-    worst = float(np.min([rec.barrier_margin for rec in traj.records]))
+    worst = float(np.min(traj.records["barrier_margin"]))
     checks.append({"name": "barrier_margin_positive",
                    "pass": bool(worst > 0.0), "min_margin": worst})
     if phi_params is not None:
         checks.append(diagnostics.rise_check(
-            "phi_monotone", [rec.sup_phi for rec in traj.records],
-            PHI_MONOTONE_SLACK))
+            "phi_monotone", traj.records["sup_phi"], PHI_MONOTONE_SLACK))
     summary = _summarize(traj)
     summary.update({"barrier_r0": profile.r0, "barrier_eps": eps,
                     "decay_radius": r1,
@@ -434,8 +426,12 @@ def run_dirichlet_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1):
             outcomes = list(pool.map(sweep_worker, jobs))
     else:
         outcomes = [sweep_worker(job) for job in jobs]
-    rows = [{"R": R, **{key: summary[key] for key in SWEEP_KEYS},
-             "pass": summary["pass"]} for R, summary in outcomes]
+    rows = []
+    for R, summary in outcomes:
+        rows.append({"R": R, **{key: summary[key] for key in SWEEP_KEYS},
+                     "pass": summary["pass"]})
+        if "halt_message" in summary:  # a halted run says why
+            rows[-1]["halt_message"] = summary["halt_message"]
     radii = [r["R"] for r in rows]
     bounds = np.array([r["bound_slope"] for r in rows])
     fits = {
@@ -461,7 +457,8 @@ def run_nested_sweep(cfg: ScenarioConfig) -> dict:
     data of the largest ball restricted to [lo, R^2].  A row holds max
     |u_R - u_R'| of consecutive radii over r <= min(R)/2 and their shared
     snapshot times (NaN if any is).  The summary adds whether the rows
-    decrease (reported, not checked), each run's termination and `pass`."""
+    decrease (reported, not checked), each run's termination, their halt
+    messages if a run halted, and `pass`."""
     R_values = sorted(cfg.sweep_values)
     u0 = build_field_from_config(cfg, "radial", outer=max(R_values) ** 2)
     window = R_values[0] / 2.0
@@ -488,9 +485,12 @@ def run_nested_sweep(cfg: ScenarioConfig) -> dict:
     diffs = [row["max_difference"] for row in rows]
     decrease = all(b <= a for a, b in zip(diffs[:-1], diffs[1:]))
     terminations = [traj.termination for traj in runs]
-    return {"rows": rows, "R_values": R_values,
-            "differences_decrease": decrease, "terminations": terminations,
-            "pass": all(run_passed(t, []) for t in terminations)}
+    summary = {"rows": rows, "R_values": R_values,
+               "differences_decrease": decrease, "terminations": terminations,
+               "pass": all(run_passed(t, []) for t in terminations)}
+    if any(traj.message for traj in runs):
+        summary["halt_messages"] = [traj.message for traj in runs]
+    return summary
 
 
 def write_sweep_csv(rows, path: str):

@@ -87,7 +87,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import diagnostics
-from .fields import Field, check_node_slopes, max_node_slope
+from .fields import Field, check_node_slopes, gap_scale
 from .geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                        RadialOperator, SpacelikeViolationError,
                        euclidean_metric, radial_factors)
@@ -137,10 +137,11 @@ class SolverConfig:
 
 @dataclass
 class FlowTrajectory:
-    """Time-ordered snapshots plus per-cadence diagnostics records."""
+    """Time-ordered snapshots plus the diagnostics records: a column per
+    name the run records (`diagnostics.COLUMNS`), a value per record."""
 
     snapshots: list = dc_field(default_factory=list)
-    records: list = dc_field(default_factory=list)
+    records: dict = dc_field(default_factory=dict)
     termination: str = "reached_t_end"
     steps: int = 0
     message: str = ""  # why a numeric failure halted the run
@@ -172,7 +173,7 @@ class _Engine:
         if field.kind == "line":
             if getattr(metric, "a", 0.0) != 0.0:
                 raise DomainError("line problems run on the flat metric")
-            self.n, w_mid = 1, 1.0
+            self.n = 1
             self.op = RadialOperator(1, None, 1.0, 0.0, *scale)
         else:
             r_min = getattr(metric, "r_min", 0.0)
@@ -188,8 +189,7 @@ class _Engine:
             r_int = nodes[1:-1]
             self.op = RadialOperator(self.n, r_int,
                                      *radial_factors(metric, r_int), *scale)
-            w_mid = metric.w(0.5 * (nodes[:-1] + nodes[1:]))
-        self.hw_mid = None if np.all(w_mid == 1.0) else field.h * w_mid
+        self.hw_mid = gap_scale(field, metric)
         size = nodes.size
         self.u = np.array(field.values, dtype=float)
         self.coeff = self.cand_coeff = None
@@ -361,8 +361,11 @@ class _Engine:
 
     def max_metric_slope(self, d):
         """max |d| / (h w) over the gaps of `d` (w = 1 if hw_mid is None)."""
-        return max_node_slope(d, self.h, None if self.hw_mid is None else
-                              self.hw_mid[:d.size], self.slope[:d.size])
+        if self.hw_mid is None:
+            # max |d|/h is max|d| / h: rounded division by h > 0 is monotone
+            return np.maximum(d.max(), -d.min()) / self.h
+        slope = np.abs(d, out=self.slope[:d.size])
+        return np.divide(slope, self.hw_mid[:d.size], out=slope).max()
 
     def rkl2(self, tau, dt_fe):
         """Form the RKL2 super-step of size `tau` from the state.
@@ -565,36 +568,21 @@ def step_radial(field: Field, metric, n: int, config: SolverConfig,
     return _step(field, metric, n, config, dt_cap)
 
 
-def _record(traj, plan, engine, times, rows, d):
-    """Append to `traj` the records of the value rows `rows`, with forward
-    differences `d`, at `times`.  A RecordError names the first row that
-    fails a check, as a batch of that row alone would."""
+def _record(blocks, plan, field, engine, times, rows, d):
+    """Append to `blocks` the records of the value rows `rows`, with forward
+    differences `d`, at `times`, on `field`'s grid.  A RecordError names
+    the first row that fails a check, as a batch of that row alone would."""
     try:
         # the solver's bound |u'|/w < 1, on the rows' own differences
-        check_node_slopes(d, engine.h, engine.hw_mid,
+        check_node_slopes(field, engine.hw_mid, d,
                           engine.dense[2, :len(d), :-1])
-        traj.records += diagnostics.make_record(plan, rows, times)
+        blocks.append(diagnostics.make_record(plan, rows, times))
     except ValueError as exc:
         if len(times) > 1:  # the first failing row raises on its own
             for i in range(len(times)):
-                _record(traj, plan, engine, times[i:i + 1], rows[i:i + 1],
-                        d[i:i + 1])
+                _record(blocks, plan, field, engine, times[i:i + 1],
+                        rows[i:i + 1], d[i:i + 1])
         raise RecordError(f"state at t = {times[0]:.6g}: {exc}") from exc
-
-
-def _spacelike_engine(field: Field, metric) -> _Engine:
-    """An engine on `field`; ValueError, naming the gap, when the values are
-    not spacelike in the metric: a slope |u_{i+1} - u_i|/(h w) >= 1."""
-    engine = _Engine(field, metric)
-    slopes = np.abs(engine.d, out=engine.slope)
-    slopes /= engine.h if engine.hw_mid is None else engine.hw_mid
-    i = int(slopes.argmax())
-    if slopes[i] >= 1.0:
-        x = "x" if field.kind == "line" else "r"
-        raise ValueError(f"not spacelike in the metric: node-to-node slope "
-                         f"{slopes[i]:.6g} >= 1 between {x} = "
-                         f"{field.nodes[i]:.6g} and {field.nodes[i + 1]:.6g}")
-    return engine
 
 
 def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
@@ -605,22 +593,23 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     Only snapshot marks and t_end end a step.  A record strictly inside a
     step comes from the step's interpolant, one at its end from the state.
     Raises ValueError, before any step or record, when the data with their
-    pinned ends at zero are not spacelike in the metric: a node-to-node
-    slope |u_{i+1} - u_i|/(h w) >= 1.
+    pinned ends at zero are not spacelike in the metric (`check_node_slopes`).
     """
     u = field.values.copy()
     if field.bc[0] == "dirichlet_zero":
         u[0] = 0.0
     if field.bc[1] == "dirichlet_zero":
         u[-1] = 0.0
-    engine = _spacelike_engine(replace(field, values=u), metric)
+    engine = _Engine(field.with_values(u), metric)
+    check_node_slopes(field, engine.hw_mid, engine.d, engine.slope)
     plan = diagnostics.RecordPlan(field, metric, phi_params, barrier)
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
     tau = None
     traj = FlowTrajectory()
+    blocks = []
     # not a closure: one that calls itself is a reference cycle, which
     # keeps the run's buffers alive until the next garbage collection
-    record = functools.partial(_record, traj, plan, engine)
+    record = functools.partial(_record, blocks, plan, field, engine)
 
     def record_state(t):
         record([t], engine.u[None], engine.d[None])
@@ -672,6 +661,7 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
         except RecordError as err:
             raise RecordError(f"{err} (the run had halted: {exc})") from err
         traj.snapshots.append((t, field.with_values(engine.u)))
+    traj.records = dict(zip(plan.columns, np.concatenate(blocks).T))
     traj.steps = steps
     return traj
 
@@ -713,7 +703,7 @@ def solve_dirichlet(R: float, metric, u0: Field,
     if abs(u0.nodes[-1] - R * R) > u0.h:
         raise ValueError(f"grid must reach R^2 = {R * R:g}, ends at "
                          f"{u0.nodes[-1]:g}")
-    _spacelike_engine(u0, metric)  # the data, before the blend damps them
+    check_node_slopes(u0, gap_scale(u0, metric))  # the data, unblended
     margin = 1.0 - lipschitz_constant(metric, u0)
     eps = min(0.999, margin)
     blended, u_tilde = interpolate_initial_data(metric, u0, R - 1.0, R, eps)

@@ -255,7 +255,8 @@ def _text(words: np.ndarray) -> bytes:
 def format17(values, blank=None) -> bytes:
     """The CSV text of the float array `values`: a line per row (a 1D array
     is one column), each cell `format(x, '.17g')`, cells joined by ',' and
-    lines ended by '\\n'.  Cells where `blank` (of the same shape) is True
+    lines ended by '\\n'.  Cells where `blank` (broadcast to the rows and
+    columns of `values`: a flag per column blanks whole columns) is True
     are empty.
 
     The kernel rounds |x| 10^(16 - k) to 17 digits from a fraction that is
@@ -266,7 +267,7 @@ def format17(values, blank=None) -> bytes:
     if values.ndim == 1:
         values = values[:, None]
     if blank is not None:
-        blank = np.asarray(blank, bool).reshape(values.shape)
+        blank = np.broadcast_to(np.asarray(blank, bool), values.shape)
     rows, cols = values.shape
     seps = np.zeros(cols, np.intp)  # ',' between cells, '\n' at the end
     seps[-1:] = _NEWLINE[0]

@@ -124,10 +124,10 @@ def test_criterion_05_one_dimensional_decay_rate(decay_result):
 
 def test_criterion_06_one_dimensional_integral_bounds(decay_result):
     recs = decay_result[1].records
-    l2s = np.array([r.l2 for r in recs])
+    l2s = recs["l2"]
     mono = bool(np.all(np.diff(l2s) <= 1e-3 * l2s[:-1]))
     bound = l2s[0] ** 2 * (1 + 1e-3)
-    lhs = np.array([r.l2 ** 2 + r.t * r.h1_grad ** 2 for r in recs])
+    lhs = l2s ** 2 + recs["t"] * recs["h1_grad"] ** 2
     h1_ok = bool(np.all(lhs <= bound))
     report("criterion 6: L2 nonincreasing and l2^2 + t h1^2 <= l2(0)^2",
            mono and h1_ok,
@@ -151,11 +151,11 @@ def test_criterion_07_boundary_gradient_scaling(dirichlet_sweep_result):
 def test_criterion_08_no_lift_off(no_lift_off_result):
     summary, traj = no_lift_off_result
     recs = traj.records
-    margins = [rec.barrier_margin for rec in recs]
+    margins = recs["barrier_margin"]
     ok = (summary["termination"] == "reached_t_end"
-          and min(margins) > 0.0 and recs[-1].t >= 100.0 - 1e-9)
+          and min(margins) > 0.0 and recs["t"][-1] >= 100.0 - 1e-9)
     report("criterion 8: barrier margin positive through t = 100", ok,
-           f"min margin {min(margins):.4f} over {len(recs)} records")
+           f"min margin {min(margins):.4f} over {len(recs['t'])} records")
 
 
 def test_criterion_09_spacelikeness_preservation(decay_result,
@@ -165,7 +165,7 @@ def test_criterion_09_spacelikeness_preservation(decay_result,
     runs = [decay_result[1], no_lift_off_result[1]]
     details = []
     for traj in runs:
-        grads = [rec.grad_max for rec in traj.records]
+        grads = traj.records["grad_max"]
         worst_rise = max(worst_rise, max(grads) - grads[0])
         details.append(f"{grads[0]:.3f}->{max(grads):.3f}")
     for row in dirichlet_sweep_result["rows"]:

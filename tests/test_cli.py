@@ -19,8 +19,8 @@ from mcflow import scenarios, solver, textfmt, verification
 from mcflow.cli import main
 from mcflow.config import MAX_NODES, MIN_TRANSLATING_MU, SWEEP_SCENARIOS
 from mcflow.geometry import RadialOperator, SpacelikeViolationError
-from mcflow.diagnostics import DiagnosticsRecord
-from mcflow.scenarios import (DIAG_HEADER, MEASURED_SLOPE_FLOOR, ConfigError,
+from mcflow.diagnostics import COLUMNS
+from mcflow.scenarios import (MEASURED_SLOPE_FLOOR, ConfigError,
                               ScenarioConfig, _fit_loglog, fmt,
                               read_diagnostics_csv, read_snapshot_csv,
                               run_dirichlet_case, run_scenario_config,
@@ -109,7 +109,7 @@ def test_simulate_zero_run_exit_zero(tmp_path, capsys):
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert "halt_message" not in summary  # only halted runs carry one
     recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
-    assert all(r.sup_u == 0.0 for r in recs)
+    assert np.all(recs["sup_u"] == 0.0)
     snaps = sorted(os.listdir(os.path.join(out, "snapshots")))
     assert snaps[0] == "t0.000000.csv"
     coord, data = read_snapshot_csv(os.path.join(out, "snapshots", snaps[0]))
@@ -161,8 +161,8 @@ def test_simulate_diagnostics_roundtrip(tmp_path):
     recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["pass"] is True
-    assert summary["records"] == len(recs)
-    assert recs[0].sup_phi is None and recs[0].barrier_margin is None
+    assert summary["records"] == len(recs["t"])
+    assert tuple(recs) == COLUMNS[:5]  # no monitor, no barrier
 
 
 def test_tabulated_initial_data(tmp_path):
@@ -359,7 +359,8 @@ def test_sweep_config_error_in_a_worker_exits_two(tmp_path, capsys, workers):
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["sweep", path, "--workers", str(workers)]) == 2
     err = capsys.readouterr().err
-    assert "config error: initial_data: node-to-node slope" in err
+    assert ("config error: initial_data: not spacelike in the metric: "
+            "node-to-node slope" in err)
     assert "Traceback" not in err
 
 
@@ -447,9 +448,8 @@ def test_states_past_the_flat_slope_bound_are_recorded(tmp_path, capsys):
                                                  "t0.060000.csv"))
     assert np.max(np.abs(np.diff(data[:, 1]))) / 0.05 > 1.0
     recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
-    assert all(np.isfinite(getattr(r, name)) for r in recs
-               for name in ("sup_u", "grad_max", "l2", "h1_grad", "sup_phi",
-                            "barrier_margin"))
+    assert tuple(recs) == COLUMNS
+    assert all(np.all(np.isfinite(column)) for column in recs.values())
 
 
 def test_dimension_40_run_halts_as_the_solver_reports(tmp_path, capsys):
@@ -503,6 +503,44 @@ def test_data_not_spacelike_in_the_metric_exit_two(tmp_path, capsys,
         "config error: initial_data: not spacelike in the metric: "
         "node-to-node slope 1.00179 >= 1 between r = 1.45 and 1.5\n")
     assert os.listdir(out) == []  # no step and no record was made
+
+
+def steep_bump_config(height):
+    """no_lift_off through t = 1 with a bump rising on [0.6, 0.8], where
+    w = 1 + 0.5/r is 1.6-1.8: its flat slope |u_{i+1} - u_i|/h is larger
+    than its slope in the metric |u_{i+1} - u_i|/(h w)."""
+    cfg = shipped_config("no_lift_off.json")
+    cfg["initial_data"].update(height=height, rise=[0.6, 0.8])
+    cfg["solver"]["t_end"] = 1.0
+    return cfg
+
+
+def test_data_spacelike_in_the_metric_but_not_flat_run(tmp_path, capsys):
+    # flat slope 1.18945, but 0.704 in the metric: the data are spacelike
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", steep_bump_config(0.15))
+    assert main(["simulate", path, "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.load(open(out / "summary.json"))
+    assert summary["termination"] == "reached_t_end"
+    assert [c["name"] for c in summary["checks"] if c["pass"]] == [
+        "max_principle", "spacelike_preservation", "barrier_margin_positive",
+        "phi_monotone"]
+
+
+def test_data_steep_in_the_metric_where_w_exceeds_one_exit_two(
+        tmp_path, capsys, monkeypatch):
+    # the same bump at height 0.25 reaches 1.17 in the metric: a config
+    # error naming the gap, before any barrier, step or record
+    monkeypatch.setattr(scenarios, "build_outer_barrier",
+                        lambda *args, **kwargs: pytest.fail("a barrier"))
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "c.json", steep_bump_config(0.25))
+    assert main(["simulate", path, "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: initial_data: not spacelike in the metric: "
+        "node-to-node slope 1.17327 >= 1 between r = 0.7 and 0.75\n")
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("scenario", ["dirichlet", "nested_balls"])
@@ -583,15 +621,23 @@ def test_a_sweep_whose_runs_halt_exit_three(tmp_path, capsys, monkeypatch,
     path = write_config(tmp_path, "c.json", shipped_config(name))
     assert main(["sweep", path, "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
+    # each halted run with its message, as `simulate` prints it
+    message = "spacelikeness lost: injected (last dt "
     assert err.count("numeric failure (spacelike_violation) in ") == 3
+    assert [line.split(": ", 1)[1].startswith(message)
+            for line in err.splitlines()] == [True] * 3
     assert "Traceback" not in err
     summary = json.load(open(out / "sweep_summary.json"))
     assert summary["pass"] is False
     if name == "dirichlet_sweep.json":
         assert all(row["termination"] == "spacelike_violation"
-                   and row["pass"] is False for row in summary["rows"])
+                   and row["pass"] is False
+                   and row["halt_message"].startswith(message)
+                   for row in summary["rows"])
     else:
         assert summary["terminations"] == ["spacelike_violation"] * 3
+        assert all(text.startswith(message)
+                   for text in summary["halt_messages"])
 
 
 @pytest.mark.parametrize("name, key, value", [
@@ -713,8 +759,9 @@ def test_a_nan_ricci_bound_is_a_numeric_failure(tmp_path, capsys,
 
 def nan_slope_records():
     """Three records, the last with a NaN `grad_max`."""
-    return [DiagnosticsRecord(t, 0.5, grad_max, 1.0, 0.1)
-            for t, grad_max in ((0.0, 0.2), (0.5, 0.2), (1.0, np.nan))]
+    return {"t": np.array([0.0, 0.5, 1.0]), "sup_u": np.full(3, 0.5),
+            "grad_max": np.array([0.2, 0.2, np.nan]), "l2": np.ones(3),
+            "h1_grad": np.full(3, 0.1)}
 
 
 def test_spacelike_preservation_fails_on_a_nan():
@@ -735,8 +782,7 @@ def test_barrier_margin_positive_fails_on_a_nan(monkeypatch):
 
     def nan_margin(*args, **kwargs):
         traj = run_flow(*args, **kwargs)
-        traj.records[-1] = traj.records[-1]._replace(
-            barrier_margin=float("nan"))
+        traj.records["barrier_margin"][-1] = np.nan
         return traj
     monkeypatch.setattr(scenarios, "run_flow", nan_margin)
     cfg = shipped_config("no_lift_off.json")
@@ -906,26 +952,21 @@ def test_snapshot_writer_bytes_match_per_cell_formatting(tmp_path):
 
 
 def test_diagnostics_writer_bytes_match_per_cell_formatting(tmp_path):
-    # one row template per pattern of None columns; rows of each pattern
-    # interleave
+    # every column set a run can record, each cell as `fmt` writes it and
+    # the columns the run does not record blank
     cells = [-0.0, 5e-324, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e300,
              np.float64(0.1), 2]
-    records = []
-    for k in range(12):
-        vals = [cells[(k + j) % len(cells)] for j in range(7)]
-        if k % 3 == 1:
-            vals[5] = None
-        if k % 2 == 1:
-            vals[6] = None
-        if k == 7:
-            vals[1] = None
-        records.append(DiagnosticsRecord(*vals))
-    path = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(records, str(path))
-    lines = [DIAG_HEADER] + [
-        ",".join(fmt(getattr(rec, f)) for f in DIAG_HEADER.split(","))
-        for rec in records]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    for absent in ((), ("sup_phi",), ("barrier_margin",),
+                   ("sup_phi", "barrier_margin")):
+        records = {name: np.array([cells[(k + j) % len(cells)]
+                                   for k in range(12)], dtype=float)
+                   for j, name in enumerate(COLUMNS) if name not in absent}
+        path = tmp_path / "diagnostics.csv"
+        write_diagnostics_csv(records, str(path))
+        lines = [",".join(COLUMNS)] + [
+            ",".join(fmt(records[name][k] if name in records else None)
+                     for name in COLUMNS) for k in range(12)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_snapshot_writer_on_two_grids(tmp_path):
@@ -948,16 +989,34 @@ def test_snapshot_writer_on_two_grids(tmp_path):
 def test_diagnostics_writer_over_several_chunks(tmp_path):
     rng = np.random.default_rng(11)
     rows = textfmt.CHUNK_VALUES // 7 * 3 + 5  # four formatting passes
-    records = [DiagnosticsRecord(*(rng.standard_normal(5) * 10.0 ** k),
-                                 sup_phi=None if k % 4 else 1.0 + k)
-               for k in rng.integers(-40, 40, rows).tolist()]
+    scale = 10.0 ** rng.integers(-40, 40, rows)
+    records = {name: rng.standard_normal(rows) * scale
+               for name in COLUMNS if name != "barrier_margin"}
     path = tmp_path / "diagnostics.csv"
     write_diagnostics_csv(records, str(path))
-    lines = [DIAG_HEADER] + [",".join(fmt(c) for c in rec) for rec in records]
+    lines = [",".join(COLUMNS)] + [
+        ",".join(fmt(c) for c in row) + "," for row in zip(*records.values())]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert read_diagnostics_csv(str(path)) == records
-    write_diagnostics_csv([], str(path))
-    assert path.read_bytes() == (DIAG_HEADER + "\n").encode()
+    read = read_diagnostics_csv(str(path))
+    assert read.keys() == records.keys()
+    assert all(np.array_equal(read[name], records[name]) for name in read)
+    write_diagnostics_csv({name: np.empty(0) for name in COLUMNS}, str(path))
+    assert path.read_bytes() == (",".join(COLUMNS) + "\n").encode()
+
+
+def test_a_nan_in_a_recorded_column_is_not_a_blank_cell(tmp_path):
+    # a NaN the run recorded is written as `nan` and reads back as NaN; a
+    # column the run does not record is blank and absent once read
+    records = {name: np.array([0.5, np.nan, 2.0]) for name in COLUMNS
+               if name != "sup_phi"}
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(records, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[2] == "nan,nan,nan,nan,nan,,nan"
+    read = read_diagnostics_csv(str(path))
+    assert tuple(read) == tuple(records)
+    assert np.isnan(read["barrier_margin"][1])
+    assert read["barrier_margin"][[0, 2]].tolist() == [0.5, 2.0]
 
 
 def test_no_lift_off_artifacts_with_monitor_columns(tmp_path):
@@ -976,9 +1035,8 @@ def test_no_lift_off_artifacts_with_monitor_columns(tmp_path):
     path = write_config(tmp_path, "nlo.json", cfg)
     assert main(["simulate", path]) == 0
     recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
-    assert all(r.sup_phi is not None and r.barrier_margin is not None
-               for r in recs)
-    assert all(r.barrier_margin > 0 for r in recs)
+    assert tuple(recs) == COLUMNS
+    assert np.all(recs["barrier_margin"] > 0)
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["ricci_constant"] > 0
 
@@ -990,6 +1048,7 @@ def test_sweep_nested_balls(tmp_path, capsys):
     assert "max difference" in capsys.readouterr().out
     summary = json.load(open(os.path.join(out, "sweep_summary.json")))
     assert len(summary["rows"]) == 1
+    assert "halt_messages" not in summary  # only sweeps with a halted run
 
 
 def nested_config(out_dir):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mcflow.barriers import build_outer_barrier
-from mcflow.diagnostics import (DiagnosticsRecord, InsufficientDataError,
+from mcflow.diagnostics import (COLUMNS, InsufficientDataError, RecordPlan,
                                 barrier_margin, decay_exponent_fit,
-                                field_norms, h1_decay_check,
+                                field_norms, h1_decay_check, make_record,
                                 max_boundary_slope, max_principle_check,
                                 phi_supremum, rise_check)
 from mcflow.fields import line_field, radial_field
@@ -18,9 +18,9 @@ from mcflow.solver import FlowTrajectory, SolverConfig, run_flow
 def records_from(ts, sups, l2s=None, h1s=None):
     l2s = l2s if l2s is not None else np.zeros_like(ts)
     h1s = h1s if h1s is not None else np.zeros_like(ts)
-    return [DiagnosticsRecord(t=float(t), sup_u=float(s), grad_max=0.0,
-                              l2=float(l), h1_grad=float(g))
-            for t, s, l, g in zip(ts, sups, l2s, h1s)]
+    return {"t": np.asarray(ts, float), "sup_u": np.asarray(sups, float),
+            "grad_max": np.zeros(len(ts)), "l2": np.asarray(l2s, float),
+            "h1_grad": np.asarray(h1s, float)}
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_phi_monotone_on_curved_run():
         lambda r: 0.3 * (1 - smooth_cutoff(1.0, 2.0, r)) * smooth_cutoff(3.0, 5.0, r))
     cfg = SolverConfig(h=0.05, t_end=2.0, snapshot_every=1.0, record_every=0.1)
     traj = run_flow(metric, fld, cfg, phi_params=(c, 1.0 / c))
-    phis = [rec.sup_phi for rec in traj.records]
+    phis = traj.records["sup_phi"]
     assert all(b <= a + 1e-6 for a, b in zip(phis, phis[1:]))
     assert all(p >= np.exp(1.0 / c) - 1e-12 for p in phis)
 
@@ -201,15 +201,24 @@ def test_h1_decay_check():
     assert rep["worst"] > 1.1
 
 
-def test_record_fields_defaults_and_immutability():
-    rec = DiagnosticsRecord(0.5, 1.0, 0.25, 2.0, 3.0)
-    assert DiagnosticsRecord._fields == ("t", "sup_u", "grad_max", "l2",
-                                         "h1_grad", "sup_phi",
-                                         "barrier_margin")
-    assert rec.sup_phi is None and rec.barrier_margin is None
-    assert rec == DiagnosticsRecord(t=0.5, sup_u=1.0, grad_max=0.25, l2=2.0,
-                                    h1_grad=3.0, sup_phi=None,
-                                    barrier_margin=None)
-    assert DiagnosticsRecord(*rec[:5], 4.0, -1.0).barrier_margin == -1.0
-    with pytest.raises(AttributeError):
-        rec.t = 1.0
+def test_a_plan_records_the_columns_it_is_configured_for():
+    # the five norms always, the tilt monitor and the barrier margin only
+    # when configured; a block has a row per time, a column per name
+    metric = conformal_metric(3, a=0.5, tau=1.0)
+    fld = radial_field(0.5, 20.0, 0.05, lambda r: 0.1 * np.exp(-r))
+    profile = build_outer_barrier(3, r1_min=2.0, h=1.0, eps=0.05,
+                                  metric=metric)
+    assert COLUMNS == ("t", "sup_u", "grad_max", "l2", "h1_grad", "sup_phi",
+                       "barrier_margin")
+    rows = np.stack([fld.values, 0.5 * fld.values, 0.25 * fld.values])
+    for phi, barrier, columns in (
+            (None, None, COLUMNS[:5]),
+            ((0.1, 10.0), None, COLUMNS[:6]),
+            (None, profile, COLUMNS[:5] + ("barrier_margin",)),
+            ((0.1, 10.0), profile, COLUMNS)):
+        plan = RecordPlan(fld, metric, phi, barrier)
+        assert plan.columns == columns
+        block = make_record(plan, rows, [0.0, 0.5, 1.0])
+        assert block.shape == (3, len(columns))
+        assert block[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert np.all(np.diff(block[:, 1]) < 0)  # sup|u| halves, row by row

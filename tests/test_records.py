@@ -51,26 +51,29 @@ def reference_record(field, metric, t, phi_params=None, profile=None):
         weight = np.ones_like(r)
     l2 = float(np.sqrt(np.trapezoid(field.values ** 2 * weight, dx=field.h)))
     h1 = float(np.sqrt(np.trapezoid((du / w) ** 2 * weight, dx=field.h)))
-    sup_phi = margin = None
+    record = {"t": t, "sup_u": sup_u, "grad_max": grad_max, "l2": l2,
+              "h1_grad": h1}
     if phi_params is not None:
         lam, mu = phi_params
         p = np.abs(reference_gradient(field)) / metric.w(field.radii())
         assert not np.any(p * p >= 1.0 - TOL_SPACELIKE)
         v = 1.0 / np.sqrt(1.0 - p * p)
-        sup_phi = float(np.max(v * np.exp(mu * np.exp(lam * field.values))))
+        record["sup_phi"] = float(np.max(
+            v * np.exp(mu * np.exp(lam * field.values))))
     if profile is not None:
         outside = r >= profile.r0
-        margin = float(np.min(profile.value(r[outside])
-                              - np.abs(field.values[outside])))
-    return diagnostics.DiagnosticsRecord(t=t, sup_u=sup_u, grad_max=grad_max,
-                                         l2=l2, h1_grad=h1, sup_phi=sup_phi,
-                                         barrier_margin=margin)
+        record["barrier_margin"] = float(np.min(
+            profile.value(r[outside]) - np.abs(field.values[outside])))
+    return record
+
+
+def record_rows(records):
+    """A run's records, one {name: value} per record time."""
+    return [dict(zip(records, values)) for values in zip(*records.values())]
 
 
 def bits(record):
-    return [None if x is None else float(x).hex()
-            for x in (record.t, record.sup_u, record.grad_max, record.l2,
-                      record.h1_grad, record.sup_phi, record.barrier_margin)]
+    return {name: float(x).hex() for name, x in record.items()}
 
 
 def load(name, **solver):
@@ -108,19 +111,19 @@ def curved_run():
 def test_plan_records_match_the_formulas_bit_for_bit(run):
     traj, metric, phi, profile = run()
     # snapshots share the record cadence: one state per record
-    assert [t for t, _ in traj.snapshots] == [rec.t for rec in traj.records]
-    assert len(traj.records) >= 9
-    for rec, (t, fld) in zip(traj.records, traj.snapshots):
+    assert [t for t, _ in traj.snapshots] == traj.records["t"].tolist()
+    assert len(traj.records["t"]) >= 9
+    for rec, (t, fld) in zip(record_rows(traj.records), traj.snapshots):
         assert bits(rec) == bits(reference_record(fld, metric, t, phi, profile))
         # the public functions are calls into a plan: the same bits
         assert [float(x).hex() for x in diagnostics.field_norms(fld, metric)] \
-            == bits(rec)[1:5]
+            == [bits(rec)[name] for name in diagnostics.COLUMNS[1:5]]
         if phi is not None:
             assert diagnostics.phi_supremum(fld, metric, *phi).hex() \
-                == bits(rec)[5]
+                == bits(rec)["sup_phi"]
         if profile is not None:
             assert diagnostics.barrier_margin(fld, profile).hex() \
-                == bits(rec)[6]
+                == bits(rec)["barrier_margin"]
 
 
 @pytest.mark.parametrize("run", [decay_line_run, axis_ball_run, curved_run])
@@ -146,9 +149,9 @@ def test_plan_matches_the_formulas_on_signed_data(kind):
                 bc=grid.bc)
     phi = (0.0, 0.5)  # lambda = 0 admits data of both signs
     plan = diagnostics.RecordPlan(fld, metric, phi, profile)
-    record, = diagnostics.make_record(plan, fld.values[None], [0.25])
-    assert bits(record) == bits(reference_record(fld, metric, 0.25, phi,
-                                                 profile))
+    block = diagnostics.make_record(plan, fld.values[None], [0.25])
+    assert bits(dict(zip(plan.columns, block[0]))) == bits(reference_record(
+        fld, metric, 0.25, phi, profile))
 
 
 def test_plan_validates_the_monitor_once_and_the_data_per_record():
@@ -179,23 +182,23 @@ def test_a_later_row_whose_tilt_overflows_names_its_time(phi, scale, shift):
     u0 = build_field_from_config(cfg, "radial")
     plan = diagnostics.RecordPlan(u0, cfg.metric, phi_params=phi)
     rows = np.array([scale * u0.values, u0.values + shift])
-    traj = solver.FlowTrajectory()
+    blocks = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(solver.RecordError,
                            match=r"^state at t = 0\.75: tilt monitor "
                                  r"overflows") as exc:
-            solver._record(traj, plan, solver._Engine(u0, cfg.metric),
+            solver._record(blocks, plan, u0, solver._Engine(u0, cfg.metric),
                            [0.5, 0.75], rows, np.diff(rows, axis=1))
     assert f"lambda = {phi[0]:g}, mu = {phi[1]:g}" in str(exc.value)
-    assert [rec.t for rec in traj.records] == [0.5]
-    assert np.isfinite(traj.records[0].sup_phi)
+    assert [block[0, 0] for block in blocks] == [0.5]
+    assert np.isfinite(blocks[0][0, plan.columns.index("sup_phi")])
 
 
 def test_recorded_state_with_unit_node_slope_raises(monkeypatch):
-    # a state whose node-to-node slope |u_{i+1} - u_i|/h reaches 1 breaks
-    # a Field's invariant, so its record raises; the state is steepened
-    # after each accepted step
+    # a state whose node-to-node slope |u_{i+1} - u_i|/(h w) reaches 1 is
+    # not spacelike in the metric, so its record raises; the state is
+    # steepened after each accepted step
     original = solver._Engine.super_step
 
     def steepen(engine, *args, **kwargs):
@@ -310,7 +313,7 @@ def test_batched_records_match_the_formulas_bit_for_bit(run, monkeypatch):
     assert traj.termination == "reached_t_end"
     grid = traj.snapshots[0][1]
     batches = [entry for entry in log if entry is not None]
-    assert sum(len(times) for _, times in batches) == len(traj.records)
+    assert sum(len(times) for _, times in batches) == len(traj.records["t"])
     cap = diagnostics.batch_rows(grid.nodes.size)
     largest = max(len(times) for _, times in batches)
     # the line's 8,001 nodes are recorded a row at a time
@@ -320,7 +323,7 @@ def test_batched_records_match_the_formulas_bit_for_bit(run, monkeypatch):
         sizes = [0 if entry is None else len(entry[1]) for entry in log]
         assert any(sizes[i:i + 2] == [0, cap] and sizes[i + 2] > 1
                    for i in range(len(sizes) - 2))
-    records = iter(traj.records)
+    records = iter(record_rows(traj.records))
     for rows, times in batches:
         for row, t in zip(rows, times):
             assert bits(next(records)) == bits(reference_record(

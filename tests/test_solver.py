@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mcflow import solver
 from mcflow.barriers import maximal_slope, supersolution_height
-from mcflow.fields import Field, line_field, radial_field
+from mcflow.fields import Field, check_node_slopes, line_field, radial_field
 from mcflow.geometry import (DomainError, SpacelikeViolationError,
                              conformal_metric, euclidean_metric)
 from mcflow.initial_data import smooth_cutoff
@@ -31,11 +31,13 @@ def test_field_validation():
     with pytest.raises(ValueError):
         Field(kind="line", nodes=np.arange(3.0), values=np.zeros(3), h=1.0,
               bc=("axis_symmetry", "dirichlet_zero"))
-    with pytest.raises(ValueError):
-        # node-to-node slope 1 breaks the spacelike invariant
-        Field(kind="line", nodes=np.arange(3.0),
-              values=np.array([0.0, 1.0, 2.0]), h=1.0,
-              bc=("dirichlet_zero",) * 2)
+    # node-to-node slope 1 is not spacelike: `check_node_slopes` says so,
+    # by the metric's rule, not the grid
+    steep = Field(kind="line", nodes=np.arange(3.0),
+                  values=np.array([0.0, 1.0, 2.0]), h=1.0,
+                  bc=("dirichlet_zero",) * 2)
+    with pytest.raises(ValueError, match="slope 1 >= 1 between x = 0 and 1"):
+        check_node_slopes(steep, None)
     # axis tag only at r = 0
     with pytest.raises(ValueError):
         Field(kind="radial", nodes=np.array([1.0, 2.0, 3.0]),
@@ -369,7 +371,7 @@ def test_run_flow_bump_sup_monotone():
                        record_every=0.1)
     fld = line_field(-20.0, 20.0, 0.05, gaussian(0.5, 1.0))
     traj = run_flow(euclidean_metric(1), fld, cfg)
-    sups = [rec.sup_u for rec in traj.records]
+    sups = traj.records["sup_u"]
     assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
     assert sups[-1] < 0.5
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from mcflow import diagnostics, geometry, solver
+from mcflow.barriers import build_outer_barrier
 from mcflow.fields import Field
 from mcflow.geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                              SpacelikeViolationError, euclidean_metric,
@@ -613,7 +614,7 @@ def test_records_cost_no_evaluation_and_do_not_move_the_steps(monkeypatch):
         runs[record_every] = traj, len(rhs)
         monkeypatch.undo()
     (sparse, sparse_rhs), (dense, dense_rhs) = runs[10.0], runs[0.01]
-    assert len(sparse.records) == 3 and len(dense.records) == 2001
+    assert len(sparse.records["t"]) == 3 and len(dense.records["t"]) == 2001
     assert dense.steps == sparse.steps and dense_rhs == sparse_rhs
     for (t, fld), (t_dense, fld_dense) in zip(sparse.snapshots,
                                               dense.snapshots):
@@ -646,7 +647,42 @@ def test_record_times_and_count_follow_the_cadence(name, kind, t_end):
                         config)
     assert traj.termination == "reached_t_end"
     expected = cadence_times(config.record_cadence, t_end)
-    assert [rec.t for rec in traj.records] == expected
+    assert traj.records["t"].tolist() == expected
+    assert tuple(traj.records) == diagnostics.COLUMNS[:5]  # no monitor
+    assert all(len(column) == len(expected)
+               for column in traj.records.values())
+
+
+@pytest.mark.parametrize("halt", [False, True])
+def test_records_hold_the_plan_columns_whether_or_not_a_run_halts(
+        halt, monkeypatch):
+    # with the tilt monitor and the barrier: every column, each a value per
+    # record, on the reached-t_end path and on the halted one (a violation
+    # from the 40th super-step on)
+    cfg = load_config("no_lift_off.json")
+    u0 = build_field_from_config(cfg, "radial")
+    profile = build_outer_barrier(3, r1_min=5.0, h=0.3, eps=0.05,
+                                  metric=cfg.metric)
+    config = replace(cfg.solver, t_end=2.0, record_every=0.01,
+                     snapshot_every=1.0)
+    if halt:
+        rkl2, calls = solver._Engine.rkl2, []
+
+        def violation(engine, tau, dt_fe):
+            calls.append(tau)
+            if len(calls) >= 40:
+                raise SpacelikeViolationError("spacelikeness lost: injected")
+            return rkl2(engine, tau, dt_fe)
+        monkeypatch.setattr(solver._Engine, "rkl2", violation)
+    traj = run_flow(cfg.metric, u0, config, phi_params=(0.1, 10.0),
+                    barrier=profile)
+    assert traj.termination == ("spacelike_violation" if halt
+                                else "reached_t_end")
+    assert tuple(traj.records) == diagnostics.COLUMNS
+    count = len(traj.records["t"])
+    assert count >= 5 if halt else count == 201
+    assert all(column.shape == (count,) for column in traj.records.values())
+    assert traj.records["t"][-1] == traj.final_time
 
 
 def test_records_at_snapshot_marks_are_the_engine_state():
@@ -655,14 +691,15 @@ def test_records_at_snapshot_marks_are_the_engine_state():
     config = replace(cfg.solver, t_end=10.0, record_every=0.05,
                      snapshot_every=1.0)
     traj = run_flow(cfg.metric, u0, config)
-    by_time = {rec.t: rec for rec in traj.records}
+    rows = np.column_stack(list(traj.records.values()))
+    by_time = {row[0]: row for row in rows}
     plan = solver.diagnostics.RecordPlan(u0, cfg.metric)
     assert len(traj.snapshots) == 11
     for t, fld in traj.snapshots:
         expected, = solver.diagnostics.make_record(plan, fld.values[None],
                                                    [t])
-        assert [float(x).hex() for x in by_time[t] if x is not None] \
-            == [float(x).hex() for x in expected if x is not None]
+        assert [x.hex() for x in by_time[t].tolist()] \
+            == [x.hex() for x in expected.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +808,8 @@ def test_record_error_names_the_first_failing_row_of_a_batch(first,
             curved_monitor_run()
         messages[batch_values] = str(exc.value)
         monkeypatch.undo()
-    expected = ("node-to-node slope" if first == "slope"
+    expected = ("not spacelike in the metric: node-to-node slope"
+                if first == "slope"
                 else "monitor needs min u >= 0")
     assert messages[1] == messages[diagnostics.BATCH_VALUES]
     assert messages[1].startswith(f"state at t = {t_first:.6g}: {expected}")
@@ -866,4 +904,6 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
     assert len(whole.snapshots) == len(windowed.snapshots)
     for (t_w, f_w), (t, f) in zip(windowed.snapshots, whole.snapshots):
         assert t_w == t and f_w.values.tobytes() == f.values.tobytes()
-    assert repr(windowed.records) == repr(whole.records)
+    assert windowed.records.keys() == whole.records.keys()
+    assert all(windowed.records[name].tobytes()
+               == whole.records[name].tobytes() for name in whole.records)

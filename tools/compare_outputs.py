@@ -4,9 +4,10 @@
 
 Runs, once under a `git archive` of REV and once under the working tree:
 the six shipped configs (`sweep` for the two sweeps, `simulate` for the
-others), a sweep of curved balls, `mcflow verify`, and the benchmark
-workloads' configs at seeds 0 and 3, as `perfbench/workloads.py` of the
-working tree generates them.
+others), a sweep of curved balls, three no_lift_off variants that stop
+before t_end or at the config pass (see `no_lift_off_variants`),
+`mcflow verify`, and the benchmark workloads' configs at seeds 0 and 3, as
+`perfbench/workloads.py` of the working tree generates them.
 Both sides run the same config files, from the same relative paths, so
 their stdout and stderr can be compared as they are.  Prints every
 difference in exit code, stdout, stderr and the files each run writes,
@@ -39,6 +40,8 @@ def configs() -> dict:
             runs[name] = ("sweep" if name in SWEEPS else "simulate",
                           json.load(fh))
     runs["curved_ball_sweep"] = ("sweep", curved_ball_sweep())
+    for name, raw in no_lift_off_variants().items():
+        runs[name] = ("simulate", raw)
     for name, spec in workloads.WORKLOADS.items():
         for seed in SEEDS:
             runs[f"{name}_seed{seed}"] = (
@@ -61,6 +64,31 @@ def curved_ball_sweep() -> dict:
                            "rise": [1.0, 2.0], "fall": [2.5, 3.5]}
     raw["solver"]["t_end"] = 8.0
     return raw
+
+
+def no_lift_off_variants() -> dict:
+    """configs/no_lift_off.json with:
+    - `record_dip`: records every 0.002 through t = 0.1, one of them where
+      the dense-output interpolant dips below the tilt monitor's floor
+      (exit 3 since dense output)
+    - `record_inner_end_n40`: metric.n 40 through t = 0.075, records every
+      0.005 and snapshots every 0.025; a record reads |u'|/w > 1 at the
+      inner end (exit 3)
+    - `steep_flat_bump`: a bump of height 0.15 rising on [0.6, 0.8]
+      through t = 1, its flat slope 1.19 but its slope in the metric 0.70
+      (a config error while the flat slope was checked)"""
+    with open(os.path.join(ROOT, "configs", "no_lift_off.json")) as fh:
+        text = fh.read()
+    variants = {name: json.loads(text) for name in (
+        "record_dip", "record_inner_end_n40", "steep_flat_bump")}
+    variants["record_dip"]["solver"].update(t_end=0.1, record_every=0.002)
+    variants["record_inner_end_n40"]["metric"]["n"] = 40
+    variants["record_inner_end_n40"]["solver"].update(
+        t_end=0.075, record_every=0.005, snapshot_every=0.025)
+    variants["steep_flat_bump"]["initial_data"].update(height=0.15,
+                                                       rise=[0.6, 0.8])
+    variants["steep_flat_bump"]["solver"]["t_end"] = 1.0
+    return variants
 
 
 def tree(path: str) -> dict:
