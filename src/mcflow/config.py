@@ -42,6 +42,8 @@ MAX_NODES = 1_000_000
 MAX_RECORDS = 1_000_000
 #: Most snapshot values a run holds: snapshots times nodes of its grids.
 MAX_SNAPSHOT_VALUES = 100_000_000
+#: The file of a run's snapshot at time t, which no other snapshot shares.
+SNAPSHOT_NAME = "t{:.6f}.csv"
 #: Least `translating.mu` (exclusive): above it the cone's flat identity
 #: holds to SAMPLE_TOL (worst 4.0e-13 at 1e-6, 2.5e-12 at 1e-8; n = 1).
 MIN_TRANSLATING_MU = 1e-6
@@ -317,7 +319,7 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
     """Raise ConfigError unless each grid the scenario builds holds 3 to
     MAX_NODES nodes, starting at r_min or above when radial, with w^2 and
     1/w^2 in the float range on it, and the run's snapshots are within
-    MAX_RECORDS and MAX_SNAPSHOT_VALUES."""
+    MAX_RECORDS and MAX_SNAPSHOT_VALUES and get distinct file names."""
     h = solver.h
     # (field, far end) per grid; a ball of radius R ends at R^2 (inf if huge)
     ends = [("sweep.values", float(v) * float(v)) for v in sweep or ()]
@@ -352,12 +354,24 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
                           f"= {min(sweep) / 2.0:g} holds no node")
     # a nested-ball study keeps every ball's run; other runs one grid each
     held = sum(nodes) if scenario == "nested_balls" else max(nodes, default=0)
-    snapshots = solver.t_end / solver.snapshot_cadence
+    snapshots = solver.snapshot_marks
     if snapshots > MAX_RECORDS or snapshots * held > MAX_SNAPSHOT_VALUES:
         raise ConfigError("solver.snapshot_every", f"t_end / snapshot_every = "
                           f"{snapshots:.4g} snapshots of {held:.4g} nodes; the "
                           f"caps are {MAX_RECORDS} snapshots and "
                           f"{MAX_SNAPSHOT_VALUES} values")
+    if scenario == "nested_balls":  # the one flow that writes no snapshot
+        return
+    # a snapshot at t = 0, at each mark k * cadence that ends a step before
+    # t_end, and at t_end; names rise with t, so only neighbours can clash
+    marks = solver.snapshot_cadence * np.arange(1.0, int(snapshots) + 2.0)
+    times = [0.0, *marks[marks < solver.t_end - 1e-12].tolist(), solver.t_end]
+    names = [SNAPSHOT_NAME.format(t) for t in times]
+    for i in range(1, len(names)):
+        if names[i] == names[i - 1]:
+            raise ConfigError("solver.snapshot_every", f"snapshots at t = "
+                              f"{times[i - 1]!r} and {times[i]!r} share the "
+                              f"file name {names[i]}")
 
 
 def _flow_fields(cfg: dict, scenario: str, metric, sweep) -> dict:

@@ -215,9 +215,9 @@ def decay_exponent_fit(records, window: tuple) -> dict:
 def max_boundary_slope(trajectory) -> float:
     """Largest outer-boundary |u'| over the snapshots, one-sided second
     order (the ball problem's metric is flat there); NaN if any is."""
-    return float(np.max([
-        abs(3.0 * fld.values[-1] - 4.0 * fld.values[-2] + fld.values[-3])
-        / (2.0 * fld.h) for _, fld in trajectory.snapshots]))
+    u = trajectory.snapshots
+    return float(np.max(np.abs(3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3])
+                        / (2.0 * trajectory.field.h)))
 
 
 #: Largest rise of sup|u| between records that `max_principle_check` passes.

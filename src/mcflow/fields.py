@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +52,6 @@ class Field:
                         and abs(self.nodes[0]) < 1e-14):
                     raise ValueError("axis_symmetry is only valid at r = 0 of a "
                                      "radial grid")
-
-    def with_values(self, values) -> "Field":
-        """This grid holding a copy of `values`, without repeating the
-        grid's checks: a snapshot costs a copy, not a construction.  Values
-        are spacelike by the metric's rule, which `check_node_slopes`
-        checks, never by a Field."""
-        if np.shape(values) != self.nodes.shape:
-            raise ValueError("values and nodes must have matching shapes")
-        out = copy.copy(self)  # no __init__: the checks are not repeated
-        object.__setattr__(out, "values", np.array(values, dtype=float))
-        return out
 
     @property
     def axis(self) -> bool:

@@ -26,8 +26,8 @@ from .barriers import (EQUALITY_SLACK, BarrierConstructionError,
                        build_outer_barrier, supersolution_profile_derivs,
                        translating_barrier_certificate,
                        verify_static_supersolution)
-from .config import (LINE_SCENARIOS, ConfigError, ScenarioConfig,
-                     build_field_from_config)
+from .config import (LINE_SCENARIOS, SNAPSHOT_NAME, ConfigError,
+                     ScenarioConfig, build_field_from_config)
 from .fields import Field
 from .geometry import DomainError, RadialMetric, ricci_form_bound
 from .initial_data import decay_radius
@@ -95,19 +95,18 @@ def read_diagnostics_csv(path: str) -> dict:
 
 
 def write_snapshot_csvs(trajectory: FlowTrajectory, directory: str):
-    """One `x,u` or `r,u` CSV per snapshot, named by its time.
+    """One `x,u` or `r,u` CSV per snapshot, named by `SNAPSHOT_NAME`.
 
     Cells are written as `fmt` writes them, by `textfmt.format_pairs`,
     which formats the nodes once: a run's snapshots share one grid.
     """
     from . import textfmt  # on first write: `import mcflow` stays as fast
     os.makedirs(directory, exist_ok=True)
-    snapshots = trajectory.snapshots
-    texts = textfmt.format_pairs(snapshots[0][1].nodes,
-                                 (fld.values for _, fld in snapshots))
-    for (t, fld), pieces in zip(snapshots, texts):
-        with open(os.path.join(directory, f"t{t:.6f}.csv"), "wb") as fh:
-            fh.write(b"x,u\n" if fld.kind == "line" else b"r,u\n")
+    grid = trajectory.field
+    texts = textfmt.format_pairs(grid.nodes, trajectory.snapshots)
+    for t, pieces in zip(trajectory.times.tolist(), texts):
+        with open(os.path.join(directory, SNAPSHOT_NAME.format(t)), "wb") as fh:
+            fh.write(b"x,u\n" if grid.kind == "line" else b"r,u\n")
             fh.writelines(pieces)
 
 
@@ -158,7 +157,7 @@ def _line_integral_checks(traj: FlowTrajectory):
 def _summarize(traj: FlowTrajectory) -> dict:
     records = traj.records
     summary = {"termination": traj.termination, "steps": traj.steps,
-               "final_time": traj.final_time,
+               "final_time": float(traj.times[-1]),
                "final_sup_u": float(records["sup_u"][-1]),
                "final_l2": float(records["l2"][-1]),
                "initial_grad_max": float(records["grad_max"][0]),
@@ -256,13 +255,10 @@ def run_dirichlet_case(cfg: ScenarioConfig, R: float) -> tuple:
                    "bound_slope": bound["bound_slope"]})
     # domination by the shifted profile on [r0, R^2): both are 0 at R^2
     shift = profile.value(R * R)
-    margins = [np.inf]
-    for _, fld in traj.snapshots:
-        nodes, values = fld.nodes[:-1], fld.values[:-1]
-        mask = nodes >= profile.r0
-        margins.append(np.min(profile.value(nodes[mask]) - shift
-                              - np.abs(values[mask]), initial=np.inf))
-    worst = float(np.min(margins))  # a NaN margin fails
+    inside = np.flatnonzero(traj.field.nodes[:-1] >= profile.r0)
+    margins = (profile.value(traj.field.nodes[inside]) - shift
+               - np.abs(traj.snapshots[:, inside]))
+    worst = float(np.min(margins, initial=np.inf))  # a NaN margin fails
     checks.append({"name": "dirichlet_domination",
                    "pass": bool(worst >= -1e-12), "worst_margin": worst})
     summary = _summarize(traj)
@@ -472,16 +468,15 @@ def run_nested_sweep(cfg: ScenarioConfig) -> dict:
                                         cfg.solver))
     rows = []
     for i, (small, large) in enumerate(zip(runs, runs[1:])):
-        diffs = [0.0]
-        for (t_s, f_s), (t_l, f_l) in zip(small.snapshots, large.snapshots):
-            if abs(t_s - t_l) > 1e-9 * max(1.0, t_s):
-                continue
-            m = f_s.nodes <= window + u0.h / 2.0
-            diffs.append(np.max(np.abs(f_s.values[m]
-                                       - f_l.values[:m.sum()])))
+        m = np.count_nonzero(small.field.nodes <= window + u0.h / 2.0)
+        k = min(len(small.times), len(large.times))
+        t_s = small.times[:k]
+        same = ~(np.abs(t_s - large.times[:k]) > 1e-9 * np.maximum(1.0, t_s))
+        diffs = np.abs(small.snapshots[:k][same, :m]
+                       - large.snapshots[:k][same, :m])
         rows.append({"R_small": float(R_values[i]),
                      "R_large": float(R_values[i + 1]), "window": window,
-                     "max_difference": float(np.max(diffs))})
+                     "max_difference": float(np.max(diffs, initial=0.0))})
     diffs = [row["max_difference"] for row in rows]
     decrease = all(b <= a for a, b in zip(diffs[:-1], diffs[1:]))
     terminations = [traj.termination for traj in runs]

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,25 +134,23 @@ class SolverConfig:
     def record_cadence(self) -> float:
         return self.record_every if self.record_every else self.snapshot_cadence
 
+    @property
+    def snapshot_marks(self) -> float:  # sizes and caps the snapshots
+        return self.t_end / self.snapshot_cadence
+
 
 @dataclass
 class FlowTrajectory:
-    """Time-ordered snapshots plus the diagnostics records: a column per
-    name the run records (`diagnostics.COLUMNS`), a value per record."""
+    """A run on the grid of `field` (its start state): `snapshots`, a row of
+    values per time of `times`, and `records`, a column per recorded name."""
 
-    snapshots: list = dc_field(default_factory=list)
-    records: dict = dc_field(default_factory=dict)
+    field: Field
+    times: np.ndarray
+    snapshots: np.ndarray
+    records: dict
     termination: str = "reached_t_end"
     steps: int = 0
     message: str = ""  # why a numeric failure halted the run
-
-    @property
-    def final_field(self) -> Field:
-        return self.snapshots[-1][1]
-
-    @property
-    def final_time(self) -> float:
-        return self.snapshots[-1][0]
 
 
 class _Engine:
@@ -550,7 +548,7 @@ def _step(field: Field, metric, n, config: SolverConfig, dt_cap):
     engine = _Engine(field, metric, n)
     dt, _ = engine.super_step(None, math.inf if dt_cap is None else dt_cap,
                               config.cfl_safety, math.inf)
-    return field.with_values(engine.u), dt
+    return replace(field, values=engine.u.copy()), dt  # u is a scratch row
 
 
 def step_1d(field: Field, config: SolverConfig, dt_cap: float | None = None):
@@ -592,6 +590,7 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
 
     Only snapshot marks and t_end end a step.  A record strictly inside a
     step comes from the step's interpolant, one at its end from the state.
+    A halted or step-capped run records and snapshots where it stopped.
     Raises ValueError, before any step or record, when the data with their
     pinned ends at zero are not spacelike in the metric (`check_node_slopes`).
     """
@@ -600,12 +599,12 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
         u[0] = 0.0
     if field.bc[1] == "dirichlet_zero":
         u[-1] = 0.0
-    engine = _Engine(field.with_values(u), metric)
+    field = replace(field, values=u)
+    engine = _Engine(field, metric)
     check_node_slopes(field, engine.hw_mid, engine.d, engine.slope)
     plan = diagnostics.RecordPlan(field, metric, phi_params, barrier)
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
     tau = None
-    traj = FlowTrajectory()
     blocks = []
     # not a closure: one that calls itself is a reference cycle, which
     # keeps the run's buffers alive until the next garbage collection
@@ -614,18 +613,27 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     def record_state(t):
         record([t], engine.u[None], engine.d[None])
 
+    # t = 0, the marks, the end or stop state, and a row for rounding
+    table = np.empty((int(config.snapshot_marks) + 3, u.size))
+    times = []
+
+    def snapshot(t):
+        table[len(times)] = engine.u
+        times.append(t)
+
     rec_cad = config.record_cadence
     snap_cad = config.snapshot_cadence
     t = 0.0
     record_state(t)
-    traj.snapshots.append((t, field.with_values(engine.u)))
+    snapshot(t)
     next_rec = rec_cad
     next_snap = snap_cad
     steps = 0
+    termination, message = "reached_t_end", ""
     try:
         while t < config.t_end - 1e-12:
             if steps >= config.max_steps:
-                traj.termination = "step_cap"
+                termination = "step_cap"
                 break
             mark = min(next_snap, config.t_end)
             start = t
@@ -637,33 +645,33 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
                 inside.append(next_rec)
                 next_rec = (np.floor(next_rec / rec_cad + 0.5) + 1.0) * rec_cad
             for first in range(0, len(inside), engine.batch):
-                times = inside[first:first + engine.batch]
-                record(times, *engine.interpolate(
-                    [(s - start) / dt for s in times], dt))
+                at = inside[first:first + engine.batch]
+                record(at, *engine.interpolate(
+                    [(s - start) / dt for s in at], dt))
             hit_rec = t >= next_rec - 1e-12
             hit_snap = t >= next_snap - 1e-12
             if hit_rec or t >= config.t_end - 1e-12:
                 record_state(t)
             if hit_snap or t >= config.t_end - 1e-12:
-                traj.snapshots.append((t, field.with_values(engine.u)))
+                snapshot(t)
             if hit_rec:
                 next_rec = (np.floor(t / rec_cad + 0.5) + 1.0) * rec_cad
             if hit_snap:
                 next_snap = (np.floor(t / snap_cad + 0.5) + 1.0) * snap_cad
-        else:
-            traj.termination = "reached_t_end"
     except (NonFiniteError, SpacelikeViolationError) as exc:
-        traj.termination = ("non_finite" if isinstance(exc, NonFiniteError)
-                            else "spacelike_violation")
-        traj.message = str(exc)
+        termination = ("non_finite" if isinstance(exc, NonFiniteError)
+                       else "spacelike_violation")
+        message = str(exc)
+    if termination != "reached_t_end":
         try:
             record_state(t)
         except RecordError as err:
-            raise RecordError(f"{err} (the run had halted: {exc})") from err
-        traj.snapshots.append((t, field.with_values(engine.u)))
-    traj.records = dict(zip(plan.columns, np.concatenate(blocks).T))
-    traj.steps = steps
-    return traj
+            raise RecordError(f"{err} (the run had halted: "
+                              f"{message or termination})") from err
+        snapshot(t)
+    return FlowTrajectory(field, np.array(times), table[:len(times)],
+                          dict(zip(plan.columns, np.concatenate(blocks).T)),
+                          termination, steps, message)
 
 
 def run_flow(metric, u0: Field, config: SolverConfig, phi_params=None,

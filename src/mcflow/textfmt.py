@@ -279,7 +279,7 @@ def format17(values, blank=None) -> bytes:
 
 
 def format_pairs(nodes, rows):
-    """For each value row of `rows` (an iterable of arrays as long as
+    """For each row of the 2-D value table `rows` (a row as long as
     `nodes`), the text of its lines `node,value` as an iterable of
     bytes-like pieces, every cell as `format17` writes it.  The node cells
     are formatted once; each block of rows fills a line buffer past the
@@ -294,14 +294,9 @@ def format_pairs(nodes, rows):
     lines = np.empty((CHUNK_VALUES // max(size, 1), size, width + _WORDS),
                      np.uint64)
     lines[:, :, :width] = slots
-    block = []
-    for values in rows:
-        block.append(values)
-        if len(block) == len(lines):
-            yield from _pair_block(lines, node_bytes, block)
-            block = []
-    if block:
-        yield from _pair_block(lines, node_bytes, block)
+    for start in range(0, len(rows), len(lines)):
+        yield from _pair_block(lines, node_bytes,
+                               rows[start:start + len(lines)])
 
 
 def _node_slots(nodes) -> tuple:
@@ -337,11 +332,10 @@ def _pair_block(lines, node_bytes, block):
     """The texts of `format_pairs` for the value rows `block`, their values
     formatted into the line buffer `lines` past the nodes' text."""
     lines = lines[:len(block)]
-    values = np.stack(block)
-    rows = _cells(values.reshape(-1, 1), _NEWLINE,
+    rows = _cells(np.reshape(block, (-1, 1)), _NEWLINE,
                   words=lines[:, :, -_WORDS:].reshape(-1, _WORDS))[1]
     text = memoryview(_text(lines))
-    ends = np.take(_tables()["lengths"], rows).reshape(values.shape).sum(1)
+    ends = np.take(_tables()["lengths"], rows).reshape(block.shape).sum(1)
     ends += node_bytes
     start = 0
     for end in np.cumsum(ends).tolist():

@@ -95,6 +95,29 @@ def test_unknown_scenario_rejected(tmp_path):
         ScenarioConfig.from_dict(cfg)
 
 
+@pytest.mark.parametrize("t_end, every, first, distinct", [
+    (2e-5, 1e-7, "t = 0.0 and 1e-07 share the file name t0.000000.csv",
+     (2e-5, 2e-6)),
+    (1.0000001, 0.5, "t = 1.0 and 1.0000001 share the file name "
+                     "t1.000000.csv", (1.000001, 0.5))])
+def test_snapshots_that_share_a_file_name_are_a_config_error(
+        tmp_path, capsys, t_end, every, first, distinct):
+    # snapshot files are named t{t:.6f}.csv: 201 snapshots 1e-7 apart would
+    # share 21 names, and the state at t_end would overwrite the one at 1
+    cfg = smoke_flow_config(str(tmp_path / "out"), t_end=t_end)
+    cfg["domain"] = {"lo": -5.0, "hi": 5.0}
+    cfg["initial_data"]["height"] = 0.1
+    cfg["solver"].update(h=0.05, snapshot_every=every, record_every=every)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: solver.snapshot_every: snapshots at {first}\n")
+    assert not (tmp_path / "out" / "snapshots").exists()
+    # a schedule whose names differ passes the config pass
+    cfg["solver"].update(t_end=distinct[0], snapshot_every=distinct[1])
+    assert ScenarioConfig.from_dict(cfg).solver.t_end == distinct[0]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -765,15 +788,16 @@ def nan_slope_records():
 
 
 def test_spacelike_preservation_fails_on_a_nan():
-    traj = FlowTrajectory(records=nan_slope_records())
+    traj = FlowTrajectory(field=None, times=None, snapshots=None,
+                          records=nan_slope_records())
     check = next(c for c in scenarios._base_flow_checks(traj)
                  if c["name"] == "spacelike_preservation")
     assert check["pass"] is False and math.isnan(check["max"])
 
 
 def test_max_grad_max_keeps_a_nan():
-    traj = FlowTrajectory(snapshots=[(0.0, None), (1.0, None)],
-                          records=nan_slope_records())
+    traj = FlowTrajectory(field=None, times=np.array([0.0, 1.0]),
+                          snapshots=None, records=nan_slope_records())
     assert math.isnan(scenarios._summarize(traj)["max_grad_max"])
 
 
@@ -924,14 +948,17 @@ def test_removed_ignored_flags_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def check_snapshot_files(snaps, directory):
-    """Write `snaps`, one run's snapshots, into `directory` and compare
-    each file with its cells written one at a time by `fmt`."""
-    write_snapshot_csvs(FlowTrajectory(snapshots=snaps), str(directory))
-    for t, fld in snaps:
-        coord = "x" if fld.kind == "line" else "r"
+def check_snapshot_files(kind, nodes, times, rows, directory):
+    """Write one run's snapshots, the value `rows` at `times` on a grid of
+    `kind` and `nodes`, into `directory` and compare each file with its
+    cells written one at a time by `fmt`."""
+    grid = SimpleNamespace(kind=kind, nodes=nodes)
+    write_snapshot_csvs(FlowTrajectory(grid, np.array(times), np.array(rows),
+                                       {}), str(directory))
+    coord = "x" if kind == "line" else "r"
+    for t, values in zip(times, rows):
         lines = [f"{coord},u"] + [f"{fmt(c)},{fmt(u)}"
-                                  for c, u in zip(fld.nodes, fld.values)]
+                                  for c, u in zip(nodes, values)]
         expected = ("\n".join(lines) + "\n").encode()
         assert (directory / f"t{t:.6f}.csv").read_bytes() == expected
 
@@ -942,13 +969,10 @@ def test_snapshot_writer_bytes_match_per_cell_formatting(tmp_path):
     values = np.array([-0.0, 1e-300, 1e300, -1e-300, 0.1, 1.0 / 3.0,
                        -2.5e-17, 5e-324, np.nan, np.inf, -np.inf, 0.0])
     nodes = np.linspace(0.0, 2.0, values.size)
-    check_snapshot_files(
-        [(0.0, SimpleNamespace(kind="radial", nodes=nodes, values=values)),
-         (0.5, SimpleNamespace(kind="radial", nodes=nodes,
-                               values=values[::-1]))], tmp_path / "radial")
-    check_snapshot_files(
-        [(1.0, SimpleNamespace(kind="line", nodes=nodes - 1.0,
-                               values=values))], tmp_path / "line")
+    check_snapshot_files("radial", nodes, [0.0, 0.5],
+                         [values, values[::-1]], tmp_path / "radial")
+    check_snapshot_files("line", nodes - 1.0, [1.0], [values],
+                         tmp_path / "line")
 
 
 def test_diagnostics_writer_bytes_match_per_cell_formatting(tmp_path):
@@ -973,17 +997,11 @@ def test_snapshot_writer_on_two_grids(tmp_path):
     # each run's snapshots are formatted with its own grid's nodes
     coarse = np.linspace(0.0, 2.0, 7)
     fine = np.linspace(-1.0, 1.0, 13)
-    check_snapshot_files(
-        [(0.0, SimpleNamespace(kind="radial", nodes=coarse,
-                               values=np.sin(coarse))),
-         (0.25, SimpleNamespace(kind="radial", nodes=coarse,
-                                values=-np.sin(coarse) / 3.0)),
-         (0.75, SimpleNamespace(kind="radial", nodes=coarse,
-                                values=np.zeros(7)))], tmp_path / "coarse")
-    check_snapshot_files(
-        [(0.5, SimpleNamespace(kind="line", nodes=fine,
-                               values=np.exp(fine) * 1e-200))],
-        tmp_path / "fine")
+    check_snapshot_files("radial", coarse, [0.0, 0.25, 0.75],
+                         [np.sin(coarse), -np.sin(coarse) / 3.0, np.zeros(7)],
+                         tmp_path / "coarse")
+    check_snapshot_files("line", fine, [0.5], [np.exp(fine) * 1e-200],
+                         tmp_path / "fine")
 
 
 def test_diagnostics_writer_over_several_chunks(tmp_path):
@@ -1094,8 +1112,7 @@ def test_nested_sweep_reports_whether_differences_decrease(tmp_path,
     def shifted(R, *args):
         traj = solve(R, *args)
         shift = {2: 0.0, 3: 0.1, 4: 0.3}[R]
-        traj.snapshots = [(t, fld.with_values(fld.values + shift))
-                          for t, fld in traj.snapshots]
+        traj.snapshots = traj.snapshots + shift
         return traj
     monkeypatch.setattr(scenarios, "solve_dirichlet", shifted)
     assert main(["sweep", path]) == 0
@@ -1110,10 +1127,7 @@ def test_nested_sweep_keeps_a_nan_difference(tmp_path, monkeypatch):
     def nan_in_window(R, *args):
         traj = solve(R, *args)
         if R == 3:  # a NaN at r = 0 of the last snapshot of one ball
-            t, fld = traj.snapshots[-1]
-            values = fld.values.copy()
-            values[0] = np.nan
-            traj.snapshots[-1] = (t, fld.with_values(values))
+            traj.snapshots[-1, 0] = np.nan
         return traj
     monkeypatch.setattr(scenarios, "solve_dirichlet", nan_in_window)
     cfg = nested_config(str(tmp_path / "out"))
@@ -1137,11 +1151,8 @@ def test_dirichlet_domination_fails_on_a_nan(tmp_path, monkeypatch):
 
     def nan_inside(R, *args):
         traj = solve(R, *args)
-        t, fld = traj.snapshots[-1]
-        values = fld.values.copy()
-        values[len(values) // 2] = np.nan
-        traj.snapshots[-1] = (t, SimpleNamespace(
-            nodes=fld.nodes, values=values, h=fld.h, kind=fld.kind))
+        last = traj.snapshots[-1]
+        last[len(last) // 2] = np.nan
         return traj
     monkeypatch.setattr(scenarios, "solve_dirichlet", nan_inside)
     cfg = ScenarioConfig.from_dict(

@@ -153,13 +153,14 @@ def test_boundary_slope_series_zero_run():
 
 def test_max_boundary_slope_takes_the_largest_and_keeps_a_nan():
     # the one-sided end slope (3 u_N - 4 u_(N-1) + u_(N-2)) / (2 h)
-    def snap(t, *ends):
-        return t, SimpleNamespace(values=np.array(ends), h=0.1)
-    steep = snap(0.0, 0.5, 0.2, 0.0)     # |0 - 0.8 + 0.5| / 0.2 = 1.5
-    gentle = snap(1.0, 0.1, 0.05, 0.0)   # |0 - 0.2 + 0.1| / 0.2 = 0.5
-    traj = FlowTrajectory(snapshots=[gentle, steep])
+    steep = [0.5, 0.2, 0.0]     # |0 - 0.8 + 0.5| / 0.2 = 1.5
+    gentle = [0.1, 0.05, 0.0]   # |0 - 0.2 + 0.1| / 0.2 = 0.5
+    traj = FlowTrajectory(field=SimpleNamespace(h=0.1),
+                          times=np.array([0.0, 1.0]),
+                          snapshots=np.array([gentle, steep]), records={})
     assert max_boundary_slope(traj) == pytest.approx(1.5, rel=1e-14)
-    traj.snapshots.append(snap(2.0, np.nan, 0.0, 0.0))
+    traj.times = np.append(traj.times, 2.0)
+    traj.snapshots = np.vstack([traj.snapshots, [np.nan, 0.0, 0.0]])
     assert np.isnan(max_boundary_slope(traj))
 
 

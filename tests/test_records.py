@@ -11,6 +11,7 @@ agree bit for bit on every recorded state of a run.
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,9 +112,11 @@ def curved_run():
 def test_plan_records_match_the_formulas_bit_for_bit(run):
     traj, metric, phi, profile = run()
     # snapshots share the record cadence: one state per record
-    assert [t for t, _ in traj.snapshots] == traj.records["t"].tolist()
+    assert traj.times.tolist() == traj.records["t"].tolist()
     assert len(traj.records["t"]) >= 9
-    for rec, (t, fld) in zip(record_rows(traj.records), traj.snapshots):
+    for rec, t, values in zip(record_rows(traj.records), traj.times,
+                              traj.snapshots):
+        fld = replace(traj.field, values=values)
         assert bits(rec) == bits(reference_record(fld, metric, t, phi, profile))
         # the public functions are calls into a plan: the same bits
         assert [float(x).hex() for x in diagnostics.field_norms(fld, metric)] \
@@ -128,10 +131,12 @@ def test_plan_records_match_the_formulas_bit_for_bit(run):
 
 @pytest.mark.parametrize("run", [decay_line_run, axis_ball_run, curved_run])
 def test_snapshots_of_a_run_share_its_grid(run):
-    # the snapshot writer formats one grid's nodes for every snapshot
-    snapshots = run()[0].snapshots
-    assert len(snapshots) >= 9
-    assert all(fld.nodes is snapshots[0][1].nodes for _, fld in snapshots)
+    # the snapshot writer formats one grid's nodes for every snapshot: a
+    # run holds one C-contiguous table, a row per snapshot time
+    traj = run()[0]
+    assert len(traj.times) >= 9
+    assert traj.snapshots.shape == (len(traj.times), traj.field.nodes.size)
+    assert traj.snapshots.flags.c_contiguous
 
 
 @pytest.mark.parametrize("kind", ["line", "radial"])
@@ -311,7 +316,7 @@ def test_batched_records_match_the_formulas_bit_for_bit(run, monkeypatch):
     log = capture_batches(monkeypatch)
     traj, metric, phi, profile = run()
     assert traj.termination == "reached_t_end"
-    grid = traj.snapshots[0][1]
+    grid = traj.field
     batches = [entry for entry in log if entry is not None]
     assert sum(len(times) for _, times in batches) == len(traj.records["t"])
     cap = diagnostics.batch_rows(grid.nodes.size)
@@ -327,7 +332,7 @@ def test_batched_records_match_the_formulas_bit_for_bit(run, monkeypatch):
     for rows, times in batches:
         for row, t in zip(rows, times):
             assert bits(next(records)) == bits(reference_record(
-                grid.with_values(row), metric, t, phi, profile))
+                replace(grid, values=row), metric, t, phi, profile))
 
 
 def test_every_record_of_a_cli_run_passes_through_make_record(tmp_path,

@@ -359,9 +359,9 @@ def test_run_flow_zero_trajectory():
     fld = line_field(-5.0, 5.0, 0.05, lambda x: np.zeros_like(x))
     traj = run_flow(euclidean_metric(1), fld, cfg)
     assert traj.termination == "reached_t_end"
-    for _, snap in traj.snapshots:
-        assert np.all(snap.values == 0.0)
-    times = [t for t, _ in traj.snapshots]
+    for snap in traj.snapshots:
+        assert np.all(snap == 0.0)
+    times = traj.times.tolist()
     assert times == sorted(times)
     assert all(b > a for a, b in zip(times, times[1:]))
 
@@ -389,7 +389,7 @@ def test_run_flow_self_convergence_richardson():
         cfg = SolverConfig(h=h, t_end=0.25, snapshot_every=0.25)
         fld = line_field(-10.0, 10.0, h, gaussian(0.5, 0.8))
         traj = run_flow(euclidean_metric(1), fld, cfg)
-        sups[h] = float(np.max(np.abs(traj.final_field.values)))
+        sups[h] = float(np.max(np.abs(traj.snapshots[-1])))
     ratio = (sups[0.1] - sups[0.05]) / (sups[0.05] - sups[0.025])
     assert 3.0 < ratio < 5.0
 
@@ -400,6 +400,14 @@ def test_run_flow_max_steps_cap():
     traj = run_flow(euclidean_metric(1), fld, cfg)
     assert traj.termination == "step_cap"
     assert traj.steps == 10
+    # the run records and snapshots the state it stopped at, before the
+    # first mark
+    t_stop = traj.times[-1]
+    assert 0.0 < t_stop < cfg.snapshot_cadence
+    assert traj.times.tolist() == traj.records["t"].tolist() == [0.0, t_stop]
+    assert traj.snapshots.shape == (2, fld.nodes.size)
+    assert traj.records["sup_u"][-1] == np.max(np.abs(traj.snapshots[-1]))
+    assert traj.records["sup_u"][-1] < traj.records["sup_u"][0]
 
 
 def test_solve_dirichlet_zero_data():
@@ -407,8 +415,8 @@ def test_solve_dirichlet_zero_data():
     fld = radial_field(0.0, 9.0, 0.1, lambda r: np.zeros_like(r))
     traj = solve_dirichlet(3.0, euclidean_metric(3), fld, cfg)
     assert traj.termination == "reached_t_end"
-    for _, snap in traj.snapshots:
-        assert np.all(snap.values == 0.0)
+    for snap in traj.snapshots:
+        assert np.all(snap == 0.0)
 
 
 def test_solve_dirichlet_sup_inf_preserved():
@@ -416,11 +424,11 @@ def test_solve_dirichlet_sup_inf_preserved():
     fld = radial_field(0.0, 9.0, 0.05,
                        lambda r: 0.4 * smooth_cutoff(0.5, 2.0, r))
     traj = solve_dirichlet(3.0, euclidean_metric(3), fld, cfg)
-    u0 = traj.snapshots[0][1].values
+    u0 = traj.snapshots[0]
     lo, hi = u0.min(), u0.max()
-    for _, snap in traj.snapshots:
-        assert snap.values.min() >= lo - 1e-9
-        assert snap.values.max() <= hi + 1e-9
+    for snap in traj.snapshots:
+        assert snap.min() >= lo - 1e-9
+        assert snap.max() <= hi + 1e-9
 
 
 def test_solve_dirichlet_grid_mismatch_rejected():

@@ -419,7 +419,7 @@ def test_super_steps_hold_pinned_and_frozen_ends():
 def test_speed_at_the_axis_node_is_the_even_reflection_rule():
     field, metric, _ = flat_axis_case()
     # the case's plateau has u_1 = u_0; tilted, the rule is not 0 = 0
-    field = field.with_values(field.values * np.exp(-field.nodes / 16.0))
+    field = replace(field, values=field.values * np.exp(-field.nodes / 16.0))
     engine = solver._Engine(field, metric)
     engine.coefficient()
     f = engine._speed(engine.d, np.empty(field.nodes.size))
@@ -526,7 +526,7 @@ def test_interpolant_is_exact_on_data_cubic_in_time(rng):
 
 def fine_reference(field, metric, u_n, span, substeps):
     """u at t_n + span from u_n by `substeps` fixed RKL2 super-steps."""
-    engine = solver._Engine(field.with_values(u_n), metric)
+    engine = solver._Engine(replace(field, values=u_n), metric)
     for _ in range(substeps):
         tau = span / substeps
         assert engine.super_step(tau, tau, 0.9, math.inf)[0] == tau
@@ -540,7 +540,7 @@ def test_interpolant_is_within_the_step_tolerance(case, t_min):
     # of the accepted one carry about 1/4096 of its error
     field, metric, config = CASES[case]()
     engine, _, dt, tol = stepped_engine(field, metric, config, t_min)
-    assert dt > 10.0 * stable_dt(field.with_values(engine.cand), metric,
+    assert dt > 10.0 * stable_dt(replace(field, values=engine.cand), metric,
                                  config)  # a genuine super-step
     u_n = engine.cand.copy()
     for quarter in (1, 2, 3):
@@ -616,10 +616,10 @@ def test_records_cost_no_evaluation_and_do_not_move_the_steps(monkeypatch):
     (sparse, sparse_rhs), (dense, dense_rhs) = runs[10.0], runs[0.01]
     assert len(sparse.records["t"]) == 3 and len(dense.records["t"]) == 2001
     assert dense.steps == sparse.steps and dense_rhs == sparse_rhs
-    for (t, fld), (t_dense, fld_dense) in zip(sparse.snapshots,
-                                              dense.snapshots):
+    for t, t_dense, row, row_dense in zip(sparse.times, dense.times,
+                                          sparse.snapshots, dense.snapshots):
         assert t == t_dense
-        assert fld.values.tobytes() == fld_dense.values.tobytes()
+        assert row.tobytes() == row_dense.tobytes()
 
 
 def cadence_times(cadence, t_end):
@@ -666,11 +666,12 @@ def test_records_hold_the_plan_columns_whether_or_not_a_run_halts(
     config = replace(cfg.solver, t_end=2.0, record_every=0.01,
                      snapshot_every=1.0)
     if halt:
-        rkl2, calls = solver._Engine.rkl2, []
+        rkl2, calls, halted = solver._Engine.rkl2, [], []
 
         def violation(engine, tau, dt_fe):
             calls.append(tau)
             if len(calls) >= 40:
+                halted.append(engine.u.copy())  # the state the run keeps
                 raise SpacelikeViolationError("spacelikeness lost: injected")
             return rkl2(engine, tau, dt_fe)
         monkeypatch.setattr(solver._Engine, "rkl2", violation)
@@ -682,7 +683,15 @@ def test_records_hold_the_plan_columns_whether_or_not_a_run_halts(
     count = len(traj.records["t"])
     assert count >= 5 if halt else count == 201
     assert all(column.shape == (count,) for column in traj.records.values())
-    assert traj.records["t"][-1] == traj.final_time
+    assert traj.records["t"][-1] == traj.times[-1]
+    # the snapshot table is trimmed to its times; its last row is the state
+    # the run halted at, or the state at t_end, which the last record reads
+    assert traj.snapshots.shape == (len(traj.times), u0.nodes.size)
+    assert traj.times.tolist() == ([0.0, traj.times[-1]] if halt
+                                   else [0.0, 1.0, 2.0])
+    if halt:
+        assert traj.snapshots[-1].tobytes() == halted[-1].tobytes()
+    assert traj.records["sup_u"][-1] == np.max(np.abs(traj.snapshots[-1]))
 
 
 def test_records_at_snapshot_marks_are_the_engine_state():
@@ -694,10 +703,9 @@ def test_records_at_snapshot_marks_are_the_engine_state():
     rows = np.column_stack(list(traj.records.values()))
     by_time = {row[0]: row for row in rows}
     plan = solver.diagnostics.RecordPlan(u0, cfg.metric)
-    assert len(traj.snapshots) == 11
-    for t, fld in traj.snapshots:
-        expected, = solver.diagnostics.make_record(plan, fld.values[None],
-                                                   [t])
+    assert len(traj.times) == len(traj.snapshots) == 11
+    for t, values in zip(traj.times, traj.snapshots):
+        expected, = solver.diagnostics.make_record(plan, values[None], [t])
         assert [x.hex() for x in by_time[t].tolist()] \
             == [x.hex() for x in expected.tolist()]
 
@@ -901,9 +909,10 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
     assert min(windows) == 1.0
     assert whole.steps == windowed.steps
     assert whole.termination == windowed.termination == "reached_t_end"
-    assert len(whole.snapshots) == len(windowed.snapshots)
-    for (t_w, f_w), (t, f) in zip(windowed.snapshots, whole.snapshots):
-        assert t_w == t and f_w.values.tobytes() == f.values.tobytes()
+    assert len(whole.times) == len(windowed.times)
+    for t_w, t, f_w, f in zip(windowed.times, whole.times,
+                              windowed.snapshots, whole.snapshots):
+        assert t_w == t and f_w.tobytes() == f.tobytes()
     assert windowed.records.keys() == whole.records.keys()
     assert all(windowed.records[name].tobytes()
                == whole.records[name].tobytes() for name in whole.records)

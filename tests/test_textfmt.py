@@ -113,8 +113,9 @@ def test_rows_columns_and_blank_cells_across_chunks():
 
 def test_pairs_match_per_line_formatting():
     nodes = np.linspace(-3.0, 3.0, 1001)
-    rows = [np.exp(-nodes ** 2) * s for s in (1.0, -1e-40, 0.0, 7e250)]
-    texts = [b"".join(pieces) for pieces in format_pairs(nodes, iter(rows))]
+    rows = np.array([np.exp(-nodes ** 2) * s
+                     for s in (1.0, -1e-40, 0.0, 7e250)])
+    texts = [b"".join(pieces) for pieces in format_pairs(nodes, rows)]
     assert len(texts) == len(rows)
     for values, text in zip(rows, texts):
         assert text == reference(np.column_stack((nodes, values)))
@@ -122,10 +123,10 @@ def test_pairs_match_per_line_formatting():
 
 def test_pairs_of_a_row_longer_than_a_chunk():
     nodes = np.linspace(0.0, 1.0, textfmt.CHUNK_VALUES * 2 + 3)
-    rows = [np.sin(nodes), np.cos(nodes)]
+    rows = np.array([np.sin(nodes), np.cos(nodes)])
     texts = [b"".join(pieces) for pieces in list(format_pairs(nodes, rows))]
     assert texts == [reference(np.column_stack((nodes, v))) for v in rows]
-    assert list(format_pairs(nodes, [])) == []
+    assert list(format_pairs(nodes, np.zeros((0, nodes.size)))) == []
 
 
 def test_tables_are_built_on_first_use_only():

@@ -4,7 +4,7 @@
 
 Runs, once under a `git archive` of REV and once under the working tree:
 the six shipped configs (`sweep` for the two sweeps, `simulate` for the
-others), a sweep of curved balls, three no_lift_off variants that stop
+others), a sweep of curved balls, five no_lift_off variants that stop
 before t_end or at the config pass (see `no_lift_off_variants`),
 `mcflow verify`, and the benchmark workloads' configs at seeds 0 and 3, as
 `perfbench/workloads.py` of the working tree generates them.
@@ -76,11 +76,17 @@ def no_lift_off_variants() -> dict:
       inner end (exit 3)
     - `steep_flat_bump`: a bump of height 0.15 rising on [0.6, 0.8]
       through t = 1, its flat slope 1.19 but its slope in the metric 0.70
-      (a config error while the flat slope was checked)"""
+      (a config error while the flat slope was checked)
+    - `snapshot_name_clash`: snapshots every 0.5 through t = 1.0000001,
+      whose last two share the file t1.000000.csv (a config error since
+      snapshot names must differ)
+    - `step_cap`: at most 3 steps (exit 1; the run records and snapshots
+      the state it stopped at, as a halted run does)"""
     with open(os.path.join(ROOT, "configs", "no_lift_off.json")) as fh:
         text = fh.read()
     variants = {name: json.loads(text) for name in (
-        "record_dip", "record_inner_end_n40", "steep_flat_bump")}
+        "record_dip", "record_inner_end_n40", "steep_flat_bump",
+        "snapshot_name_clash", "step_cap")}
     variants["record_dip"]["solver"].update(t_end=0.1, record_every=0.002)
     variants["record_inner_end_n40"]["metric"]["n"] = 40
     variants["record_inner_end_n40"]["solver"].update(
@@ -88,6 +94,9 @@ def no_lift_off_variants() -> dict:
     variants["steep_flat_bump"]["initial_data"].update(height=0.15,
                                                        rise=[0.6, 0.8])
     variants["steep_flat_bump"]["solver"]["t_end"] = 1.0
+    variants["snapshot_name_clash"]["solver"].update(t_end=1.0000001,
+                                                     snapshot_every=0.5)
+    variants["step_cap"]["solver"]["max_steps"] = 3
     return variants
 
 
