@@ -16,7 +16,8 @@ from mcflow.scenarios import (ScenarioConfig, dirichlet_gradient_bound,
                               run_nested_sweep)
 
 metric = euclidean_metric(3)
-cfg = SolverConfig(h=0.1, t_end=8.0, snapshot_every=1.0, record_every=1.0)
+h = 0.1  # grid spacing
+cfg = SolverConfig(t_end=8.0, snapshot_every=1.0, record_every=1.0)
 
 
 def bump(r):
@@ -26,7 +27,7 @@ def bump(r):
 print("R    boundary slope   a priori bound")
 slopes, bounds, Rs = [], [], (2.0, 3.0, 4.0)
 for R in Rs:
-    u0 = radial_field(0.0, R * R, cfg.h, bump)
+    u0 = radial_field(0.0, R * R, h, bump)
     traj = solve_dirichlet(R, metric, u0, cfg)
     slope = max_boundary_slope(traj)
     bound = dirichlet_gradient_bound(metric, R, 0.4)["bound_slope"]
@@ -47,7 +48,7 @@ nested = run_nested_sweep(ScenarioConfig.from_dict({
     "domain": {"lo": 0.0},
     "initial_data": {"family": "bump", "height": 0.4, "plateau": 0.5,
                      "support": 2.0},
-    "solver": {"h": cfg.h, "t_end": cfg.t_end, "snapshot_every": 1.0,
+    "solver": {"h": h, "t_end": cfg.t_end, "snapshot_every": 1.0,
                "record_every": 1.0},
 }))
 print("\nnested-domain differences on the shared window:")

@@ -18,9 +18,8 @@ from .barriers import (BarrierProfile, TranslatingBarrier, build_outer_barrier,
                        supersolution_profile_derivs,
                        translating_barrier_certificate,
                        translating_barrier_eval, verify_static_supersolution)
-from .diagnostics import (barrier_margin, decay_exponent_fit, field_norms,
-                          h1_decay_check, max_boundary_slope,
-                          max_principle_check, phi_supremum)
+from .diagnostics import (decay_exponent_fit, h1_decay_check,
+                          max_boundary_slope, max_principle_check)
 from .fields import Field, gradient, line_field, radial_field
 from .geometry import (GraphQuantities, RadialMetric, conformal_metric,
                        euclidean_metric, graph_quantities, mcf_operator_cartesian,

@@ -19,7 +19,7 @@ from .fields import (Field, check_node_slopes, gap_scale, line_field,
                      radial_field)
 from .geometry import RadialMetric, conformal_metric, euclidean_metric
 from .initial_data import smooth_cutoff
-from .solver import SolverConfig
+from .solver import MAX_RECORDS, SolverConfig
 
 SCENARIO_TAGS = ("flow_1d", "flow_radial", "dirichlet", "nested_balls",
                  "no_lift_off", "barrier_verify", "translating_verify",
@@ -38,8 +38,6 @@ MIN_BALL_RADIUS = 2.0
 MAX_DIMENSION = 40
 #: Most nodes of a grid, and most barrier sample radii.
 MAX_NODES = 1_000_000
-#: Most records, and most snapshots, of a run: t_end over their cadence.
-MAX_RECORDS = 1_000_000
 #: Most snapshot values a run holds: snapshots times nodes of its grids.
 MAX_SNAPSHOT_VALUES = 100_000_000
 #: The file of a run's snapshot at time t, which no other snapshot shares.
@@ -196,7 +194,6 @@ def build_metric(cfg: dict) -> RadialMetric:
 def build_solver_config(cfg: dict) -> SolverConfig:
     sec = _section(cfg, "solver")
     config = SolverConfig(
-        h=_number(sec, "h", "solver", above=0.0),
         t_end=_number(sec, "t_end", "solver", above=0.0),
         cfl_safety=_number(sec, "cfl_safety", "solver", default=0.9,
                            above=0.0, maximum=1.0),
@@ -315,12 +312,12 @@ def _sweep_values(cfg: dict, scenario: str) -> list:
 
 
 def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
-                 lo: float, hi, R, sweep):
-    """Raise ConfigError unless each grid the scenario builds holds 3 to
-    MAX_NODES nodes, starting at r_min or above when radial, with w^2 and
-    1/w^2 in the float range on it, and the run's snapshots are within
-    MAX_RECORDS and MAX_SNAPSHOT_VALUES and get distinct file names."""
-    h = solver.h
+                 h: float, lo: float, hi, R, sweep):
+    """Raise ConfigError unless each grid the scenario builds at spacing h
+    holds 3 to MAX_NODES nodes, starting at r_min or above when radial,
+    with w^2 and 1/w^2 in the float range on it, and the run's snapshots
+    are within MAX_RECORDS and MAX_SNAPSHOT_VALUES and get distinct file
+    names."""
     # (field, far end) per grid; a ball of radius R ends at R^2 (inf if huge)
     ends = [("sweep.values", float(v) * float(v)) for v in sweep or ()]
     if R is not None:
@@ -354,7 +351,7 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
                           f"= {min(sweep) / 2.0:g} holds no node")
     # a nested-ball study keeps every ball's run; other runs one grid each
     held = sum(nodes) if scenario == "nested_balls" else max(nodes, default=0)
-    snapshots = solver.snapshot_marks
+    snapshots = solver.t_end / solver.snapshot_cadence
     if snapshots > MAX_RECORDS or snapshots * held > MAX_SNAPSHOT_VALUES:
         raise ConfigError("solver.snapshot_every", f"t_end / snapshot_every = "
                           f"{snapshots:.4g} snapshots of {held:.4g} nodes; the "
@@ -362,10 +359,8 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
                           f"{MAX_SNAPSHOT_VALUES} values")
     if scenario == "nested_balls":  # the one flow that writes no snapshot
         return
-    # a snapshot at t = 0, at each mark k * cadence that ends a step before
-    # t_end, and at t_end; names rise with t, so only neighbours can clash
-    marks = solver.snapshot_cadence * np.arange(1.0, int(snapshots) + 2.0)
-    times = [0.0, *marks[marks < solver.t_end - 1e-12].tolist(), solver.t_end]
+    # names rise with t, so only neighbours can clash
+    times = solver.snapshot_times()
     names = [SNAPSHOT_NAME.format(t) for t in times]
     for i in range(1, len(names)):
         if names[i] == names[i - 1]:
@@ -376,14 +371,15 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
 
 def _flow_fields(cfg: dict, scenario: str, metric, sweep) -> dict:
     """The typed fields of a scenario that runs the flow."""
+    h = _number(_section(cfg, "solver"), "h", "solver", above=0.0)
     solver = build_solver_config(cfg)
     sec = _section(cfg, "domain")
     lo = _number(sec, "lo", "domain")
     hi = None if scenario in SWEEP_SCENARIOS else _number(sec, "hi", "domain")
     R = (_number(cfg, "R", "", minimum=MIN_BALL_RADIUS)
          if scenario == "dirichlet" and "R" in cfg else None)
-    _check_grids(scenario, metric, solver, lo, hi, R, sweep)
-    fields = dict(solver=solver, domain=(lo, hi), R=R)
+    _check_grids(scenario, metric, solver, h, lo, hi, R, sweep)
+    fields = dict(solver=solver, h=h, domain=(lo, hi), R=R)
     if scenario == "no_lift_off":
         sec = _section(cfg, "barrier")
         fields.update(barrier_eps=_number(sec, "eps", "barrier", minimum=0.0),
@@ -418,13 +414,15 @@ def _translating(cfg: dict, n: int) -> TranslatingBarrier:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A validated config: a typed field per key that a runner or the CLI
-    reads (None where the scenario reads no such key).  `domain` is (lo, hi),
-    hi None on balls; `sweep_values` are as given (ints stay ints)."""
+    reads (None where the scenario reads no such key).  `h` is the grid
+    spacing `solver.h`, `domain` is (lo, hi), hi None on balls;
+    `sweep_values` are as given (ints stay ints)."""
 
     scenario: str
     metric: RadialMetric
     output_dir: str = "mcflow_out"
     solver: SolverConfig | None = None
+    h: float | None = None
     domain: tuple | None = None
     initial_data: InitialProfile | None = None
     R: float | None = None
@@ -492,7 +490,7 @@ def build_field_from_config(cfg: ScenarioConfig, kind: str,
     lo, hi = cfg.domain
     grid = line_field if kind == "line" else radial_field
     try:
-        field = grid(lo, hi if outer is None else outer, cfg.solver.h,
+        field = grid(lo, hi if outer is None else outer, cfg.h,
                      cfg.initial_data)
         check_node_slopes(field, gap_scale(field, cfg.metric))
     except ValueError as exc:

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field, gradient_into
-from .geometry import (TOL_SPACELIKE, SpacelikeViolationError,
-                       euclidean_metric)
+from .geometry import TOL_SPACELIKE, SpacelikeViolationError
 
 
 class InsufficientDataError(ValueError):
@@ -126,9 +125,10 @@ class RecordPlan:
         return sup_u, l2, h1
 
     def tilt(self, u) -> np.ndarray:
-        """`phi_supremum` per row of the value rows `u`; needs
-        `slopes(u)`.  Raises if any row fails the monitor's hypotheses or
-        its supremum overflows."""
+        """The tilt monitor sup v exp(mu e^{lambda u}), v = 1/sqrt(1 - p^2),
+        per row of the value rows `u`; needs `slopes(u)`.  Raises if any
+        row fails the monitor's hypotheses (min u >= 0 up to rounding when
+        lambda > 0, strict spacelikeness) or its supremum overflows."""
         lambda_phi, mu_phi = self.phi
         du, p2, work = self.du[:len(u)], self.p2[:len(u)], self.work[:len(u)]
         if lambda_phi > 0 and float(u.min()) < -1e-9:
@@ -148,44 +148,11 @@ class RecordPlan:
         return sup
 
     def margin(self, u) -> np.ndarray:
-        """`barrier_margin` per row of the value rows `u`."""
+        """min over nodes with r >= r0 of b_eps(r) - |u| (positive:
+        dominated) per row of the value rows `u`."""
         gap = np.abs(u, out=self.work[:len(u)])
         return np.subtract(self.b_eps, gap, out=gap)[:, self.outside].min(
             axis=1)
-
-
-def field_norms(field: Field, metric) -> tuple:
-    """(sup|u|, max |u'|/w, L2 norm, L2 norm of the gradient).
-
-    Radial integrals carry the volume weight r^{n-1} w(r)^n; line integrals
-    use plain dx.  The gradient norm integrand is |u'/w|^2 with the same
-    weight, which reduces to the plain integral of u'^2 on a flat line.
-    """
-    plan = RecordPlan(field, metric)
-    u = field.values[None]
-    grad_max = plan.slopes(u)
-    sup_u, l2, h1 = plan.norms(u)
-    return float(sup_u[0]), float(grad_max[0]), float(l2[0]), float(h1[0])
-
-
-def phi_supremum(field: Field, metric, lambda_phi: float, mu_phi: float) -> float:
-    """sup over nodes of v * exp(mu * e^{lambda * u}), v the tilt factor.
-
-    A monotone monitor on curved runs when lambda is the measured curvature
-    constant and mu its reciprocal; requires min u >= 0 (up to rounding) for
-    monotonicity, which is validated here whenever lambda > 0.  Raises
-    ValueError when the supremum overflows.
-    """
-    plan = RecordPlan(field, metric, phi_params=(lambda_phi, mu_phi))
-    plan.slopes(field.values[None])
-    return float(plan.tilt(field.values[None])[0])
-
-
-def barrier_margin(field: Field, profile) -> float:
-    """min over nodes with r >= r0 of (b_eps(r) - |u|); positive = dominated."""
-    # the margin reads no metric: a flat one serves
-    plan = RecordPlan(field, euclidean_metric(profile.n), profile=profile)
-    return float(plan.margin(field.values[None])[0])
 
 
 def decay_exponent_fit(records, window: tuple) -> dict:

@@ -35,7 +35,7 @@ elsewhere; a step of the floor's size is accepted whatever its estimate.
 A run's first step is proposed at the floor.  `step_1d` and `step_radial`
 take one such step of size min(floor, dt_cap), with no error control.
 
-Dense output: only snapshot marks and t_end end a step.  A record at a
+Dense output: only the snapshot times end a step.  A record at a
 time strictly inside an accepted step (t_n, t_n + tau) is the cubic
 Hermite interpolant through u_n, F(u_n), u_{n+1}, F(u_{n+1}) (Hairer,
 Norsett & Wanner, Solving ODEs I, II.6), which the step already holds: at
@@ -100,6 +100,8 @@ TERMINATIONS = ("reached_t_end", *NUMERIC_FAILURES, "step_cap")
 MAX_DT_HALVINGS = 10
 #: Local time-error tolerance per step, in units of h^2 sup|u_0|.
 TIME_ERROR_KAPPA = 1e-4
+#: Most records, and most snapshots, of a run: t_end over their cadence.
+MAX_RECORDS = 1_000_000
 
 
 class RecordError(ValueError):
@@ -109,9 +111,9 @@ class RecordError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid spacing, step-size safety, horizon and output cadence."""
+    """Step-size safety, horizon, output cadence and step cap; the grid
+    spacing is the field's."""
 
-    h: float
     t_end: float
     cfl_safety: float = 0.9
     snapshot_every: float | None = None
@@ -121,10 +123,12 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if self.h <= 0:
-            raise ValueError(f"h must be > 0, got {self.h}")
+        for name in ("t_end", "snapshot_every", "record_every"):
+            value = getattr(self, name)  # 0 or None: the default cadence
+            if (value or name == "t_end") and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
     @property
     def snapshot_cadence(self) -> float:
@@ -134,9 +138,20 @@ class SolverConfig:
     def record_cadence(self) -> float:
         return self.record_every if self.record_every else self.snapshot_cadence
 
-    @property
-    def snapshot_marks(self) -> float:  # sizes and caps the snapshots
-        return self.t_end / self.snapshot_cadence
+    def snapshot_times(self) -> list:
+        """The times a run to t_end snapshots, each ending a step: 0, each
+        mark k * cadence below t_end - 1e-12, and then the next mark or
+        t_end, whichever is smaller."""
+        cadence = self.snapshot_cadence
+        if self.t_end / cadence > MAX_RECORDS:
+            raise ValueError(f"t_end / snapshot cadence = "
+                             f"{self.t_end / cadence:.4g}, at most "
+                             f"{MAX_RECORDS} snapshots")
+        times, k = [0.0], 1
+        while k * cadence < self.t_end - 1e-12:
+            times.append(k * cadence)
+            k += 1
+        return [*times, min(k * cadence, self.t_end)]
 
 
 @dataclass
@@ -588,9 +603,11 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     """Drive an engine from `field` to t_end by RKL2 super-steps, recording
     at cadence; `steps` counts accepted super-steps.
 
-    Only snapshot marks and t_end end a step.  A record strictly inside a
-    step comes from the step's interpolant, one at its end from the state.
-    A halted or step-capped run records and snapshots where it stopped.
+    Steps end on `config.snapshot_times()`, each kept as a snapshot; the
+    record marks are k * record cadence.  A record strictly inside a step
+    comes from the step's interpolant, one at its end from the state.  A
+    halted or step-capped run records and snapshots where it stopped,
+    unless that state is already the last record or snapshot.
     Raises ValueError, before any step or record, when the data with their
     pinned ends at zero are not spacelike in the metric (`check_node_slopes`).
     """
@@ -613,8 +630,8 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     def record_state(t):
         record([t], engine.u[None], engine.d[None])
 
-    # t = 0, the marks, the end or stop state, and a row for rounding
-    table = np.empty((int(config.snapshot_marks) + 3, u.size))
+    marks = config.snapshot_times()
+    table = np.empty((len(marks), u.size))  # a row per snapshot kept
     times = []
 
     def snapshot(t):
@@ -622,53 +639,49 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
         times.append(t)
 
     rec_cad = config.record_cadence
-    snap_cad = config.snapshot_cadence
     t = 0.0
     record_state(t)
     snapshot(t)
-    next_rec = rec_cad
-    next_snap = snap_cad
+    k = 1  # the next record mark is k * rec_cad
     steps = 0
     termination, message = "reached_t_end", ""
     try:
-        while t < config.t_end - 1e-12:
-            if steps >= config.max_steps:
+        for mark in marks[1:]:
+            while t < mark - 1e-12 and steps < config.max_steps:
+                start = t
+                dt, tau = engine.super_step(tau, mark - t, config.cfl_safety,
+                                            tol)
+                steps += 1
+                t = mark if dt >= mark - t - 1e-15 else t + dt
+                inside = []
+                while k * rec_cad < t - 1e-12:
+                    inside.append(k * rec_cad)
+                    k += 1
+                for first in range(0, len(inside), engine.batch):
+                    at = inside[first:first + engine.batch]
+                    record(at, *engine.interpolate(
+                        [(s - start) / dt for s in at], dt))
+                hit = t >= k * rec_cad - 1e-12
+                k += hit
+                if hit or t >= marks[-1] - 1e-12:
+                    record_state(t)
+            if t < mark - 1e-12:
                 termination = "step_cap"
                 break
-            mark = min(next_snap, config.t_end)
-            start = t
-            dt, tau = engine.super_step(tau, mark - t, config.cfl_safety, tol)
-            steps += 1
-            t = mark if dt >= mark - t - 1e-15 else t + dt
-            inside = []
-            while next_rec < t - 1e-12:
-                inside.append(next_rec)
-                next_rec = (np.floor(next_rec / rec_cad + 0.5) + 1.0) * rec_cad
-            for first in range(0, len(inside), engine.batch):
-                at = inside[first:first + engine.batch]
-                record(at, *engine.interpolate(
-                    [(s - start) / dt for s in at], dt))
-            hit_rec = t >= next_rec - 1e-12
-            hit_snap = t >= next_snap - 1e-12
-            if hit_rec or t >= config.t_end - 1e-12:
-                record_state(t)
-            if hit_snap or t >= config.t_end - 1e-12:
-                snapshot(t)
-            if hit_rec:
-                next_rec = (np.floor(t / rec_cad + 0.5) + 1.0) * rec_cad
-            if hit_snap:
-                next_snap = (np.floor(t / snap_cad + 0.5) + 1.0) * snap_cad
+            snapshot(t)
     except (NonFiniteError, SpacelikeViolationError) as exc:
         termination = ("non_finite" if isinstance(exc, NonFiniteError)
                        else "spacelike_violation")
         message = str(exc)
     if termination != "reached_t_end":
-        try:
-            record_state(t)
-        except RecordError as err:
-            raise RecordError(f"{err} (the run had halted: "
-                              f"{message or termination})") from err
-        snapshot(t)
+        if t > blocks[-1][-1, 0]:  # later than the last record's t
+            try:
+                record_state(t)
+            except RecordError as err:
+                raise RecordError(f"{err} (the run had halted: "
+                                  f"{message or termination})") from err
+        if t > times[-1]:
+            snapshot(t)
     return FlowTrajectory(field, np.array(times), table[:len(times)],
                           dict(zip(plan.columns, np.concatenate(blocks).T)),
                           termination, steps, message)

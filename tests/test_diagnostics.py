@@ -5,10 +5,9 @@ import pytest
 
 from mcflow.barriers import build_outer_barrier
 from mcflow.diagnostics import (COLUMNS, InsufficientDataError, RecordPlan,
-                                barrier_margin, decay_exponent_fit,
-                                field_norms, h1_decay_check, make_record,
-                                max_boundary_slope, max_principle_check,
-                                phi_supremum, rise_check)
+                                decay_exponent_fit, h1_decay_check,
+                                make_record, max_boundary_slope,
+                                max_principle_check, rise_check)
 from mcflow.fields import line_field, radial_field
 from mcflow.geometry import conformal_metric, euclidean_metric
 from mcflow.initial_data import smooth_cutoff
@@ -23,26 +22,39 @@ def records_from(ts, sups, l2s=None, h1s=None):
             "h1_grad": np.asarray(h1s, float)}
 
 
+def one_record(fld, metric, phi_params=None, profile=None):
+    """The record of `fld` alone, by column name, from a one-row plan."""
+    plan = RecordPlan(fld, metric, phi_params, profile)
+    row = make_record(plan, fld.values[None], [0.0])[0]
+    return dict(zip(plan.columns, row.tolist()))
+
+
+def record_norms(fld, metric):
+    """(sup|u|, max |u'|/w, L2 norm, L2 norm of the gradient) of `fld`."""
+    record = one_record(fld, metric)
+    return tuple(record[name] for name in COLUMNS[1:5])
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
 def test_norms_zero_field():
     fld = line_field(-5.0, 5.0, 0.1, lambda x: np.zeros_like(x))
-    assert field_norms(fld, euclidean_metric(1)) == (0.0, 0.0, 0.0, 0.0)
+    assert record_norms(fld, euclidean_metric(1)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_norms_gaussian_l2():
     fld = line_field(-12.0, 12.0, 0.01, lambda x: np.exp(-x * x / 2),
                      bc=("asymptotic_decay", "asymptotic_decay"))
-    _, _, l2, _ = field_norms(fld, euclidean_metric(1))
+    _, _, l2, _ = record_norms(fld, euclidean_metric(1))
     assert l2 ** 2 == pytest.approx(np.sqrt(np.pi), abs=1e-6)
 
 
 def test_norms_polynomial_l2():
     fld = line_field(0.0, 1.0, 1e-3, lambda x: x * (1 - x),
                      bc=("dirichlet_zero", "dirichlet_zero"))
-    _, _, l2, _ = field_norms(fld, euclidean_metric(1))
+    _, _, l2, _ = record_norms(fld, euclidean_metric(1))
     assert l2 ** 2 == pytest.approx(1.0 / 30.0, abs=1e-8)
 
 
@@ -50,7 +62,7 @@ def test_norms_radial_volume_weight():
     # u == 1 on [0, 1] flat n=3: integral of r^2 dr = 1/3
     fld = radial_field(0.0, 1.0, 1e-3, lambda r: np.ones_like(r),
                        bc=("axis_symmetry", "asymptotic_decay"))
-    _, _, l2, _ = field_norms(fld, euclidean_metric(3))
+    _, _, l2, _ = record_norms(fld, euclidean_metric(3))
     assert l2 ** 2 == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
@@ -58,7 +70,7 @@ def test_norms_grad_max_uses_metric():
     metric = conformal_metric(3, a=1.0, tau=1.0)
     fld = radial_field(1.0, 5.0, 0.01, lambda r: 0.5 * r,
                        bc=("asymptotic_decay", "asymptotic_decay"))
-    _, grad_max, _, _ = field_norms(fld, metric)
+    _, grad_max, _, _ = record_norms(fld, metric)
     assert grad_max == pytest.approx(0.5 / float(metric.w(5.0)), abs=1e-12)
 
 
@@ -68,8 +80,8 @@ def test_norms_grad_max_uses_metric():
 
 def test_phi_zero_field():
     fld = line_field(-2.0, 2.0, 0.1, lambda x: np.zeros_like(x))
-    assert phi_supremum(fld, euclidean_metric(1), 0.7, 0.3) == pytest.approx(
-        np.exp(0.3), abs=1e-12)
+    assert one_record(fld, euclidean_metric(1), (0.7, 0.3))["sup_phi"] \
+        == pytest.approx(np.exp(0.3), abs=1e-12)
 
 
 def test_phi_lambda_zero_drops_u_dependence():
@@ -78,15 +90,15 @@ def test_phi_lambda_zero_drops_u_dependence():
     from mcflow.fields import gradient
     du = gradient(fld)
     v_max = float(np.max(1 / np.sqrt(1 - du ** 2)))
-    assert phi_supremum(fld, euclidean_metric(1), 0.0, 0.5) == pytest.approx(
-        v_max * np.exp(0.5), rel=1e-12)
+    assert one_record(fld, euclidean_metric(1), (0.0, 0.5))["sup_phi"] \
+        == pytest.approx(v_max * np.exp(0.5), rel=1e-12)
 
 
 def test_phi_requires_nonnegative_u_when_monotone():
     fld = line_field(-2.0, 2.0, 0.1, lambda x: -0.5 * np.exp(-x * x),
                      bc=("asymptotic_decay", "asymptotic_decay"))
     with pytest.raises(ValueError):
-        phi_supremum(fld, euclidean_metric(1), 1.0, 1.0)
+        one_record(fld, euclidean_metric(1), (1.0, 1.0))
 
 
 def test_phi_monotone_on_curved_run():
@@ -96,7 +108,7 @@ def test_phi_monotone_on_curved_run():
     fld = radial_field(
         0.5, 20.0, 0.05,
         lambda r: 0.3 * (1 - smooth_cutoff(1.0, 2.0, r)) * smooth_cutoff(3.0, 5.0, r))
-    cfg = SolverConfig(h=0.05, t_end=2.0, snapshot_every=1.0, record_every=0.1)
+    cfg = SolverConfig(t_end=2.0, snapshot_every=1.0, record_every=0.1)
     traj = run_flow(metric, fld, cfg, phi_params=(c, 1.0 / c))
     phis = traj.records["sup_phi"]
     assert all(b <= a + 1e-6 for a, b in zip(phis, phis[1:]))
@@ -110,7 +122,8 @@ def test_phi_monotone_on_curved_run():
 def test_barrier_margin_zero_field():
     prof = build_outer_barrier(3, r1_min=2.0, h=1.0, eps=0.1)
     fld = radial_field(0.0, 50.0, 0.1, lambda r: np.zeros_like(r))
-    assert barrier_margin(fld, prof) >= 0.1
+    assert one_record(fld, euclidean_metric(3), profile=prof)[
+        "barrier_margin"] >= 0.1
 
 
 def test_barrier_margin_of_profile_itself_is_zero():
@@ -120,7 +133,8 @@ def test_barrier_margin_of_profile_itself_is_zero():
     from mcflow.fields import Field
     fld = Field(kind="radial", nodes=nodes, values=vals, h=0.05,
                 bc=("asymptotic_decay", "asymptotic_decay"))
-    assert barrier_margin(fld, prof) == pytest.approx(0.0, abs=1e-12)
+    assert one_record(fld, euclidean_metric(3), profile=prof)[
+        "barrier_margin"] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +159,7 @@ def test_decay_fit_needs_enough_points():
 
 
 def test_boundary_slope_series_zero_run():
-    cfg = SolverConfig(h=0.05, t_end=0.5, snapshot_every=0.1)
+    cfg = SolverConfig(t_end=0.5, snapshot_every=0.1)
     fld = radial_field(0.0, 4.0, 0.05, lambda r: np.zeros_like(r))
     traj = run_flow(euclidean_metric(3), fld, cfg)
     assert max_boundary_slope(traj) == 0.0

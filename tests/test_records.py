@@ -118,15 +118,10 @@ def test_plan_records_match_the_formulas_bit_for_bit(run):
                               traj.snapshots):
         fld = replace(traj.field, values=values)
         assert bits(rec) == bits(reference_record(fld, metric, t, phi, profile))
-        # the public functions are calls into a plan: the same bits
-        assert [float(x).hex() for x in diagnostics.field_norms(fld, metric)] \
-            == [bits(rec)[name] for name in diagnostics.COLUMNS[1:5]]
-        if phi is not None:
-            assert diagnostics.phi_supremum(fld, metric, *phi).hex() \
-                == bits(rec)["sup_phi"]
-        if profile is not None:
-            assert diagnostics.barrier_margin(fld, profile).hex() \
-                == bits(rec)["barrier_margin"]
+        # a one-row plan of the state alone: the same bits
+        plan = diagnostics.RecordPlan(fld, metric, phi, profile)
+        alone = diagnostics.make_record(plan, fld.values[None], [t])[0]
+        assert bits(dict(zip(plan.columns, alone))) == bits(rec)
 
 
 @pytest.mark.parametrize("run", [decay_line_run, axis_ball_run, curved_run])
@@ -229,7 +224,7 @@ def test_record_check_reads_the_engine_differences(monkeypatch):
         engine.d[len(engine.d) // 2] = 2.0 * engine.h
         return out
     monkeypatch.setattr(solver._Engine, "super_step", steepen_differences)
-    cfg = SolverConfig(h=0.1, t_end=0.5, record_every=0.25)
+    cfg = SolverConfig(t_end=0.5, record_every=0.25)
     u0 = build_field_from_config(load("decay_study.json"), "line")
     u0 = type(u0)(kind="line", nodes=u0.nodes[::2], values=u0.values[::2],
                   h=0.1, bc=u0.bc)

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +14,13 @@ from mcflow.fields import Field, check_node_slopes, line_field, radial_field
 from mcflow.geometry import (DomainError, SpacelikeViolationError,
                              conformal_metric, euclidean_metric)
 from mcflow.initial_data import smooth_cutoff
-from mcflow.scenarios import ScenarioConfig, run_nested_sweep
+from mcflow.scenarios import (ScenarioConfig, build_field_from_config,
+                              run_nested_sweep)
 from mcflow.solver import (SolverConfig, run_flow, solve_dirichlet, stable_dt,
                            step_1d, step_radial)
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def gaussian(height, sigma):
@@ -45,19 +52,32 @@ def test_field_validation():
               bc=("axis_symmetry", "dirichlet_zero"))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("record_every", -0.05), ("record_every", math.nan),
+    ("record_every", math.inf), ("snapshot_every", -0.25),
+    ("snapshot_every", math.nan), ("snapshot_every", math.inf),
+    ("t_end", math.nan), ("t_end", math.inf), ("t_end", 0.0),
+    ("max_steps", 0), ("max_steps", -5), ("cfl_safety", math.nan),
+])
+def test_solver_config_rejects_a_bad_field(name, value):
+    # built, never run: a run at record_every -0.05 would not end
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        SolverConfig(**{"t_end": 1.0, name: value})
+
+
 # ---------------------------------------------------------------------------
 # stable step size
 # ---------------------------------------------------------------------------
 
 def test_stable_dt_flat_zero():
-    cfg = SolverConfig(h=0.01, t_end=1.0, cfl_safety=0.5)
+    cfg = SolverConfig(t_end=1.0, cfl_safety=0.5)
     fld = line_field(-1.0, 1.0, 0.01, lambda x: np.zeros_like(x))
     assert stable_dt(fld, euclidean_metric(1), cfg) == pytest.approx(2.5e-5,
                                                                      rel=1e-12)
 
 
 def test_stable_dt_slope_dependence():
-    cfg = SolverConfig(h=0.01, t_end=1.0, cfl_safety=0.5)
+    cfg = SolverConfig(t_end=1.0, cfl_safety=0.5)
     fld = line_field(-1.0, 1.0, 0.01, lambda x: 0.8 * x,
                      bc=("asymptotic_decay", "asymptotic_decay"))
     # coefficient 1 / (1 - 0.64)
@@ -69,14 +89,13 @@ def test_stable_dt_h_squared_scaling():
     m = euclidean_metric(1)
     f1 = line_field(-1.0, 1.0, 0.01, gaussian(0.3, 0.5))
     f2 = line_field(-1.0, 1.0, 0.02, gaussian(0.3, 0.5))
-    c1 = SolverConfig(h=0.01, t_end=1.0)
-    c2 = SolverConfig(h=0.02, t_end=1.0)
-    ratio = stable_dt(f2, m, c2) / stable_dt(f1, m, c1)
+    cfg = SolverConfig(t_end=1.0)
+    ratio = stable_dt(f2, m, cfg) / stable_dt(f1, m, cfg)
     assert ratio == pytest.approx(4.0, rel=1e-3)
 
 
 def test_stable_dt_axis_coefficient():
-    cfg = SolverConfig(h=0.1, t_end=1.0, cfl_safety=1.0)
+    cfg = SolverConfig(t_end=1.0, cfl_safety=1.0)
     fld = radial_field(0.0, 5.0, 0.1, lambda r: np.zeros_like(r))
     # at rest (every a_i = 1) the axis term is the balanced Gershgorin bound
     # n (1 + delta*)/2 for n <= 3, where n = 3 has e = 0 and the bound
@@ -182,7 +201,7 @@ def test_axis_grid_in_dimension_40_is_stable_at_the_stage_limit():
 def test_axis_error_rejections_stop_at_the_gershgorin_floor():
     # the stages count in dt_FE of the coefficient 3/2, but a run starts,
     # and error rejections stop, at cfl h^2/(2 max(a, n)) = cfl h^2/6
-    cfg = SolverConfig(h=0.1, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     fld = radial_field(0.0, 5.0, 0.1, gaussian(0.3, 1.0))
     engine = solver._Engine(fld, euclidean_metric(3))
     floor = cfg.cfl_safety * 0.1 * 0.1 / (2 * 3.0)
@@ -197,7 +216,7 @@ def test_axis_error_rejections_stop_at_the_gershgorin_floor():
 # ---------------------------------------------------------------------------
 
 def test_step_1d_zero_fixed_point():
-    cfg = SolverConfig(h=0.05, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     fld = line_field(-2.0, 2.0, 0.05, lambda x: np.zeros_like(x))
     out, dt = step_1d(fld, cfg)
     assert dt > 0
@@ -205,7 +224,7 @@ def test_step_1d_zero_fixed_point():
 
 
 def test_step_1d_linear_segment_stationary():
-    cfg = SolverConfig(h=0.05, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     fld = line_field(-2.0, 2.0, 0.05, lambda x: 0.5 * x,
                      bc=("asymptotic_decay", "asymptotic_decay"))
     out, _ = step_1d(fld, cfg)
@@ -213,7 +232,7 @@ def test_step_1d_linear_segment_stationary():
 
 
 def test_step_1d_spacelike_violation(monkeypatch):
-    cfg = SolverConfig(h=0.05, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     slope = 1.0 - 1e-13
     nodes = np.arange(-2.0, 2.0 + 1e-9, 0.05)
     fld = Field(kind="line", nodes=nodes, values=slope * nodes, h=0.05,
@@ -226,7 +245,7 @@ def test_step_1d_spacelike_violation(monkeypatch):
 
 
 def test_step_radial_zero_fixed_point():
-    cfg = SolverConfig(h=0.05, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     fld = radial_field(0.0, 5.0, 0.05, lambda r: np.zeros_like(r))
     out, _ = step_radial(fld, euclidean_metric(3), 3, cfg)
     assert np.all(out.values == 0.0)
@@ -243,7 +262,7 @@ def test_step_radial_exact_profile_nearly_stationary():
                          - _beta_height_gap(r) for r in nodes])
         fld = Field(kind="radial", nodes=nodes, values=beta, h=h,
                     bc=("asymptotic_decay", "asymptotic_decay"))
-        cfg = SolverConfig(h=h, t_end=1.0)
+        cfg = SolverConfig(t_end=1.0)
         out, dt = step_radial(fld, flat, 3, cfg)
         return np.max(np.abs(out.values - fld.values)) / dt
 
@@ -277,7 +296,7 @@ def test_evolved_exact_profile_drift_is_second_order():
         beta = gaps.max() - gaps  # decreasing, beta(8) = 0
         fld = Field(kind="radial", nodes=nodes, values=beta, h=h,
                     bc=("asymptotic_decay", "asymptotic_decay"))
-        cfg = SolverConfig(h=h, t_end=t_end)
+        cfg = SolverConfig(t_end=t_end)
         t = 0.0
         while t < t_end - 1e-12:
             fld, dt = step_radial(fld, flat, 3, cfg, dt_cap=t_end - t)
@@ -299,7 +318,7 @@ def test_step_radial_static_profile_descends():
         heights = np.array([supersolution_height(3, 2.0, r) for r in nodes])
         fld = Field(kind="radial", nodes=nodes, values=heights, h=h,
                     bc=("asymptotic_decay", "asymptotic_decay"))
-        cfg = SolverConfig(h=h, t_end=1.0)
+        cfg = SolverConfig(t_end=1.0)
         out, dt = step_radial(fld, flat, 3, cfg)
         return float(np.max((out.values - fld.values)[1:-1]) / dt)
 
@@ -319,7 +338,7 @@ def test_step_radial_keeps_states_steeper_than_the_flat_bound():
     fld = Field(kind="radial", nodes=nodes,
                 values=0.995 * np.maximum(2.0 - nodes, 0.0), h=h,
                 bc=("asymptotic_decay", "dirichlet_zero"))
-    cfg = SolverConfig(h=h, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     steepest = 0.0
     for _ in range(50):
         fld, _ = step_radial(fld, curved, 3, cfg)
@@ -335,13 +354,13 @@ def test_axis_grid_on_a_curved_metric_is_refused():
                        bc=("axis_symmetry", "dirichlet_zero"))
     with pytest.raises(DomainError, match="axis grid"):
         run_flow(conformal_metric(3, 0.5, 1.0), fld,
-                 SolverConfig(h=0.05, t_end=0.1))
-    flat = run_flow(euclidean_metric(3), fld, SolverConfig(h=0.05, t_end=0.1))
+                 SolverConfig(t_end=0.1))
+    flat = run_flow(euclidean_metric(3), fld, SolverConfig(t_end=0.1))
     assert flat.termination == "reached_t_end"
 
 
 def test_axis_rule_uses_even_reflection():
-    cfg = SolverConfig(h=0.02, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     fld = radial_field(0.0, 2.0, 0.02, lambda r: 0.2 * np.cos(r),
                        bc=("axis_symmetry", "asymptotic_decay"))
     out, dt = step_radial(fld, euclidean_metric(3), 3, cfg)
@@ -355,7 +374,7 @@ def test_axis_rule_uses_even_reflection():
 # ---------------------------------------------------------------------------
 
 def test_run_flow_zero_trajectory():
-    cfg = SolverConfig(h=0.05, t_end=0.5, snapshot_every=0.1)
+    cfg = SolverConfig(t_end=0.5, snapshot_every=0.1)
     fld = line_field(-5.0, 5.0, 0.05, lambda x: np.zeros_like(x))
     traj = run_flow(euclidean_metric(1), fld, cfg)
     assert traj.termination == "reached_t_end"
@@ -367,7 +386,7 @@ def test_run_flow_zero_trajectory():
 
 
 def test_run_flow_bump_sup_monotone():
-    cfg = SolverConfig(h=0.05, t_end=2.0, snapshot_every=0.5,
+    cfg = SolverConfig(t_end=2.0, snapshot_every=0.5,
                        record_every=0.1)
     fld = line_field(-20.0, 20.0, 0.05, gaussian(0.5, 1.0))
     traj = run_flow(euclidean_metric(1), fld, cfg)
@@ -377,7 +396,7 @@ def test_run_flow_bump_sup_monotone():
 
 
 def test_run_flow_requires_decayed_edges():
-    cfg = SolverConfig(h=0.05, t_end=1.0)
+    cfg = SolverConfig(t_end=1.0)
     fld = line_field(-3.0, 3.0, 0.05, gaussian(0.5, 2.0))  # edge ~ 0.16 sup
     with pytest.raises(ValueError):
         run_flow(euclidean_metric(1), fld, cfg)
@@ -386,7 +405,7 @@ def test_run_flow_requires_decayed_edges():
 def test_run_flow_self_convergence_richardson():
     sups = {}
     for h in (0.1, 0.05, 0.025):
-        cfg = SolverConfig(h=h, t_end=0.25, snapshot_every=0.25)
+        cfg = SolverConfig(t_end=0.25, snapshot_every=0.25)
         fld = line_field(-10.0, 10.0, h, gaussian(0.5, 0.8))
         traj = run_flow(euclidean_metric(1), fld, cfg)
         sups[h] = float(np.max(np.abs(traj.snapshots[-1])))
@@ -394,24 +413,75 @@ def test_run_flow_self_convergence_richardson():
     assert 3.0 < ratio < 5.0
 
 
+def no_lift_off_capped(t_end, max_steps):
+    """configs/no_lift_off.json to `t_end`, at most `max_steps` steps."""
+    with open(os.path.join(CONFIG_DIR, "no_lift_off.json")) as fh:
+        raw = json.load(fh)
+    raw["solver"].update(t_end=t_end, max_steps=max_steps)
+    cfg = ScenarioConfig.from_dict(raw)
+    return cfg.metric, build_field_from_config(cfg, "radial"), cfg.solver
+
+
 def test_run_flow_max_steps_cap():
-    cfg = SolverConfig(h=0.05, t_end=10.0, max_steps=10)
-    fld = line_field(-20.0, 20.0, 0.05, gaussian(0.5, 1.0))
+    # (metric, data, config, the snapshot times kept or None, the record
+    # times kept or None), None where the stop time is not known ahead
+    line = line_field(-20.0, 20.0, 0.05, gaussian(0.5, 1.0))
+    smoke = line_field(-10.0, 10.0, 0.1, gaussian(0.4, 1.0))
+    smoke_cfg = SolverConfig(t_end=0.5, snapshot_every=0.25,
+                             record_every=0.05, max_steps=33)
+    cases = [
+        # stops before the first mark
+        (euclidean_metric(1), line, SolverConfig(t_end=10.0, max_steps=10),
+         None, None),
+        # the last step ends on a snapshot and record mark: kept once
+        (euclidean_metric(1), smoke, smoke_cfg, [0.0, 0.25],
+         [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]),
+        (*no_lift_off_capped(20.0, 429), [0.0, 10.0],
+         [float(t) for t in range(11)]),
+        # on a snapshot mark that is not a record mark: recorded at the stop
+        (euclidean_metric(1), smoke, replace(smoke_cfg, record_every=0.1),
+         [0.0, 0.25], [0.0, 0.1, 0.2, 0.25]),
+    ]
+    for metric, fld, cfg, times, record_times in cases:
+        traj = run_flow(metric, fld, cfg)
+        assert traj.termination == "step_cap"
+        assert traj.steps == cfg.max_steps
+        t = traj.records["t"]
+        assert np.all(np.diff(traj.times) > 0.0) and np.all(np.diff(t) > 0.0)
+        # the run records and snapshots the state it stopped at
+        t_stop = traj.times[-1]
+        assert t[-1] == t_stop
+        assert traj.snapshots.shape == (len(traj.times), fld.nodes.size)
+        assert traj.records["sup_u"][-1] == np.max(np.abs(traj.snapshots[-1]))
+        assert traj.records["sup_u"][-1] < traj.records["sup_u"][0]
+        if times is None:
+            assert 0.0 < t_stop < cfg.snapshot_cadence
+            assert traj.times.tolist() == t.tolist() == [0.0, t_stop]
+        else:
+            assert traj.times.tolist() == times
+            assert t.tolist() == pytest.approx(record_times, abs=1e-12)
+
+
+def test_a_run_ends_its_steps_on_the_config_snapshot_times():
+    # the mark 0.75 lies within 1e-12 below t_end: the run ends there
+    cfg = SolverConfig(t_end=0.75 + 5e-13, snapshot_every=0.25,
+                       record_every=0.1)
+    assert cfg.snapshot_times() == [0.0, 0.25, 0.5, 0.75]
+    assert SolverConfig(t_end=0.8, snapshot_every=0.25).snapshot_times() \
+        == [0.0, 0.25, 0.5, 0.75, 0.8]
+    with pytest.raises(ValueError, match="at most 1000000 snapshots"):
+        SolverConfig(t_end=1e7, snapshot_every=1.0).snapshot_times()
+    fld = line_field(-10.0, 10.0, 0.1, gaussian(0.4, 1.0))
     traj = run_flow(euclidean_metric(1), fld, cfg)
-    assert traj.termination == "step_cap"
-    assert traj.steps == 10
-    # the run records and snapshots the state it stopped at, before the
-    # first mark
-    t_stop = traj.times[-1]
-    assert 0.0 < t_stop < cfg.snapshot_cadence
-    assert traj.times.tolist() == traj.records["t"].tolist() == [0.0, t_stop]
-    assert traj.snapshots.shape == (2, fld.nodes.size)
-    assert traj.records["sup_u"][-1] == np.max(np.abs(traj.snapshots[-1]))
-    assert traj.records["sup_u"][-1] < traj.records["sup_u"][0]
+    assert traj.termination == "reached_t_end"
+    assert traj.times.tolist() == cfg.snapshot_times()
+    assert traj.records["t"][-1] == 0.75
+    # the snapshot table holds a row per snapshot time, no spare rows
+    assert traj.snapshots.base.shape == traj.snapshots.shape
 
 
 def test_solve_dirichlet_zero_data():
-    cfg = SolverConfig(h=0.1, t_end=0.5, snapshot_every=0.25)
+    cfg = SolverConfig(t_end=0.5, snapshot_every=0.25)
     fld = radial_field(0.0, 9.0, 0.1, lambda r: np.zeros_like(r))
     traj = solve_dirichlet(3.0, euclidean_metric(3), fld, cfg)
     assert traj.termination == "reached_t_end"
@@ -420,7 +490,7 @@ def test_solve_dirichlet_zero_data():
 
 
 def test_solve_dirichlet_sup_inf_preserved():
-    cfg = SolverConfig(h=0.05, t_end=1.0, snapshot_every=0.2)
+    cfg = SolverConfig(t_end=1.0, snapshot_every=0.2)
     fld = radial_field(0.0, 9.0, 0.05,
                        lambda r: 0.4 * smooth_cutoff(0.5, 2.0, r))
     traj = solve_dirichlet(3.0, euclidean_metric(3), fld, cfg)
@@ -432,7 +502,7 @@ def test_solve_dirichlet_sup_inf_preserved():
 
 
 def test_solve_dirichlet_grid_mismatch_rejected():
-    cfg = SolverConfig(h=0.1, t_end=0.5)
+    cfg = SolverConfig(t_end=0.5)
     fld = radial_field(0.0, 5.0, 0.1, lambda r: np.zeros_like(r))
     with pytest.raises(ValueError):
         solve_dirichlet(3.0, euclidean_metric(3), fld, cfg)

@@ -245,7 +245,7 @@ def test_step_1d_reports_non_finite_without_halving(position, monkeypatch):
     monkeypatch.setattr(solver._Engine, "max_metric_slope",
                         lambda self, d: calls.append(1) or check(self, d))
     with pytest.raises(NonFiniteError, match="non-finite slope at x = "):
-        step_1d(nan_line(position), SolverConfig(h=0.05, t_end=1.0))
+        step_1d(nan_line(position), SolverConfig(t_end=1.0))
     assert calls == []
 
 
@@ -257,7 +257,7 @@ def test_step_radial_reports_nan_and_infinity_as_non_finite():
                 bc=("axis_symmetry", "dirichlet_zero"))
     with pytest.raises(NonFiniteError):
         step_radial(fld, euclidean_metric(3), 3,
-                    SolverConfig(h=0.05, t_end=1.0))
+                    SolverConfig(t_end=1.0))
     # Field rejects infinite values, so hand one to the engine directly
     engine = solver._Engine(fld, euclidean_metric(3))
     engine.u[0] = np.inf
@@ -268,7 +268,7 @@ def test_step_radial_reports_nan_and_infinity_as_non_finite():
 
 def test_run_flow_terminates_non_finite_with_message():
     traj = run_flow(euclidean_metric(1), nan_line(100),
-                    SolverConfig(h=0.05, t_end=1.0))
+                    SolverConfig(t_end=1.0))
     assert traj.termination == "non_finite"
     assert traj.termination in solver.TERMINATIONS
     assert "non-finite" in traj.message
@@ -280,12 +280,12 @@ def test_run_flow_keeps_violation_message():
     tent = np.maximum(2.0 - (1.0 - 1e-13) * np.abs(nodes), 0.0)
     fld = Field(kind="line", nodes=nodes, values=tent, h=0.05,
                 bc=("dirichlet_zero", "dirichlet_zero"))
-    traj = run_flow(euclidean_metric(1), fld, SolverConfig(h=0.05, t_end=1.0))
+    traj = run_flow(euclidean_metric(1), fld, SolverConfig(t_end=1.0))
     assert traj.termination == "spacelike_violation"
     assert "spacelikeness" in traj.message
     zero = Field(kind="line", nodes=nodes, values=np.zeros_like(nodes),
                  h=0.05, bc=("dirichlet_zero", "dirichlet_zero"))
-    ok = run_flow(euclidean_metric(1), zero, SolverConfig(h=0.05, t_end=0.01))
+    ok = run_flow(euclidean_metric(1), zero, SolverConfig(t_end=0.01))
     assert ok.termination == "reached_t_end" and ok.message == ""
 
 
@@ -409,7 +409,7 @@ def test_super_steps_hold_pinned_and_frozen_ends():
                        lambda r: -0.3 * np.exp(-r) * (8.0 - r) / 7.0,
                        bc=("asymptotic_decay", "asymptotic_decay"))
     assert np.signbit(fld.values[-1]) and fld.values[0] != 0.0
-    config = SolverConfig(h=0.05, t_end=1.0)
+    config = SolverConfig(t_end=1.0)
     engine = fixed_steps(fld, curved, 20.0 * stable_dt(fld, curved, config),
                          5)
     assert engine.u[[0, -1]].tobytes() == fld.values[[0, -1]].tobytes()
@@ -461,7 +461,7 @@ def test_max_steps_counts_accepted_super_steps(monkeypatch):
 
     monkeypatch.setattr(solver._Engine, "max_metric_slope", reject_odd)
     field, metric, _ = decay_line_case()
-    config = SolverConfig(h=field.h, t_end=100.0, max_steps=5)
+    config = SolverConfig(t_end=100.0, max_steps=5)
     traj = run_flow(metric, field, config)
     assert traj.termination == "step_cap"
     assert traj.steps == 5 and len(calls) == 10
@@ -561,7 +561,7 @@ def test_interpolated_records_check_their_own_differences(monkeypatch):
         return values, d
     monkeypatch.setattr(solver._Engine, "interpolate", steepen)
     field, metric, _ = decay_line_case()
-    config = SolverConfig(h=field.h, t_end=2.0, record_every=0.01,
+    config = SolverConfig(t_end=2.0, record_every=0.01,
                           snapshot_every=1.0)
     with pytest.raises(solver.RecordError, match="node-to-node slope 2 >= 1"):
         run_flow(metric, field, config)
@@ -578,7 +578,7 @@ def test_interpolated_records_hold_pinned_and_frozen_ends():
                        lambda r: -0.3 * np.exp(-r) * (8.0 - r) / 7.0,
                        bc=("asymptotic_decay", "asymptotic_decay"))
     engine, _, dt, _ = stepped_engine(fld, curved,
-                                      SolverConfig(h=0.05, t_end=1.0), 0.5)
+                                      SolverConfig(t_end=1.0), 0.5)
     for theta in (0.3, 0.7):
         values = engine.interpolate([theta], dt)[0][0]
         assert values[[0, -1]].tobytes() == fld.values[[0, -1]].tobytes()
@@ -724,7 +724,7 @@ def asymptotic_decay_case():
                        lambda r: -0.3 * np.exp(-r) * (8.0 - r) / 7.0,
                        bc=("asymptotic_decay", "asymptotic_decay"))
     assert np.signbit(fld.values[-1])
-    return fld, curved, SolverConfig(h=0.05, t_end=1.0)
+    return fld, curved, SolverConfig(t_end=1.0)
 
 
 @pytest.mark.parametrize("case", ["flat_axis", "blended_axis", "curved",

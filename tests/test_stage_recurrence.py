@@ -236,7 +236,7 @@ def test_a_nan_on_a_curved_grid_names_the_first_nan_node(monkeypatch):
         return out
 
     monkeypatch.setattr(RadialOperator, "rhs", poisoned)
-    traj = run_flow(metric, field, SolverConfig(h=field.h, t_end=1.0))
+    traj = run_flow(metric, field, SolverConfig(t_end=1.0))
     assert traj.termination == "non_finite" and traj.steps == 0
     assert traj.message.startswith(
         f"non-finite slope at x = {field.nodes[m]:.6g}")

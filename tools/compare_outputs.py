@@ -4,7 +4,7 @@
 
 Runs, once under a `git archive` of REV and once under the working tree:
 the six shipped configs (`sweep` for the two sweeps, `simulate` for the
-others), a sweep of curved balls, five no_lift_off variants that stop
+others), a sweep of curved balls, six no_lift_off variants that stop
 before t_end or at the config pass (see `no_lift_off_variants`),
 `mcflow verify`, and the benchmark workloads' configs at seeds 0 and 3, as
 `perfbench/workloads.py` of the working tree generates them.
@@ -81,12 +81,14 @@ def no_lift_off_variants() -> dict:
       whose last two share the file t1.000000.csv (a config error since
       snapshot names must differ)
     - `step_cap`: at most 3 steps (exit 1; the run records and snapshots
-      the state it stopped at, as a halted run does)"""
+      the state it stopped at, as a halted run does)
+    - `cap_at_mark`: through t = 20 at most 429 steps, the last of which
+      ends on the snapshot mark t = 10 (exit 1; that state is kept once)"""
     with open(os.path.join(ROOT, "configs", "no_lift_off.json")) as fh:
         text = fh.read()
     variants = {name: json.loads(text) for name in (
         "record_dip", "record_inner_end_n40", "steep_flat_bump",
-        "snapshot_name_clash", "step_cap")}
+        "snapshot_name_clash", "step_cap", "cap_at_mark")}
     variants["record_dip"]["solver"].update(t_end=0.1, record_every=0.002)
     variants["record_inner_end_n40"]["metric"]["n"] = 40
     variants["record_inner_end_n40"]["solver"].update(
@@ -97,6 +99,7 @@ def no_lift_off_variants() -> dict:
     variants["snapshot_name_clash"]["solver"].update(t_end=1.0000001,
                                                      snapshot_every=0.5)
     variants["step_cap"]["solver"]["max_steps"] = 3
+    variants["cap_at_mark"]["solver"].update(t_end=20.0, max_steps=429)
     return variants
 
 
