@@ -71,11 +71,25 @@ with the four rows f, f_cand, stage and stage_prev, which form one
 C-contiguous block.  Slopes are never clamped: a stage or candidate that
 breaks strict spacelikeness is retried on a halved step, at most
 MAX_DT_HALVINGS times, and then halts; a NaN or infinity halts.
+
+The cut: every candidate value with |value| < UNDERFLOW_CUT sup|u_0| is set
+to +0.0, on every grid, before the ends are held.  2^-511 is the square
+root of the smallest normal double, so the state's squares do not
+underflow and its tail does not turn subnormal, where each operation costs
+several times as much (Goldberg, ACM Comput. Surv. 23, 1991).  The
+candidate's differences, check and speed are formed from the cut values,
+so f = F(u) still holds bit for bit.  NaN and infinities are never cut;
+frozen ends keep their bits; a cut that scales with sup|u_0| leaves tiny
+data alone, and zero data (a cut of 0) are not touched.
 Where the outer end is pinned (balls, annuli), a step of s stages runs on
 the window [0, m): the last node where u or f is not +0.0, plus s + 3, up
 to a multiple of 64 (np.dot over block[:, :m] is the whole product's head
 only for m a multiple of 4), within the grid; m never shrinks.  A stage
-spreads the support by one node: beyond m every row stays +0.0 and C = K.
+spreads the support by one node: beyond m every row stays +0.0 and C = K,
+so the window step is the whole-grid step bit for bit, cut included.  The
+cut stops the window where the far field underflows.  A step of s stages
+moves that last node at most s nodes on, so the window is searched for
+again only when that bound reaches its edge.
 """
 
 from __future__ import annotations
@@ -102,6 +116,9 @@ MAX_DT_HALVINGS = 10
 TIME_ERROR_KAPPA = 1e-4
 #: Most records, and most snapshots, of a run: t_end over their cadence.
 MAX_RECORDS = 1_000_000
+#: Candidate values below this times sup|u_0| are set to +0.0: the square
+#: root of the smallest normal double.
+UNDERFLOW_CUT = 2.0 ** -511
 
 
 class RecordError(ValueError):
@@ -205,6 +222,7 @@ class _Engine:
         self.hw_mid = gap_scale(field, metric)
         size = nodes.size
         self.u = np.array(field.values, dtype=float)
+        self.cut = UNDERFLOW_CUT * float(np.max(np.abs(self.u)))
         self.coeff = self.cand_coeff = None
         # scratch rows share one allocation (cheaper for per-call engines).
         # First the four rows a stage combines, as one C-contiguous block for
@@ -220,12 +238,15 @@ class _Engine:
         self.d, self.d_cand, self.slope = (r[:size - 1] for r in rows[1:4])
         self.s, self.q, self.comp, self.work = (
             r[:size - 2] for r in rows[4:])
+        self.tiny = np.empty(size, dtype=bool)  # the candidate's cut nodes
         np.subtract(self.u[1:], self.u[:-1], out=self.d)
         self.batch = diagnostics.batch_rows(size)
         self.m = 0  # the window, formed by the first step
+        # a node past which u and f are +0.0: the last found, plus s a step
+        self.reach = size
         self.ops = {size - 2: self.op}  # the operator on each window
         self.views = {}  # a step's views of the window, per f_row
-        # `_complement` passes above this min(C); min K past each window
+        # `_coefficient` passes above this min(C); min K past each window
         self.safe_c = 2.0 * TOL_SPACELIKE * float(np.max(self.op.K))
         self.far_K = None if self.op.inv_K is None else np.append(
             np.minimum.accumulate(self.op.K[::-1])[::-1], math.inf).tolist()
@@ -238,53 +259,54 @@ class _Engine:
         are not padded, so that a batch is one contiguous block."""
         return np.empty((3, self.batch, self.u.size))
 
-    def _complement(self, d):
-        """Form s = 2h u' and C = 4h^2 w^2 - s^2 from the forward differences
-        `d` (of the grid or a window), check 1 - (u'/w)^2 = C/K >
-        TOL_SPACELIKE and return the stability coefficient, on axis grids
-        with `axis_coefficient`.  Raises on a NaN, an infinity or a slope at
-        the null cone, naming the node of the smallest 1 - (u'/w)^2."""
-        stop = d.size - 1
-        s = np.add(d[1:], d[:-1], out=self.s[:stop])
+    def _coefficient(self, comp):
+        """Check 1 - (u'/w)^2 = C/K > TOL_SPACELIKE for C = `comp` (of the
+        grid or a window) and return the stability coefficient, on axis
+        grids with `axis_coefficient`.  Raises on a NaN, an infinity or a
+        slope at the null cone, naming the node of the smallest
+        1 - (u'/w)^2."""
+        stop = comp.size
         op = self.ops[stop]
-        comp = op.complement(s, self.comp[:stop])
         i = comp.argmin()  # the first NaN, if any
         low_c = float(comp[i])  # min(C); beyond a window C = K
-        if op.inv_K is None:  # C <= K
-            low = low_c / op.K
-        else:
+        if op.inv_K is not None:
             low_c = min(low_c, self.far_K[stop])
-            comp = np.multiply(comp, op.inv_K, out=self.work[:stop])
-            i = comp.argmin()
-            low = float(comp[i])
-        if not low > TOL_SPACELIKE:
-            x = self.nodes[1 + i]
-            if not np.isfinite(low):
-                raise NonFiniteError(f"non-finite slope at x = {x:.6g}")
-            raise SpacelikeViolationError(
-                f"spacelikeness lost: 1 - (u'/w)^2 = {low:.6g} <= "
-                f"{TOL_SPACELIKE:g} at x = {x:.6g}")
+        if not low_c > self.safe_c:  # else C/K > 2 TOL_SPACELIKE everywhere
+            if op.inv_K is None:  # C <= K
+                low = low_c / op.K
+            else:
+                ratio = np.multiply(comp, op.inv_K, out=self.work[:stop])
+                i = ratio.argmin()
+                low = float(ratio[i])
+            if not low > TOL_SPACELIKE:
+                x = self.nodes[1 + i]
+                if not np.isfinite(low):
+                    raise NonFiniteError(f"non-finite slope at x = {x:.6g}")
+                raise SpacelikeViolationError(
+                    f"spacelikeness lost: 1 - (u'/w)^2 = {low:.6g} <= "
+                    f"{TOL_SPACELIKE:g} at x = {x:.6g}")
         # max 1/(w^2 (1 - (u'/w)^2)) = max 4h^2/C = 4h^2/min(C): rounded
         # division is monotone
         scale = 4.0 * self.h * self.h
         if self.axis:  # flat: C is not divided by K
             return max(scale / low_c, axis_coefficient(
-                self.n, scale / float(self.comp[0])))
+                self.n, scale / float(comp[0])))
         return scale / low_c
 
     def coefficient(self):
-        """Stability coefficient of the state; forms s and C on the way.
-        Raises as `_complement`."""
-        return self._complement(self.d)
+        """Stability coefficient of the state; forms s = 2h u' and
+        C = 4h^2 w^2 - s^2 on the way.  Raises as `_coefficient`."""
+        s = np.add(self.d[1:], self.d[:-1], out=self.s)
+        return self._coefficient(self.op.complement(s, self.comp))
 
     def _speed(self, d, out):
-        """Write F/4, a quarter of the flow speed of the values with forward
-        differences `d` (of the grid or of a window), into `out` and return
-        it: the operator inside, the axis rule F = 2n (u_1 - u_0)/h^2 at
-        r = 0, zero at pinned or frozen ends.  Needs `_complement(d)`."""
-        q = np.subtract(d[1:], d[:-1], out=self.q[:d.size - 1])
-        self.ops[q.size].rhs(self.s[:q.size], q, self.comp[:q.size],
-                             out[1:-1], self.work[:q.size])
+        """Write F/4, a quarter of the flow speed of the grid's values with
+        forward differences `d`, into `out` and return it: the operator
+        inside, the axis rule F = 2n (u_1 - u_0)/h^2 at r = 0, zero at
+        pinned or frozen ends.  Needs s and C of `d`, as `coefficient`
+        forms them."""
+        q = np.subtract(d[1:], d[:-1], out=self.q)
+        self.op.rhs(self.s, q, self.comp, out[1:-1], self.work)
         out[0] = self.n * 0.5 * d[0] / (self.h * self.h) if self.axis else 0.0
         out[-1] = 0.0
         return out
@@ -295,14 +317,19 @@ class _Engine:
         if not m:  # what no stage writes is +0.0; block[1:]: f_cand, stages
             for row in (self.block[1:], self.cand, self.d_cand):
                 row.fill(0.0)
-        if m < size and self.pin_right:  # the last node where u or f is not
-            bits = np.bitwise_or(*(  # +0.0; beyond the window both are +0.0
+        # search only where the support may have reached the window's edge
+        if m < size and self.pin_right and self.reach + s + 3 > m:
+            bits = np.bitwise_or(*(  # the last node where u or f is not
                 row[:m or size].view(np.int64) for row in (self.u, self.f)))
-            last = bits.size - 1 - int(bits[::-1].astype(bool).argmax())
+            self.reach = last = (  # +0.0; beyond the window both are +0.0
+                bits.size - 1 - int(bits[::-1].astype(bool).argmax()))
             m = min(size, max(m, -(-(last + s + 3) // 64) * 64))
             if m != self.m:  # a grown window's views are not used again
                 self.views, self.ops[m - 2] = {}, self.op.window(m - 2)
         self.m = m = m or size
+        # the candidate's u and f reach at most s nodes further (a stage
+        # spreads them one); a retried step only loosens this bound
+        self.reach += s
         if (m, self.f_row) not in self.views:
             f, d = self.f_cand[:m], self.d_cand[:m - 1]
             rows = self.stage[:m], self.stage_prev[:m]  # D_{j-1}, D_{j-2}
@@ -311,7 +338,7 @@ class _Engine:
                 d[:-1], f[1:-1], self.block[:, :m], rows,
                 [(r[1:], r[:-1], t) for r, t in zip(rows, rows[::-1])],
                 *(r[:m - 2] for r in (self.s, self.comp, self.q, self.work)),
-                self.ops[m - 2].complement, self.ops[m - 2].rhs)
+                self.ops[m - 2].complement, self.ops[m - 2].rhs, self.tiny[:m])
         return self.views[m, self.f_row]
 
     def _hold_ends(self, y):
@@ -383,9 +410,10 @@ class _Engine:
     def rkl2(self, tau, dt_fe):
         """Form the RKL2 super-step of size `tau` from the state.
 
-        The candidate goes to `cand` with its differences, speed and
-        principal coefficient in `d_cand`, `f_cand` and `cand_coeff`; the
-        state and its `f` are not written.  Returns the sup of the local
+        The candidate goes to `cand`, its values below the cut set to
+        +0.0, with its differences, speed and principal coefficient in
+        `d_cand`, `f_cand` and `cand_coeff`; the state and its `f` are not
+        written.  Returns the sup of the local
         error estimate.  Raises SpacelikeViolationError on a stage or
         candidate that breaks strict spacelikeness, NonFiniteError on a
         NaN or infinity.
@@ -399,7 +427,7 @@ class _Engine:
         """
         s = rkl2_stages(tau, dt_fe)
         (f0, f, acc, d, du, d1, d0, inner, block, rows, ends, s_, comp, q,
-         work, complement, rhs) = self._window(s)
+         work, complement, rhs, tiny) = self._window(s)
         w1 = 4.0 / (s * s + s - 2)
         axis, half_n, h2 = self.axis, self.n * 0.5, self.h * self.h
         table = _rkl2_weights(1 << (s - 2).bit_length())[:s - 1]
@@ -415,7 +443,7 @@ class _Engine:
             np.add(d1, d0, s_)
             complement(s_, comp)
             if not comp[comp.argmin()] > self.safe_c:  # first NaN, if any
-                self._complement(d)  # raises, naming the node
+                self._coefficient(comp)  # raises, naming the node
             np.subtract(d1, d0, q)
             rhs(s_, q, comp, inner, work)
             if axis:
@@ -424,10 +452,18 @@ class _Engine:
             np.copyto(target, acc)
         prev, older = rows[(s - 1) % 2], rows[s % 2]
         cand = np.add(self.u[:acc.size], prev, out=acc)
+        np.less(np.abs(cand, out=older), self.cut, out=tiny)  # NaN: False
+        np.copyto(cand, 0.0, where=tiny)
         self._hold_ends(cand)
+        # the candidate's differences, check and speed, as a stage's: no
+        # evaluation writes f's ends (off the axis), which stay 0.0
         np.subtract(cand[1:], cand[:-1], out=d)
-        self.cand_coeff = self._complement(d)
-        self._speed(d, f)
+        np.add(d1, d0, s_)
+        self.cand_coeff = self._coefficient(complement(s_, comp))
+        np.subtract(d1, d0, q)
+        rhs(s_, q, comp, inner, work)
+        if axis:
+            f[0] = half_n * d.item(0) / h2
         worst = self.max_metric_slope(d)
         if not worst < 1.0 - TOL_SPACELIKE:
             raise SpacelikeViolationError(

@@ -10,10 +10,12 @@ evaluates the operator through `geometry.RadialOperator`, so the two agree
 to rounding, not bit for bit.
 """
 
+import importlib.util
 import json
 import math
 import os
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,8 @@ from mcflow.geometry import (TOL_SPACELIKE, DomainError, NonFiniteError,
                              SpacelikeViolationError, euclidean_metric,
                              radial_factors)
 from mcflow.initial_data import interpolate_initial_data, lipschitz_constant
-from mcflow.scenarios import ScenarioConfig, build_field_from_config
+from mcflow.scenarios import (ScenarioConfig, build_field_from_config,
+                              run_dirichlet_case)
 from mcflow.fields import radial_field
 from mcflow.geometry import conformal_metric
 from mcflow.solver import (TIME_ERROR_KAPPA, SolverConfig, rkl2_stages,
@@ -371,16 +374,16 @@ def test_halt_and_report_halts_on_the_first_stage_violation(case,
     engine = solver._Engine(field, metric)
     engine.super_step(tau, tau, config.cfl_safety, math.inf)  # forms F(u)
     state = {name: getattr(engine, name).copy() for name in ("u", "d", "f")}
-    complement = solver._Engine._complement
+    coefficient = solver._Engine._coefficient
     stages = []
 
-    def violate_first_stage(self, d):
+    def violate_first_stage(self, comp):
         stages.append(1)
         if len(stages) == 1:
             raise SpacelikeViolationError("spacelikeness lost: stub")
-        return complement(self, d)
+        return coefficient(self, comp)
 
-    monkeypatch.setattr(solver._Engine, "_complement", violate_first_stage)
+    monkeypatch.setattr(solver._Engine, "_coefficient", violate_first_stage)
     monkeypatch.setattr(solver, "MAX_DT_HALVINGS", 0)
     with pytest.raises(SpacelikeViolationError,
                        match=re.escape(f"stub (last dt {tau:g})")):
@@ -868,7 +871,7 @@ def plus_zeros(row):
 @pytest.mark.parametrize("case", ["ball", "no_lift_off", "curved_ball"])
 def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
     init, super_step = solver._Engine.__init__, solver._Engine.super_step
-    windows = []
+    windows, lowest = [], []
 
     def keep_origin(self, field, metric, n=None):
         init(self, field, metric, n)
@@ -882,6 +885,11 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
         for row in (self.u, self.f, self.stage, self.stage_prev):
             assert plus_zeros(row[m:])
         assert plus_zeros(self.d[m - 1:])
+        # the cut: no value the window steps lies in (0, cut)
+        live = np.abs(self.u[:m])
+        live = live[live > 0.0]
+        assert self.cut > 0.0 and not np.any(live < self.cut)
+        lowest.append(float(live.min()) / self.cut)
         # a fresh engine on the whole grid: the same speed and coefficient
         field, metric = self.origin
         fresh = solver._Engine(replace(field, values=self.u.copy()), metric)
@@ -895,8 +903,10 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
     windowed = window_run(case)
     monkeypatch.undo()
     assert min(windows) < 0.5 and windowed.steps == len(windows)
+    assert min(lowest) < 2.0  # the far field reaches the cut
     # the same run with every step on the whole grid: an engine that holds
-    # its outer end frozen at the +0.0 it is pinned to forms no window
+    # its outer end frozen at the +0.0 it is pinned to forms no window, and
+    # cuts its candidates as the windowed engine does
     def whole_grid(self, field, metric, n=None):
         init(self, field, metric, n)
         self.pin_right = False
@@ -916,3 +926,102 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
     assert windowed.records.keys() == whole.records.keys()
     assert all(windowed.records[name].tobytes()
                == whole.records[name].tobytes() for name in whole.records)
+
+
+def ball_sweep_config(seed):
+    """The benchmark's `ball_sweep` config for `seed`, from perfbench."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    root = os.path.join(os.path.dirname(__file__), "..")
+    return ScenarioConfig.from_dict(
+        workloads.generate_config(root, "ball_sweep", seed))
+
+
+def test_ball_sweep_steps_and_stages_are_pinned(monkeypatch):
+    # the cut stops the window where the far field underflows; it takes
+    # the steps and stages of the run without it
+    cfg = ball_sweep_config(3)
+    rkl2, stages = solver._Engine.rkl2, []
+    monkeypatch.setattr(solver._Engine, "rkl2", lambda self, tau, dt_fe: (
+        stages.append(rkl2_stages(tau, dt_fe)), rkl2(self, tau, dt_fe))[1])
+    counts = []
+    for R in (4.0, 8.0, 16.0):
+        stages.clear()
+        u0 = build_field_from_config(cfg, "radial", outer=R * R)
+        traj = solver.solve_dirichlet(R, cfg.metric, u0, cfg.solver)
+        assert traj.termination == "reached_t_end"
+        counts.append((traj.steps, sum(stages)))
+    assert counts == [(391, 3816), (366, 3775), (366, 3776)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_the_cut_keeps_a_non_finite_value_beyond_the_support(value,
+                                                           monkeypatch):
+    # the first step of a run has two stages, so the first stage's speed
+    # forms the last increment D_2 and goes into the candidate unchecked.
+    # A value planted there at node k, beyond the support of a flat ball,
+    # is not cut (|NaN| < cut and |inf| < cut are false): the candidate's
+    # check halts the run as non_finite.  It names the first NaN of C:
+    # node k - 1 for a NaN, node k for an inf (C = -inf at k - 1 and k + 1,
+    # inf - inf = NaN at k)
+    field, metric, config = flat_axis_case()
+    rhs, sizes = geometry.RadialOperator.rhs, []
+
+    def poisoned(self, s, q, comp, out, work):
+        rhs(self, s, q, comp, out, work)
+        sizes.append(out.size)
+        if len(sizes) == 2:
+            out[-1] = value  # node out.size
+        return out
+
+    monkeypatch.setattr(geometry.RadialOperator, "rhs", poisoned)
+    with np.errstate(invalid="ignore"):
+        traj = solver.solve_dirichlet(4.0, metric, field, config)
+    assert len(sizes) == 2  # the state's speed, then the one stage
+    k = sizes[1]
+    assert k < field.nodes.size - 2  # inside the window, not at its end
+    assert not np.any(traj.snapshots[0][k - 2:k + 3])
+    assert traj.termination == "non_finite" and traj.steps == 0
+    named = field.nodes[k - 1 if np.isnan(value) else k]
+    assert traj.message == f"non-finite slope at x = {named:.6g}"
+
+
+def test_the_cut_keeps_frozen_ends_below_it():
+    # 'asymptotic_decay' ends keep their bits, here a value below the cut
+    # and -0.0: the cut comes before the ends are held.  The data vanish
+    # away from r = 5, so node 1 moves only by the frozen end's value,
+    # and that candidate is cut to +0.0
+    curved = conformal_metric(3, a=0.5, tau=1.0)
+    fld = radial_field(1.0, 8.0, 0.05, lambda r: 0.3 * np.maximum(
+        0.0, 1.0 - (r - 5.0) ** 2) ** 3, bc=("asymptotic_decay",
+                                              "asymptotic_decay"))
+    values = fld.values.copy()
+    values[0], values[-1] = 1e-170, -0.0
+    fld = replace(fld, values=values)
+    config = SolverConfig(t_end=1.0)
+    engine = fixed_steps(fld, curved, 20.0 * stable_dt(fld, curved, config),
+                         5)
+    assert 0.0 < values[0] < engine.cut
+    assert engine.u[[0, -1]].tobytes() == values[[0, -1]].tobytes()
+    assert engine.u[1] == 0.0 and not np.signbit(engine.u[1])
+    inner = np.abs(engine.u[1:-1])
+    assert not np.any((inner > 0.0) & (inner < engine.cut))
+
+
+def test_the_cut_leaves_tiny_data_alone():
+    # the cut scales with sup|u_0|: on data of height 1e-200 it underflows
+    # to 0 and cuts nothing, so the run steps as it would without it
+    # (an absolute cut of 2^-511 would zero the data: 5 steps, sup 0)
+    with open(os.path.join(CONFIG_DIR, "dirichlet_sweep.json")) as fh:
+        raw = json.load(fh)
+    raw["initial_data"]["height"] = 1e-200
+    raw["solver"]["t_end"] = 0.5
+    cfg = ScenarioConfig.from_dict(raw)
+    summary, _ = run_dirichlet_case(cfg, 4.0)
+    assert summary["termination"] == "reached_t_end" and summary["pass"]
+    assert summary["steps"] == 135
+    assert summary["final_sup_u"] == 8.451670564663556e-201

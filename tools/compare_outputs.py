@@ -11,12 +11,16 @@ before t_end or at the config pass (see `no_lift_off_variants`),
 Both sides run the same config files, from the same relative paths, so
 their stdout and stderr can be compared as they are.  Prints every
 difference in exit code, stdout, stderr and the files each run writes,
-and exits 1 if there is any, else 0.
+and exits 1 if there is any, else 0.  For a CSV or JSON file that differs
+it also prints how far its numbers moved: how many numeric cells differ,
+the largest relative change among cells that are nonzero on both sides,
+and how many cells are zero on one side only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -141,6 +145,55 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"{len(a_lines)} lines != {len(b_lines)} lines"
 
 
+def numbers(path: str, data: bytes) -> dict | None:
+    """{position: value} of every numeric cell of a CSV or JSON file (a
+    JSON position is its key path), or None for any other file."""
+    cells = {}
+    if path.endswith(".csv"):
+        for i, line in enumerate(data.decode().splitlines()):
+            for j, cell in enumerate(line.split(",")):
+                try:
+                    cells[i, j] = float(cell)
+                except ValueError:
+                    pass
+        return cells
+    if not path.endswith(".json"):
+        return None
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, (*key, k))
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(v, (*key, i))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            cells[key] = float(value)
+
+    walk(json.loads(data), ())
+    return cells
+
+
+def moved(path: str, a: bytes, b: bytes) -> str:
+    """How far the numbers of a CSV or JSON file moved from `a` to `b`;
+    empty for any other file."""
+    x, y = numbers(path, a), numbers(path, b)
+    if x is None:
+        return ""
+    common = x.keys() & y.keys()
+    differ = [k for k in common if x[k] != y[k]
+              and not (math.isnan(x[k]) and math.isnan(y[k]))]
+    relative = [abs(y[k] - x[k]) / abs(x[k]) for k in differ
+                if x[k] and y[k] and math.isfinite(x[k])
+                and math.isfinite(y[k])]
+    one_zero = sum((x[k] == 0.0) != (y[k] == 0.0) for k in differ)
+    unpaired = len(x.keys() ^ y.keys())
+    return (f"{len(differ)} numeric cells differ; largest relative change "
+            f"where both are nonzero {max(relative, default=0.0):.2g}; "
+            f"{one_zero} zero on one side only"
+            + (f"; {unpaired} cells on one side only" if unpaired else ""))
+
+
 def differences(base: dict, head: dict) -> list:
     found = []
     for name in base:
@@ -158,8 +211,10 @@ def differences(base: dict, head: dict) -> list:
             elif path not in files_b:
                 found.append(f"{name}: {path} only in the working tree")
             elif files_b[path] != files_h[path]:
-                found.append(f"{name}: {path} "
-                             + first_difference(files_b[path], files_h[path]))
+                a, b = files_b[path], files_h[path]
+                stats = moved(path, a, b)
+                found.append(f"{name}: {path} {first_difference(a, b)}"
+                             + (f"\n    {stats}" if stats else ""))
     return found
 
 
