@@ -71,15 +71,19 @@ def fmt(x) -> str:
 
 def write_diagnostics_csv(records, path: str):
     """One line per record, a cell per name of `diagnostics.COLUMNS`, as
-    `fmt` writes it: blank in the columns the run does not record."""
+    `fmt` writes it: blank in the columns the run does not record.  The
+    lines are formatted and written a block at a time, so the text of a
+    run's records is never held whole."""
     from . import textfmt  # on first write: `import mcflow` stays as fast
     blank = [name not in records for name in diagnostics.COLUMNS]
     unset = np.zeros(len(records["t"]))
     values = np.column_stack([records.get(name, unset)
                               for name in diagnostics.COLUMNS])
+    step = textfmt.CHUNK_VALUES // len(diagnostics.COLUMNS)
     with open(path, "wb") as fh:
         fh.write(",".join(diagnostics.COLUMNS).encode() + b"\n")
-        fh.write(textfmt.format17(values, blank))
+        for start in range(0, len(values), step):
+            fh.write(textfmt.format17(values[start:start + step], blank))
 
 
 def read_diagnostics_csv(path: str) -> dict:

@@ -634,6 +634,29 @@ def test_a_run_stopped_at_the_step_cap_fails(tmp_path, capsys, name, command,
         assert len(runs) == (3 if name == "dirichlet_sweep.json" else 0)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the stopped state's file name, t0.000000.csv, is "
+                          "the t = 0 snapshot's, and it overwrites that file")
+def test_a_state_stopped_right_after_a_mark_keeps_its_own_snapshot(tmp_path):
+    # one step of 4.4e-7 from t = 0: the run holds the t = 0 state and the
+    # stopped state, and its snapshot files should hold both
+    cfg = smoke_flow_config(str(tmp_path / "out"), t_end=0.01)
+    cfg["domain"] = {"lo": -1.0, "hi": 1.0}
+    cfg["initial_data"] = {"family": "gaussian", "height": 0.05,
+                           "sigma": 0.2}
+    cfg["solver"].update(h=0.001, snapshot_every=0.005, max_steps=1)
+    del cfg["solver"]["record_every"]
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["simulate", path]) == 1
+    traj = run_scenario_config(ScenarioConfig.from_dict(cfg))[1]
+    assert traj.termination == "step_cap"
+    assert 0.0 < traj.times[1] < 5e-7 and len(traj.times) == 2
+    snaps = tmp_path / "out" / "snapshots"
+    written = [read_snapshot_csv(str(snaps / name))[1][:, 1].tobytes()
+               for name in sorted(os.listdir(snaps))]
+    assert written == [row.tobytes() for row in traj.snapshots]
+
+
 @pytest.mark.parametrize("name", ["dirichlet_sweep.json", "nested_balls.json"])
 def test_a_sweep_whose_runs_halt_exit_three(tmp_path, capsys, monkeypatch,
                                             name):

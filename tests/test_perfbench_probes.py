@@ -8,6 +8,8 @@ API change that would break `perfbench/run.py --trace 1` fails the suite.
 `perfbench/spans.py` times layers by wrapping the names their callers look
 up; a shortened traced run of two workloads checks that each layer's span
 still opens, so that a renamed or bypassed caller-side name fails too.
+`workloads.step_counts` reads each workload's output files; a shortened
+run of each checks its counts against the runs' summaries and grids.
 """
 
 import importlib
@@ -91,3 +93,28 @@ def test_traced_runs_open_every_layer_span(tmp_path, name, solver, layers):
     for layer in ("scenarios.run", "scenarios.write", "solver.run",
                   "barriers.build", "diagnostics.record") + layers:
         assert layer in opened, (name, layer, sorted(opened))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_step_counts_read_each_workload_output(tmp_path, name):
+    # the benchmark counts a run's nodes by the lines of the first file
+    # under its snapshots/, less a header
+    raw = seed_zero(name)
+    raw["solver"]["t_end"] = 0.5
+    if name == "line_decay":  # ten records of 0.5 in the decay fit's window
+        raw["solver"]["t_end"] = 5.0
+        raw["fit_window"] = [0.5, 5.0]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    out = str(tmp_path / "out")
+    assert workloads.run_cli(name, str(config), out) in (0, 1)
+    steps = node_steps = 0
+    lo, h = raw["domain"]["lo"], raw["solver"]["h"]
+    for run in workloads.run_dirs(name, out):
+        with open(os.path.join(run, "summary.json")) as fh:
+            summary = json.load(fh)
+        end = summary["R"] ** 2 if "R" in summary else raw["domain"]["hi"]
+        steps += summary["steps"]
+        node_steps += summary["steps"] * (round((end - lo) / h) + 1)
+    assert steps > 0
+    assert workloads.step_counts(name, out) == (steps, node_steps)
