@@ -19,7 +19,8 @@ COLUMNS = ("t", "sup_u", "grad_max", "l2", "h1_grad", "sup_phi",
 
 
 #: Values in each row buffer of a record batch: a batch holds at most
-#: `batch_rows(nodes)` rows, 33 at 991 nodes.
+#: `batch_rows(nodes)` rows, 33 at 991 nodes, which a run collects across
+#: steps.
 BATCH_VALUES = 2 ** 15
 #: Grids of more nodes record one row at a time.  There a row's arithmetic
 #: dwarfs the per-call cost a batch saves, while the batch's six row
@@ -30,7 +31,9 @@ BATCH_MAX_NODES = 2 ** 12
 
 
 def batch_rows(nodes: int) -> int:
-    """Most rows of a record batch on a grid of `nodes` nodes."""
+    """Most rows of a record batch on a grid of `nodes` nodes: a run
+    reduces its records this many at a time, whichever steps they come
+    from, and the rest when it stops."""
     return max(1, BATCH_VALUES // nodes) if nodes <= BATCH_MAX_NODES else 1
 
 
@@ -38,23 +41,27 @@ class RecordPlan:
     """The per-grid part of the diagnostics records, formed once per run.
 
     Holds the `columns` it records (of COLUMNS), w(r) at the nodes, the
-    volume weight r^{n-1} w^n, the tilt monitor's validated (lambda, mu),
-    the barrier's b_eps on the nodes with r >= r0 (0 on the others, which
-    the margin never reads) with their mask, and the scratch of a batch of
-    `rows` value rows.  A batch forms u' once, into a buffer, and
-    p = |u'|/w once: p gives max |u'|/w, and its square the gradient-norm
-    integrand and the tilt factor.  Every reduction runs along the rows
-    (`axis=1`), so each row's numbers are those of its own values.  A w
-    that is 1 at every node and the line's unit weight are dropped:
-    division and multiplication by 1 are exact.
+    quadrature weights `quad` (the trapezoid rule's h (1/2, 1, ..., 1, 1/2)
+    times the volume weight r^{n-1} w^n on a radial grid), the tilt
+    monitor's validated (lambda, mu), the barrier's b_eps on the nodes with
+    r >= r0 (0 on the others, which the margin never reads) with their mask,
+    and the scratch of a batch of `rows` value rows.  A batch forms u' once,
+    into a buffer, and p = |u'|/w once: p gives max |u'|/w, and its square
+    the gradient-norm integrand and the tilt factor.  Every reduction runs
+    along the rows (`axis=1`, or einsum's 'ij,j->i', never a BLAS product),
+    so each row's numbers are those of its own values, whichever batch
+    holds it.  A w that is 1 at every node is dropped: division by 1 is
+    exact.
     """
 
     def __init__(self, field: Field, metric, phi_params=None, profile=None):
         r = field.radii()
         self.h, self.axis = field.h, field.axis
         w = metric.w(r)
-        self.weight = (r ** (metric.n - 1) * w ** metric.n
-                       if field.kind == "radial" else None)
+        self.quad = np.full(r.size, field.h)
+        self.quad[[0, -1]] *= 0.5
+        if field.kind == "radial":
+            self.quad *= r ** (metric.n - 1) * w ** metric.n
         self.w = None if np.all(w == 1.0) else w
         self.phi = None
         if phi_params is not None:
@@ -94,34 +101,16 @@ class RecordPlan:
         p *= p
         return grad_max
 
-    def _trapezoid(self, y) -> np.ndarray:
-        """np.trapezoid(y, dx=h) per row of the C-contiguous rows `y`: its
-        arithmetic, (h (y[1:] + y[:-1]) / 2).sum(), without its per-call
-        set-up."""
-        # pairs over the flattened rows, one pass for a batch: a row's own
-        # pairs land in du[:, 1:], those across two rows in du[:, 0]
-        du = self.du[:len(y)]
-        flat = y.reshape(-1)
-        pairs = np.add(flat[1:], flat[:-1], out=du.reshape(-1)[1:])
-        pairs *= self.h
-        pairs /= 2.0
-        return du[:, 1:].sum(axis=1)
-
-    def _weighted(self, y):
-        """y times the volume weight, in the work buffer (y itself on a
-        line)."""
-        if self.weight is None:
-            return y
-        return np.multiply(y, self.weight, out=self.work[:len(y)])
-
     def norms(self, u) -> tuple:
         """(sup|u|, L2 norm, L2 norm of the gradient) per row of the value
-        rows `u`; needs `slopes(u)`."""
-        work, p2 = self.work[:len(u)], self.p2[:len(u)]
-        sup_u = np.abs(u, out=work).max(axis=1)
-        l2 = np.sqrt(self._trapezoid(
-            self._weighted(np.multiply(u, u, out=work))))
-        h1 = np.sqrt(self._trapezoid(self._weighted(p2)))
+        rows `u`; needs `slopes(u)`.  sup|u| is max(max u, -min u), +0.0
+        for a row of zeros as |u| gives; each norm is the square root of
+        one weighted sum, with the weights `quad`."""
+        sup_u = np.maximum(u.max(axis=1), -u.min(axis=1))
+        sup_u += 0.0  # -0.0, from a row of signed zeros, to +0.0
+        square = np.multiply(u, u, out=self.work[:len(u)])
+        l2 = np.sqrt(np.einsum("ij,j->i", square, self.quad))
+        h1 = np.sqrt(np.einsum("ij,j->i", self.p2[:len(u)], self.quad))
         return sup_u, l2, h1
 
     def tilt(self, u) -> np.ndarray:
@@ -135,12 +124,11 @@ class RecordPlan:
             raise ValueError("monitor needs min u >= 0; shift the data first")
         if (p2 >= 1.0 - TOL_SPACELIKE).any():
             raise SpacelikeViolationError("field is not strictly spacelike")
-        v = np.sqrt(np.subtract(1.0, p2, out=du), out=du)
-        v = np.divide(1.0, v, out=v)
+        root = np.sqrt(np.subtract(1.0, p2, out=du), out=du)  # 1/v
         with np.errstate(over="ignore"):  # an overflow raises, below
             e = np.exp(np.multiply(u, lambda_phi, out=work), out=work)
             e = np.exp(np.multiply(e, mu_phi, out=e), out=e)
-            sup = np.multiply(v, e, out=e).max(axis=1)
+            sup = np.divide(e, root, out=e).max(axis=1)
         if np.isinf(sup).any():  # a NaN state keeps its NaN
             raise ValueError(f"tilt monitor overflows: sup v exp(mu e^(lambda"
                              f" u)) is inf with lambda = {lambda_phi:.6g}, "

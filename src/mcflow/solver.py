@@ -35,28 +35,33 @@ elsewhere; a step of the floor's size is accepted whatever its estimate.
 A run's first step is proposed at the floor.  `step_1d` and `step_radial`
 take one such step of size min(floor, dt_cap), with no error control.
 
-Dense output: only the snapshot times end a step.  A record at a
-time strictly inside an accepted step (t_n, t_n + tau) is the cubic
-Hermite interpolant through u_n, F(u_n), u_{n+1}, F(u_{n+1}) (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6), which the step already holds: at
-theta = (t - t_n) / tau, with D = u_{n+1} - u_n,
+Dense output: only t_end ends a step (or a halt, or the step cap).  A
+record or snapshot at a time strictly inside an accepted step
+(t_n, t_n + tau) is the cubic Hermite interpolant through u_n, F(u_n),
+u_{n+1}, F(u_{n+1}) (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
+which the step already holds: at theta = (t - t_n) / tau, with
+D = u_{n+1} - u_n,
 
     H = u_n + theta D + theta (1 - theta) [(1 - theta) (tau F(u_n) - D)
                                            - theta (tau F(u_{n+1}) - D)].
 
 Its error is O(tau^4) against the step's O(tau^3); measured from a fine
 reference, 0.04-0.28 of the step tolerance at theta = 1/4, 1/2, 3/4, where
-straight-line interpolation is 5-16 times the tolerance.  The records
-inside one step are formed as batches: one evaluation of the interpolant
-writes a row per record time (each row with its own weights, so it equals
-the one-theta interpolant bit for bit), one check bounds the rows' slopes
-and one `diagnostics.make_record` call reduces every row along its own
-axis.  A batch holds at most `diagnostics.batch_rows(nodes)` rows; longer
-runs of records are chunked.  Records at a step's end, at t = 0 and of a
-halted run come from the state itself, as batches of one row.  Every
-recorded state is checked against the solver's slope bound
+straight-line interpolation is 5-16 times the tolerance.  One evaluation
+of the interpolant writes a row per output time inside the step (each row
+with its own weights, so it equals the one-theta interpolant bit for bit).
+A snapshot and a record at one time share that row; a snapshot that is
+not a record is checked against the slope bound below on its own.
+Records at a step's end, at t = 0 and of a halted run come from the
+state itself, with the engine's differences.  Record rows wait in the
+engine's dense scratch, across steps, until it holds
+`diagnostics.batch_rows(nodes)` of them, the run ends or a halt is
+handled: then one check bounds the rows' slopes and one
+`diagnostics.make_record` call reduces every row along its own axis.
+Every recorded state is checked against the solver's slope bound
 |u_{i+1} - u_i| / (h w) < 1; a failing batch names its first failing row,
-as a batch of that row alone would.
+as a batch of that row alone would, and a failing record that waits when
+a later step halts raises as a record failure.
 
 Every evaluation works in place on the forward differences d: the
 operator takes s = d_i + d_{i-1} = 2h u' and q = d_i - d_{i-1} = h^2 u''
@@ -156,9 +161,9 @@ class SolverConfig:
         return self.record_every if self.record_every else self.snapshot_cadence
 
     def snapshot_times(self) -> list:
-        """The times a run to t_end snapshots, each ending a step: 0, each
-        mark k * cadence below t_end - 1e-12, and then the next mark or
-        t_end, whichever is smaller."""
+        """The times a run to t_end snapshots: 0, each mark k * cadence
+        below t_end - 1e-12, and then the next mark or t_end, whichever is
+        smaller, where the run ends."""
         cadence = self.snapshot_cadence
         if self.t_end / cadence > MAX_RECORDS:
             raise ValueError(f"t_end / snapshot cadence = "
@@ -253,10 +258,11 @@ class _Engine:
 
     @functools.cached_property
     def dense(self):
-        """The scratch of a batch of records, formed on first use: its
-        value rows, their forward differences (in the second block, whose
-        last column is not theirs) and the record check's scratch.  Rows
-        are not padded, so that a batch is one contiguous block."""
+        """The scratch of a batch of records, formed on first use: the
+        value rows of the records waiting to be reduced (and of interpolated
+        rows), their forward differences (in the second block, whose last
+        column is not theirs) and the record check's scratch.  Rows are not
+        padded, so that a batch is one contiguous block."""
         return np.empty((3, self.batch, self.u.size))
 
     def _coefficient(self, comp):
@@ -359,11 +365,11 @@ class _Engine:
         self.f_row = 1 - self.f_row
         self.coeff = self.cand_coeff
 
-    def interpolate(self, theta, tau):
+    def interpolate(self, theta, tau, at=0):
         """The cubic Hermite interpolant of the last accepted step, of size
-        `tau`, at each fraction in `theta` (ascending, at most `batch` of
-        them), one row each, and the rows' forward differences; both are
-        written into the dense-output scratch.
+        `tau`, at each fraction in `theta` (ascending), one row each, and
+        the rows' forward differences; both are written into the dense
+        scratch from row `at` on, which must leave room for them.
 
         It takes u_n and F(u_n) from `cand` and `f_cand`, u_{n+1} and
         F(u_{n+1}) from `u` and `f`, as `_accept` leaves them, so it costs
@@ -378,7 +384,8 @@ class _Engine:
         one-theta interpolant bit for bit.  Pinned and frozen ends are held
         as in a step.
         """
-        out, tmp = self.dense[0, :len(theta)], self.dense[1, :len(theta)]
+        stop = at + len(theta)
+        out, tmp = self.dense[0, at:stop], self.dense[1, at:stop]
         weights = np.array([  # the speed rows hold F/4
             (th * th * (3.0 - 2.0 * th) if th <= 0.5
              else -(1.0 - th) ** 2 * (1.0 + 2.0 * th),
@@ -634,18 +641,107 @@ def _record(blocks, plan, field, engine, times, rows, d):
         raise RecordError(f"state at t = {times[0]:.6g}: {exc}") from exc
 
 
+def _schedule(marks, cadence):
+    """A run's outputs after t = 0 in time order, as (time, record,
+    snapshot): the record marks k * `cadence` more than 1e-12 below a
+    snapshot time of `marks` and the snapshot times, the last of which is
+    also recorded.  A record mark within 1e-12 of a snapshot time is that
+    snapshot's time."""
+    k = 1
+    for mark in marks[1:]:
+        while k * cadence < mark - 1e-12:
+            yield k * cadence, True, False
+            k += 1
+        shared = k * cadence <= mark + 1e-12
+        k += shared
+        yield mark, shared or mark == marks[-1], True
+
+
+class _Outputs:
+    """A run's snapshot table and records, as its steps reach them.
+
+    A snapshot is a row of the table.  A record row waits in the engine's
+    dense scratch, with its forward differences, until the scratch holds
+    `engine.batch` rows or `flush` is called; then the rows are checked
+    and reduced as one batch (`_record`).
+    """
+
+    def __init__(self, engine, plan, field, snapshots):
+        self.engine, self.plan, self.field = engine, plan, field
+        self.table = np.empty((snapshots, engine.u.size))
+        self.times = []  # of the table's rows
+        self.blocks = []  # of the reduced records
+        self.pending = []  # times of the record rows waiting in the scratch
+
+    def snapshot(self, t, values):
+        self.table[len(self.times)] = values
+        self.times.append(t)
+
+    def _add(self, times):
+        self.pending += times
+        if len(self.pending) == self.engine.batch:
+            self.flush()
+
+    def flush(self):
+        """Check and reduce the waiting record rows."""
+        if self.pending:
+            n, dense = len(self.pending), self.engine.dense
+            _record(self.blocks, self.plan, self.field, self.engine,
+                    self.pending, dense[0, :n], dense[1, :n, :-1])
+            self.pending = []
+
+    def state(self, t, record, snapshot):
+        """Keep the engine's state as the output at t, its step's end."""
+        engine, at = self.engine, len(self.pending)
+        if snapshot:
+            self.snapshot(t, engine.u)
+        if record:
+            engine.dense[0, at] = engine.u
+            engine.dense[1, at, :-1] = engine.d
+            self._add([t])
+
+    def inside(self, due, start, dt):
+        """Keep the outputs `due` of `_schedule`, each strictly inside the
+        last step, of size `dt` from `start`, from its interpolant.  A
+        snapshot that is not a record passes the records' slope check."""
+        engine = self.engine
+        while due:
+            at = len(self.pending)  # < batch: a full scratch is flushed
+            n = 1  # a run of records, as many as the scratch has room for
+            while (n < min(len(due), engine.batch - at) and due[0][1]
+                   and due[n][1]):
+                n += 1
+            run, due = due[:n], due[n:]
+            values, d = engine.interpolate(
+                [(t - start) / dt for t, _, _ in run], dt, at)
+            t, record, _ = run[0]
+            if not record:
+                try:
+                    check_node_slopes(self.field, engine.hw_mid, d,
+                                      engine.dense[2, at:at + 1, :-1])
+                except ValueError as exc:
+                    self.flush()  # the records before it come first
+                    raise RecordError(f"state at t = {t:.6g}: {exc}") from exc
+            for row, (t, _, snapshot) in zip(values, run):
+                if snapshot:
+                    self.snapshot(t, row)
+            if record:
+                self._add([t for t, _, _ in run])
+
+
 def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             barrier=None) -> FlowTrajectory:
     """Drive an engine from `field` to t_end by RKL2 super-steps, recording
     at cadence; `steps` counts accepted super-steps.
 
-    Steps end on `config.snapshot_times()`, each kept as a snapshot; the
-    record marks are k * record cadence.  A record strictly inside a step
-    comes from the step's interpolant, one at its end from the state.  A
-    halted or step-capped run records and snapshots where it stopped,
-    unless that state is already the last record or snapshot.
-    Raises ValueError, before any step or record, when the data with their
-    pinned ends at zero are not spacelike in the metric (`check_node_slopes`).
+    Steps end only on the last of `config.snapshot_times()`, a halt or the
+    step cap.  The record marks are k * record cadence.  A record or
+    snapshot strictly inside a step comes from the step's interpolant, one
+    at its end from the state.  A halted or step-capped run records and
+    snapshots where it stopped, unless that state is already the last
+    record or snapshot.  Raises ValueError, before any step or record, when
+    the data with their pinned ends at zero are not spacelike in the metric
+    (`check_node_slopes`).
     """
     u = field.values.copy()
     if field.bc[0] == "dirichlet_zero":
@@ -657,69 +753,45 @@ def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
     check_node_slopes(field, engine.hw_mid, engine.d, engine.slope)
     plan = diagnostics.RecordPlan(field, metric, phi_params, barrier)
     tol = TIME_ERROR_KAPPA * field.h * field.h * float(np.max(np.abs(u)))
-    tau = None
-    blocks = []
-    # not a closure: one that calls itself is a reference cycle, which
-    # keeps the run's buffers alive until the next garbage collection
-    record = functools.partial(_record, blocks, plan, field, engine)
-
-    def record_state(t):
-        record([t], engine.u[None], engine.d[None])
-
     marks = config.snapshot_times()
-    table = np.empty((len(marks), u.size))  # a row per snapshot kept
-    times = []
-
-    def snapshot(t):
-        table[len(times)] = engine.u
-        times.append(t)
-
-    rec_cad = config.record_cadence
-    t = 0.0
-    record_state(t)
-    snapshot(t)
-    k = 1  # the next record mark is k * rec_cad
-    steps = 0
+    out = _Outputs(engine, plan, field, len(marks))
+    schedule, never = _schedule(marks, config.record_cadence), (math.inf,)
+    t, t_end, tau, steps = 0.0, marks[-1], None, 0
+    out.state(t, True, True)
+    due = next(schedule)
     termination, message = "reached_t_end", ""
     try:
-        for mark in marks[1:]:
-            while t < mark - 1e-12 and steps < config.max_steps:
-                start = t
-                dt, tau = engine.super_step(tau, mark - t, config.cfl_safety,
-                                            tol)
-                steps += 1
-                t = mark if dt >= mark - t - 1e-15 else t + dt
-                inside = []
-                while k * rec_cad < t - 1e-12:
-                    inside.append(k * rec_cad)
-                    k += 1
-                for first in range(0, len(inside), engine.batch):
-                    at = inside[first:first + engine.batch]
-                    record(at, *engine.interpolate(
-                        [(s - start) / dt for s in at], dt))
-                hit = t >= k * rec_cad - 1e-12
-                k += hit
-                if hit or t >= marks[-1] - 1e-12:
-                    record_state(t)
-            if t < mark - 1e-12:
-                termination = "step_cap"
-                break
-            snapshot(t)
+        while t < t_end - 1e-12 and steps < config.max_steps:
+            start = t
+            dt, tau = engine.super_step(tau, t_end - t, config.cfl_safety,
+                                        tol)
+            steps += 1
+            t = t_end if dt >= t_end - t - 1e-15 else t + dt
+            inside = []
+            while due[0] < t - 1e-12:
+                inside.append(due)
+                due = next(schedule, never)
+            out.inside(inside, start, dt)
+            if due[0] <= t + 1e-12:
+                out.state(t, *due[1:])
+                due = next(schedule, never)
+        if t < t_end - 1e-12:
+            termination = "step_cap"
     except (NonFiniteError, SpacelikeViolationError) as exc:
         termination = ("non_finite" if isinstance(exc, NonFiniteError)
                        else "spacelike_violation")
         message = str(exc)
+    out.flush()  # a failing record among these came before any halt
     if termination != "reached_t_end":
-        if t > blocks[-1][-1, 0]:  # later than the last record's t
-            try:
-                record_state(t)
-            except RecordError as err:
-                raise RecordError(f"{err} (the run had halted: "
-                                  f"{message or termination})") from err
-        if t > times[-1]:
-            snapshot(t)
-    return FlowTrajectory(field, np.array(times), table[:len(times)],
-                          dict(zip(plan.columns, np.concatenate(blocks).T)),
+        try:
+            out.state(t, t > out.blocks[-1][-1, 0], t > out.times[-1])
+            out.flush()
+        except RecordError as err:
+            raise RecordError(f"{err} (the run had halted: "
+                              f"{message or termination})") from err
+    return FlowTrajectory(field, np.array(out.times),
+                          out.table[:len(out.times)],
+                          dict(zip(plan.columns, np.concatenate(out.blocks).T)),
                           termination, steps, message)
 
 

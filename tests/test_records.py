@@ -2,8 +2,9 @@
 replaced.
 
 `reference_record` keeps the per-record arithmetic the plan took over
-verbatim: the gradient, w(r) and the volume weight formed afresh from a
-Field, the tilt factor and the barrier's b_eps re-evaluated per record.
+verbatim: the gradient, w(r), the volume weight and the trapezoid weights
+formed afresh from a Field, the tilt factor and the barrier's b_eps
+re-evaluated per record.
 The plan performs the same operations in the same order, so the two must
 agree bit for bit on every recorded state of a run.
 """
@@ -50,17 +51,25 @@ def reference_record(field, metric, t, phi_params=None, profile=None):
         weight = r ** (metric.n - 1) * w ** metric.n
     else:
         weight = np.ones_like(r)
-    l2 = float(np.sqrt(np.trapezoid(field.values ** 2 * weight, dx=field.h)))
-    h1 = float(np.sqrt(np.trapezoid((du / w) ** 2 * weight, dx=field.h)))
+    # the trapezoid rule as one weighted sum per row
+    quad = np.full(r.size, field.h)
+    quad[[0, -1]] *= 0.5
+    quad *= weight
+    squares = {"l2": field.values ** 2, "h1": (du / w) ** 2}
+    sums = {name: float(np.einsum("ij,j->i", y[None], quad)[0])
+            for name, y in squares.items()}
+    for name, y in squares.items():  # the rule's own arithmetic, to rounding
+        trapezoid = np.trapezoid(y * weight, dx=field.h)
+        assert abs(sums[name] - trapezoid) <= 1e-14 * trapezoid
+    l2, h1 = np.sqrt(sums["l2"]), np.sqrt(sums["h1"])
     record = {"t": t, "sup_u": sup_u, "grad_max": grad_max, "l2": l2,
               "h1_grad": h1}
     if phi_params is not None:
         lam, mu = phi_params
         p = np.abs(reference_gradient(field)) / metric.w(field.radii())
         assert not np.any(p * p >= 1.0 - TOL_SPACELIKE)
-        v = 1.0 / np.sqrt(1.0 - p * p)
         record["sup_phi"] = float(np.max(
-            v * np.exp(mu * np.exp(lam * field.values))))
+            np.exp(mu * np.exp(lam * field.values)) / np.sqrt(1.0 - p * p)))
     if profile is not None:
         outside = r >= profile.r0
         record["barrier_margin"] = float(np.min(
@@ -328,6 +337,28 @@ def test_batched_records_match_the_formulas_bit_for_bit(run, monkeypatch):
         for row, t in zip(rows, times):
             assert bits(next(records)) == bits(reference_record(
                 replace(grid, values=row), metric, t, phi, profile))
+
+
+def test_records_do_not_depend_on_the_batch(monkeypatch):
+    # the curved run with the tilt monitor and the barrier margin, reduced
+    # in batches of up to 33 rows across steps and one row at a time
+    runs, largest = {}, {}
+    for batch_values in (diagnostics.BATCH_VALUES, 1):
+        monkeypatch.setattr(diagnostics, "BATCH_VALUES", batch_values)
+        log = capture_batches(monkeypatch)
+        runs[batch_values] = dense_curved_run()[0]
+        largest[batch_values] = max(len(entry[1]) for entry in log if entry)
+        monkeypatch.undo()
+    batched, single = runs[diagnostics.BATCH_VALUES], runs[1]
+    assert largest == {diagnostics.BATCH_VALUES: 33, 1: 1}
+    assert batched.termination == single.termination == "reached_t_end"
+    assert batched.steps == single.steps
+    assert tuple(batched.records) == diagnostics.COLUMNS
+    for name in diagnostics.COLUMNS:
+        assert batched.records[name].tobytes() \
+            == single.records[name].tobytes()
+    assert batched.times.tobytes() == single.times.tobytes()
+    assert batched.snapshots.tobytes() == single.snapshots.tobytes()
 
 
 def test_every_record_of_a_cli_run_passes_through_make_record(tmp_path,

@@ -429,18 +429,22 @@ def test_run_flow_max_steps_cap():
     smoke = line_field(-10.0, 10.0, 0.1, gaussian(0.4, 1.0))
     smoke_cfg = SolverConfig(t_end=0.5, snapshot_every=0.25,
                              record_every=0.05, max_steps=33)
+    # steps end only on t_end, so a cap stops inside a snapshot interval:
+    # the marks before the stop come from the steps' interpolants, the stop
+    # from the state
+    stop = 0.2502113412755282  # smoke's 33rd step ends just past 0.25
     cases = [
         # stops before the first mark
         (euclidean_metric(1), line, SolverConfig(t_end=10.0, max_steps=10),
          None, None),
-        # the last step ends on a snapshot and record mark: kept once
-        (euclidean_metric(1), smoke, smoke_cfg, [0.0, 0.25],
-         [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]),
-        (*no_lift_off_capped(20.0, 429), [0.0, 10.0],
-         [float(t) for t in range(11)]),
-        # on a snapshot mark that is not a record mark: recorded at the stop
+        # the last step holds a snapshot and record mark
+        (euclidean_metric(1), smoke, smoke_cfg, [0.0, 0.25, stop],
+         [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, stop]),
+        (*no_lift_off_capped(20.0, 429), [0.0, 10.0, 10.053889394541336],
+         [*map(float, range(11)), 10.053889394541336]),
+        # the last step holds a snapshot mark that is not a record mark
         (euclidean_metric(1), smoke, replace(smoke_cfg, record_every=0.1),
-         [0.0, 0.25], [0.0, 0.1, 0.2, 0.25]),
+         [0.0, 0.25, stop], [0.0, 0.1, 0.2, stop]),
     ]
     for metric, fld, cfg, times, record_times in cases:
         traj = run_flow(metric, fld, cfg)

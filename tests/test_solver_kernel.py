@@ -554,20 +554,25 @@ def test_interpolant_is_within_the_step_tolerance(case, t_min):
 
 
 def test_interpolated_records_check_their_own_differences(monkeypatch):
-    # with the interpolant's differences steepened alone, a record inside
-    # a step raises, although the step's end states are smooth
+    # with the interpolant's differences steepened alone, a record or a
+    # snapshot inside a step raises, although the step's end states are
+    # smooth
     original = solver._Engine.interpolate
 
-    def steepen(engine, theta, tau):
-        values, d = original(engine, theta, tau)
+    def steepen(engine, theta, tau, at):
+        values, d = original(engine, theta, tau, at)
         d[len(d) // 2] = 2.0 * engine.h
         return values, d
     monkeypatch.setattr(solver._Engine, "interpolate", steepen)
     field, metric, _ = decay_line_case()
-    config = SolverConfig(t_end=2.0, record_every=0.01,
-                          snapshot_every=1.0)
-    with pytest.raises(solver.RecordError, match="node-to-node slope 2 >= 1"):
-        run_flow(metric, field, config)
+    for record_every, snapshot_every, t_first in (
+            (0.01, 1.0, 0.01),  # records inside steps
+            (2.0, 0.25, 0.25)):  # snapshots that are not records
+        config = SolverConfig(t_end=2.0, record_every=record_every,
+                              snapshot_every=snapshot_every)
+        with pytest.raises(solver.RecordError, match=(
+                f"^state at t = {t_first:g}: .*node-to-node slope 2 >= 1")):
+            run_flow(metric, field, config)
 
 
 def test_interpolated_records_hold_pinned_and_frozen_ends():
@@ -697,7 +702,7 @@ def test_records_hold_the_plan_columns_whether_or_not_a_run_halts(
     assert traj.records["sup_u"][-1] == np.max(np.abs(traj.snapshots[-1]))
 
 
-def test_records_at_snapshot_marks_are_the_engine_state():
+def test_a_snapshot_at_a_record_mark_is_the_records_row():
     cfg = load_config("no_lift_off.json")
     u0 = build_field_from_config(cfg, "radial")
     config = replace(cfg.solver, t_end=10.0, record_every=0.05,
@@ -711,6 +716,60 @@ def test_records_at_snapshot_marks_are_the_engine_state():
         expected, = solver.diagnostics.make_record(plan, values[None], [t])
         assert [x.hex() for x in by_time[t].tolist()] \
             == [x.hex() for x in expected.tolist()]
+
+
+def log_steps(monkeypatch):
+    """Wrap `super_step` to log each accepted step's size and copies of the
+    two states and speeds its interpolant reads."""
+    log, step = [], solver._Engine.super_step
+
+    def logged(engine, *args):
+        dt, proposal = step(engine, *args)
+        log.append((dt, *(row.copy() for row in (
+            engine.cand, engine.f_cand, engine.u, engine.f))))
+        return dt, proposal
+    monkeypatch.setattr(solver._Engine, "super_step", logged)
+    return log
+
+
+@pytest.mark.parametrize("case", ["curved", "asymptotic_decay"])
+def test_a_snapshot_inside_a_step_is_its_one_theta_interpolant(
+        case, monkeypatch):
+    # snapshots every 0.125 and records every 0.3: most snapshots are not
+    # records, and only t_end ends a step
+    if case == "curved":
+        field, metric, config = curved_case()
+        config = replace(config, t_end=2.0)
+    else:
+        field, metric, config = asymptotic_decay_case()
+    config = replace(config, snapshot_every=0.125, record_every=0.3)
+    log = log_steps(monkeypatch)
+    traj = solver._evolve(field, metric, config)  # frozen ends do not decay
+    assert traj.termination == "reached_t_end" and traj.steps == len(log)
+    t_end, ends, t = config.t_end, [], 0.0
+    for dt, *_ in log:  # the step ends, as `_evolve` forms them
+        t = t_end if dt >= t_end - t - 1e-15 else t + dt
+        ends.append(t)
+    assert ends[-1] == t_end and traj.times.tolist() \
+        == config.snapshot_times()
+    alone = set(traj.times) - set(traj.records["t"])
+    assert len(alone) >= len(traj.times) - 4
+    fresh = solver._Engine(traj.field, metric)
+    for t, row in zip(traj.times[1:-1], traj.snapshots[1:-1]):
+        i = int(np.searchsorted(ends, t))
+        start = ends[i - 1] if i else 0.0
+        assert start < t < ends[i] - 1e-12  # strictly inside step i
+        dt, *states = log[i]
+        for target, values in zip((fresh.cand, fresh.f_cand, fresh.u,
+                                   fresh.f), states):
+            target[:] = values
+        expected = fresh.interpolate([(t - start) / dt], dt)[0][0]
+        assert row.tobytes() == expected.tobytes()
+        # the held ends: pinned at +0.0, frozen at the data's bits
+        if field.bc[1] == "dirichlet_zero":
+            assert row[[0, -1]].tobytes() == np.zeros(2).tobytes()
+        else:
+            assert row[[0, -1]].tobytes() == field.values[[0, -1]].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +823,8 @@ def corrupt_rows(monkeypatch, steep_at, negative_at):
     original = solver._Engine.interpolate
     count = [0]
 
-    def corrupt(engine, theta, tau):
-        values, d = original(engine, theta, tau)
+    def corrupt(engine, theta, tau, at):
+        values, d = original(engine, theta, tau, at)
         for row in range(len(theta)):
             if count[0] == steep_at:
                 d[row] = 2.0 * engine.h
@@ -787,28 +846,27 @@ def curved_monitor_run():
 @pytest.mark.parametrize("first", ["slope", "tilt"])
 def test_record_error_names_the_first_failing_row_of_a_batch(first,
                                                               monkeypatch):
-    # a clean run gives the rows' numbers and times: the first batch of 3 or
-    # more interpolated rows starts at row `start`
-    interpolated, pending = [], []
+    # a clean run gives the rows' times: the first step with 3 or more
+    # interpolated rows starts at interpolated row `start`.  Every record
+    # but those at t = 0 and t_end is interpolated, and records are reduced
+    # in batches of `cap` rows across steps, from t = 0 on
+    sizes = []
     interpolate = solver._Engine.interpolate
-    original = diagnostics.make_record
 
-    def note(engine, theta, tau):
-        pending.append(1)
-        return interpolate(engine, theta, tau)
-
-    def log(plan, rows, times):
-        if pending:
-            interpolated.append(list(times))
-            pending.clear()
-        return original(plan, rows, times)
+    def note(engine, theta, tau, at):
+        sizes.append(len(theta))
+        return interpolate(engine, theta, tau, at)
     monkeypatch.setattr(solver._Engine, "interpolate", note)
-    monkeypatch.setattr(diagnostics, "make_record", log)
-    assert curved_monitor_run().termination == "reached_t_end"
+    clean = curved_monitor_run()
+    assert clean.termination == "reached_t_end"
     monkeypatch.undo()
-    k = next(i for i, times in enumerate(interpolated) if len(times) >= 3)
-    start = sum(len(times) for times in interpolated[:k])
-    t_first = interpolated[k][1]
+    times = clean.records["t"]
+    assert len(times) == sum(sizes) + 2
+    k = next(i for i, size in enumerate(sizes) if size >= 3)
+    start = sum(sizes[:k])
+    t_first = times[start + 2]  # interpolated row start + 1
+    cap = diagnostics.batch_rows(clean.field.nodes.size)
+    assert 0 < (start + 2) % cap < cap - 1  # mid-batch, with the next row
     rows = (start + 1, start + 2) if first == "slope" else (start + 2,
                                                            start + 1)
     messages = {}
@@ -824,6 +882,45 @@ def test_record_error_names_the_first_failing_row_of_a_batch(first,
                 else "monitor needs min u >= 0")
     assert messages[1] == messages[diagnostics.BATCH_VALUES]
     assert messages[1].startswith(f"state at t = {t_first:.6g}: {expected}")
+
+
+def test_a_waiting_record_failure_comes_before_a_later_halt(monkeypatch):
+    # interpolated row 3 (t = 0.04) breaks the slope bound; the step after
+    # the one that forms it halts while the row still waits in the batch
+    # scratch: the run raises the record's failure, without the halt's
+    # suffix, as it does when no step halts
+    messages, calls_at_halt = {}, []
+    for halt in (False, True):
+        interpolate, rkl2 = solver._Engine.interpolate, solver._Engine.rkl2
+        make_record, formed, calls = diagnostics.make_record, [0], []
+
+        def steepen_row_3(engine, theta, tau, at):
+            values, d = interpolate(engine, theta, tau, at)
+            for row in range(len(theta)):
+                if formed[0] == 3:
+                    d[row] = 2.0 * engine.h
+                formed[0] += 1
+            return values, d
+
+        def halt_after_it(engine, tau, dt_fe):
+            if halt and formed[0] > 3:
+                calls_at_halt.append(len(calls))
+                raise SpacelikeViolationError("spacelikeness lost: injected")
+            return rkl2(engine, tau, dt_fe)
+        monkeypatch.setattr(solver._Engine, "interpolate", steepen_row_3)
+        monkeypatch.setattr(solver._Engine, "rkl2", halt_after_it)
+        monkeypatch.setattr(diagnostics, "make_record", lambda *args: (
+            calls.append(1), make_record(*args))[1])
+        with pytest.raises(solver.RecordError) as exc:
+            curved_monitor_run()
+        messages[halt] = str(exc.value)
+        monkeypatch.undo()
+    # the halting step and its halved retries: no batch was reduced yet
+    assert calls_at_halt == [0] * (solver.MAX_DT_HALVINGS + 1)
+    assert messages[True] == messages[False]
+    assert messages[True].startswith(
+        "state at t = 0.04: not spacelike in the metric: node-to-node slope")
+    assert "halted" not in messages[True]
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +1052,7 @@ def test_ball_sweep_steps_and_stages_are_pinned(monkeypatch):
         traj = solver.solve_dirichlet(R, cfg.metric, u0, cfg.solver)
         assert traj.termination == "reached_t_end"
         counts.append((traj.steps, sum(stages)))
-    assert counts == [(391, 3816), (366, 3775), (366, 3776)]
+    assert counts == [(386, 3784), (363, 3749), (363, 3748)]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

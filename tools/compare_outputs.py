@@ -73,8 +73,9 @@ def curved_ball_sweep() -> dict:
 def no_lift_off_variants() -> dict:
     """configs/no_lift_off.json with:
     - `record_dip`: records every 0.002 through t = 0.1, one of them where
-      the dense-output interpolant dips below the tilt monitor's floor
-      (exit 3 since dense output)
+      the step's interpolant dips below the tilt monitor's floor (exit 3,
+      as since records inside a step are interpolated; snapshots inside a
+      step are too)
     - `record_inner_end_n40`: metric.n 40 through t = 0.075, records every
       0.005 and snapshots every 0.025; a record reads |u'|/w > 1 at the
       inner end (exit 3)
@@ -86,13 +87,15 @@ def no_lift_off_variants() -> dict:
       snapshot names must differ)
     - `step_cap`: at most 3 steps (exit 1; the run records and snapshots
       the state it stopped at, as a halted run does)
-    - `cap_at_mark`: through t = 20 at most 429 steps, the last of which
-      ends on the snapshot mark t = 10 (exit 1; that state is kept once)"""
+    - `cap_between_marks`: through t = 20 at most 460 steps, which stop
+      near t = 14, between the snapshot marks 10 and 20 (exit 1; the mark
+      t = 10 comes from its step's interpolant, and the state the run
+      stopped at is recorded and snapshotted)"""
     with open(os.path.join(ROOT, "configs", "no_lift_off.json")) as fh:
         text = fh.read()
     variants = {name: json.loads(text) for name in (
         "record_dip", "record_inner_end_n40", "steep_flat_bump",
-        "snapshot_name_clash", "step_cap", "cap_at_mark")}
+        "snapshot_name_clash", "step_cap", "cap_between_marks")}
     variants["record_dip"]["solver"].update(t_end=0.1, record_every=0.002)
     variants["record_inner_end_n40"]["metric"]["n"] = 40
     variants["record_inner_end_n40"]["solver"].update(
@@ -103,7 +106,8 @@ def no_lift_off_variants() -> dict:
     variants["snapshot_name_clash"]["solver"].update(t_end=1.0000001,
                                                      snapshot_every=0.5)
     variants["step_cap"]["solver"]["max_steps"] = 3
-    variants["cap_at_mark"]["solver"].update(t_end=20.0, max_steps=429)
+    variants["cap_between_marks"]["solver"].update(t_end=20.0,
+                                                   max_steps=460)
     return variants
 
 
