@@ -8,9 +8,12 @@ u_t = u'' / (1 - u'^2), the rotationally symmetric radial problem on
 conformal backgrounds, and the zero-boundary problem on balls with blended
 initial data.
 
-Time: runs take second-order Runge-Kutta-Legendre (RKL2) super-steps with
-local error control (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014).
-A super-step of size tau uses the fewest s >= 2 stages that are stable,
+Time: two second-order schemes under one local error control.  Runs take
+Runge-Kutta-Legendre (RKL2) super-steps (Meyer, Balsara & Aslam,
+J. Comput. Phys. 257, 2014), and line grids with both ends pinned take
+ROS2 W-steps with a sine-transform solve where RKL2 would need many stages
+(below).  An RKL2 super-step of size tau uses the fewest s >= 2 stages
+that are stable,
 
     tau <= dt_FE (s^2 + s - 2) / 4,       dt_FE = cfl * h^2 / (2 c),
     a(u') = w^{-2} / (1 - (u'/w)^2),
@@ -34,6 +37,28 @@ with the axis row's own disc; equal to dt_FE for n >= 4) and at dt_FE
 elsewhere; a step of the floor's size is accepted whatever its estimate.
 A run's first step is proposed at the floor.  `step_1d` and `step_radial`
 take one such step of size min(floor, dt_cap), with no error control.
+
+On a line grid with both ends pinned, a step that RKL2 would take in more
+than ROS2_STAGES stages is one ROS2 step instead (Verwer, Spee, Blom &
+Hundsdorfer, SIAM J. Sci. Comput. 20, 1999), used as a W-method, which
+keeps order 2 whatever matrix stands in W (Steihaug & Wolfbrandt, Math.
+Comp. 33, 1979):
+
+    W k1 = F(u_n),   W k2 = F(u_n + tau k1) - 2 k1,
+    u_{n+1} = u_n + 1.5 tau k1 + 0.5 tau k2,   W = I - gamma tau c Delta_h,
+
+with c the state's stability coefficient (at least every a_i) and Delta_h
+the flat second difference with zero increments at the ends.  Both roots
+of gamma^2 - 2 gamma + 1/2 = 0 make ROS2 L-stable; on u' = lambda u its
+local error is (gamma - 1/3) (tau lambda)^3 + ..., and ROS2_GAMMA =
+1 - 1/sqrt(2) gives 0.040 where Verwer's 1 + 1/sqrt(2) gives 1.373.
+Delta_h is diagonal in the DST-I of the interior nodes, so a solve is two
+real FFTs of length 2(M + 1) over M interior nodes (`numpy.fft`, imported
+on first use).  The state u_n + tau k1 passes the stages' check, and the
+candidate is formed, cut, checked and judged by the same estimate and
+controller as an RKL2 candidate.  A ROS2 step costs two evaluations and
+four FFTs, 12-17 stages of RKL2 on 8,001 nodes, so it pays only where
+RKL2 needs more; radial grids and grids with a frozen end keep RKL2.
 
 Dense output: only t_end ends a step (or a halt, or the step cap).  A
 record or snapshot at a time strictly inside an accepted step
@@ -124,6 +149,11 @@ MAX_RECORDS = 1_000_000
 #: Candidate values below this times sup|u_0| are set to +0.0: the square
 #: root of the smallest normal double.
 UNDERFLOW_CUT = 2.0 ** -511
+#: On a line grid with both ends pinned, a step that RKL2 would take in
+#: more stages than this is one ROS2 W-step instead.
+ROS2_STAGES = 16
+#: ROS2's gamma: the root 1 - 1/sqrt(2) of gamma^2 - 2 gamma + 1/2 = 0.
+ROS2_GAMMA = 1.0 - math.sqrt(0.5)
 
 
 class RecordError(ValueError):
@@ -205,6 +235,9 @@ class _Engine:
         self.h, self.axis = field.h, field.axis
         scale = (2.0 * field.h, field.h * field.h)  # a, b: rows hold F/4
         self.pin_left, self.pin_right = (t == "dirichlet_zero" for t in field.bc)
+        # the grids that take ROS2 steps where RKL2 needs many stages
+        self.sine_solve = (field.kind == "line" and self.pin_left
+                           and self.pin_right)
         if field.kind == "line":
             if getattr(metric, "a", 0.0) != 0.0:
                 raise DomainError("line problems run on the flat metric")
@@ -434,7 +467,7 @@ class _Engine:
         """
         s = rkl2_stages(tau, dt_fe)
         (f0, f, acc, d, du, d1, d0, inner, block, rows, ends, s_, comp, q,
-         work, complement, rhs, tiny) = self._window(s)
+         work, complement, rhs, _) = self._window(s)
         w1 = 4.0 / (s * s + s - 2)
         axis, half_n, h2 = self.axis, self.n * 0.5, self.h * self.h
         table = _rkl2_weights(1 << (s - 2).bit_length())[:s - 1]
@@ -457,9 +490,16 @@ class _Engine:
                 f[0] = half_n * d.item(0) / h2
             np.dot(weight, block, acc)
             np.copyto(target, acc)
-        prev, older = rows[(s - 1) % 2], rows[s % 2]
-        cand = np.add(self.u[:acc.size], prev, out=acc)
-        np.less(np.abs(cand, out=older), self.cut, out=tiny)  # NaN: False
+        return self._candidate(tau, rows[(s - 1) % 2], rows[s % 2])
+
+    def _candidate(self, tau, step, spare):
+        """Form the candidate u + `step` of a step of size `tau` from the
+        state, as `rkl2` describes, and return the sup of its local error
+        estimate; `spare` is a free row of the window, written."""
+        (f0, f, cand, d, _, d1, d0, inner, _, _, _, s_, comp, q, work,
+         complement, rhs, tiny) = self.views[self.m, self.f_row]
+        np.add(self.u[:cand.size], step, out=cand)
+        np.less(np.abs(cand, out=spare), self.cut, out=tiny)  # NaN: False
         np.copyto(cand, 0.0, where=tiny)
         self._hold_ends(cand)
         # the candidate's differences, check and speed, as a stage's: no
@@ -469,23 +509,95 @@ class _Engine:
         self.cand_coeff = self._coefficient(complement(s_, comp))
         np.subtract(d1, d0, q)
         rhs(s_, q, comp, inner, work)
-        if axis:
-            f[0] = half_n * d.item(0) / h2
+        if self.axis:
+            f[0] = self.n * 0.5 * d.item(0) / (self.h * self.h)
         worst = self.max_metric_slope(d)
         if not worst < 1.0 - TOL_SPACELIKE:
             raise SpacelikeViolationError(
                 f"spacelikeness lost: updated slope {worst:.12g} reached "
                 f"1 - {TOL_SPACELIKE:g}")
-        # est / 0.8 = 0.5 tau (F(u) + F(cand)) - D_s, over D_{s-1}; the
-        # rows hold F/4
-        est = np.add(f0, f, out=older)
+        # est / 0.8 = 0.5 tau (F(u) + F(cand)) - (cand - u), the increment
+        # taken before the cut; the rows hold F/4
+        est = np.add(f0, f, out=spare)
         est *= 2.0 * tau
-        est -= prev
+        est -= step
         return 0.8 * float(max(est[est.argmax()], -est[est.argmin()]))
 
+    @functools.cached_property
+    def sine(self):
+        """The DST-I scratch of a line grid, formed on first use: a row for
+        the odd extension (0, x_1..x_M, 0, -x_M..-x_1) of the M interior
+        nodes, 2(M + 1) lambda_k with lambda_k = 4 sin^2(pi k / (2(M + 1)))
+        / h^2 the eigenvalues of -Delta_h (k = 1..M), and a row for a
+        solve's divisors."""
+        m = self.u.size - 2
+        angle = np.arange(1, m + 1) * (0.5 * math.pi / (m + 1))
+        eig = np.sin(angle) ** 2 * (8.0 * (m + 1) / (self.h * self.h))
+        return np.zeros(2 * m + 2), eig, np.empty(m)
+
+    def solve(self, b, c, out):
+        """Write x with (I - c Delta_h) x = b into `out`'s interior nodes
+        (Delta_h the flat second difference, zero increments at both ends)
+        and return it; `b`'s ends are not read, `out`'s not written.
+
+        Delta_h is diagonal in the DST-I of the interior nodes, and a DST-I
+        is the imaginary part of the rfft of the odd extension: with
+        y_k = -Im rfft(b~)_k / 2 = sum_j b_j sin(pi j k / (M + 1)),
+        x = 2/(M + 1) DST(y / (1 + c lambda_k)), two FFTs of length
+        2(M + 1) in all.  `out` may be `b`.
+        """
+        ext, eig, div = self.sine
+        m = eig.size
+        # 2(M + 1) (1 + c lambda_k): the two transforms' -2 each, and the
+        # inverse's 2/(M + 1)
+        np.multiply(eig, c, out=div)
+        div += 2.0 * m + 2.0
+        ext[1:m + 1] = b[1:-1]
+        np.negative(ext[m:0:-1], out=ext[m + 2:])
+        np.divide(np.fft.rfft(ext).imag[1:m + 1], div, out=ext[1:m + 1])
+        np.negative(ext[m:0:-1], out=ext[m + 2:])
+        out[1:-1] = np.fft.rfft(ext).imag[1:m + 1]
+        return out
+
+    def ros2(self, tau):
+        """Form the ROS2 W-step of size `tau` from the state, writing and
+        returning as `rkl2` does.  With W = I - gamma tau A Delta_h
+        (A the state's stability coefficient `coeff`, gamma = ROS2_GAMMA),
+            k1 = W^-1 F(u),  k2 = W^-1 (F(u + tau k1) - 2 k1),
+            u_{n+1} = u + 1.5 tau k1 + 0.5 tau k2,
+        held as the increments K_i = tau k_i.  The intermediate state
+        u + K1 passes the stages' check; the candidate is formed as an RKL2
+        candidate is, from the increment 1.5 K1 + 0.5 K2.  Only for line
+        grids with both ends pinned, where the increments vanish at the
+        ends.  A solve couples every node, so the window grows to the whole
+        grid.
+        """
+        (f0, f, _, d, du, d1, d0, inner, _, (k1, k2), _, s_, comp, q, work,
+         complement, rhs, _) = self._window(self.u.size)
+        c = ROS2_GAMMA * tau * self.coeff
+        self.solve(np.multiply(f0, 4.0 * tau, out=k1), c, k1)  # ends 0.0
+        np.subtract(k1[1:], k1[:-1], out=d)  # the differences of u + K1
+        d += du
+        np.add(d1, d0, s_)
+        complement(s_, comp)
+        if not comp[comp.argmin()] > self.safe_c:  # first NaN, if any
+            self._coefficient(comp)  # raises, naming the node
+        np.subtract(d1, d0, q)
+        rhs(s_, q, comp, inner, work)
+        np.multiply(f, 4.0 * tau, out=k2)  # f's ends are 0.0
+        k2 -= k1
+        k2 -= k1
+        self.solve(k2, c, k2)
+        k2 *= 0.5
+        k1 *= 1.5
+        k1 += k2
+        return self._candidate(tau, k1, k2)
+
     def super_step(self, tau, dt_cap, cfl, tol):
-        """One accepted RKL2 super-step of the proposed size `tau` (None:
-        dt_FE), at most `dt_cap`, under local error tolerance `tol`.
+        """One accepted step of the proposed size `tau` (None: dt_FE), at
+        most `dt_cap`, under local error tolerance `tol`: an RKL2 super-step,
+        or a ROS2 step where `sine_solve` holds and RKL2 would take more
+        than ROS2_STAGES stages.
 
         Returns (dt, next proposed size).  A stage or candidate that breaks
         spacelikeness halves dt from the untouched state, at most
@@ -511,7 +623,10 @@ class _Engine:
         halvings = 0
         while True:
             try:
-                err = self.rkl2(dt, dt_fe)
+                if self.sine_solve and rkl2_stages(dt, dt_fe) > ROS2_STAGES:
+                    err = self.ros2(dt)
+                else:
+                    err = self.rkl2(dt, dt_fe)
             except SpacelikeViolationError as exc:
                 if halvings == MAX_DT_HALVINGS:
                     raise SpacelikeViolationError(

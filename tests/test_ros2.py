@@ -1,0 +1,411 @@
+"""ROS2 W-steps on line grids: the DST-I solve, the step's stability on
+frozen coefficients, its spacelike policy and error control, the counts it
+gives the shipped line flows, and whole-run convergence with a
+manufactured source.
+
+A line grid with both ends pinned takes a step that RKL2 would take in
+more than `solver.ROS2_STAGES` stages as one ROS2 step with
+W = I - gamma tau A Delta_h, solved by a DST-I of the interior nodes.
+"""
+
+import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mcflow import diagnostics, geometry, solver
+from mcflow.fields import Field
+from mcflow.geometry import SpacelikeViolationError, euclidean_metric
+from mcflow.scenarios import ScenarioConfig, build_field_from_config
+from mcflow.solver import (TIME_ERROR_KAPPA, SolverConfig, rkl2_stages,
+                           run_flow, stable_dt)
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def line_field(values, h):
+    nodes = h * (np.arange(values.size) - 0.5 * (values.size - 1))
+    return Field(kind="line", nodes=nodes, values=values, h=h,
+                 bc=("dirichlet_zero", "dirichlet_zero"))
+
+
+def second_difference(m, h):
+    """Delta_h on m interior nodes with zero ends, as a dense matrix."""
+    return (np.diag(np.full(m - 1, 1.0), -1) - 2.0 * np.eye(m)
+            + np.diag(np.full(m - 1, 1.0), 1)) / (h * h)
+
+
+def line_decay_config(seed):
+    """The benchmark's `line_decay` config for `seed`, from perfbench."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return ScenarioConfig.from_dict(
+        workloads.generate_config(ROOT, "line_decay", seed))
+
+
+def count_steps(monkeypatch):
+    """Log the stage count of each RKL2 step and the size of each ROS2
+    step an engine takes."""
+    stages, sizes = [], []
+    rkl2, ros2 = solver._Engine.rkl2, solver._Engine.ros2
+    monkeypatch.setattr(solver._Engine, "rkl2", lambda self, tau, dt_fe: (
+        stages.append(rkl2_stages(tau, dt_fe)), rkl2(self, tau, dt_fe))[1])
+    monkeypatch.setattr(solver._Engine, "ros2", lambda self, tau: (
+        sizes.append(tau), ros2(self, tau))[1])
+    return stages, sizes
+
+
+# ---------------------------------------------------------------------------
+# the solve and the step's stability
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [0.0, 1e-3, 1.0, 1e3, 1e7])
+def test_the_sine_solve_matches_a_dense_solve(c, rng):
+    h = 0.1
+    engine = solver._Engine(line_field(np.zeros(17), h), euclidean_metric(1))
+    b = rng.uniform(-1.0, 1.0, 17)
+    expected = np.linalg.solve(np.eye(15) - c * second_difference(15, h),
+                               b[1:-1])
+    out = np.full(17, 7.0)
+    assert engine.solve(b, c, out) is out
+    assert out[0] == out[-1] == 7.0  # the ends are not written
+    scale = float(np.max(np.abs(expected)))
+    assert np.max(np.abs(out[1:-1] - expected)) <= 1e-12 * scale
+    assert np.array_equal(engine.solve(b, c, b)[1:-1], out[1:-1])  # in place
+
+
+def amplification(engine, tau, coeff, eps=1e-3):
+    """The matrix of one `ros2` step of size `tau` with W's coefficient
+    `coeff`, applied to eps e_j for each interior node j."""
+    columns = []
+    for j in range(1, engine.u.size - 1):
+        engine.u[:] = 0.0
+        engine.u[j] = eps
+        np.subtract(engine.u[1:], engine.u[:-1], out=engine.d)
+        engine.coefficient()
+        engine._speed(engine.d, engine.f)
+        engine.coeff = coeff
+        engine.ros2(tau)
+        columns.append(engine.cand[1:-1] / eps)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("spread", [1.0, 2.0, 5.0, 20.0])
+def test_a_w_step_is_stable_on_frozen_coefficients(spread, rng,
+                                                  monkeypatch):
+    # the engine's ROS2 step on F = diag(a) Delta_h u, a <= A, for tau A / h^2
+    # from 1e-2 to 1e6: every eigenvalue of its matrix lies in the unit disc
+    m, h, coeff = 20, 0.1, 1.0
+    for _ in range(2):
+        a = rng.uniform(coeff / spread, coeff, m)
+        a[rng.integers(m)] = coeff
+        # the speed rows hold F/4, and q = h^2 u''
+        monkeypatch.setattr(geometry.RadialOperator, "rhs",
+                            lambda self, s, q, comp, out, work, a=a:
+                            np.multiply(q, a / (4.0 * h * h), out=out))
+        engine = solver._Engine(line_field(np.zeros(m + 2), h),
+                                euclidean_metric(1))
+        for z in np.logspace(-2.0, 6.0, 17):
+            matrix = amplification(engine, z * h * h / coeff, coeff)
+            assert max(abs(np.linalg.eigvals(matrix))) <= 1.0 + 1e-12
+        # and on the small ones the step is the ROS2 formula with W
+        tau = 0.3 * h * h / coeff
+        w = np.eye(m) - solver.ROS2_GAMMA * tau * coeff * second_difference(
+            m, h)
+        jac = a[:, None] * second_difference(m, h)
+        p = np.linalg.solve(w, jac)
+        expected = (np.eye(m) + 1.5 * tau * p + 0.5 * tau * np.linalg.solve(
+            w, jac + tau * jac @ p - 2.0 * p))
+        assert np.allclose(amplification(engine, tau, coeff), expected,
+                           rtol=0.0, atol=1e-9)
+
+
+def test_gamma_is_the_l_stable_root_with_the_small_error_constant():
+    # R(z) = (1 + (1 - 2 gamma) z) / (1 - gamma z)^2; e^z - R(z) =
+    # (gamma - 1/3) z^3 + O(z^4), 0.040 against 1.373 for 1 + 1/sqrt(2)
+    gamma = solver.ROS2_GAMMA
+    assert gamma * gamma - 2.0 * gamma + 0.5 == pytest.approx(0.0, abs=1e-15)
+    assert abs(gamma - 1.0 / 3.0) == pytest.approx(0.0404, abs=1e-4)
+    z = 1e-3
+    r = (1.0 + (1.0 - 2.0 * gamma) * z) / (1.0 - gamma * z) ** 2
+    assert (math.exp(z) - r) / z ** 3 == pytest.approx(gamma - 1.0 / 3.0,
+                                                       rel=0.01)
+    for far in (-1e6, -1e9):  # L-stable
+        assert abs((1.0 + (1.0 - 2.0 * gamma) * far)
+                   / (1.0 - gamma * far) ** 2) < 1e-5
+
+
+def test_importing_mcflow_leaves_numpy_fft_unimported():
+    # numpy.fft loads on a line run's first ROS2 step, not at start-up
+    # (numpy before 2.0 imports it with numpy itself)
+    code = ("import sys, numpy; before = 'numpy.fft' in sys.modules; "
+            "import mcflow, mcflow.cli, mcflow.scenarios; "
+            "assert ('numpy.fft' in sys.modules) == before")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# ---------------------------------------------------------------------------
+# the step in a run: switch, retries and error control
+# ---------------------------------------------------------------------------
+
+def decay_line():
+    with open(os.path.join(ROOT, "configs", "decay_study.json")) as fh:
+        cfg = ScenarioConfig.from_dict(json.load(fh))
+    return build_field_from_config(cfg, "line"), cfg.metric, cfg.solver
+
+
+def test_only_long_steps_on_pinned_lines_are_w_steps(monkeypatch):
+    stages, sizes = count_steps(monkeypatch)
+    field, metric, config = decay_line()
+    dt_fe = stable_dt(field, metric, config)
+    limit = solver.ROS2_STAGES
+    longest_rkl2 = dt_fe * (limit * limit + limit - 2) / 4.0
+    for tau in (longest_rkl2, 1.01 * longest_rkl2):
+        engine = solver._Engine(field, metric)
+        assert engine.super_step(tau, tau, config.cfl_safety,
+                                 math.inf)[0] == tau
+    assert stages == [limit] and sizes == [1.01 * longest_rkl2]
+    # a line with a frozen end steps by RKL2 at any size
+    frozen = replace(field, bc=("dirichlet_zero", "asymptotic_decay"))
+    engine = solver._Engine(frozen, metric)
+    engine.super_step(4.0 * longest_rkl2, math.inf, config.cfl_safety,
+                      math.inf)
+    assert len(sizes) == 1 and stages[-1] > limit
+
+
+@pytest.mark.parametrize("kind", ["intermediate", "candidate", "estimate"])
+def test_a_rejected_w_step_retries_from_the_untouched_state(kind,
+                                                           monkeypatch):
+    # u + tau k1 steepened past the null cone, or a candidate that fails
+    # the updated-slope check, halves dt; a failed estimate shrinks it (by
+    # 0.1 here).  The retry equals a one-shot step of that size.
+    field, metric, config = decay_line()
+    tau = 3000.0 * stable_dt(field, metric, config)
+    # the retries are ROS2 steps too
+    assert rkl2_stages(0.1 * tau, stable_dt(field, metric, config)) \
+        > solver.ROS2_STAGES
+    tol = 1e3  # far above any real estimate here
+    solve, check, ros2 = (solver._Engine.solve,
+                          solver._Engine.max_metric_slope,
+                          solver._Engine.ros2)
+    calls = []
+
+    def steepen_first(self, b, c, out):
+        calls.append(1)
+        solve(self, b, c, out)
+        if len(calls) == 1:  # the first solve forms K1
+            out[out.size // 2] += 10.0 * self.h
+        return out
+
+    engine, halted = (solver._Engine(field, metric) for _ in range(2))
+    state = {name: getattr(engine, name).copy() for name in ("u", "d")}
+    if kind == "intermediate":
+        monkeypatch.setattr(solver._Engine, "solve", steepen_first)
+    elif kind == "candidate":
+        monkeypatch.setattr(solver._Engine, "max_metric_slope", lambda self, d:
+                            calls.append(1) or (1.0 if len(calls) == 1
+                                                else check(self, d)))
+    else:
+        monkeypatch.setattr(solver._Engine, "ros2", lambda self, tau:
+                            calls.append(1) or (1000.0 * tol if len(calls) == 1
+                                                else ros2(self, tau)))
+    dt, _ = engine.super_step(tau, tau, config.cfl_safety, tol)
+    assert dt == (0.1 * tau if kind == "estimate" else 0.5 * tau)
+    assert len(calls) == (3 if kind == "intermediate" else 2)
+    # without retries the violation halts the step and leaves the state
+    if kind != "estimate":
+        monkeypatch.setattr(solver, "MAX_DT_HALVINGS", 0)
+        calls.clear()
+        with pytest.raises(SpacelikeViolationError, match="spacelikeness"):
+            halted.super_step(tau, tau, config.cfl_safety, tol)
+        assert len(calls) == 1
+        for name, before in state.items():
+            assert getattr(halted, name).tobytes() == before.tobytes()
+    monkeypatch.undo()
+    one_shot = solver._Engine(field, metric)
+    assert one_shot.super_step(dt, dt, config.cfl_safety, tol)[0] == dt
+    for name in ("u", "d", "f"):
+        assert np.array_equal(getattr(engine, name), getattr(one_shot, name))
+    assert engine.coeff == one_shot.coeff
+
+
+def test_the_w_step_estimate_is_honest_on_the_late_line(monkeypatch):
+    # the line_decay state at t = 50: the accepted ROS2 step's estimate
+    # against its error measured from 64 RKL2 substeps of the same state
+    # (measured 0.87 of it; RKL2's own estimate reads 2.0 of its error)
+    cfg = line_decay_config(0)
+    field, metric = build_field_from_config(cfg, "line"), cfg.metric
+    tol = TIME_ERROR_KAPPA * field.h ** 2 * float(np.max(np.abs(field.values)))
+    estimates = []
+    ros2 = solver._Engine.ros2
+    monkeypatch.setattr(solver._Engine, "ros2", lambda self, tau: (
+        estimates.append(ros2(self, tau)), estimates[-1])[1])
+    engine, tau, t = solver._Engine(field, metric), None, 0.0
+    while t < 50.0:
+        dt, tau = engine.super_step(tau, math.inf, cfg.solver.cfl_safety, tol)
+        t += dt
+        taken = len(estimates)
+    dt, _ = engine.super_step(tau, math.inf, cfg.solver.cfl_safety, tol)
+    assert len(estimates) == taken + 1  # the step is one ROS2 step
+    fine = solver._Engine(replace(field, values=engine.cand), metric)
+    for _ in range(64):  # each of about 1/4096 of the step's error
+        fine.coeff = fine.coefficient()
+        fine._speed(fine.d, fine.f)
+        fine.rkl2(dt / 64.0, cfg.solver.cfl_safety * field.h ** 2
+                  / (2.0 * fine.coeff))
+        fine._accept()
+    error = float(np.max(np.abs(engine.u - fine.u)))
+    assert error < tol
+    assert 0.5 <= estimates[-1] / error <= 2.0
+
+
+def test_line_counts_are_pinned(monkeypatch):
+    # steps, RKL2 stages and ROS2 steps of the benchmark's line_decay at
+    # seed 3 and of the shipped decay_study
+    stages, sizes = count_steps(monkeypatch)
+    with open(os.path.join(ROOT, "configs", "decay_study.json")) as fh:
+        shipped = ScenarioConfig.from_dict(json.load(fh))
+    counts = []
+    for cfg in (line_decay_config(3), shipped):
+        stages.clear()
+        sizes.clear()
+        traj = run_flow(cfg.metric, build_field_from_config(cfg, "line"),
+                        cfg.solver)
+        assert traj.termination == "reached_t_end"
+        counts.append((traj.steps, sum(stages), len(sizes)))
+    assert counts == [(418, 1847, 115), (490, 1844, 187)]
+
+
+# ---------------------------------------------------------------------------
+# whole runs against a manufactured solution
+# ---------------------------------------------------------------------------
+
+HALF_WIDTH, HEIGHT, DECAY = 4.0, 0.5, 20.0
+WAVENUMBER = math.pi / (2.0 * HALF_WIDTH)
+
+
+def exact(x, t):
+    """U = HEIGHT e^{-t/DECAY} cos(k x), zero at both ends x = +-4."""
+    return HEIGHT * math.exp(-t / DECAY) * np.cos(WAVENUMBER * x)
+
+
+def source(x, t):
+    """S = U_t - U_xx / (1 - U_x^2)."""
+    amp = HEIGHT * math.exp(-t / DECAY)
+    ux = -amp * WAVENUMBER * np.sin(WAVENUMBER * x)
+    uxx = -amp * WAVENUMBER ** 2 * np.cos(WAVENUMBER * x)
+    return -amp * np.cos(WAVENUMBER * x) / DECAY - uxx / (1.0 - ux * ux)
+
+
+def manufactured_line(h):
+    nodes = np.linspace(-HALF_WIDTH, HALF_WIDTH,
+                        int(round(2.0 * HALF_WIDTH / h)) + 1)
+    return Field(kind="line", nodes=nodes, values=exact(nodes, 0.0), h=h,
+                 bc=("dirichlet_zero", "dirichlet_zero"))
+
+
+def add_source(monkeypatch, field):
+    """Make the engine's flow speed F + S, with S at each evaluation's
+    time: t_n + c_j tau at RKL2's stage j (c_1 = c_2 / 3 and
+    c_j = (j^2 + j - 2)/(s^2 + s - 2), Meyer, Balsara & Aslam 2014),
+    t_n + tau at both of ROS2's evaluations (the W-method on the system
+    with t' = 1 and a zero row for t in W), and t_n + tau at the
+    candidate.  Returns {'rkl2': steps, 'ros2': steps}, tried steps
+    included."""
+    x, clock, counts = field.nodes[1:-1], {"t": 0.0, "due": []}, {
+        "rkl2": 0, "ros2": 0}
+    rhs, rkl2, ros2, super_step = (geometry.RadialOperator.rhs,
+                                   solver._Engine.rkl2, solver._Engine.ros2,
+                                   solver._Engine.super_step)
+
+    def forced(self, s, q, comp, out, work):
+        rhs(self, s, q, comp, out, work)
+        t = clock["due"].pop(0) if clock["due"] else clock["t"]
+        out += 0.25 * source(x, t)  # the rows hold F/4
+        return out
+
+    def timed_rkl2(self, tau, dt_fe):
+        s = rkl2_stages(tau, dt_fe)
+        scale = s * s + s - 2.0
+        times = [4.0 / (3.0 * scale)] + [(j * j + j - 2) / scale
+                                         for j in range(2, s)] + [1.0]
+        clock["due"] = [clock["t"] + c * tau for c in times]
+        counts["rkl2"] += 1
+        return rkl2(self, tau, dt_fe)
+
+    def timed_ros2(self, tau):
+        clock["due"] = [clock["t"] + tau] * 2
+        counts["ros2"] += 1
+        return ros2(self, tau)
+
+    def timed_step(self, *args):
+        dt, proposal = super_step(self, *args)
+        clock["t"] += dt
+        return dt, proposal
+
+    monkeypatch.setattr(geometry.RadialOperator, "rhs", forced)
+    monkeypatch.setattr(solver._Engine, "rkl2", timed_rkl2)
+    monkeypatch.setattr(solver._Engine, "ros2", timed_ros2)
+    monkeypatch.setattr(solver._Engine, "super_step", timed_step)
+    return counts
+
+
+def record_error(monkeypatch, h, t_end):
+    """max |u - U| over every record row of an error-controlled run, and
+    the run's step counts."""
+    field = manufactured_line(h)
+    with monkeypatch.context() as patch:
+        counts = add_source(patch, field)
+        rows, make_record = [], diagnostics.make_record
+        patch.setattr(diagnostics, "make_record", lambda plan, values, times: (
+            rows.extend((t, row.copy()) for t, row in zip(times, values)),
+            make_record(plan, values, times))[1])
+        traj = run_flow(euclidean_metric(1), field,
+                        SolverConfig(t_end=t_end, record_every=t_end / 16))
+    assert traj.termination == "reached_t_end" and len(rows) == 17
+    return max(float(np.max(np.abs(row - exact(field.nodes, t))))
+               for t, row in rows), counts
+
+
+def test_whole_runs_on_the_line_converge_at_second_order(monkeypatch):
+    # with the run's own error control (tol = kappa h^2 sup|u_0|) and
+    # records inside steps; the runs at h = 0.1 and 0.05 are nearly all
+    # ROS2 steps.  The time error has the opposite sign to the space error
+    # here and shrinks more slowly (steps grow as tol^(1/3)), so the
+    # observed order sits a little above 2 (measured 2.32 and 2.25)
+    errors, ros2_steps = [], []
+    for h in (0.2, 0.1, 0.05):
+        error, counts = record_error(monkeypatch, h, 20.0)
+        errors.append(error)
+        ros2_steps.append(counts["ros2"])
+    assert ros2_steps[1] > 0 and ros2_steps[2] > 0
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(1.8 <= order <= 2.5 for order in orders), orders
+
+
+def test_w_steps_converge_at_second_order_in_time(monkeypatch):
+    # fixed steps of 1, 1/2, 1/4 and 1/8 to t = 8 at h = 0.05, every one a
+    # ROS2 step: the differences of successive runs shrink by 4
+    field = manufactured_line(0.05)
+    finals = []
+    for k in (8, 16, 32, 64):
+        with monkeypatch.context() as patch:
+            counts = add_source(patch, field)
+            engine, tau = solver._Engine(field, euclidean_metric(1)), 8.0 / k
+            for _ in range(k):
+                assert engine.super_step(tau, tau, 0.9, math.inf)[0] == tau
+        assert counts == {"rkl2": 0, "ros2": k}
+        finals.append(engine.u.copy())
+    gaps = [float(np.max(np.abs(a - b))) for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+    assert all(1.8 <= order <= 2.2 for order in orders), orders
