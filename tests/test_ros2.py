@@ -71,16 +71,63 @@ def count_steps(monkeypatch):
 @pytest.mark.parametrize("c", [0.0, 1e-3, 1.0, 1e3, 1e7])
 def test_the_sine_solve_matches_a_dense_solve(c, rng):
     h = 0.1
-    engine = solver._Engine(line_field(np.zeros(17), h), euclidean_metric(1))
-    b = rng.uniform(-1.0, 1.0, 17)
-    expected = np.linalg.solve(np.eye(15) - c * second_difference(15, h),
-                               b[1:-1])
-    out = np.full(17, 7.0)
-    assert engine.solve(b, c, out) is out
-    assert out[0] == out[-1] == 7.0  # the ends are not written
-    scale = float(np.max(np.abs(expected)))
-    assert np.max(np.abs(out[1:-1] - expected)) <= 1e-12 * scale
-    assert np.array_equal(engine.solve(b, c, b)[1:-1], out[1:-1])  # in place
+    for size in (3, 4, 5, 17, 18):  # N = size - 1 intervals, odd and even
+        m = size - 2
+        engine = solver._Engine(line_field(np.zeros(size), h),
+                                euclidean_metric(1))
+        b = rng.uniform(-1.0, 1.0, size)
+        expected = np.linalg.solve(np.eye(m) - c * second_difference(m, h),
+                                   b[1:-1])
+        out = np.full(size, 7.0)
+        div = engine.divisor(c)
+        assert engine.solve(b, div, out) is out
+        assert out[0] == out[-1] == 7.0  # the ends are not written
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(out[1:-1] - expected)) <= 1e-12 * scale, size
+        assert np.array_equal(engine.solve(b, div, b)[1:-1],
+                              out[1:-1])  # in place
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_dst_is_the_direct_sine_sum(n, rng):
+    # S_k = sum_j b_j sin(pi j k / N) over j, k = 1..N-1, for N = n
+    engine = solver._Engine(line_field(np.zeros(n + 1), 0.1),
+                            euclidean_metric(1))
+    b = rng.uniform(-1.0, 1.0, n + 1)
+    j = np.arange(1, n)
+    expected = np.sin(math.pi * np.outer(j, j) / n) @ b[1:-1]
+    out = np.full(n + 1, 7.0)
+    assert engine.dst(b, out) is out
+    assert out[0] == out[-1] == 7.0
+    assert np.max(np.abs(out[1:-1] - expected)) <= 1e-14 * n
+
+
+def full_length_solve(b, c, h):
+    """(I - c Delta_h)^-1 on b's interior nodes by the DST-I as the
+    imaginary part of the rfft of the odd extension, two FFTs of length
+    2N: the solve before the half-length transform, as a reference."""
+    m = b.size - 2
+    eig = np.sin(np.arange(1, m + 1) * (0.5 * math.pi / (m + 1))) ** 2 * (
+        8.0 * (m + 1) / (h * h))
+    ext = np.zeros(2 * m + 2)
+    ext[1:m + 1] = b[1:-1]
+    ext[m + 2:] = -ext[m:0:-1]
+    ext[1:m + 1] = np.fft.rfft(ext).imag[1:m + 1] / (eig * c + 2.0 * m + 2.0)
+    ext[m + 2:] = -ext[m:0:-1]
+    return np.fft.rfft(ext).imag[1:m + 1]
+
+
+@pytest.mark.parametrize("size", [8000, 8001])
+def test_the_half_length_solve_matches_the_full_length_one(size, rng):
+    # the line_decay grid's size (N = 8,000) and one with N odd
+    h = 0.05
+    engine = solver._Engine(line_field(np.zeros(size), h), euclidean_metric(1))
+    b = rng.uniform(-1.0, 1.0, size)
+    for c in (0.0, 1e-3, 1.0, 1e3, 1e7):
+        expected = full_length_solve(b, c, h)
+        out = engine.solve(b, engine.divisor(c), np.empty(size))
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(out[1:-1] - expected)) <= 1e-12 * scale
 
 
 def amplification(engine, tau, coeff, eps=1e-3):
@@ -200,9 +247,9 @@ def test_a_rejected_w_step_retries_from_the_untouched_state(kind,
                           solver._Engine.ros2)
     calls = []
 
-    def steepen_first(self, b, c, out):
+    def steepen_first(self, b, div, out):
         calls.append(1)
-        solve(self, b, c, out)
+        solve(self, b, div, out)
         if len(calls) == 1:  # the first solve forms K1
             out[out.size // 2] += 10.0 * self.h
         return out
@@ -283,7 +330,7 @@ def test_line_counts_are_pinned(monkeypatch):
                         cfg.solver)
         assert traj.termination == "reached_t_end"
         counts.append((traj.steps, sum(stages), len(sizes)))
-    assert counts == [(418, 1847, 115), (490, 1844, 187)]
+    assert counts == [(401, 1159, 150), (473, 1157, 222)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +429,7 @@ def test_whole_runs_on_the_line_converge_at_second_order(monkeypatch):
     # records inside steps; the runs at h = 0.1 and 0.05 are nearly all
     # ROS2 steps.  The time error has the opposite sign to the space error
     # here and shrinks more slowly (steps grow as tol^(1/3)), so the
-    # observed order sits a little above 2 (measured 2.32 and 2.25)
+    # observed order sits a little above 2 (measured 2.15 and 2.22)
     errors, ros2_steps = [], []
     for h in (0.2, 0.1, 0.05):
         error, counts = record_error(monkeypatch, h, 20.0)

@@ -327,16 +327,20 @@ def test_fixed_tau_super_steps_are_second_order():
     assert 3.5 <= ratio <= 4.5
 
 
-def reject_first(monkeypatch, name, rejection):
-    """Make the first call of `_Engine.<name>` return `rejection`."""
-    original = getattr(solver._Engine, name)
+def reject_first(monkeypatch, names, rejection):
+    """Make the first call of any of the methods `_Engine.<name>`, for the
+    names in `names`, return `rejection`."""
     calls = []
 
-    def patched(self, *args):
-        calls.append(1)
-        return rejection if len(calls) == 1 else original(self, *args)
+    def patch(original):
+        def patched(self, *args):
+            calls.append(1)
+            return rejection if len(calls) == 1 else original(self, *args)
+        return patched
 
-    monkeypatch.setattr(solver._Engine, name, patched)
+    for name in names:
+        monkeypatch.setattr(solver._Engine, name,
+                            patch(getattr(solver._Engine, name)))
     return calls
 
 
@@ -349,10 +353,10 @@ def test_rejected_super_step_retries_from_the_untouched_state(
     field, metric, config = CASES[case]()
     tau = 40.0 * stable_dt(field, metric, config)
     tol = 1.0  # far above any real estimate here
-    if kind == "estimate":
-        calls = reject_first(monkeypatch, "rkl2", 1000.0 * tol)
+    if kind == "estimate":  # on the line, the first try is a ROS2 step
+        calls = reject_first(monkeypatch, ("rkl2", "ros2"), 1000.0 * tol)
     else:
-        calls = reject_first(monkeypatch, "max_metric_slope", 1.0)
+        calls = reject_first(monkeypatch, ("max_metric_slope",), 1.0)
     engine = solver._Engine(field, metric)
     dt, _ = engine.super_step(tau, tau, config.cfl_safety, tol)
     assert len(calls) == 2
@@ -436,10 +440,16 @@ def test_speed_at_the_axis_node_is_the_even_reflection_rule():
 def test_accepted_super_steps_meet_the_error_tolerance(monkeypatch):
     field, metric, config = decay_line_case()
     tol = TIME_ERROR_KAPPA * field.h ** 2 * float(np.max(np.abs(field.values)))
-    rkl2 = solver._Engine.rkl2
+    rkl2, ros2 = solver._Engine.rkl2, solver._Engine.ros2
     attempts = []
     monkeypatch.setattr(solver._Engine, "rkl2", lambda self, tau, dt_fe:
                         attempts.append((tau, dt_fe, rkl2(self, tau, dt_fe)))
+                        or attempts[-1][2])
+    # the step's dt_FE as `super_step` forms it
+    monkeypatch.setattr(solver._Engine, "ros2", lambda self, tau:
+                        attempts.append((tau, config.cfl_safety * self.h
+                                         * self.h / (2.0 * self.coeff),
+                                         ros2(self, tau)))
                         or attempts[-1][2])
     engine = solver._Engine(field, metric)
     tau, t, above = None, 0.0, 0

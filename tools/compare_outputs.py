@@ -4,8 +4,9 @@
 
 Runs, once under a `git archive` of REV and once under the working tree:
 the six shipped configs (`sweep` for the two sweeps, `simulate` for the
-others), a sweep of curved balls, six no_lift_off variants that stop
-before t_end or at the config pass (see `no_lift_off_variants`),
+others), a sweep of curved balls, a decay study on a grid of odd
+N = nodes - 1, six no_lift_off variants that stop before t_end or at the
+config pass (see `no_lift_off_variants`),
 `mcflow verify`, and the benchmark workloads' configs at seeds 0 and 3, as
 `perfbench/workloads.py` of the working tree generates them.
 Both sides run the same config files, from the same relative paths, so
@@ -44,6 +45,7 @@ def configs() -> dict:
             runs[name] = ("sweep" if name in SWEEPS else "simulate",
                           json.load(fh))
     runs["curved_ball_sweep"] = ("sweep", curved_ball_sweep())
+    runs["decay_study_odd"] = ("simulate", decay_study_odd())
     for name, raw in no_lift_off_variants().items():
         runs[name] = ("simulate", raw)
     for name, spec in workloads.WORKLOADS.items():
@@ -67,6 +69,17 @@ def curved_ball_sweep() -> dict:
     raw["initial_data"] = {"family": "radial_bump", "height": 0.2,
                            "rise": [1.0, 2.0], "fall": [2.5, 3.5]}
     raw["solver"]["t_end"] = 8.0
+    return raw
+
+
+def decay_study_odd() -> dict:
+    """configs/decay_study.json on [-200, 199.95] through t = 100: 8,000
+    nodes, so the ROS2 steps' sine transforms run at odd N = 7,999, where
+    every shipped line grid has N = 8,000."""
+    with open(os.path.join(ROOT, "configs", "decay_study.json")) as fh:
+        raw = json.load(fh)
+    raw["domain"]["hi"] = 199.95
+    raw["solver"]["t_end"] = 100.0
     return raw
 
 
