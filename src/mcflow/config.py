@@ -40,8 +40,6 @@ MAX_DIMENSION = 40
 MAX_NODES = 1_000_000
 #: Most snapshot values a run holds: snapshots times nodes of its grids.
 MAX_SNAPSHOT_VALUES = 100_000_000
-#: The file of a run's snapshot at time t, which no other snapshot shares.
-SNAPSHOT_NAME = "t{:.6f}.csv"
 #: Least `translating.mu` (exclusive): above it the cone's flat identity
 #: holds to SAMPLE_TOL (worst 4.0e-13 at 1e-6, 2.5e-12 at 1e-8; n = 1).
 MIN_TRANSLATING_MU = 1e-6
@@ -316,8 +314,7 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
     """Raise ConfigError unless each grid the scenario builds at spacing h
     holds 3 to MAX_NODES nodes, starting at r_min or above when radial,
     with w^2 and 1/w^2 in the float range on it, and the run's snapshots
-    are within MAX_RECORDS and MAX_SNAPSHOT_VALUES and get distinct file
-    names."""
+    are within MAX_RECORDS and MAX_SNAPSHOT_VALUES."""
     # (field, far end) per grid; a ball of radius R ends at R^2 (inf if huge)
     ends = [("sweep.values", float(v) * float(v)) for v in sweep or ()]
     if R is not None:
@@ -357,16 +354,6 @@ def _check_grids(scenario: str, metric: RadialMetric, solver: SolverConfig,
                           f"{snapshots:.4g} snapshots of {held:.4g} nodes; the "
                           f"caps are {MAX_RECORDS} snapshots and "
                           f"{MAX_SNAPSHOT_VALUES} values")
-    if scenario == "nested_balls":  # the one flow that writes no snapshot
-        return
-    # names rise with t, so only neighbours can clash
-    times = solver.snapshot_times()
-    names = [SNAPSHOT_NAME.format(t) for t in times]
-    for i in range(1, len(names)):
-        if names[i] == names[i - 1]:
-            raise ConfigError("solver.snapshot_every", f"snapshots at t = "
-                              f"{times[i - 1]!r} and {times[i]!r} share the "
-                              f"file name {names[i]}")
 
 
 def _flow_fields(cfg: dict, scenario: str, metric, sweep) -> dict:

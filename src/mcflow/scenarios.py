@@ -6,11 +6,11 @@ trajectory): the summary is the dict its summary.json writes, with its
 named pass/fail `checks` and its `pass`, and the trajectory is None for a
 certificate.  A sweep returns its summary dict, in the same shape; the CLI
 turns their `pass` into exit codes.  Data files have a fixed column order,
-and each float in them is written as `fmt` writes it, `format(x, '.17g')`,
-so identical configs produce byte-identical output.  The diagnostics and
-snapshot files take those bytes from `textfmt.format17` and
-`textfmt.format_pairs`, which format arrays in bulk and hand the values
-they cannot certify to Python's formatting.
+and each float in a text file is written as `fmt` writes it,
+`format(x, '.17g')`, through `%.17g` row templates.  A run's snapshot
+values are one binary table, `snapshots/u.npy`, beside the text columns
+of its nodes and times.  So identical configs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .barriers import (EQUALITY_SLACK, BarrierConstructionError,
                        build_outer_barrier, supersolution_profile_derivs,
                        translating_barrier_certificate,
                        verify_static_supersolution)
-from .config import (LINE_SCENARIOS, SNAPSHOT_NAME, ConfigError,
-                     ScenarioConfig, build_field_from_config)
+from .config import (LINE_SCENARIOS, ConfigError, ScenarioConfig,
+                     build_field_from_config)
 from .fields import Field
 from .geometry import DomainError, RadialMetric, ricci_form_bound
 from .initial_data import decay_radius
@@ -64,26 +64,33 @@ def _finish(summary: dict, checks: list, trajectory=None) -> tuple:
 
 def fmt(x) -> str:
     """One cell as every data file writes it: '' for None, else
-    format(float(x), '.17g').  The reference that the bulk writers of
-    `textfmt` are tested against."""
+    format(float(x), '.17g'), the bytes of the `%.17g` templates of the
+    writers below."""
     return "" if x is None else format(float(x), ".17g")
+
+
+#: Rows of a data file formatted per write: bounds the text held at once.
+BLOCK_ROWS = 512
+
+
+def _write_rows(path: str, header: str, template: str, values):
+    """`header`, then a line `template % row` per row of the 2-D float
+    array `values`, formatted and written a block of rows at a time."""
+    with open(path, "w", newline="\n") as fh:  # same bytes on any OS
+        fh.write(header + "\n")
+        for start in range(0, len(values), BLOCK_ROWS):
+            block = values[start:start + BLOCK_ROWS].tolist()
+            fh.write("".join([template % tuple(row) for row in block]))
 
 
 def write_diagnostics_csv(records, path: str):
     """One line per record, a cell per name of `diagnostics.COLUMNS`, as
-    `fmt` writes it: blank in the columns the run does not record.  The
-    lines are formatted and written a block at a time, so the text of a
-    run's records is never held whole."""
-    from . import textfmt  # on first write: `import mcflow` stays as fast
-    blank = [name not in records for name in diagnostics.COLUMNS]
-    unset = np.zeros(len(records["t"]))
-    values = np.column_stack([records.get(name, unset)
-                              for name in diagnostics.COLUMNS])
-    step = textfmt.CHUNK_VALUES // len(diagnostics.COLUMNS)
-    with open(path, "wb") as fh:
-        fh.write(",".join(diagnostics.COLUMNS).encode() + b"\n")
-        for start in range(0, len(values), step):
-            fh.write(textfmt.format17(values[start:start + step], blank))
+    `fmt` writes it: blank in the columns the run does not record."""
+    template = ",".join("%.17g" if name in records else ""
+                        for name in diagnostics.COLUMNS) + "\n"
+    _write_rows(path, ",".join(diagnostics.COLUMNS), template,
+                np.column_stack([records[name] for name in diagnostics.COLUMNS
+                                 if name in records]))
 
 
 def read_diagnostics_csv(path: str) -> dict:
@@ -98,29 +105,35 @@ def read_diagnostics_csv(path: str) -> dict:
             in zip(diagnostics.COLUMNS, zip(*cells)) if any(column)}
 
 
-def write_snapshot_csvs(trajectory: FlowTrajectory, directory: str):
-    """One `x,u` or `r,u` CSV per snapshot, named by `SNAPSHOT_NAME`.
-
-    Cells are written as `fmt` writes them, by `textfmt.format_pairs`,
-    which formats the nodes once: a run's snapshots share one grid.
-    """
-    from . import textfmt  # on first write: `import mcflow` stays as fast
+def write_snapshots(trajectory: FlowTrajectory, directory: str):
+    """A run's snapshots as three files in `directory`:
+    - `nodes.csv`: header `x` (line) or `r` (radial), a node per line
+    - `times.csv`: header `t`, a snapshot time per line
+    - `u.npy`: `np.save` of the snapshot table as the run holds it, float64
+      with a row per time and a column per node
+    `nodes.csv` sorts first, so a reader that takes the first file of the
+    directory finds the grid."""
     os.makedirs(directory, exist_ok=True)
     grid = trajectory.field
-    texts = textfmt.format_pairs(grid.nodes, trajectory.snapshots)
-    for t, pieces in zip(trajectory.times.tolist(), texts):
-        with open(os.path.join(directory, SNAPSHOT_NAME.format(t)), "wb") as fh:
-            fh.write(b"x,u\n" if grid.kind == "line" else b"r,u\n")
-            fh.writelines(pieces)
+    _write_rows(os.path.join(directory, "nodes.csv"),
+                "x" if grid.kind == "line" else "r", "%.17g\n",
+                grid.nodes[:, None])
+    _write_rows(os.path.join(directory, "times.csv"), "t", "%.17g\n",
+                trajectory.times[:, None])
+    np.save(os.path.join(directory, "u.npy"), trajectory.snapshots)
 
 
-def read_snapshot_csv(path: str):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header not in ("x,u", "r,u"):
-            raise ValueError(f"unexpected snapshot header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return header.split(",")[0], data
+def read_snapshots(directory: str) -> tuple:
+    """(nodes, times, table) of the snapshots `write_snapshots` wrote to
+    `directory`."""
+    columns = []
+    for name, headers in (("nodes.csv", ("x", "r")), ("times.csv", ("t",))):
+        with open(os.path.join(directory, name)) as fh:
+            header = fh.readline().strip()
+            if header not in headers:
+                raise ValueError(f"unexpected {name} header {header!r}")
+            columns.append(np.loadtxt(fh, ndmin=1))
+    return (*columns, np.load(os.path.join(directory, "u.npy")))
 
 
 def write_summary_json(summary: dict, path: str):
@@ -134,7 +147,7 @@ def write_run_artifacts(summary: dict, trajectory, out_dir: str):
     if trajectory is not None:
         write_diagnostics_csv(trajectory.records,
                               os.path.join(out_dir, "diagnostics.csv"))
-        write_snapshot_csvs(trajectory, os.path.join(out_dir, "snapshots"))
+        write_snapshots(trajectory, os.path.join(out_dir, "snapshots"))
     write_summary_json(summary, os.path.join(out_dir, "summary.json"))
 
 

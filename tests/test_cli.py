@@ -15,17 +15,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mcflow
-from mcflow import scenarios, solver, textfmt, verification
+from mcflow import scenarios, solver, verification
 from mcflow.cli import main
 from mcflow.config import MAX_NODES, MIN_TRANSLATING_MU, SWEEP_SCENARIOS
 from mcflow.geometry import RadialOperator, SpacelikeViolationError
 from mcflow.diagnostics import COLUMNS
-from mcflow.scenarios import (MEASURED_SLOPE_FLOOR, ConfigError,
+from mcflow.scenarios import (BLOCK_ROWS, MEASURED_SLOPE_FLOOR, ConfigError,
                               ScenarioConfig, _fit_loglog, fmt,
-                              read_diagnostics_csv, read_snapshot_csv,
+                              read_diagnostics_csv, read_snapshots,
                               run_dirichlet_case, run_scenario_config,
                               write_diagnostics_csv, write_run_artifacts,
-                              write_snapshot_csvs)
+                              write_snapshots)
 from mcflow.solver import FlowTrajectory
 
 
@@ -95,27 +95,22 @@ def test_unknown_scenario_rejected(tmp_path):
         ScenarioConfig.from_dict(cfg)
 
 
-@pytest.mark.parametrize("t_end, every, first, distinct", [
-    (2e-5, 1e-7, "t = 0.0 and 1e-07 share the file name t0.000000.csv",
-     (2e-5, 2e-6)),
-    (1.0000001, 0.5, "t = 1.0 and 1.0000001 share the file name "
-                     "t1.000000.csv", (1.000001, 0.5))])
-def test_snapshots_that_share_a_file_name_are_a_config_error(
-        tmp_path, capsys, t_end, every, first, distinct):
-    # snapshot files are named t{t:.6f}.csv: 201 snapshots 1e-7 apart would
-    # share 21 names, and the state at t_end would overwrite the one at 1
+@pytest.mark.parametrize("t_end, every", [(2e-5, 1e-7), (1.0000001, 0.5)])
+def test_snapshots_close_together_run_with_a_row_per_time(tmp_path, t_end,
+                                                          every):
+    # marks 1e-7 apart, or a last mark 1e-7 below t_end, each keep their
+    # own row of the one snapshot table
     cfg = smoke_flow_config(str(tmp_path / "out"), t_end=t_end)
     cfg["domain"] = {"lo": -5.0, "hi": 5.0}
     cfg["initial_data"]["height"] = 0.1
     cfg["solver"].update(h=0.05, snapshot_every=every, record_every=every)
     path = write_config(tmp_path, "c.json", cfg)
-    assert main(["simulate", path]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: solver.snapshot_every: snapshots at {first}\n")
-    assert not (tmp_path / "out" / "snapshots").exists()
-    # a schedule whose names differ passes the config pass
-    cfg["solver"].update(t_end=distinct[0], snapshot_every=distinct[1])
-    assert ScenarioConfig.from_dict(cfg).solver.t_end == distinct[0]
+    assert main(["simulate", path]) == 0
+    nodes, times, table = read_snapshots(str(tmp_path / "out" / "snapshots"))
+    expected = ScenarioConfig.from_dict(cfg).solver.snapshot_times()
+    assert times.tolist() == expected
+    assert len(set(expected)) == len(expected) > 2
+    assert table.shape == (len(times), nodes.size) == (len(times), 201)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +128,12 @@ def test_simulate_zero_run_exit_zero(tmp_path, capsys):
     assert "halt_message" not in summary  # only halted runs carry one
     recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
     assert np.all(recs["sup_u"] == 0.0)
-    snaps = sorted(os.listdir(os.path.join(out, "snapshots")))
-    assert snaps[0] == "t0.000000.csv"
-    coord, data = read_snapshot_csv(os.path.join(out, "snapshots", snaps[0]))
-    assert coord == "x"
-    assert np.all(data[:, 1] == 0.0)
+    snaps = os.path.join(out, "snapshots")
+    assert sorted(os.listdir(snaps)) == ["nodes.csv", "times.csv", "u.npy"]
+    assert open(os.path.join(snaps, "nodes.csv")).readline() == "x\n"
+    nodes, times, table = read_snapshots(snaps)
+    assert times.tolist() == [0.0, 0.25, 0.5]
+    assert np.all(table == 0.0) and table.shape == (3, nodes.size)
 
 
 def test_simulate_outputs_are_deterministic(tmp_path):
@@ -146,7 +142,8 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     p2 = write_config(tmp_path, "c2.json", smoke_flow_config(out2))
     assert main(["simulate", p1]) == 0
     assert main(["simulate", p2]) == 0
-    for name in ("diagnostics.csv", os.path.join("snapshots", "t0.250000.csv")):
+    for name in ("diagnostics.csv", *(os.path.join("snapshots", name) for
+                 name in ("nodes.csv", "times.csv", "u.npy"))):
         b1 = open(os.path.join(out1, name), "rb").read()
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2
@@ -467,9 +464,9 @@ def test_states_past_the_flat_slope_bound_are_recorded(tmp_path, capsys):
     assert failed == ["spacelike_preservation"]
     assert all(np.isfinite(v) for c in summary["checks"] for k, v in c.items()
                if isinstance(v, float))
-    coord, data = read_snapshot_csv(os.path.join(out, "snapshots",
-                                                 "t0.060000.csv"))
-    assert np.max(np.abs(np.diff(data[:, 1]))) / 0.05 > 1.0
+    _, times, table = read_snapshots(os.path.join(out, "snapshots"))
+    assert times[-1] == 0.06
+    assert np.max(np.abs(np.diff(table[-1]))) / 0.05 > 1.0
     recs = read_diagnostics_csv(os.path.join(out, "diagnostics.csv"))
     assert tuple(recs) == COLUMNS
     assert all(np.all(np.isfinite(column)) for column in recs.values())
@@ -634,12 +631,9 @@ def test_a_run_stopped_at_the_step_cap_fails(tmp_path, capsys, name, command,
         assert len(runs) == (3 if name == "dirichlet_sweep.json" else 0)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the stopped state's file name, t0.000000.csv, is "
-                          "the t = 0 snapshot's, and it overwrites that file")
 def test_a_state_stopped_right_after_a_mark_keeps_its_own_snapshot(tmp_path):
     # one step of 4.4e-7 from t = 0: the run holds the t = 0 state and the
-    # stopped state, and its snapshot files should hold both
+    # stopped state, and its snapshot table holds both
     cfg = smoke_flow_config(str(tmp_path / "out"), t_end=0.01)
     cfg["domain"] = {"lo": -1.0, "hi": 1.0}
     cfg["initial_data"] = {"family": "gaussian", "height": 0.05,
@@ -651,10 +645,9 @@ def test_a_state_stopped_right_after_a_mark_keeps_its_own_snapshot(tmp_path):
     traj = run_scenario_config(ScenarioConfig.from_dict(cfg))[1]
     assert traj.termination == "step_cap"
     assert 0.0 < traj.times[1] < 5e-7 and len(traj.times) == 2
-    snaps = tmp_path / "out" / "snapshots"
-    written = [read_snapshot_csv(str(snaps / name))[1][:, 1].tobytes()
-               for name in sorted(os.listdir(snaps))]
-    assert written == [row.tobytes() for row in traj.snapshots]
+    _, times, table = read_snapshots(str(tmp_path / "out" / "snapshots"))
+    assert times.tobytes() == traj.times.tobytes()
+    assert table.tobytes() == traj.snapshots.tobytes()
 
 
 @pytest.mark.parametrize("name", ["dirichlet_sweep.json", "nested_balls.json"])
@@ -971,73 +964,92 @@ def test_removed_ignored_flags_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def check_snapshot_files(kind, nodes, times, rows, directory):
-    """Write one run's snapshots, the value `rows` at `times` on a grid of
-    `kind` and `nodes`, into `directory` and compare each file with its
-    cells written one at a time by `fmt`."""
-    grid = SimpleNamespace(kind=kind, nodes=nodes)
-    write_snapshot_csvs(FlowTrajectory(grid, np.array(times), np.array(rows),
-                                       {}), str(directory))
-    coord = "x" if kind == "line" else "r"
-    for t, values in zip(times, rows):
-        lines = [f"{coord},u"] + [f"{fmt(c)},{fmt(u)}"
-                                  for c, u in zip(nodes, values)]
-        expected = ("\n".join(lines) + "\n").encode()
-        assert (directory / f"t{t:.6f}.csv").read_bytes() == expected
+def check_snapshot_files(kind, nodes, times, table, directory):
+    """Write one run's snapshots, the rows of `table` at `times` on a grid
+    of `kind` and `nodes`, into `directory`: nodes.csv sorts first, each
+    line of nodes.csv and times.csv is its value as `fmt` writes it, and
+    u.npy loads as the table bit for bit."""
+    grid = SimpleNamespace(kind=kind, nodes=np.array(nodes))
+    traj = FlowTrajectory(grid, np.array(times), table, {})
+    write_snapshots(traj, str(directory))
+    assert sorted(os.listdir(directory)) == ["nodes.csv", "times.csv",
+                                             "u.npy"]
+    for name, header, values in (
+            ("nodes.csv", "x" if kind == "line" else "r", nodes),
+            ("times.csv", "t", times)):
+        lines = [header] + [fmt(v) for v in values]
+        assert (directory / name).read_bytes() == (
+            "\n".join(lines) + "\n").encode()
+    saved = np.load(directory / "u.npy")
+    assert saved.dtype == np.float64 and saved.shape == table.shape
+    assert saved.tobytes() == table.tobytes()
+    read = read_snapshots(str(directory))
+    assert [column.tobytes() for column in read] == [
+        grid.nodes.tobytes(), traj.times.tobytes(), table.tobytes()]
 
 
 def test_snapshot_writer_bytes_match_per_cell_formatting(tmp_path):
-    # the writer formats each cell as `fmt` does, so files keep their bytes;
-    # values a Field would reject still exercise the formatting
+    # node and time lines are written as `fmt` writes them, and the table
+    # keeps every bit; values a Field would reject still exercise both
     values = np.array([-0.0, 1e-300, 1e300, -1e-300, 0.1, 1.0 / 3.0,
-                       -2.5e-17, 5e-324, np.nan, np.inf, -np.inf, 0.0])
+                       -2.5e-17, 5e-324, np.nan, np.inf, -np.inf, 0.0,
+                       1e16, 1e17])
     nodes = np.linspace(0.0, 2.0, values.size)
-    check_snapshot_files("radial", nodes, [0.0, 0.5],
-                         [values, values[::-1]], tmp_path / "radial")
-    check_snapshot_files("line", nodes - 1.0, [1.0], [values],
+    check_snapshot_files("radial", nodes, [0.0, 1e-7, 0.5, 1.0000001],
+                         np.array([values, values[::-1], -values, values]),
+                         tmp_path / "radial")
+    check_snapshot_files("line", values, [1.0], values[None, :],
                          tmp_path / "line")
 
 
+def diagnostics_lines(records, rows):
+    """The lines of a diagnostics.csv of `rows` records, a cell at a time
+    as `fmt` writes it."""
+    return [",".join(COLUMNS)] + [
+        ",".join(fmt(records[name][k] if name in records else None)
+                 for name in COLUMNS) for k in range(rows)]
+
+
 def test_diagnostics_writer_bytes_match_per_cell_formatting(tmp_path):
-    # every column set a run can record, each cell as `fmt` writes it and
-    # the columns the run does not record blank
-    cells = [-0.0, 5e-324, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e300,
-             np.float64(0.1), 2]
+    # every column set a run can record, over more than two write blocks,
+    # each cell as `fmt` writes it and the columns not recorded blank
+    cells = [0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 1.0 / 3.0, 1e300,
+             np.float64(0.1), 2, 1e16, 1e17]
+    rows = 2 * BLOCK_ROWS + 5
     for absent in ((), ("sup_phi",), ("barrier_margin",),
                    ("sup_phi", "barrier_margin")):
         records = {name: np.array([cells[(k + j) % len(cells)]
-                                   for k in range(12)], dtype=float)
+                                   for k in range(rows)], dtype=float)
                    for j, name in enumerate(COLUMNS) if name not in absent}
         path = tmp_path / "diagnostics.csv"
         write_diagnostics_csv(records, str(path))
-        lines = [",".join(COLUMNS)] + [
-            ",".join(fmt(records[name][k] if name in records else None)
-                     for name in COLUMNS) for k in range(12)]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert path.read_bytes() == (
+            "\n".join(diagnostics_lines(records, rows)) + "\n").encode()
 
 
 def test_snapshot_writer_on_two_grids(tmp_path):
-    # each run's snapshots are formatted with its own grid's nodes
+    # each run's nodes are its own grid's; a table held as the first rows of
+    # a larger one, as the solver holds it, is saved as those rows
     coarse = np.linspace(0.0, 2.0, 7)
-    fine = np.linspace(-1.0, 1.0, 13)
-    check_snapshot_files("radial", coarse, [0.0, 0.25, 0.75],
-                         [np.sin(coarse), -np.sin(coarse) / 3.0, np.zeros(7)],
+    fine = np.linspace(-1.0, 1.0, 2 * BLOCK_ROWS + 3)  # three write blocks
+    held = np.stack([np.sin(coarse), -np.sin(coarse) / 3.0, np.zeros(7),
+                     np.ones(7)])
+    check_snapshot_files("radial", coarse, [0.0, 0.25, 0.75], held[:3],
                          tmp_path / "coarse")
-    check_snapshot_files("line", fine, [0.5], [np.exp(fine) * 1e-200],
+    check_snapshot_files("line", fine, [0.5], np.exp(fine)[None, :] * 1e-200,
                          tmp_path / "fine")
 
 
 def test_diagnostics_writer_over_several_chunks(tmp_path):
     rng = np.random.default_rng(11)
-    rows = textfmt.CHUNK_VALUES // 7 * 3 + 5  # four formatting passes
+    rows = 3 * BLOCK_ROWS + 5  # four write blocks
     scale = 10.0 ** rng.integers(-40, 40, rows)
     records = {name: rng.standard_normal(rows) * scale
                for name in COLUMNS if name != "barrier_margin"}
     path = tmp_path / "diagnostics.csv"
     write_diagnostics_csv(records, str(path))
-    lines = [",".join(COLUMNS)] + [
-        ",".join(fmt(c) for c in row) + "," for row in zip(*records.values())]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == (
+        "\n".join(diagnostics_lines(records, rows)) + "\n").encode()
     read = read_diagnostics_csv(str(path))
     assert read.keys() == records.keys()
     assert all(np.array_equal(read[name], records[name]) for name in read)

@@ -134,8 +134,7 @@ def test_a_million_and_a_quarter_snapshots_are_a_config_error():
 
 @pytest.mark.parametrize("extra, ok", [(0, True), (1, False)])
 def test_snapshot_count_cap_edge(extra, ok):
-    # 65 nodes, so the count cap binds first: 6.5e7 values at the cap; a
-    # cadence of 2^-18 (3.8e-6) gives each snapshot its own file name
+    # 65 nodes, so the count cap binds first: 6.5e7 values at the cap
     cadence = 2.0 ** -18
     t_end = (MAX_RECORDS + extra) * cadence
     cfg = line_config(-4.0, 4.0, 0.125, t_end, cadence, t_end)

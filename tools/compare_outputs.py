@@ -5,21 +5,22 @@
 Runs, once under a `git archive` of REV and once under the working tree:
 the six shipped configs (`sweep` for the two sweeps, `simulate` for the
 others), a sweep of curved balls, a decay study on a grid of odd
-N = nodes - 1, six no_lift_off variants that stop before t_end or at the
-config pass (see `no_lift_off_variants`),
+N = nodes - 1, six no_lift_off variants at the edges of the schedule and
+the checks (see `no_lift_off_variants`),
 `mcflow verify`, and the benchmark workloads' configs at seeds 0 and 3, as
 `perfbench/workloads.py` of the working tree generates them.
 Both sides run the same config files, from the same relative paths, so
 their stdout and stderr can be compared as they are.  Prints every
 difference in exit code, stdout, stderr and the files each run writes,
-and exits 1 if there is any, else 0.  For a CSV or JSON file that differs
-it also prints how far its numbers moved: how many numeric cells differ,
-the largest relative change among cells that are nonzero on both sides,
-and how many cells are zero on one side only.
+and exits 1 if there is any, else 0.  For a CSV, JSON or `.npy` file that
+differs it also prints how far its numbers moved: how many numeric cells
+differ, the largest relative change among cells that are nonzero on both
+sides, and how many cells are zero on one side only.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -27,6 +28,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -95,9 +98,10 @@ def no_lift_off_variants() -> dict:
     - `steep_flat_bump`: a bump of height 0.15 rising on [0.6, 0.8]
       through t = 1, its flat slope 1.19 but its slope in the metric 0.70
       (a config error while the flat slope was checked)
-    - `snapshot_name_clash`: snapshots every 0.5 through t = 1.0000001,
-      whose last two share the file t1.000000.csv (a config error since
-      snapshot names must differ)
+    - `close_marks`: snapshots every 0.5 through t = 1.0000001, whose
+      last two times, the mark t = 1 and t_end, lie 1e-7 apart and keep a
+      row each (a config error while each snapshot time had its own file
+      name)
     - `step_cap`: at most 3 steps (exit 1; the run records and snapshots
       the state it stopped at, as a halted run does)
     - `cap_between_marks`: through t = 20 at most 460 steps, which stop
@@ -108,7 +112,7 @@ def no_lift_off_variants() -> dict:
         text = fh.read()
     variants = {name: json.loads(text) for name in (
         "record_dip", "record_inner_end_n40", "steep_flat_bump",
-        "snapshot_name_clash", "step_cap", "cap_between_marks")}
+        "close_marks", "step_cap", "cap_between_marks")}
     variants["record_dip"]["solver"].update(t_end=0.1, record_every=0.002)
     variants["record_inner_end_n40"]["metric"]["n"] = 40
     variants["record_inner_end_n40"]["solver"].update(
@@ -116,8 +120,8 @@ def no_lift_off_variants() -> dict:
     variants["steep_flat_bump"]["initial_data"].update(height=0.15,
                                                        rise=[0.6, 0.8])
     variants["steep_flat_bump"]["solver"]["t_end"] = 1.0
-    variants["snapshot_name_clash"]["solver"].update(t_end=1.0000001,
-                                                     snapshot_every=0.5)
+    variants["close_marks"]["solver"].update(t_end=1.0000001,
+                                             snapshot_every=0.5)
     variants["step_cap"]["solver"]["max_steps"] = 3
     variants["cap_between_marks"]["solver"].update(t_end=20.0,
                                                    max_steps=460)
@@ -163,8 +167,12 @@ def first_difference(a: bytes, b: bytes) -> str:
 
 
 def numbers(path: str, data: bytes) -> dict | None:
-    """{position: value} of every numeric cell of a CSV or JSON file (a
-    JSON position is its key path), or None for any other file."""
+    """{position: value} of every numeric cell of a CSV, JSON or `.npy`
+    file (a JSON position is its key path, a `.npy` one its index), or None
+    for any other file."""
+    if path.endswith(".npy"):
+        table = np.load(io.BytesIO(data))
+        return dict(zip(np.ndindex(table.shape), table.ravel().tolist()))
     cells = {}
     if path.endswith(".csv"):
         for i, line in enumerate(data.decode().splitlines()):
@@ -192,8 +200,8 @@ def numbers(path: str, data: bytes) -> dict | None:
 
 
 def moved(path: str, a: bytes, b: bytes) -> str:
-    """How far the numbers of a CSV or JSON file moved from `a` to `b`;
-    empty for any other file."""
+    """How far the numbers of a CSV, JSON or `.npy` file moved from `a` to
+    `b`; empty for any other file."""
     x, y = numbers(path, a), numbers(path, b)
     if x is None:
         return ""
