@@ -132,15 +132,16 @@ def supersolution_height(n: int, r0: float, r: float) -> float:
     return float(_heights(n, r0, [r])[0])
 
 
-def _heights(n, r0, radii, step=HEIGHT_STEP):
-    """b(r) at each of `radii` (all >= r0) by the exp-sinh rule at `step`.
+def _heights(n, r0, radii):
+    """b(r) at each of `radii` (all >= r0) by the exp-sinh rule at step
+    HEIGHT_STEP, read when it runs.
 
     The slope magnitude is evaluated as x^{-m/2} (1 + x^{-m})^{-1/2}, with
     x = s/r0 >= 1 and m = 2n - 3: only negative powers of x, so nothing
     overflows and heights far below the rounding unit of 1 keep their
     digits (the form (1 + x^m)^{-1/2} overflows to 0 at large n).
     """
-    m = 2 * n - 3
+    m, step = 2 * n - 3, HEIGHT_STEP
     k = np.arange(-int(HEIGHT_T_MAX / step), int(HEIGHT_T_MAX / step) + 1)
     t = k * step
     e = np.exp(0.5 * np.pi * np.sinh(t))

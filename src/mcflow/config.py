@@ -373,6 +373,10 @@ def _flow_fields(cfg: dict, scenario: str, metric, sweep) -> dict:
                       barrier_r1_min=_number(sec, "r1_min", "barrier",
                                              default=1.0))
     elif scenario == "decay_study":
+        if "fit_window" not in cfg and not solver.t_end > 10.0:
+            raise ConfigError("fit_window", f"absent, and the default window "
+                              f"[10, t_end] needs t_end > 10, got "
+                              f"t_end = {solver.t_end:g}")
         window = _interval(cfg, "fit_window", "", default=(10.0, solver.t_end))
         if not window[0] > 0.0:
             raise ConfigError("fit_window", f"must start after t = 0, got "

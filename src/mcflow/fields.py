@@ -62,18 +62,13 @@ class Field:
         return np.abs(self.nodes) if self.kind == "line" else self.nodes
 
 
-def _sample(profile, nodes):
-    if callable(profile):
-        return np.asarray(profile(nodes), dtype=float)
-    return np.asarray(profile, dtype=float)
-
-
-def line_field(x_lo: float, x_hi: float, h: float, profile,
-               bc=("dirichlet_zero", "dirichlet_zero")) -> Field:
+def line_field(x_lo: float, x_hi: float, h: float, profile) -> Field:
+    """`profile`, a function of x, at spacing h on [x_lo, x_hi], with both
+    ends pinned ('dirichlet_zero')."""
     count = int(round((x_hi - x_lo) / h))
     nodes = np.linspace(x_lo, x_lo + count * h, count + 1)
-    return Field(kind="line", nodes=nodes, values=_sample(profile, nodes),
-                 h=h, bc=tuple(bc))
+    return Field(kind="line", nodes=nodes, values=profile(nodes),
+                 h=h, bc=("dirichlet_zero", "dirichlet_zero"))
 
 
 def radial_field(r_lo: float, r_hi: float, h: float, profile,
@@ -83,7 +78,7 @@ def radial_field(r_lo: float, r_hi: float, h: float, profile,
     if bc is None:
         left = "axis_symmetry" if abs(r_lo) < 1e-14 else "dirichlet_zero"
         bc = (left, "dirichlet_zero")
-    return Field(kind="radial", nodes=nodes, values=_sample(profile, nodes),
+    return Field(kind="radial", nodes=nodes, values=profile(nodes),
                  h=h, bc=tuple(bc))
 
 

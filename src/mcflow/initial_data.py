@@ -69,10 +69,6 @@ class BlendedRadialMetric:
         return self.base.n
 
     @property
-    def a(self) -> float:
-        return self.base.a
-
-    @property
     def r_min(self) -> float:
         return self.base.r_min
 

@@ -41,7 +41,7 @@ Gershgorin bound with the axis row's own disc; equal to dt_FE for n >= 4)
 and at dt_FE elsewhere; a step of the floor's size is accepted whatever
 its estimate.
 A run's first step is proposed at the floor.  `step_1d` and `step_radial`
-take one such step of size min(floor, dt_cap), with no error control.
+take one such step, with no error control.
 
 On a line grid with both ends pinned, a step that RKL2 would take in more
 than ROS2_STAGES stages is one ROS2 step instead (Verwer, Spee, Blom &
@@ -748,29 +748,27 @@ def stable_dt(field: Field, metric, config: SolverConfig) -> float:
     return config.cfl_safety * field.h * field.h / (2.0 * coeff)
 
 
-def _step(field: Field, metric, n, config: SolverConfig, dt_cap):
-    """One RKL2 step of size min(dt_FE, dt_cap) from `field`, halved on a
+def _step(field: Field, metric, n, config: SolverConfig):
+    """One RKL2 step of the floor's size from `field`, halved on a
     violation as a run's steps are: the step a run starts with.  Returns
     (new field, dt)."""
     engine = _Engine(field, metric, n)
-    dt, _ = engine.super_step(None, math.inf if dt_cap is None else dt_cap,
-                              config.cfl_safety, math.inf)
+    dt, _ = engine.super_step(None, math.inf, config.cfl_safety, math.inf)
     return replace(field, values=engine.u.copy()), dt  # u is a scratch row
 
 
-def step_1d(field: Field, config: SolverConfig, dt_cap: float | None = None):
+def step_1d(field: Field, config: SolverConfig):
     """One step of the flat line flow.  Returns (new field, dt)."""
     if field.kind != "line":
         raise ValueError("step_1d expects a line field")
-    return _step(field, euclidean_metric(1), None, config, dt_cap)
+    return _step(field, euclidean_metric(1), None, config)
 
 
-def step_radial(field: Field, metric, n: int, config: SolverConfig,
-                dt_cap: float | None = None):
+def step_radial(field: Field, metric, n: int, config: SolverConfig):
     """One step of the rotationally reduced flow in dimension n."""
     if field.kind != "radial":
         raise ValueError("step_radial expects a radial field")
-    return _step(field, metric, n, config, dt_cap)
+    return _step(field, metric, n, config)
 
 
 def _record(blocks, plan, field, engine, times, rows, d):

@@ -30,6 +30,14 @@ PROFILE_TOL = 1e-10
 SAMPLE_TOL = 1e-12
 #: Log-spaced radii per profile in the radial profile checks.
 PROFILE_RADII = 201
+#: The sample sets of the checks: the stationary profiles' speeds c, on r in
+#: PROFILE_RANGE, the static profiles' inner radii r0 and the cones' (mu, t0).
+PROFILE_CS, PROFILE_RANGE = (0.5, 1.0, 2.0), (0.1, 100.0)
+INNER_RADII = (0.5, 1.0, 2.0)
+CONE_CASES = [(mu, t0) for mu in (0.1, 0.5, 0.9)
+              for t0 in (-2.0, -10.0, -100.0)]
+#: Random samples per check of the suite at random points.
+RANDOM_SAMPLES = 10000
 
 
 def _check(name, deviations, tolerance, samples) -> dict:
@@ -39,24 +47,22 @@ def _check(name, deviations, tolerance, samples) -> dict:
             "pass": bool(deviation <= tolerance), "samples": samples}
 
 
-def check_maximal_surface_residual(dims=(3, 4, 5), cs=(0.5, 1.0, 2.0),
-                                   r_range=(0.1, 100.0)):
-    """Flat radial speed on the exact stationary profile is zero."""
-    radii = np.geomspace(r_range[0], r_range[1], PROFILE_RADII)
+def check_maximal_surface_residual(dims=(3, 4, 5)):
+    """Flat radial speed on each stationary profile of PROFILE_CS is zero."""
+    radii = np.geomspace(*PROFILE_RANGE, PROFILE_RADII)
     worsts = [np.max(np.abs(maximal_surface_residual(n, c, radii)))
-              for n in dims for c in cs]
+              for n in dims for c in PROFILE_CS]
     return _check("maximal_surface_residual", worsts, PROFILE_TOL,
                   len(worsts) * radii.size)
 
 
-def check_strict_supersolution_identity(dims=(3, 4, 5),
-                                        inner_radii=(0.5, 1.0, 2.0)):
+def check_strict_supersolution_identity(dims=(3, 4, 5)):
     """Flat radial speed on the static profile equals (1/2) b'/r on
-    [r0, 100]."""
+    [r0, 100], for each dimension of `dims` and r0 of INNER_RADII."""
     worsts = []
     for n in dims:
         flat = euclidean_metric(n)
-        for r0 in inner_radii:
+        for r0 in INNER_RADII:
             radii = np.geomspace(r0, 100.0, PROFILE_RADII)
             b1 = supersolution_profile_derivs(n, r0, radii)[0]
             vals = curved_profile_speed(flat, n, r0, radii)
@@ -65,20 +71,19 @@ def check_strict_supersolution_identity(dims=(3, 4, 5),
                   len(worsts) * PROFILE_RADII)
 
 
-def check_translating_identity(n_points=10000, mus=(0.1, 0.5, 0.9),
-                               t0s=(-2.0, -10.0, -100.0), seed=0):
-    """d_t b_hat minus the flat flow speed of b_hat equals the drift alpha."""
+def check_translating_identity(n_points, seed=0):
+    """d_t b_hat minus the flat flow speed of b_hat equals the drift alpha, at
+    n_points random points or a few more, spread over CONE_CASES."""
     rng = np.random.default_rng(seed)
     n = 3
-    cases = [(mu, t0) for mu in mus for t0 in t0s]
-    per = -(-n_points // len(cases))  # ceil: at least n_points total
+    per = -(-n_points // len(CONE_CASES))  # ceil: at least n_points total
     worsts = []
-    for mu, t0 in cases:
+    for mu, t0 in CONE_CASES:
         tb = TranslatingBarrier(n=n, x0=np.zeros(n), t0=t0,
                                 alpha=float(rng.uniform(0.0, 2.0)), mu=mu)
         worsts.append(translating_identity_deviation(tb, rng, per))
     return _check("translating_flat_identity", worsts, SAMPLE_TOL,
-                  len(cases) * per)
+                  len(CONE_CASES) * per)
 
 
 def translating_identity_deviation(tb: TranslatingBarrier, rng,
@@ -104,9 +109,8 @@ def translating_identity_deviation(tb: TranslatingBarrier, rng,
     return float(np.max(deviations))
 
 
-def check_translating_certificates(mus=(0.1, 0.5, 0.9),
-                                   t0s=(-2.0, -10.0, -100.0)):
-    """Slope-complement and boundary-slope inequalities of the cone profile.
+def check_translating_certificates():
+    """Slope-complement and boundary-slope inequalities on CONE_CASES.
 
     Returns two checks; deviations are (bound - value), so <= 0 passes.  The
     boundary slope attains its bound exactly at the far end of the time
@@ -115,7 +119,7 @@ def check_translating_certificates(mus=(0.1, 0.5, 0.9),
     certs = [translating_barrier_certificate(
                  TranslatingBarrier(n=3, x0=np.zeros(3), t0=t0, alpha=0.0,
                                     mu=mu))
-             for mu in mus for t0 in t0s]
+             for mu, t0 in CONE_CASES]
     return [_check("translating_gradient_bound",
                    [c["gradient_bound"] - c["min_gradient_complement"]
                     for c in certs], EQUALITY_SLACK, len(certs)),
@@ -124,8 +128,8 @@ def check_translating_certificates(mus=(0.1, 0.5, 0.9),
                     for c in certs], EQUALITY_SLACK, len(certs))]
 
 
-def check_graph_quantities(n_points=10000, seed=0):
-    """|grad u|^2_g = v^2 - 1 and g g^{-1} = identity on random configurations.
+def check_graph_quantities(n_points, seed=0):
+    """|grad u|^2_g = v^2 - 1 and g g^{-1} = identity at n_points samples.
 
     Returns two checks at tolerance SAMPLE_TOL.
     """
@@ -184,17 +188,17 @@ def check_radial_cartesian_consistency(seed=0):
                   len(deviations))
 
 
-def run_identity_suite(seed: int = 0, dims=(3, 4, 5),
-                       n_random: int = 10000) -> list:
+def run_identity_suite(seed: int = 0, dims=(3, 4, 5)) -> list:
     """Run the whole closed-form suite; returns its checks.
 
-    `dims` sweeps the profile dimensions (an empty sweep runs no check).
+    `dims` sweeps the profile dimensions (an empty sweep runs no check);
+    the checks at random points take RANDOM_SAMPLES samples each.
     """
     if not dims:
         return []
     return [check_maximal_surface_residual(dims=dims),
             check_strict_supersolution_identity(dims=dims),
-            check_translating_identity(n_points=n_random, seed=seed),
+            check_translating_identity(n_points=RANDOM_SAMPLES, seed=seed),
             *check_translating_certificates(),
-            *check_graph_quantities(n_points=n_random, seed=seed),
+            *check_graph_quantities(n_points=RANDOM_SAMPLES, seed=seed),
             check_radial_cartesian_consistency(seed=seed)]

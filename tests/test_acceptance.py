@@ -16,7 +16,7 @@ from mcflow.barriers import build_outer_barrier, curved_profile_speed
 from mcflow.geometry import conformal_metric
 from mcflow.scenarios import (ScenarioConfig, run_dirichlet_sweep,
                               run_scenario_config)
-from mcflow.verification import (check_graph_quantities,
+from mcflow.verification import (RANDOM_SAMPLES, check_graph_quantities,
                                  check_maximal_surface_residual,
                                  check_strict_supersolution_identity,
                                  check_translating_certificates,
@@ -63,9 +63,10 @@ def no_lift_off_result():
 
 def test_criterion_01_maximal_surface_residual():
     t0 = time.time()
-    check = check_maximal_surface_residual(dims=(3, 4, 5), cs=(0.5, 1.0, 2.0),
-                                           r_range=(0.1, 100.0))
+    check = check_maximal_surface_residual()
     elapsed = time.time() - t0
+    # n in (3, 4, 5) x c in (0.5, 1, 2), 201 radii each on [0.1, 100]
+    assert check["samples"] == 9 * 201
     report("criterion 1: stationary-profile residual <= 1e-10",
            check["pass"] and elapsed < 1.0,
            f"worst {check['deviation']:.3e} over {check['samples']} samples, "
@@ -74,9 +75,10 @@ def test_criterion_01_maximal_surface_residual():
 
 def test_criterion_02_strict_supersolution_identity():
     t0 = time.time()
-    check = check_strict_supersolution_identity(dims=(3, 4, 5),
-                                                inner_radii=(0.5, 1.0, 2.0))
+    check = check_strict_supersolution_identity()
     elapsed = time.time() - t0
+    # n in (3, 4, 5) x r0 in (0.5, 1, 2), 201 radii each on [r0, 100]
+    assert check["samples"] == 9 * 201
     report("criterion 2: static-profile speed = (1/2) b'/r to 1e-10",
            check["pass"] and elapsed < 1.0,
            f"worst {check['deviation']:.3e}, {elapsed:.2f}s")
@@ -84,12 +86,12 @@ def test_criterion_02_strict_supersolution_identity():
 
 def test_criterion_03_translating_certificate():
     t0 = time.time()
-    ident = check_translating_identity(n_points=10000,
-                                       mus=(0.1, 0.5, 0.9),
-                                       t0s=(-2.0, -10.0, -100.0))
-    grad_chk, slope_chk = check_translating_certificates(
-        mus=(0.1, 0.5, 0.9), t0s=(-2.0, -10.0, -100.0))
+    ident = check_translating_identity(n_points=RANDOM_SAMPLES)
+    grad_chk, slope_chk = check_translating_certificates()
     elapsed = time.time() - t0
+    # mu in (0.1, 0.5, 0.9) x t0 in (-2, -10, -100), 1,112 points each
+    assert ident["samples"] == 9 * 1112 and RANDOM_SAMPLES == 10000
+    assert grad_chk["samples"] == slope_chk["samples"] == 9
     ok = ident["pass"] and grad_chk["pass"] and slope_chk["pass"] and elapsed < 5.0
     report("criterion 3: translating identity 1e-12 + inequality certificates",
            ok, f"identity worst {ident['deviation']:.3e} at {ident['samples']} pts, "
@@ -179,8 +181,9 @@ def test_criterion_09_spacelikeness_preservation(decay_result,
 
 def test_criterion_10_graph_quantity_identities():
     t0 = time.time()
-    grad_chk, inv_chk = check_graph_quantities(n_points=10000)
+    grad_chk, inv_chk = check_graph_quantities(n_points=RANDOM_SAMPLES)
     elapsed = time.time() - t0
+    assert grad_chk["samples"] == inv_chk["samples"] == 10000
     ok = grad_chk["pass"] and inv_chk["pass"] and elapsed < 1.0
     report("criterion 10: graph identities to 1e-12 at 1e4 configurations",
            ok, f"gradient {grad_chk['deviation']:.3e}, inverse "

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mcflow import barriers
 from mcflow.barriers import (QuadratureError, TranslatingBarrier, _heights,
                              build_outer_barrier, curved_profile_speed,
                              maximal_slope, maximal_surface_residual,
@@ -122,11 +123,12 @@ def test_height_in_dimension_40_far_out():
                                                                  rel=1e-13)
 
 
-def test_coarse_height_rule_raises():
+def test_coarse_height_rule_raises(monkeypatch):
     # at step 1/16 the rule and its every-other-node rule (step 1/8) are
     # 2e-8 apart for n = 3, above the 1e-10 max b = 1.9e-10 the rule accepts
+    monkeypatch.setattr(barriers, "HEIGHT_STEP", 1.0 / 16.0)
     with pytest.raises(QuadratureError):
-        _heights(3, 1.0, np.geomspace(1.0, 1.0e4, 64), step=1.0 / 16.0)
+        _heights(3, 1.0, np.geomspace(1.0, 1.0e4, 64))
 
 
 def test_height_monotone_decreasing():

@@ -1340,6 +1340,121 @@ def test_shipped_configs_run_without_scipy(tmp_path):
 # exit-code contract under malformed configs
 # ---------------------------------------------------------------------------
 
+def edited_config(name, edits):
+    """Shipped config `name` without its output_dir, with each dotted path
+    of `edits` set to its value, or deleted where the value is None."""
+    raw = shipped_config(name + ".json")
+    del raw["output_dir"]
+    for path, value in edits.items():
+        *keys, last = path.split(".")
+        section = raw
+        for key in keys:
+            section = section[key]
+        if value is None:
+            del section[last]
+        else:
+            section[last] = value
+    return raw
+
+
+#: (command, config or None for a path that does not exist, the field that
+#: the message names)
+CONFIG_ERRORS = {
+    "top_level_array": ("simulate", [1, 2], "config"),
+    "output_dir_number": ("simulate",
+                          edited_config("no_lift_off", {"output_dir": 3}),
+                          "output_dir"),
+    "barrier_below_n3": ("simulate",
+                         edited_config("no_lift_off", {"metric.n": 2}),
+                         "metric.n"),
+    "support_inside_plateau": ("sweep", edited_config(
+        "dirichlet_sweep", {"initial_data.support": 0.5}),
+        "initial_data.support"),
+    "sweep_of_no_lift_off": ("simulate", edited_config(
+        "no_lift_off", {"sweep": {"parameter": "R", "values": [4, 8]}}),
+        "scenario"),
+    "two_node_line": ("simulate",
+                      edited_config("decay_study", {"domain.hi": -199.94}),
+                      "domain"),
+    "annulus_at_r0": ("simulate",
+                      edited_config("no_lift_off", {"domain.lo": 0}),
+                      "domain.lo"),
+    "nested_window_empty": ("sweep",
+                            edited_config("nested_balls", {"domain.lo": 3}),
+                            "domain.lo"),
+    "fit_window_from_0": ("simulate",
+                          edited_config("decay_study", {"fit_window": [0, 10]}),
+                          "fit_window"),
+    "decay_study_sweep": ("sweep", edited_config("decay_study", {}),
+                          "sweep"),
+    "missing_file": ("simulate", None, "config"),
+    "dirichlet_sweep_simulated": ("simulate",
+                                  edited_config("dirichlet_sweep", {}), "R"),
+    "fit_window_of_3_records": ("simulate", edited_config("decay_study", {
+        "fit_window": [10, 20], "solver.t_end": 20, "solver.record_every": 5}),
+        "fit_window"),
+    "default_fit_window_past_t_end": ("simulate", edited_config(
+        "decay_study", {"fit_window": None, "solver.t_end": 5}),
+        "fit_window"),
+}
+
+
+@pytest.mark.parametrize("command, raw, field", CONFIG_ERRORS.values(),
+                         ids=CONFIG_ERRORS.keys())
+def test_config_errors_exit_two_naming_the_field(tmp_path, monkeypatch,
+                                                 capsys, command, raw, field):
+    monkeypatch.chdir(tmp_path)  # where a run that was not refused writes
+    path = tmp_path / "c.json"
+    if raw is not None:
+        path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert "Traceback" not in err
+
+
+def test_default_fit_window_names_the_default(tmp_path, capsys):
+    # the window [10, 5] that a short decay study would default to is not
+    # one the config wrote: the message says where it came from
+    raw = edited_config("decay_study", {"fit_window": None,
+                                        "solver.t_end": 5})
+    path = write_config(tmp_path, "c.json", raw)
+    assert main(["simulate", path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: fit_window: absent, and the default window "
+        "[10, t_end] needs t_end > 10, got t_end = 5\n")
+
+
+def test_decay_study_defaults_its_window_and_range(tmp_path):
+    raw = edited_config("decay_study", {
+        "fit_window": None, "expected_exponent_range": None,
+        "solver.t_end": 20, "solver.record_every": 0.5})
+    out = tmp_path / "out"
+    main(["simulate", write_config(tmp_path, "c.json", raw),
+          "--output-dir", str(out)])
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["decay_fit"]["window"] == [10.0, 20.0]
+    check, = (c for c in summary["checks"]
+              if c["name"] == "decay_exponent_in_range")
+    assert check["range"] == [-0.30, -0.20]
+
+
+def test_simulate_runs_one_ball_of_a_dirichlet_config(tmp_path, capsys):
+    raw = edited_config("dirichlet_sweep", {
+        "sweep": None, "expected_bound_exponent_range": None, "R": 4,
+        "solver.t_end": 4})
+    out = tmp_path / "out"
+    assert main(["simulate", write_config(tmp_path, "c.json", raw),
+                 "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out.split() == [
+        "max_principle", "PASS", "spacelike_preservation", "PASS",
+        "boundary_slope_dominated", "PASS", "dirichlet_domination", "PASS"]
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["R"] == 4.0 and summary["final_time"] == 4.0
+    assert summary["termination"] == "reached_t_end"
+
 #: Replacement values: wrong types, out-of-range and non-integral numbers,
 #: malformed pairs and lists.  Magnitudes stay small: a large dimension or
 #: domain is valid input that costs memory in proportion, not malformed.
@@ -1372,8 +1487,24 @@ def entry_paths(obj, path=()):
         yield from entry_paths(value, path + (key,))
 
 
+def reported_terminations(out):
+    """The terminations of the runs that the output directory `out`
+    reports: each summary.json's and a sweep_summary.json's list."""
+    found = []
+    for base, _, names in os.walk(out):
+        for name in sorted(names):
+            if name in ("summary.json", "sweep_summary.json"):
+                with open(os.path.join(base, name)) as fh:
+                    summary = json.load(fh)
+                found += summary.get("terminations", [])
+                if name == "summary.json":
+                    found.append(summary.get("termination"))
+    return found
+
+
+# the same draws on every run: the long fuzzing of configs is not Tier-1's
 @given(data=st.data())
-@settings(max_examples=150, deadline=None, database=None,
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_shipped_configs_keep_the_exit_code_contract(data):
     name = data.draw(st.sampled_from(sorted(os.listdir(os.path.join(
@@ -1392,8 +1523,6 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(data):
         commands = (["sweep"] if raw.get("scenario") in SWEEP_SCENARIOS
                     else ["simulate", "sweep"])
     command = data.draw(st.sampled_from(commands))
-    # one step never ends a shortened flow: a first step is dt_FE long,
-    # and it stops at the first snapshot mark, before t_end, at the latest
     capped = isinstance(raw.get("solver"), dict) and data.draw(st.booleans())
     if capped:
         raw["solver"]["max_steps"] = 1
@@ -1405,4 +1534,28 @@ def test_mutated_shipped_configs_keep_the_exit_code_contract(data):
             # an exception escaping main is a traceback at the shell
             code = main([command, config, "--output-dir",
                          os.path.join(tmp, "out")])
-    assert code in ((1, 2, 3) if capped else (0, 1, 2, 3))
+        terminations = reported_terminations(os.path.join(tmp, "out"))
+    assert code in (0, 1, 2, 3)
+    # one step ends a shortened flow only where it reaches t_end: a first
+    # step is the floor's size, which grows with h^2
+    if capped and code == 0:
+        assert terminations
+        assert set(terminations) == {"reached_t_end"}
+
+
+def test_one_capped_step_that_reaches_t_end_passes(tmp_path, capsys):
+    # a draw of the property test above: at h = 3.7 a ball's first step,
+    # of the floor 0.9 h^2 / (2 n) = 2.05 at rest, passes the shortened
+    # t_end of 1
+    raw = shipped_config_short("dirichlet_sweep.json")
+    raw["solver"].update({"h": 3.7, "max_steps": 1})
+    path = write_config(tmp_path, "c.json", raw)
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--output-dir", str(out)]) == 0
+    assert "step cap" not in capsys.readouterr().err
+    for R in (4, 8, 16):
+        with open(out / f"run_R{R}" / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["steps"] == 1
+        assert summary["termination"] == "reached_t_end"
+        assert summary["final_time"] == 1.0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,8 @@ from mcflow.fields import line_field, radial_field
 from mcflow.geometry import conformal_metric, euclidean_metric
 from mcflow.initial_data import smooth_cutoff
 from mcflow.solver import FlowTrajectory, SolverConfig, run_flow
+
+FROZEN = ("asymptotic_decay", "asymptotic_decay")
 
 
 def records_from(ts, sups, l2s=None, h1s=None):
@@ -45,15 +48,14 @@ def test_norms_zero_field():
 
 
 def test_norms_gaussian_l2():
-    fld = line_field(-12.0, 12.0, 0.01, lambda x: np.exp(-x * x / 2),
-                     bc=("asymptotic_decay", "asymptotic_decay"))
+    fld = replace(line_field(-12.0, 12.0, 0.01, lambda x: np.exp(-x * x / 2)),
+                  bc=FROZEN)
     _, _, l2, _ = record_norms(fld, euclidean_metric(1))
     assert l2 ** 2 == pytest.approx(np.sqrt(np.pi), abs=1e-6)
 
 
 def test_norms_polynomial_l2():
-    fld = line_field(0.0, 1.0, 1e-3, lambda x: x * (1 - x),
-                     bc=("dirichlet_zero", "dirichlet_zero"))
+    fld = line_field(0.0, 1.0, 1e-3, lambda x: x * (1 - x))
     _, _, l2, _ = record_norms(fld, euclidean_metric(1))
     assert l2 ** 2 == pytest.approx(1.0 / 30.0, abs=1e-8)
 
@@ -85,8 +87,8 @@ def test_phi_zero_field():
 
 
 def test_phi_lambda_zero_drops_u_dependence():
-    fld = line_field(-2.0, 2.0, 0.1, lambda x: 0.3 * np.exp(-x * x),
-                     bc=("asymptotic_decay", "asymptotic_decay"))
+    fld = replace(line_field(-2.0, 2.0, 0.1, lambda x: 0.3 * np.exp(-x * x)),
+                  bc=FROZEN)
     from mcflow.fields import gradient
     du = gradient(fld)
     v_max = float(np.max(1 / np.sqrt(1 - du ** 2)))
@@ -95,8 +97,8 @@ def test_phi_lambda_zero_drops_u_dependence():
 
 
 def test_phi_requires_nonnegative_u_when_monotone():
-    fld = line_field(-2.0, 2.0, 0.1, lambda x: -0.5 * np.exp(-x * x),
-                     bc=("asymptotic_decay", "asymptotic_decay"))
+    fld = replace(line_field(-2.0, 2.0, 0.1, lambda x: -0.5 * np.exp(-x * x)),
+                  bc=FROZEN)
     with pytest.raises(ValueError):
         one_record(fld, euclidean_metric(1), (1.0, 1.0))
 

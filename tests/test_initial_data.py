@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,11 +49,11 @@ def test_cutoff_monotone_and_c2():
 
 def test_lipschitz_constant_basics():
     flat = euclidean_metric(1)
-    const = line_field(-5.0, 5.0, 0.1, lambda x: np.full_like(x, 2.0),
-                       bc=("asymptotic_decay", "asymptotic_decay"))
+    frozen = ("asymptotic_decay", "asymptotic_decay")
+    const = replace(line_field(-5.0, 5.0, 0.1, lambda x: np.full_like(x, 2.0)),
+                    bc=frozen)
     assert lipschitz_constant(flat, const) == 0.0
-    linear = line_field(-5.0, 5.0, 0.1, lambda x: 0.5 * x,
-                        bc=("asymptotic_decay", "asymptotic_decay"))
+    linear = replace(line_field(-5.0, 5.0, 0.1, lambda x: 0.5 * x), bc=frozen)
     assert lipschitz_constant(flat, linear) == pytest.approx(0.5, abs=1e-12)
 
 

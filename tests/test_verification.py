@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from mcflow import verification
 from mcflow.verification import (_check, check_maximal_surface_residual,
                                  run_identity_suite)
 
 
-def test_a_check_is_the_dict_summary_json_writes():
-    checks = run_identity_suite(n_random=50)
+def test_a_check_is_the_dict_summary_json_writes(monkeypatch):
+    monkeypatch.setattr(verification, "RANDOM_SAMPLES", 50)
+    checks = run_identity_suite()
     assert [c["name"] for c in checks] == [
         "maximal_surface_residual", "strict_supersolution_identity",
         "translating_flat_identity", "translating_gradient_bound",
@@ -18,6 +20,7 @@ def test_a_check_is_the_dict_summary_json_writes():
         assert set(check) == {"name", "pass", "deviation", "tolerance",
                               "samples"}
         assert check["pass"] is True
+    assert checks[5]["samples"] == 50  # the patched sample count
     assert run_identity_suite(dims=()) == []
 
 

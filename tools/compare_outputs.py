@@ -4,7 +4,8 @@
 
 Runs, once under a `git archive` of REV and once under the working tree:
 the six shipped configs (`sweep` for the two sweeps, `simulate` for the
-others), a sweep of curved balls, a decay study on a grid of odd
+others), one ball of the dirichlet sweep under `simulate`, a sweep of
+curved balls, a decay study on a grid of odd
 N = nodes - 1, six no_lift_off variants at the edges of the schedule and
 the checks (see `no_lift_off_variants`),
 `mcflow verify`, and the benchmark workloads' configs at seeds 0 and 3, as
@@ -47,6 +48,7 @@ def configs() -> dict:
         with open(os.path.join(ROOT, "configs", fname)) as fh:
             runs[name] = ("sweep" if name in SWEEPS else "simulate",
                           json.load(fh))
+    runs["dirichlet_simulate"] = ("simulate", dirichlet_simulate())
     runs["curved_ball_sweep"] = ("sweep", curved_ball_sweep())
     runs["decay_study_odd"] = ("simulate", decay_study_odd())
     for name, raw in no_lift_off_variants().items():
@@ -56,6 +58,17 @@ def configs() -> dict:
             runs[f"{name}_seed{seed}"] = (
                 spec.command, workloads.generate_config(ROOT, name, seed))
     return runs
+
+
+def dirichlet_simulate() -> dict:
+    """configs/dirichlet_sweep.json as one run: the ball R = 4 through
+    t = 4, with no sweep and no expected bound exponent."""
+    with open(os.path.join(ROOT, "configs", "dirichlet_sweep.json")) as fh:
+        raw = json.load(fh)
+    del raw["sweep"], raw["expected_bound_exponent_range"]
+    raw["R"] = 4.0
+    raw["solver"]["t_end"] = 4.0
+    return raw
 
 
 def curved_ball_sweep() -> dict:
