@@ -5,7 +5,8 @@ Library layout:
 * `geometry` - radial conformal backgrounds, graph quantities, flow operators
 * `barriers` - stationary, static and translating comparison profiles
 * `initial_data` - cutoffs, metric blending, slope and decay functionals
-* `solver` - RKL2 super-steps: line, radial and ball problems
+* `solver` - RKL2 super-steps and, on lines with both ends pinned, ROS2
+  W-steps: line, radial and ball problems
 * `diagnostics` - norms, monitors, margins, rate fits
 * `verification` - the closed-form identity suite
 * `config` - reading and validating scenario configs, the initial field

@@ -449,7 +449,7 @@ class ScenarioConfig:
             raise ConfigError("output_dir", "expected a string path")
         fields = dict(scenario=scenario, metric=metric, sweep_values=sweep,
                       output_dir=out or "mcflow_out")
-        if "expected_bound_exponent_range" in cfg:
+        if scenario == "dirichlet" and "expected_bound_exponent_range" in cfg:
             fields["bound_exponent_range"] = _pair(
                 cfg, "expected_bound_exponent_range", "")
         if scenario == "barrier_verify":

@@ -94,14 +94,17 @@ Every recorded state is checked against the solver's slope bound
 as a batch of that row alone would, and a failing record that waits when
 a later step halts raises as a record failure.
 
-Every evaluation works in place on the forward differences d: the
-operator takes s = d_i + d_{i-1} = 2h u' and q = d_i - d_{i-1} = h^2 u''
-as they are (a = 2h, b = h^2 in `RadialOperator`), so the engine's speed
-rows hold F b/a^2 = F/4, and the factor 4 sits in the scalar weights of
-the stages, the error estimate and the interpolant.  Strict spacelikeness
-1 - (u'/w)^2 > TOL_SPACELIKE is checked as min(C)/K on flat grids and
-min(C/K) on curved ones, with C = 4h^2 w^2 - s^2 and K = 4h^2 w^2, and the
-principal coefficient is 4h^2 / min(C).
+Every evaluation is one call of the engine's evaluator (`_evaluator`),
+made once per window: the state's at a run's start, each RKL2 stage's,
+ROS2's at u_n + tau k1 and the candidate's.  It works in place on the
+forward differences d: the operator takes s = d_i + d_{i-1} = 2h u' and
+q = d_i - d_{i-1} = h^2 u'' as they are (a = 2h, b = h^2 in
+`RadialOperator`), so the engine's speed rows hold F b/a^2 = F/4, and the
+factor 4 sits in the scalar weights of the stages, the error estimate and
+the interpolant.  Strict spacelikeness 1 - (u'/w)^2 > TOL_SPACELIKE is
+checked as min(C)/K on flat grids and min(C/K) on curved ones, with
+C = 4h^2 w^2 - s^2 and K = 4h^2 w^2, and the principal coefficient is
+4h^2 / min(C).
 Each stage's increment D_j is one matrix-vector product of four weights
 with the four rows f, f_cand, stage and stage_prev, which form one
 C-contiguous block.  Slopes are never clamped: a stage or candidate that
@@ -132,6 +135,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,14 +234,14 @@ class FlowTrajectory:
 class _Engine:
     """Stepping in place on one grid, from a copy of a field's values.
 
-    The state is `u` with its forward differences `d`; once a super-step
-    has run, also its speed `f` (held as F/4) and stability coefficient
-    `coeff` (None until formed).  Each step builds its candidate in a
-    second set of buffers, swapped in only once accepted, so a halved retry
-    starts from the untouched state.
+    The state is `u` with its forward differences `d`; once `step_bounds`
+    has run (each step runs it), also its speed `f` (held as F/4) and
+    stability coefficient `coeff` (None until formed).  Each step builds
+    its candidate in a second set of buffers, swapped in only once
+    accepted, so a halved retry starts from the untouched state.
     """
 
-    def __init__(self, field: Field, metric, n=None):
+    def __init__(self, field: Field, metric):
         nodes = self.nodes = field.nodes
         self.h, self.axis = field.h, field.axis
         scale = (2.0 * field.h, field.h * field.h)  # a, b: rows hold F/4
@@ -260,7 +264,7 @@ class _Engine:
             if not self.axis and nodes[0] <= 0.0:
                 raise DomainError("radial grid starting at r = 0 needs the "
                                   "axis_symmetry tag")
-            self.n = metric.n if n is None else n
+            self.n = metric.n
             r_int = nodes[1:-1]
             self.op = RadialOperator(self.n, r_int,
                                      *radial_factors(metric, r_int), *scale)
@@ -339,23 +343,46 @@ class _Engine:
                 self.n, scale / float(comp[0])))
         return scale / low_c
 
-    def coefficient(self):
-        """Stability coefficient of the state; forms s = 2h u' and
-        C = 4h^2 w^2 - s^2 on the way.  Raises as `_coefficient`."""
-        s = np.add(self.d[1:], self.d[:-1], out=self.s)
-        return self._coefficient(self.op.complement(s, self.comp))
+    def _evaluator(self, d, f):
+        """The evaluation of the values with forward differences `d` on the
+        first `f.size` nodes (the grid or a window), as a function of no
+        arguments: it forms s = 2h u' and C = 4h^2 w^2 - s^2, checks
+        strict spacelikeness (raising as `_coefficient` does), writes F/4
+        into `f` and returns C.  F/4 is the operator inside and the axis
+        rule F = 2n (u_1 - u_0)/h^2 at r = 0; `f`'s other ends are not
+        written."""
+        d1, d0, inner = d[1:], d[:-1], f[1:-1]
+        s, comp, q, work = (r[:f.size - 2]
+                            for r in (self.s, self.comp, self.q, self.work))
+        op = self.ops[f.size - 2]
+        complement, rhs, safe_c = op.complement, op.rhs, self.safe_c
+        axis, half_n, h2 = self.axis, self.n * 0.5, self.h * self.h
+        engine = weakref.proxy(self)  # its views must not keep it alive
 
-    def _speed(self, d, out):
-        """Write F/4, a quarter of the flow speed of the grid's values with
-        forward differences `d`, into `out` and return it: the operator
-        inside, the axis rule F = 2n (u_1 - u_0)/h^2 at r = 0, zero at
-        pinned or frozen ends.  Needs s and C of `d`, as `coefficient`
-        forms them."""
-        q = np.subtract(d[1:], d[:-1], out=self.q)
-        self.op.rhs(self.s, q, self.comp, out[1:-1], self.work)
-        out[0] = self.n * 0.5 * d[0] / (self.h * self.h) if self.axis else 0.0
-        out[-1] = 0.0
-        return out
+        def evaluate():
+            np.add(d1, d0, s)
+            complement(s, comp)
+            if not comp[comp.argmin()] > safe_c:  # the first NaN, if any
+                engine._coefficient(comp)  # raises, naming the node
+            np.subtract(d1, d0, q)
+            rhs(s, q, comp, inner, work)
+            if axis:
+                f[0] = half_n * d.item(0) / h2
+            return comp
+        return evaluate
+
+    def step_bounds(self, cfl):
+        """[dt_FE, floor] of a step from the state: cfl h^2 / (2 coeff),
+        and on axis grids cfl h^2 / (2 max(coeff, n)).  Forms the state's
+        speed `f` (zero at pinned or frozen ends) and stability
+        coefficient `coeff` first, unless a step has formed them; raises
+        as `_coefficient`."""
+        if self.coeff is None:
+            self.f[0] = self.f[-1] = 0.0  # the ends no evaluation writes
+            comp = self._evaluator(self.d, self.f)()
+            self.coeff = self._coefficient(comp)
+        wide = max(self.coeff, self.n) if self.axis else self.coeff
+        return [cfl * self.h * self.h / (2.0 * c) for c in (self.coeff, wide)]
 
     def _window(self, s):
         """Grow the window [0, m) for a step of s stages; return its views."""
@@ -380,11 +407,10 @@ class _Engine:
             f, d = self.f_cand[:m], self.d_cand[:m - 1]
             rows = self.stage[:m], self.stage_prev[:m]  # D_{j-1}, D_{j-2}
             self.views[m, self.f_row] = (  # stage j reads rows[j % 2]
-                self.f[:m], f, self.cand[:m], d, self.d[:m - 1], d[1:],
-                d[:-1], f[1:-1], self.block[:, :m], rows,
+                self.f[:m], f, self.cand[:m], d, self.d[:m - 1],
+                self._evaluator(d, f), self.block[:, :m], rows,
                 [(r[1:], r[:-1], t) for r, t in zip(rows, rows[::-1])],
-                *(r[:m - 2] for r in (self.s, self.comp, self.q, self.work)),
-                self.ops[m - 2].complement, self.ops[m - 2].rhs, self.tiny[:m])
+                self.tiny[:m])
         return self.views[m, self.f_row]
 
     def _hold_ends(self, y):
@@ -473,10 +499,8 @@ class _Engine:
         of the speed rows, which hold F/4) with `block`, on the window.
         """
         s = rkl2_stages(tau, dt_fe)
-        (f0, f, acc, d, du, d1, d0, inner, block, rows, ends, s_, comp, q,
-         work, complement, rhs, _) = self._window(s)
+        f0, _, acc, d, du, evaluate, block, rows, ends, _ = self._window(s)
         w1 = 4.0 / (s * s + s - 2)
-        axis, half_n, h2 = self.axis, self.n * 0.5, self.h * self.h
         table = _rkl2_weights(1 << (s - 2).bit_length())[:s - 1]
         weights = table[:, :4].copy()
         mu_tau = np.multiply(table[:, 4], w1, out=weights[:, 1 - self.f_row])
@@ -487,14 +511,7 @@ class _Engine:
         for weight, (hi, lo, target) in zip(weights, ends * s):
             np.subtract(hi, lo, d)
             np.add(d, du, d)
-            np.add(d1, d0, s_)
-            complement(s_, comp)
-            if not comp[comp.argmin()] > self.safe_c:  # first NaN, if any
-                self._coefficient(comp)  # raises, naming the node
-            np.subtract(d1, d0, q)
-            rhs(s_, q, comp, inner, work)
-            if axis:
-                f[0] = half_n * d.item(0) / h2
+            evaluate()
             np.dot(weight, block, acc)
             np.copyto(target, acc)
         return self._candidate(tau, rows[(s - 1) % 2], rows[s % 2])
@@ -503,8 +520,8 @@ class _Engine:
         """Form the candidate u + `step` of a step of size `tau` from the
         state, as `rkl2` describes, and return the sup of its local error
         estimate; `spare` is a free row of the window, written."""
-        (f0, f, cand, d, _, d1, d0, inner, _, _, _, s_, comp, q, work,
-         complement, rhs, tiny) = self.views[self.m, self.f_row]
+        f0, f, cand, d, _, evaluate, *_, tiny = self.views[self.m,
+                                                           self.f_row]
         np.add(self.u[:cand.size], step, out=cand)
         np.less(np.abs(cand, out=spare), self.cut, out=tiny)  # NaN: False
         np.copyto(cand, 0.0, where=tiny)
@@ -512,12 +529,7 @@ class _Engine:
         # the candidate's differences, check and speed, as a stage's: no
         # evaluation writes f's ends (off the axis), which stay 0.0
         np.subtract(cand[1:], cand[:-1], out=d)
-        np.add(d1, d0, s_)
-        self.cand_coeff = self._coefficient(complement(s_, comp))
-        np.subtract(d1, d0, q)
-        rhs(s_, q, comp, inner, work)
-        if self.axis:
-            f[0] = self.n * 0.5 * d.item(0) / (self.h * self.h)
+        self.cand_coeff = self._coefficient(evaluate())
         worst = self.max_metric_slope(d)
         if not worst < 1.0 - TOL_SPACELIKE:
             raise SpacelikeViolationError(
@@ -606,18 +618,13 @@ class _Engine:
         ends.  A solve couples every node, so the window grows to the whole
         grid.
         """
-        (f0, f, _, d, du, d1, d0, inner, _, (k1, k2), _, s_, comp, q, work,
-         complement, rhs, _) = self._window(self.u.size)
+        f0, f, _, d, du, evaluate, _, (k1, k2), *_ = self._window(
+            self.u.size)
         div = self.divisor(ROS2_GAMMA * tau * self.coeff)
         self.solve(np.multiply(f0, 4.0 * tau, out=k1), div, k1)  # ends 0.0
         np.subtract(k1[1:], k1[:-1], out=d)  # the differences of u + K1
         d += du
-        np.add(d1, d0, s_)
-        complement(s_, comp)
-        if not comp[comp.argmin()] > self.safe_c:  # first NaN, if any
-            self._coefficient(comp)  # raises, naming the node
-        np.subtract(d1, d0, q)
-        rhs(s_, q, comp, inner, work)
+        evaluate()
         np.multiply(f, 4.0 * tau, out=k2)  # f's ends are 0.0
         k2 -= k1
         k2 -= k1
@@ -644,13 +651,7 @@ class _Engine:
         is the bound with the axis row's own Gershgorin disc,
         cfl h^2 / (2 max(coeff, n)) on axis grids, and dt_FE elsewhere.
         """
-        if self.coeff is None:  # then kept from the last accepted step
-            self.coeff = self.coefficient()
-            self._speed(self.d, self.f)
-        h = self.h
-        dt_fe = cfl * h * h / (2.0 * self.coeff)
-        floor = (cfl * h * h / (2.0 * max(self.coeff, self.n)) if self.axis
-                 else dt_fe)
+        dt_fe, floor = self.step_bounds(cfl)
         tau = floor if tau is None else max(tau, floor)
         dt = min(tau, dt_cap)
         capped = dt < tau
@@ -744,15 +745,14 @@ def stable_dt(field: Field, metric, config: SolverConfig) -> float:
     rest) and, for n >= 4, n.  Error rejections stop at a floor that may be
     smaller: see `_Engine.super_step`.
     """
-    coeff = _Engine(field, metric).coefficient()
-    return config.cfl_safety * field.h * field.h / (2.0 * coeff)
+    return _Engine(field, metric).step_bounds(config.cfl_safety)[0]
 
 
-def _step(field: Field, metric, n, config: SolverConfig):
+def _step(field: Field, metric, config: SolverConfig):
     """One RKL2 step of the floor's size from `field`, halved on a
     violation as a run's steps are: the step a run starts with.  Returns
     (new field, dt)."""
-    engine = _Engine(field, metric, n)
+    engine = _Engine(field, metric)
     dt, _ = engine.super_step(None, math.inf, config.cfl_safety, math.inf)
     return replace(field, values=engine.u.copy()), dt  # u is a scratch row
 
@@ -761,14 +761,18 @@ def step_1d(field: Field, config: SolverConfig):
     """One step of the flat line flow.  Returns (new field, dt)."""
     if field.kind != "line":
         raise ValueError("step_1d expects a line field")
-    return _step(field, euclidean_metric(1), None, config)
+    return _step(field, euclidean_metric(1), config)
 
 
 def step_radial(field: Field, metric, n: int, config: SolverConfig):
-    """One step of the rotationally reduced flow in dimension n."""
+    """One step of the rotationally reduced flow in dimension n, which
+    must be the metric's."""
     if field.kind != "radial":
         raise ValueError("step_radial expects a radial field")
-    return _step(field, metric, n, config)
+    if n != metric.n:
+        raise ValueError(f"step_radial steps in the metric's dimension "
+                         f"{metric.n}, got n = {n}")
+    return _step(field, metric, config)
 
 
 def _record(blocks, plan, field, engine, times, rows, d):
@@ -878,8 +882,9 @@ class _Outputs:
 
 def _evolve(field: Field, metric, config: SolverConfig, phi_params=None,
             barrier=None) -> FlowTrajectory:
-    """Drive an engine from `field` to t_end by RKL2 super-steps, recording
-    at cadence; `steps` counts accepted super-steps.
+    """Drive an engine from `field` to t_end by RKL2 super-steps and ROS2
+    W-steps (`_Engine.super_step`), recording at cadence; `steps` counts
+    accepted steps of both schemes.
 
     Steps end only on the last of `config.snapshot_times()`, a halt or the
     step cap.  The record marks are k * record cadence.  A record or

@@ -576,6 +576,8 @@ def test_ball_data_not_spacelike_in_the_metric_name_their_slope(
     cfg["metric"] = {"family": "conformal_power", "n": 3, "a": 0.5,
                      "tau": 1.0, "power": -2.0}
     cfg["solver"]["t_end"] = 1.0
+    if scenario == "nested_balls":  # a key only dirichlet configs read
+        del cfg["expected_bound_exponent_range"]
     path = write_config(tmp_path, "c.json", cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1454,6 +1456,26 @@ def test_simulate_runs_one_ball_of_a_dirichlet_config(tmp_path, capsys):
         summary = json.load(fh)
     assert summary["R"] == 4.0 and summary["final_time"] == 4.0
     assert summary["termination"] == "reached_t_end"
+
+
+@pytest.mark.parametrize("name, command, edits", [
+    ("decay_study", "simulate", {"solver.t_end": 12, "fit_window": [10, 12],
+                                 "solver.record_every": 0.1}),
+    ("nested_balls", "sweep", {})])
+def test_bound_exponent_range_is_unknown_outside_dirichlet(
+        tmp_path, capsys, name, command, edits):
+    # only a dirichlet sweep checks the range: elsewhere it would be read
+    # and never checked, so it is an unknown key
+    raw = edited_config(name, {**edits,
+                               "expected_bound_exponent_range": [0, 1]})
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path, "c.json", raw),
+                 "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: expected_bound_exponent_range: unknown key: a {name} "
+        f"config does not read it\n")
+    assert not os.path.exists(str(out))
+
 
 #: Replacement values: wrong types, out-of-range and non-integral numbers,
 #: malformed pairs and lists.  Magnitudes stay small: a large dimension or

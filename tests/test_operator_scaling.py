@@ -45,8 +45,8 @@ def axis_profile(r):
 def engine_speed(field, metric):
     """The flow speed F the engine forms from the field's values."""
     engine = solver._Engine(field, metric)
-    engine.coefficient()
-    return 4.0 * engine._speed(engine.d, np.empty(field.nodes.size))
+    engine.step_bounds(0.9)
+    return 4.0 * engine.f
 
 
 def observed_order(errors):

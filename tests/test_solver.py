@@ -113,7 +113,7 @@ def frozen_jacobian(engine):
     2n (u_1 - u_0)/h^2 and, inside,
         a_i (u_{i+1} - 2 u_i + u_{i-1})/h^2
         + (n - 1)/(2 i) (u_{i+1} - u_{i-1})/h^2.
-    Needs `engine.coefficient()` to have formed C."""
+    Needs `engine.step_bounds` to have formed C."""
     h, n = engine.h, engine.n
     a = 4.0 * h * h / engine.comp
     size = engine.u.size - 1
@@ -140,7 +140,8 @@ def test_axis_coefficient_bounds_the_spectrum(n, slopes):
     fld = Field(kind="radial", nodes=h * np.arange(values.size),
                 values=values, h=h, bc=("axis_symmetry", "dirichlet_zero"))
     engine = solver._Engine(fld, euclidean_metric(n))
-    coeff = engine.coefficient()
+    engine.step_bounds(0.9)
+    coeff = engine.coeff
     jac, a = frozen_jacobian(engine)
     radius = float(np.max(np.abs(np.linalg.eigvals(jac))))
     assert radius <= 4.0 * coeff / h ** 2 * (1.0 + 1e-12)
@@ -162,8 +163,7 @@ def stage_limit_run(n, coeff=None, steps=60, stages=20):
     fld = Field(kind="radial", nodes=h * np.arange(257), values=noise, h=h,
                 bc=("axis_symmetry", "dirichlet_zero"))
     engine = solver._Engine(fld, euclidean_metric(n))
-    engine.coeff = engine.coefficient()
-    engine._speed(engine.d, engine.f)
+    engine.step_bounds(cfl)
     coeff = engine.coeff if coeff is None else coeff
     dt_fe = cfl * h * h / (2.0 * coeff)
     tau = dt_fe * (stages * stages + stages - 2) / 4.0
@@ -251,6 +251,13 @@ def test_step_radial_zero_fixed_point():
     assert np.all(out.values == 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_step_radial_steps_only_in_the_metric_dimension(n):
+    fld = radial_field(0.0, 5.0, 0.05, lambda r: np.zeros_like(r))
+    with pytest.raises(ValueError, match=f"dimension 3, got n = {n}$"):
+        step_radial(fld, euclidean_metric(3), n, SolverConfig(t_end=1.0))
+
+
 def test_step_radial_exact_profile_nearly_stationary():
     # the exact stationary profile moves only by truncation error, and the
     # residual speed shrinks at second order under grid refinement
@@ -299,7 +306,7 @@ def test_evolved_exact_profile_drift_is_second_order():
         cfl = SolverConfig(t_end=t_end).cfl_safety
         t = 0.0
         while t < t_end - 1e-12:  # `step_radial`'s steps, the last capped
-            engine = solver._Engine(fld, flat, 3)
+            engine = solver._Engine(fld, flat)
             t += engine.super_step(None, t_end - t, cfl, math.inf)[0]
             fld = replace(fld, values=engine.u)
         return float(np.max(np.abs(fld.values - beta)))

@@ -161,8 +161,8 @@ def test_kernel_matches_reference_over_100_steps(case):
     tau = 20.0 * stable_dt(field, metric, config)
     for engine in (solver._Engine(field, metric),
                    fixed_steps(field, metric, tau, STEPS)):
-        coeff = engine.coefficient()
-        speed = 4.0 * engine._speed(engine.d, np.empty(field.nodes.size))
+        engine.step_bounds(config.cfl_safety)  # kept from the last step
+        coeff, speed = engine.coeff, 4.0 * engine.f
         rhs, axis_rhs, coeff_ref = ref.rhs_and_coeff(engine.u)
         expected = np.zeros(field.nodes.size)
         expected[1:-1] = rhs
@@ -430,8 +430,8 @@ def test_speed_at_the_axis_node_is_the_even_reflection_rule():
     # the case's plateau has u_1 = u_0; tilted, the rule is not 0 = 0
     field = replace(field, values=field.values * np.exp(-field.nodes / 16.0))
     engine = solver._Engine(field, metric)
-    engine.coefficient()
-    f = engine._speed(engine.d, np.empty(field.nodes.size))
+    engine.step_bounds(0.9)
+    f = engine.f
     u, h = field.values, field.h
     assert f[0] != 0.0
     # the engine's speed rows hold F/4
@@ -982,8 +982,8 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
     init, super_step = solver._Engine.__init__, solver._Engine.super_step
     windows, lowest = [], []
 
-    def keep_origin(self, field, metric, n=None):
-        init(self, field, metric, n)
+    def keep_origin(self, field, metric):
+        init(self, field, metric)
         self.origin = field, metric
 
     def checked(self, *args):
@@ -1002,9 +1002,9 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
         # a fresh engine on the whole grid: the same speed and coefficient
         field, metric = self.origin
         fresh = solver._Engine(replace(field, values=self.u.copy()), metric)
-        assert fresh.coefficient() == self.cand_coeff == self.coeff
-        speed = fresh._speed(fresh.d, np.empty(size))
-        assert speed.tobytes() == self.f.tobytes()
+        fresh.step_bounds(0.9)
+        assert fresh.coeff == self.cand_coeff == self.coeff
+        assert fresh.f.tobytes() == self.f.tobytes()
         return result
 
     monkeypatch.setattr(solver._Engine, "__init__", keep_origin)
@@ -1016,8 +1016,8 @@ def test_the_window_keeps_the_whole_grid_answer(case, monkeypatch):
     # the same run with every step on the whole grid: an engine that holds
     # its outer end frozen at the +0.0 it is pinned to forms no window, and
     # cuts its candidates as the windowed engine does
-    def whole_grid(self, field, metric, n=None):
-        init(self, field, metric, n)
+    def whole_grid(self, field, metric):
+        init(self, field, metric)
         self.pin_right = False
 
     monkeypatch.setattr(solver._Engine, "__init__", whole_grid)

@@ -122,8 +122,7 @@ def prepared_engine(field, metric):
     """An engine with its state's speed and coefficient formed, as
     `super_step` forms them."""
     engine = solver._Engine(field, metric)
-    engine.coeff = engine.coefficient()
-    engine._speed(engine.d, engine.f)
+    engine.step_bounds(0.9)
     return engine
 
 

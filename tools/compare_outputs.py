@@ -7,7 +7,8 @@ the six shipped configs (`sweep` for the two sweeps, `simulate` for the
 others), one ball of the dirichlet sweep under `simulate`, a sweep of
 curved balls, a decay study on a grid of odd
 N = nodes - 1, six no_lift_off variants at the edges of the schedule and
-the checks (see `no_lift_off_variants`),
+the checks (see `no_lift_off_variants`), three flow_radial runs on axis
+grids at n = 1, 2 and 5 (`flow_radial_axis`),
 `mcflow verify`, and the benchmark workloads' configs at seeds 0 and 3, as
 `perfbench/workloads.py` of the working tree generates them.
 Both sides run the same config files, from the same relative paths, so
@@ -53,6 +54,8 @@ def configs() -> dict:
     runs["decay_study_odd"] = ("simulate", decay_study_odd())
     for name, raw in no_lift_off_variants().items():
         runs[name] = ("simulate", raw)
+    for n in (1, 2, 5):
+        runs[f"flow_radial_n{n}"] = ("simulate", flow_radial_axis(n))
     for name, spec in workloads.WORKLOADS.items():
         for seed in SEEDS:
             runs[f"{name}_seed{seed}"] = (
@@ -97,6 +100,19 @@ def decay_study_odd() -> dict:
     raw["domain"]["hi"] = 199.95
     raw["solver"]["t_end"] = 100.0
     return raw
+
+
+def flow_radial_axis(n: int) -> dict:
+    """A flat flow_radial run in dimension `n` on the axis grid [0, 16]
+    at h = 1/16 through t = 4: the axis row at n other than the shipped
+    configs' 3."""
+    return {"scenario": "flow_radial",
+            "metric": {"family": "euclidean", "n": n},
+            "domain": {"lo": 0.0, "hi": 16.0},
+            "initial_data": {"family": "bump", "height": 0.5,
+                             "plateau": 1.0, "support": 4.0},
+            "solver": {"h": 0.0625, "t_end": 4.0, "record_every": 0.5,
+                       "snapshot_every": 1.0}}
 
 
 def no_lift_off_variants() -> dict:
